@@ -33,15 +33,24 @@ def _losses_chunk(payload, piece: Tuple[int, int]):
     picklable payload, required for ``workers > 1``) or the bare sampler
     callable (serial in-process execution only).  The chunk draws from its
     own seeded RNG stream, so partials are identical in any process.
+
+    A problem whose ``chunk_draws`` attribute is true draws the whole chunk
+    in one ``sample_losses(rng, draws)`` call, which returns the losses in
+    draw order from the same RNG sequence; the fold below is the same
+    either way, so partials do not change.
     """
     sampler, num_hypotheses, base_seed = payload
     chunk_index, draws = piece
     rng = _parallel.chunk_rng(base_seed, chunk_index)
     sample = getattr(sampler, "sample_losses", sampler)
+    if getattr(sampler, "chunk_draws", False):
+        chunk = sample(rng, draws)
+    else:
+        chunk = (sample(rng) for _ in range(draws))
     totals = [0.0] * num_hypotheses
     totals_sq = [0.0] * num_hypotheses
-    for _ in range(draws):
-        for index, loss in sample(rng).items():
+    for losses in chunk:
+        for index, loss in losses.items():
             totals[index] += loss
             totals_sq[index] += loss * loss
     # Problems with sampling diagnostics (e.g. Gen_bc rejection counters)

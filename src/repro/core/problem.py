@@ -32,7 +32,13 @@ class HypothesisRankingProblem(Protocol):
         """Run the ``Exact`` algorithm: mass and risks of the exact subspace."""
 
     def sample_losses(self, rng: SeedLike = None) -> Mapping[int, float]:
-        """Draw one sample from ``D-tilde`` and return its sparse losses."""
+        """Draw one sample from ``D-tilde`` and return its sparse losses.
+
+        Optional chunk hook: a problem with a true ``chunk_draws`` attribute
+        also accepts ``sample_losses(rng, draws)`` and returns the list of
+        ``draws`` loss mappings, drawn in the RNG order of ``draws`` single
+        calls; the sampling engine then hands it whole chunks.
+        """
 
     def vc_dimension(self) -> float:
         """An upper bound on the VC dimension of the hypothesis class

@@ -55,7 +55,6 @@ from repro.engine.dag_cache import (
     source_dag,
     source_distance_map,
     source_distance_rows,
-    source_distances,
 )
 from repro.engine.driver import DriveOutcome, SampleDriver, sweep_sources
 from repro.engine.schedule import SampleSchedule
@@ -79,7 +78,6 @@ __all__ = [
     "sweep_sources",
     "SourceDAGCache",
     "source_dag",
-    "source_distances",
     "source_distance_map",
     "source_distance_rows",
     "default_dag_cache",

@@ -600,22 +600,25 @@ class SourceDAGCache:
 
         The batched sweep produces rows bit-identical to the per-source
         kernel (the PR 2 contract), so mixing cached and freshly-computed
-        rows cannot change results.
+        rows cannot change results.  Every source counts as one lookup, as
+        if it were a :meth:`distances` call in list order: a source repeated
+        within the call is a hit (its row is cached or pending by then).
         """
         source_list = list(sources)
         store = self._store(graph)
         rows: Dict[Node, object] = {}
-        pending: List[Node] = []
+        pending: Dict[Node, None] = {}
         for source in source_list:
-            if source in rows:
+            if source in rows or source in pending:
+                self.hits += 1
                 continue
             key = ("dist", source)
             if key in store.entries:
                 self.hits += 1
                 rows[source] = store.get(key)
-            elif source not in pending:
+            else:
                 self.misses += 1
-                pending.append(source)
+                pending[source] = None
         if pending:
             snapshot = _csr.as_csr(graph)
             fresh = _csr.multi_source_sweep(
@@ -687,13 +690,6 @@ def source_dag(graph: Graph, source: Node, *, backend: str,
     return SourceDAGCache.compute_dag(
         graph, source, backend=backend, weighted=weighted
     )
-
-
-def source_distances(graph: Graph, source: Node, *, weighted: bool = False):
-    """Shared-cache :meth:`SourceDAGCache.distances` (straight when off)."""
-    if dag_cache_enabled():
-        return default_dag_cache().distances(graph, source, weighted=weighted)
-    return SourceDAGCache.compute_distances(graph, source, weighted=weighted)
 
 
 def source_distance_map(graph: Graph, source: Node, *, backend: str):

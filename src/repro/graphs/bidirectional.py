@@ -117,40 +117,52 @@ class BidirectionalBFSResult:
 class _SearchSide:
     """One direction of the bidirectional search (complete BFS levels)."""
 
-    __slots__ = ("root", "dist", "sigma", "preds", "frontier", "level")
+    __slots__ = ("root", "adj", "dist", "sigma", "preds", "frontier", "level",
+                 "cost")
 
-    def __init__(self, root: Node) -> None:
+    def __init__(self, graph: Graph, root: Node) -> None:
         self.root = root
+        # The graph's own adjacency dicts, read only: neighbour order is
+        # ``graph.neighbors`` order, without one method call per node.
+        self.adj = graph._adj
         self.dist: Dict[Node, int] = {root: 0}
         self.sigma: Dict[Node, int] = {root: 1}
         self.preds: Dict[Node, List[Node]] = {root: []}
         self.frontier: List[Node] = [root]
         self.level: int = 0
+        # Total degree of the frontier — the cost of expanding one level —
+        # summed as its nodes are discovered, so the balancer never re-sums.
+        self.cost = len(self.adj[root])
 
-    def frontier_cost(self, graph: Graph) -> int:
-        """Total degree of the frontier — the cost of expanding one level."""
-        return sum(graph.degree(node) for node in self.frontier)
-
-    def expand(self, graph: Graph) -> int:
+    def expand(self) -> int:
         """Expand one complete BFS level; return the number of scanned entries."""
+        adj = self.adj
+        dist = self.dist
+        sigma = self.sigma
+        preds = self.preds
         # repro-lint: disable=kernel-ownership — audited: KADABRA's dict-backend balanced search needs per-level predecessor bookkeeping _BatchSweep doesn't expose; equivalence is pinned by test_bidirectional
         next_frontier: List[Node] = []
         next_level = self.level + 1
         scanned = 0
+        cost = 0
         for node in self.frontier:
-            for neighbor in graph.neighbors(node):
-                scanned += 1
-                known = self.dist.get(neighbor)
+            neighbors = adj[node]
+            scanned += len(neighbors)
+            sigma_node = sigma[node]
+            for neighbor in neighbors:
+                known = dist.get(neighbor)
                 if known is None:
-                    self.dist[neighbor] = next_level
-                    self.sigma[neighbor] = self.sigma[node]
-                    self.preds[neighbor] = [node]
+                    dist[neighbor] = next_level
+                    sigma[neighbor] = sigma_node
+                    preds[neighbor] = [node]
                     next_frontier.append(neighbor)
+                    cost += len(adj[neighbor])
                 elif known == next_level:
-                    self.sigma[neighbor] += self.sigma[node]
-                    self.preds[neighbor].append(node)
+                    sigma[neighbor] += sigma_node
+                    preds[neighbor].append(node)
         self.frontier = next_frontier
         self.level = next_level
+        self.cost = cost
         return scanned
 
     def sample_path_to(self, node: Node, rng) -> List[Node]:
@@ -216,16 +228,14 @@ class _CSRSearchSide:
     def sigma(self):
         return self.sweep.sigma
 
-    def frontier_cost(self) -> int:
+    @property
+    def cost(self) -> int:
+        """Total degree of the frontier (kept current by the sweep)."""
         return self.sweep.frontier_cost()
 
-    def expand(self, frontier_cost: Optional[int] = None) -> int:
-        """Expand one complete BFS level; return the number of scanned entries.
-
-        ``frontier_cost`` lets the caller pass the total frontier degree it
-        already computed for side selection instead of rescanning it here.
-        """
-        return self.sweep.expand(frontier_cost)
+    def expand(self) -> int:
+        """Expand one complete BFS level; return the number of scanned entries."""
+        return self.sweep.expand()
 
     def preds_of(self, node: int) -> List[int]:
         """Predecessor indices of ``node`` in the dict backend's append order."""
@@ -307,8 +317,8 @@ def bidirectional_shortest_paths(
 def _bidirectional_dict(
     graph: Graph, source: Node, target: Node
 ) -> BidirectionalBFSResult:
-    forward = _SearchSide(source)
-    backward = _SearchSide(target)
+    forward = _SearchSide(graph, source)
+    backward = _SearchSide(graph, target)
     visited_edges = 0
     best = None  # best known meeting distance
 
@@ -319,7 +329,7 @@ def _bidirectional_dict(
         # Choose the cheaper side that still has a frontier to expand.
         side: Optional[_SearchSide]
         if forward.frontier and backward.frontier:
-            if forward.frontier_cost(graph) <= backward.frontier_cost(graph):
+            if forward.cost <= backward.cost:
                 side = forward
             else:
                 side = backward
@@ -341,7 +351,7 @@ def _bidirectional_dict(
                 )
             break
         other = backward if side is forward else forward
-        visited_edges += side.expand(graph)
+        visited_edges += side.expand()
         for node in side.frontier:
             other_dist = other.dist.get(node)
             if other_dist is not None:
@@ -402,14 +412,8 @@ def _bidirectional_csr(
         if best is not None and best <= level_sum:
             break
         side: Optional[_CSRSearchSide]
-        side_cost: Optional[int] = None
         if forward.has_frontier and backward.has_frontier:
-            forward_cost = forward.frontier_cost()
-            backward_cost = backward.frontier_cost()
-            if forward_cost <= backward_cost:
-                side, side_cost = forward, forward_cost
-            else:
-                side, side_cost = backward, backward_cost
+            side = forward if forward.cost <= backward.cost else backward
         elif forward.has_frontier:
             side = forward
         elif backward.has_frontier:
@@ -427,7 +431,7 @@ def _bidirectional_csr(
                 )
             break
         other = backward if side is forward else forward
-        visited_edges += side.expand(side_cost)
+        visited_edges += side.expand()
         best = _best_meeting(side, other, best)
 
     distance = best

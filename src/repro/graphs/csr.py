@@ -994,7 +994,7 @@ class _BatchSweep:
                  "dist_store", "dist", "sigma", "sigma_view", "frontier",
                  "depth", "levels", "level_edges", "frontier_max_sigma",
                  "scratch", "direction", "bottom_up_levels",
-                 "_explored_cost", "_unvisited")
+                 "_explored_cost", "_frontier_cost", "_unvisited")
 
     def __init__(self, csr: CSRGraph, roots, *, sigma_mode: Optional[str] = None,
                  track_edges: bool = False, direction: str = TOP_DOWN) -> None:
@@ -1068,9 +1068,15 @@ class _BatchSweep:
         # enters exactly one frontier, so the degree of the undiscovered
         # nodes — what one bottom-up step would scan — is always
         # ``batch * 2m - explored - current frontier cost``, with no extra
-        # per-level scans (the frontier cost is computed by every expansion
-        # anyway).
+        # per-level scans.
         self._explored_cost = 0
+        # Total degree of the current frontier, summed as its nodes are
+        # discovered, so the balanced bidirectional search can compare
+        # frontier costs on every step without re-summing either side.
+        indptr, _ = csr.adjacency_lists()
+        self._frontier_cost = int(
+            sum(indptr[root + 1] - indptr[root] for root in roots)
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -1079,35 +1085,17 @@ class _BatchSweep:
 
     def frontier_cost(self) -> int:
         """Total degree of the current frontier (the cost of one expansion)."""
-        frontier = self.frontier
-        if len(frontier) == 0:
-            return 0
-        if isinstance(frontier, list):
-            indptr, _ = self.csr.adjacency_lists()
-            if self.batch == 1:
-                return int(sum(indptr[node + 1] - indptr[node] for node in frontier))
-            n = self.n
-            total = 0
-            for flat in frontier:
-                node = flat % n
-                total += indptr[node + 1] - indptr[node]
-            return total
-        indptr = self.csr.indptr
-        nodes = frontier if self.batch == 1 else frontier % self.n
-        return int((indptr[nodes + 1] - indptr[nodes]).sum())
+        return self._frontier_cost
 
-    def expand(self, frontier_cost: Optional[int] = None) -> int:
+    def expand(self) -> int:
         """Expand one complete BFS level; return the number of scanned entries.
 
-        ``frontier_cost`` lets a caller that already computed the frontier
-        degree (for side selection in the bidirectional search) pass it in
-        instead of rescanning.  The level is always recorded — possibly empty
-        when the sweep is exhausted — so ``levels``/``level_edges`` stay
-        aligned with ``depth``; drivers that want no trailing empty level
-        call :meth:`trim` once the loop ends.
+        The level is always recorded — possibly empty when the sweep is
+        exhausted — so ``levels``/``level_edges`` stay aligned with
+        ``depth``; drivers that want no trailing empty level call
+        :meth:`trim` once the loop ends.
         """
-        if frontier_cost is None:
-            frontier_cost = self.frontier_cost()
+        frontier_cost = self._frontier_cost
         # Shortest-path counts grow multiplicatively per level (binomially on
         # grids); leave the int64 buffer for exact Python ints before the
         # next expansion could wrap.  Float sigma never overflows.
@@ -1159,6 +1147,7 @@ class _BatchSweep:
         edge_u: List[int] = []
         edge_v: List[int] = []
         scanned = 0
+        fresh_cost = 0
         if sigma is None:
             for flat in frontier:
                 node = flat if single else flat % n
@@ -1167,22 +1156,26 @@ class _BatchSweep:
                 stop = indptr[node + 1]
                 scanned += stop - start
                 for position in range(start, stop):
-                    neighbor = base + indices[position]
+                    target = indices[position]
+                    neighbor = base + target
                     if dist[neighbor] < 0:
                         dist[neighbor] = next_depth
                         fresh.append(neighbor)
+                        fresh_cost += indptr[target + 1] - indptr[target]
         else:
             for flat in frontier:
                 node = flat if single else flat % n
                 base = flat - node
                 sigma_flat = sigma[flat]
                 for position in range(indptr[node], indptr[node + 1]):
-                    neighbor = base + indices[position]
+                    target = indices[position]
+                    neighbor = base + target
                     scanned += 1
                     known = dist[neighbor]
                     if known < 0:
                         dist[neighbor] = next_depth
                         fresh.append(neighbor)
+                        fresh_cost += indptr[target + 1] - indptr[target]
                         known = next_depth
                     if known == next_depth:
                         sigma[neighbor] += sigma_flat
@@ -1205,6 +1198,7 @@ class _BatchSweep:
             if track_edges:
                 self.level_edges.append((edge_u, edge_v))
         self.frontier = fresh
+        self._frontier_cost = fresh_cost
         return scanned
 
     def _expand_vectorised(self) -> int:
@@ -1223,6 +1217,7 @@ class _BatchSweep:
             if self.track_edges:
                 self.level_edges.append((empty, empty))
             self.frontier = empty
+            self._frontier_cost = 0
             return 0
         # Concatenating the per-node adjacency slices in frontier order
         # reproduces exactly the edge scan order of the sequential dict BFS.
@@ -1260,6 +1255,10 @@ class _BatchSweep:
                 self.level_edges.append((edge_u, edge_v))
         self.levels.append(fresh)
         self.frontier = fresh
+        fresh_nodes = fresh if self.batch == 1 else fresh % self.n
+        self._frontier_cost = int(
+            (indptr[fresh_nodes + 1] - indptr[fresh_nodes]).sum()
+        )
         return total
 
 
@@ -1290,6 +1289,7 @@ class _BatchSweep:
         if cand.size == 0:
             self.levels.append(empty)
             self.frontier = empty
+            self._frontier_cost = 0
             self._unvisited = cand
             return 0
         nodes = cand if self.batch == 1 else cand % n
@@ -1312,6 +1312,7 @@ class _BatchSweep:
         self.dist[fresh] = self.depth + 1
         self.levels.append(fresh)
         self.frontier = fresh
+        self._frontier_cost = int(counts[hit].sum())
         self._unvisited = cand[~hit]
         return total
 
@@ -1782,6 +1783,28 @@ def default_sweep_batch(csr: CSRGraph) -> int:
     return max(1, min(64, _BATCH_EDGE_BUDGET // max(1, 2 * csr.m)))
 
 
+#: Edge budget (``B * 2m``) of one stacked unweighted distance batch.  Such a
+#: sweep keeps no sigma and records no edges, so memory is not what limits
+#: it: its fat levels go bottom-up, and one bottom-up step gathers all
+#: ``B * 2m`` adjacency entries of the batch.  Measured per source (2-CPU
+#: host, 192 random sources): 2**18 is within 8% of the best budget on each
+#: of the usa-road, flickr and orkut surrogates, while ``_BATCH_EDGE_BUDGET``
+#: is 25-54% slower than it on the social ones (table in README, "Batched
+#: multi-source sweeps").
+_DISTANCE_EDGE_BUDGET = 2**18
+
+
+def distance_sweep_batch(csr: CSRGraph) -> int:
+    """Default sources per unweighted ``kind="distance"`` sweep batch.
+
+    Road graphs still stack dozens of thin frontiers (59 on the usa-road
+    surrogate); dense social graphs stack a handful (18 on flickr, 4 on
+    orkut), where larger batches make every bottom-up gather slower than
+    the per-source sweeps they replace.
+    """
+    return max(1, min(64, _DISTANCE_EDGE_BUDGET // max(1, 2 * csr.m)))
+
+
 def multi_source_sweep(
     csr: CSRGraph,
     sources: Sequence[int],
@@ -1819,7 +1842,9 @@ def multi_source_sweep(
         ``delta[source]`` residue the caller must ignore (mirroring
         ``csr_brandes``).
     batch_size:
-        Sources per stacked batch; defaults to :func:`default_sweep_batch`.
+        Sources per stacked batch; defaults to :func:`distance_sweep_batch`
+        for unweighted ``"distance"`` sweeps and to
+        :func:`default_sweep_batch` otherwise.
     direction:
         ``"top-down"`` or ``"auto"`` (direction-optimising: very fat levels
         switch to a bottom-up step).  Only ``"distance"`` sweeps — whose
@@ -1900,7 +1925,10 @@ def multi_source_sweep(
                 results.append(delta)
         return results
     if batch_size is None:
-        batch_size = default_sweep_batch(csr)
+        batch_size = (
+            distance_sweep_batch(csr) if kind == SWEEP_DISTANCE
+            else default_sweep_batch(csr)
+        )
     n = csr.n
     for start in range(0, len(source_list), batch_size):
         roots = source_list[start : start + batch_size]

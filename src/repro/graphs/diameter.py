@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Hashable, Iterable, List, Optional, Sequence
 
 from repro.errors import GraphError
+from repro.graphs import csr as _csr
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import bfs_distances
 from repro.utils.rng import SeedLike, ensure_rng
@@ -103,9 +104,25 @@ def estimate_subset_diameter(
 
 
 def exact_subset_diameter(graph: Graph, subset: Iterable[Node]) -> int:
-    """Exact ``max_{s,t in A} d(s, t)`` (small inputs only; BFS per member)."""
+    """Exact ``max_{s,t in A} d(s, t)`` (small inputs only; BFS per member).
+
+    Where :func:`bfs_distances` would run on the CSR backend, the members
+    are swept as stacked multi-source batches instead, one batch of rows at
+    a time; distances are exact either way, so the result is the same.
+    """
     members: List[Node] = [node for node in subset if graph.has_node(node)]
     best = 0
+    if members and _csr.effective_backend(graph) == _csr.CSR_BACKEND:
+        snapshot = _csr.as_csr(graph)
+        indices = [snapshot.index_of(node) for node in members]
+        step = _csr.distance_sweep_batch(snapshot)
+        for start in range(0, len(indices), step):
+            for row in _csr.multi_source_sweep(
+                snapshot, indices[start : start + step],
+                kind=_csr.SWEEP_DISTANCE,
+            ):
+                best = max(best, max(int(row[index]) for index in indices))
+        return best
     for source in members:
         distances = bfs_distances(graph, source)
         for target in members:

@@ -23,7 +23,7 @@ uniformly from ``V \\ A``.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Union
 
 from repro.core.estimation import ExactEvaluation
 from repro.engine import dag_cache as _dag_cache
@@ -149,11 +149,28 @@ class ClosenessProblem:
             risks.append(total * scale)
         return ExactEvaluation(lambda_exact=len(self.targets) / self.n, risks=risks)
 
-    def sample_losses(self, rng: SeedLike = None) -> Mapping[int, float]:
+    #: ``sample_losses`` takes a draw count, so the sampling engine hands it
+    #: a whole chunk at once (:func:`repro.core.adaptive._losses_chunk`).
+    chunk_draws = True
+
+    def sample_losses(
+        self, rng: SeedLike = None, draws: Optional[int] = None
+    ) -> Union[Mapping[int, float], List[Mapping[int, float]]]:
         """Draw ``t`` uniformly from ``V \\ A`` and return all target losses.
 
         Unlike betweenness, closeness losses are dense: one BFS from the
         sampled node yields the distance to every target.
+
+        With ``draws`` the call makes that many draws and returns the list
+        of their losses in draw order.  All sample nodes are drawn first; a
+        distance row consumes no randomness, so the RNG sequence, and with
+        it every loss, is that of ``draws`` single calls.  On the CSR
+        backend the rows then come in sub-batches of
+        :func:`repro.graphs.csr.distance_sweep_batch` sources — cache hits
+        plus one stacked multi-source sweep for the misses — and each
+        sub-batch becomes losses before the next is swept, so at most one
+        sweep batch of rows is held.  The dict backend has no stacked
+        kernel and fetches one distance map per draw.
         """
         from repro.errors import SamplingError
 
@@ -169,31 +186,49 @@ class ClosenessProblem:
                 "the exact evaluation already covers the whole sample space"
             )
         rng = ensure_rng(rng)
-        while True:
-            sample = self._nodes[rng.randrange(self.n)]
-            if sample not in self._target_set:
-                break
-        losses: Dict[int, float] = {}
+        samples = []
+        for _ in range(1 if draws is None else draws):
+            while True:
+                sample = self._nodes[rng.randrange(self.n)]
+                if sample not in self._target_set:
+                    break
+            samples.append(sample)
+        losses: List[Mapping[int, float]] = []
         if self._snapshot is not None:
-            # Distance rows are order-insensitive, so they come from the
-            # shared cache (a re-drawn sample node reuses its BFS) and are
-            # swept direction-optimised; the values match ``csr_bfs`` bit
-            # for bit.
-            dist = _dag_cache.source_distances(self.graph, sample)
-            for index, target_index in enumerate(self._target_indices):
-                distance = int(dist[target_index])
-                if distance < 0:  # pragma: no cover - connected graphs
-                    distance = self.distance_bound
-                losses[index] = min(1.0, distance / self.distance_bound)
-            return losses
-        distances = _dag_cache.source_distance_map(
-            self.graph, sample, backend=self._backend
-        )
+            step = _csr.distance_sweep_batch(self._snapshot)
+            for start in range(0, len(samples), step):
+                rows = _dag_cache.source_distance_rows(
+                    self.graph, samples[start : start + step]
+                )
+                losses.extend(map(self._row_losses, rows))
+        else:
+            for sample in samples:
+                distances = _dag_cache.source_distance_map(
+                    self.graph, sample, backend=self._backend
+                )
+                losses.append(self._map_losses(distances))
+        return losses[0] if draws is None else losses
+
+    def _row_losses(self, dist) -> Dict[int, float]:
+        """Target losses from one CSR distance row (``-1`` = unreachable)."""
+        bound = self.distance_bound
+        losses: Dict[int, float] = {}
+        for index, target_index in enumerate(self._target_indices):
+            distance = int(dist[target_index])
+            if distance < 0:  # pragma: no cover - connected graphs
+                distance = bound
+            losses[index] = min(1.0, distance / bound)
+        return losses
+
+    def _map_losses(self, distances: Mapping[Node, int]) -> Dict[int, float]:
+        """Target losses from one label-keyed distance map."""
+        bound = self.distance_bound
+        losses: Dict[int, float] = {}
         for index, node in enumerate(self.targets):
             distance = distances.get(node)
             if distance is None:  # pragma: no cover - connected graphs
-                distance = self.distance_bound
-            losses[index] = min(1.0, distance / self.distance_bound)
+                distance = bound
+            losses[index] = min(1.0, distance / bound)
         return losses
 
     def vc_dimension(self) -> float:

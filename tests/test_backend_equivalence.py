@@ -102,6 +102,23 @@ class TestTraversalEquivalence:
                     target, random.Random(draw)
                 ) == candidate.sample_path(target, random.Random(draw))
 
+    def test_exact_subset_diameter_identical(self, make_graph, seed, monkeypatch):
+        # The CSR route sweeps the members as stacked batches; the dict
+        # route runs one BFS per member.  Both must find the exact maximum.
+        from repro.graphs.diameter import exact_subset_diameter
+
+        graph = make_graph(seed)
+        members = random_subset(graph, 12, seed)
+        expected = 0
+        for source in members:
+            distances = bfs_distances(graph, source, backend="dict")
+            expected = max(
+                [expected] + [distances[t] for t in members if t in distances]
+            )
+        for backend in ("dict", "csr"):
+            monkeypatch.setenv("REPRO_BACKEND", backend)
+            assert exact_subset_diameter(graph, members) == expected
+
 
 @pytest.mark.parametrize("make_graph", GRAPH_CASES)
 @pytest.mark.parametrize("seed", SEEDS)
@@ -158,6 +175,18 @@ class TestBidirectionalEquivalence:
                     assert reference.sample_path(
                         random.Random(draw)
                     ) == candidate.sample_path(random.Random(draw))
+
+    def test_dict_frontier_cost_is_the_frontier_degree(self, make_graph, seed):
+        # The balancer compares running degree sums; they must equal a
+        # re-summed frontier degree at every level.
+        from repro.graphs.bidirectional import _SearchSide
+
+        graph = make_graph(seed)
+        side = _SearchSide(graph, list(graph.nodes())[seed])
+        while side.frontier:
+            assert side.cost == sum(graph.degree(v) for v in side.frontier)
+            side.expand()
+        assert side.cost == 0
 
 
 class TestEstimatorEquivalence:
@@ -233,6 +262,71 @@ class TestEstimatorEquivalence:
             assert first.sample_losses(random.Random(draw)) == (
                 second.sample_losses(random.Random(draw))
             )
+
+    @pytest.mark.parametrize("backend", ["dict", "csr"])
+    @pytest.mark.parametrize(
+        "make_graph",
+        [
+            pytest.param(lambda: grid_road_graph(10, 10, seed=1)[0], id="grid"),
+            pytest.param(lambda: barabasi_albert_graph(150, 3, seed=2), id="social"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "spare", [pytest.param(None, id="few-targets"), pytest.param(3, id="most-targets")]
+    )
+    @pytest.mark.parametrize("sweep_batch", [None, 5])
+    def test_closeness_chunk_equals_single_draws(
+        self, backend, make_graph, spare, sweep_batch, monkeypatch
+    ):
+        # "most-targets" leaves 3 non-target nodes: the rejection loop spins
+        # and a 64-draw chunk must repeat nodes.  A 5-source sweep batch
+        # splits the chunk into sub-batches.
+        from repro.graphs import csr as csr_module
+
+        if sweep_batch is not None:
+            monkeypatch.setattr(
+                csr_module, "distance_sweep_batch", lambda snapshot: sweep_batch
+            )
+        graph = make_graph()
+        nodes = list(graph.nodes())
+        targets = random_subset(graph, 8, 1) if spare is None else nodes[spare:]
+        problem = ClosenessProblem(graph, targets, seed=3, backend=backend)
+        for draws in (1, 37, 64):
+            chunk_rng, single_rng = random.Random(draws), random.Random(draws)
+            chunk = problem.sample_losses(chunk_rng, draws)
+            singles = [problem.sample_losses(single_rng) for _ in range(draws)]
+            assert chunk == singles
+            assert chunk_rng.getstate() == single_rng.getstate()
+
+    def test_saphyra_cc_pinned_values(self):
+        # Recorded before chunked sampling; fails if the draws are reordered.
+        cases = (
+            (
+                grid_road_graph(14, 14, seed=1)[0], 284,
+                {133: 0.1373729957136053, 82: 0.11065863668879306,
+                 158: 0.10684106956823705, 107: 0.13474518124175786,
+                 174: 0.1100009931472837, 101: 0.129783693843594,
+                 98: 0.0998906938236599, 108: 0.13541269328951613,
+                 169: 0.08525508790295269, 134: 0.1100394616054078},
+            ),
+            (
+                barabasi_albert_graph(300, 3, seed=4), 216,
+                {231: 0.3070311385785595, 286: 0.29740009762297276,
+                 238: 0.2975014740566038, 260: 0.3066084314470186,
+                 97: 0.3704740489192786, 94: 0.31230778158184874,
+                 262: 0.32470914740218604, 243: 0.32282638034969857,
+                 95: 0.3703295947154751, 48: 0.3591351928466569},
+            ),
+        )
+        for graph, num_samples, closeness in cases:
+            targets = random_subset(graph, 10, 11)
+            assert targets == list(closeness)
+            for backend in ("dict", "csr"):
+                result = SaPHyRaCC(
+                    0.1, 0.1, seed=5, max_samples_cap=400, backend=backend
+                ).rank(graph, targets)
+                assert result.num_samples == num_samples
+                assert result.closeness == closeness
 
 
 class TestBigSigmaExactness:
@@ -330,18 +424,26 @@ class TestBatchedSweepEquivalence:
                         continue
                     assert row[node] == reference.get(labels[node], 0.0)
 
-    def test_distance_sweep_bitwise(self, overflow_grid):
+    def test_distance_sweep_bitwise(self, overflow_grid, social):
         from repro.graphs import csr as csr_module
 
-        snapshot = csr_module.as_csr(overflow_grid)
-        sources = self._sources(overflow_grid, 5)
-        indices = [snapshot.index_of(node) for node in sources]
-        rows = csr_module.multi_source_sweep(
-            snapshot, indices, kind=csr_module.SWEEP_DISTANCE, batch_size=2
-        )
-        for index, row in zip(indices, rows):
-            dist, _ = csr_module.csr_bfs(snapshot, index)
-            assert list(row) == list(dist)
+        for graph in (overflow_grid, social):
+            snapshot = csr_module.as_csr(graph)
+            default = csr_module.distance_sweep_batch(snapshot)
+            # The distance budget never stacks more than the sigma one.
+            assert default <= csr_module.default_sweep_batch(snapshot)
+            # One full default batch plus a partial one.
+            sources = self._sources(graph, default + 3)
+            indices = [snapshot.index_of(node) for node in sources]
+            # ``None`` is the distance default.
+            for batch_size in (2, None):
+                rows = csr_module.multi_source_sweep(
+                    snapshot, indices, kind=csr_module.SWEEP_DISTANCE,
+                    batch_size=batch_size,
+                )
+                for index, row in zip(indices, rows):
+                    dist, _ = csr_module.csr_bfs(snapshot, index)
+                    assert list(row) == list(dist)
 
 
 class TestWorkerPoolEquivalence:
@@ -523,20 +625,56 @@ class TestDAGCacheEquivalence:
         assert run(workers=2).closeness == results[True].closeness
 
     def test_repeated_rank_hits_the_cache(self, social, cache_toggle):
-        from repro.engine import clear_default_dag_cache, default_dag_cache
+        from repro.engine import default_dag_cache, set_default_dag_cache_size
 
         cache_toggle(True)
-        clear_default_dag_cache()
-        targets = random_subset(social, 8, 6)
-        first = SaPHyRaCC(0.1, 0.1, seed=7, max_samples_cap=100).rank(
-            social, targets
-        )
-        hits_before = default_dag_cache().hits
-        second = SaPHyRaCC(0.1, 0.1, seed=7, max_samples_cap=100).rank(
-            social, targets
-        )
-        assert default_dag_cache().hits > hits_before  # target sweep reused
+        # Room for every row whatever REPRO_DAG_CACHE_SIZE says (the setter
+        # also drops the default cache, so this run starts cold).
+        set_default_dag_cache_size(512)
+        try:
+            targets = random_subset(social, 8, 6)
+            first = SaPHyRaCC(0.1, 0.1, seed=7, max_samples_cap=100).rank(
+                social, targets
+            )
+            hits_before = default_dag_cache().hits
+            second = SaPHyRaCC(0.1, 0.1, seed=7, max_samples_cap=100).rank(
+                social, targets
+            )
+            assert default_dag_cache().hits > hits_before  # target sweep reused
+        finally:
+            set_default_dag_cache_size(None)
         assert first.closeness == second.closeness
+
+    @pytest.mark.parametrize(
+        "make_graph",
+        [
+            pytest.param(lambda: grid_road_graph(12, 12, seed=2)[0], id="grid"),
+            pytest.param(lambda: barabasi_albert_graph(250, 3, seed=8), id="social"),
+        ],
+    )
+    def test_saphyra_cc_backend_worker_cache_matrix(self, make_graph, cache_toggle):
+        # Chunked draws (stacked sweeps on CSR, per-draw maps on dict) give
+        # one answer for every backend, worker count and cache setting.
+        from repro.engine import clear_default_dag_cache
+
+        graph = make_graph()
+        targets = random_subset(graph, 10, 5)
+        answers = {}
+        for enabled in (False, True):
+            cache_toggle(enabled)
+            for backend in ("dict", "csr"):
+                for workers in (0, 2):
+                    clear_default_dag_cache()
+                    result = SaPHyRaCC(
+                        0.1, 0.1, seed=9, max_samples_cap=300,
+                        backend=backend, workers=workers,
+                    ).rank(graph, targets)
+                    answers[enabled, backend, workers] = (
+                        result.closeness, result.ranking, result.num_samples
+                    )
+        reference = answers[False, "dict", 0]
+        assert reference[2] > 64  # more than one chunk was drawn
+        assert all(answer == reference for answer in answers.values())
 
 
 class TestSharedMemoryEquivalence:
