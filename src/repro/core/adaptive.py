@@ -35,9 +35,10 @@ def _losses_chunk(payload, piece: Tuple[int, int]):
     own seeded RNG stream, so partials are identical in any process.
 
     A problem whose ``chunk_draws`` attribute is true draws the whole chunk
-    in one ``sample_losses(rng, draws)`` call, which returns the losses in
-    draw order from the same RNG sequence; the fold below is the same
-    either way, so partials do not change.
+    in one ``sample_losses(rng, draws)`` call, which returns the chunk's
+    losses in the problem's pinned order (closeness keeps the RNG sequence
+    of single draws; ``Gen_bc`` draws a round's pairs before its paths);
+    the fold below is the same either way.
     """
     sampler, num_hypotheses, base_seed = payload
     chunk_index, draws = piece

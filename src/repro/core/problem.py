@@ -36,8 +36,9 @@ class HypothesisRankingProblem(Protocol):
 
         Optional chunk hook: a problem with a true ``chunk_draws`` attribute
         also accepts ``sample_losses(rng, draws)`` and returns the list of
-        ``draws`` loss mappings, drawn in the RNG order of ``draws`` single
-        calls; the sampling engine then hands it whole chunks.
+        ``draws`` loss mappings, consuming the RNG in an order the problem
+        pins (a single draw is its ``draws=1`` case); the sampling engine
+        then hands it whole chunks.
         """
 
     def vc_dimension(self) -> float:

@@ -13,14 +13,20 @@ Besides the distance we also recover, for a *cut level* ``L``:
 * ``sigma_t(w)`` — number of shortest ``w -> t`` paths;
 
 which is enough to compute ``sigma_st`` exactly and to sample a shortest
-path uniformly at random (pick the cut node proportional to
-``sigma_s * sigma_t``, then walk predecessor DAGs on both sides).
+path uniformly at random: pick the cut node proportional to
+``sigma_s * sigma_t``, then walk back to both endpoints, taking each
+predecessor — a neighbour one level closer, in adjacency order — with
+probability proportional to its count.  Each pick among several candidates
+draws one ``rng.randrange`` over the integer total; a lone candidate draws
+nothing.
 
 Two interchangeable backends implement the search (see
 :mod:`repro.graphs.csr`): the dict reference over the hash-based adjacency,
-and a CSR variant expanding whole levels over integer index arrays.  Both
-produce identical results — including identical sampled paths from identical
-seeds.
+and :func:`bidirectional_searches`, which runs ``K`` pairs as the ``2K``
+slots of one staggered sweep of the shared expansion kernel; every pair
+still picks its side per step by the same rule, so the single-pair CSR
+search is its ``K = 1`` case.  Both produce identical results — including
+identical sampled paths from identical seeds.
 
 The search is defined on *hop* distances: its balanced level expansion is a
 unit-weight optimisation.  Weighted workloads sample shortest paths from
@@ -32,7 +38,7 @@ the Dijkstra source DAGs of the unified SSSP engine instead (see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.errors import GraphError, SamplingError
 from repro.graphs import csr as _csr
@@ -45,11 +51,24 @@ if _csr.HAS_NUMPY:
 
 Node = Hashable
 
-#: ``auto`` backend cutoff for the bidirectional search.  One query touches
-#: only ~``n^{1/2+o(1)}`` edges but the CSR variant allocates O(n) state
-#: arrays per query, so the array kernels need a much larger graph to pay
-#: off than a full-graph BFS does.
+#: ``auto`` backend cutoff for one bidirectional search (KADABRA's).  One
+#: query touches only ~``n^{1/2+o(1)}`` edges but the CSR variant allocates
+#: O(n) state arrays per query, so the array kernels need a much larger
+#: graph to pay off than a full-graph BFS does.  ``Gen_bc`` stacks its
+#: searches and follows the plain ``auto`` rule instead.
 AUTO_CSR_BIDIRECTIONAL_THRESHOLD = 16384
+
+#: Below this many entries the per-step meeting test and the cut-level scan
+#: run as Python loops; numpy call overhead dominates such small arrays.
+_SMALL_SCAN = 64
+
+#: Edge budget (``K * 2m``) of one stacked search batch of ``K`` pairs.
+_STACKED_EDGE_BUDGET = 2**20
+
+
+def stacked_batch_pairs(snapshot) -> int:
+    """Pairs per :func:`bidirectional_searches` batch on ``snapshot``."""
+    return max(1, min(64, _STACKED_EDGE_BUDGET // max(1, 2 * snapshot.m)))
 
 
 @dataclass
@@ -68,7 +87,8 @@ class BidirectionalBFSResult:
         The forward distance ``L`` at which paths are counted/stitched.
     cut_nodes:
         Nodes ``w`` with ``d_s(w) = L`` and ``d_t(w) = distance - L`` lying on
-        at least one shortest path, with their ``(sigma_s(w), sigma_t(w))``.
+        at least one shortest path, with their ``(sigma_s(w), sigma_t(w))``,
+        in the forward search's discovery order.
     visited_edges:
         Number of adjacency entries scanned — the cost measure used when
         comparing against a full BFS.
@@ -102,12 +122,12 @@ class BidirectionalBFSResult:
                 f"no path between {self.source!r} and {self.target!r}"
             )
         rng = ensure_rng(rng)
-        # Pick the cut node proportional to the number of paths through it.
+        # Pick the cut node proportional to the number of paths through it;
+        # here and in the walks back, a lone candidate consumes no draw.
         nodes = list(self.cut_nodes)
-        weights = [
-            self.cut_nodes[w][0] * self.cut_nodes[w][1] for w in nodes
-        ]
-        middle = _weighted_choice(nodes, weights, rng)
+        middle = nodes[0] if len(nodes) == 1 else _weighted_choice(
+            nodes, [a * b for a, b in self.cut_nodes.values()], rng
+        )
         first_half = self._forward.sample_path_to(middle, rng)
         second_half = self._backward.sample_path_to(middle, rng)
         second_half.reverse()
@@ -115,19 +135,16 @@ class BidirectionalBFSResult:
 
 
 class _SearchSide:
-    """One direction of the bidirectional search (complete BFS levels)."""
+    """One direction of the dict search (complete BFS levels)."""
 
-    __slots__ = ("root", "adj", "dist", "sigma", "preds", "frontier", "level",
-                 "cost")
+    __slots__ = ("adj", "dist", "sigma", "frontier", "level", "cost")
 
     def __init__(self, graph: Graph, root: Node) -> None:
-        self.root = root
         # The graph's own adjacency dicts, read only: neighbour order is
         # ``graph.neighbors`` order, without one method call per node.
         self.adj = graph._adj
         self.dist: Dict[Node, int] = {root: 0}
         self.sigma: Dict[Node, int] = {root: 1}
-        self.preds: Dict[Node, List[Node]] = {root: []}
         self.frontier: List[Node] = [root]
         self.level: int = 0
         # Total degree of the frontier — the cost of expanding one level —
@@ -139,8 +156,7 @@ class _SearchSide:
         adj = self.adj
         dist = self.dist
         sigma = self.sigma
-        preds = self.preds
-        # repro-lint: disable=kernel-ownership — audited: KADABRA's dict-backend balanced search needs per-level predecessor bookkeeping _BatchSweep doesn't expose; equivalence is pinned by test_bidirectional
+        # repro-lint: disable=kernel-ownership — audited: the hash-adjacency reference search the stacked CSR search is pinned against (TestBidirectionalEquivalence); _BatchSweep reads only CSR arrays
         next_frontier: List[Node] = []
         next_level = self.level + 1
         scanned = 0
@@ -154,12 +170,10 @@ class _SearchSide:
                 if known is None:
                     dist[neighbor] = next_level
                     sigma[neighbor] = sigma_node
-                    preds[neighbor] = [node]
                     next_frontier.append(neighbor)
                     cost += len(adj[neighbor])
                 elif known == next_level:
                     sigma[neighbor] += sigma_node
-                    preds[neighbor].append(node)
         self.frontier = next_frontier
         self.level = next_level
         self.cost = cost
@@ -168,121 +182,71 @@ class _SearchSide:
     def sample_path_to(self, node: Node, rng) -> List[Node]:
         """Sample a shortest path from ``root`` to ``node`` uniformly;
         returned as ``[root, ..., node]``."""
+        adj = self.adj
+        dist = self.dist
+        sigma = self.sigma
         path = [node]
-        current = node
-        while current != self.root:
-            preds = self.preds[current]
-            weights = [self.sigma[p] for p in preds]
-            current = _weighted_choice(preds, weights, rng)
-            path.append(current)
+        depth = dist[node]
+        while depth > 0:
+            depth -= 1
+            preds = [w for w in adj[node] if dist.get(w) == depth]
+            node = (
+                preds[0] if len(preds) == 1
+                else _weighted_choice(preds, [sigma[w] for w in preds], rng)
+            )
+            path.append(node)
         path.reverse()
         return path
 
 
-class _CSRSearchSide:
-    """Index-space search side: level-synchronous expansion over CSR arrays.
+class _SweepSide:
+    """One slot of a stacked CSR search, walked back in label space exactly
+    like a dict :class:`_SearchSide`."""
 
-    The expansion itself is the shared hybrid kernel
-    :class:`repro.graphs.csr._BatchSweep` (single-slot), so the
-    vectorised/sequential strategy choice and the sigma overflow guard exist
-    in exactly one place; this class only adds the bidirectional bookkeeping
-    (predecessor reconstruction and path sampling back to the root).
-    """
+    __slots__ = ("sweep", "slot")
 
-    __slots__ = ("csr", "root", "sweep", "_pred_groups")
-
-    def __init__(self, csr, root: int) -> None:
-        self.csr = csr
-        self.root = root
-        # repro-lint: disable=kernel-ownership — audited: this *is* the sanctioned reuse — a single-slot handle on the shared kernel instead of a private loop
-        self.sweep = _csr._BatchSweep(
-            csr, (root,), sigma_mode="int", track_edges=True
-        )
-        # Lazily built per-level ``{head: [tails]}`` groupings, so repeated
-        # path sampling pays one scan of a level's edge list, not one per
-        # visited node.
-        self._pred_groups: Dict[int, Dict[int, List[int]]] = {}
-
-    @property
-    def has_frontier(self) -> bool:
-        return self.sweep.has_frontier
-
-    @property
-    def frontier(self):
-        return self.sweep.frontier
-
-    @property
-    def level(self) -> int:
-        return self.sweep.depth
-
-    @property
-    def levels(self):
-        return self.sweep.levels
-
-    @property
-    def dist(self):
-        # The element-indexable container (``array`` buffer or plain list).
-        return self.sweep.dist_store
-
-    @property
-    def sigma(self):
-        return self.sweep.sigma
-
-    @property
-    def cost(self) -> int:
-        """Total degree of the frontier (kept current by the sweep)."""
-        return self.sweep.frontier_cost()
-
-    def expand(self) -> int:
-        """Expand one complete BFS level; return the number of scanned entries."""
-        return self.sweep.expand()
-
-    def preds_of(self, node: int) -> List[int]:
-        """Predecessor indices of ``node`` in the dict backend's append order."""
-        level = self.sweep.dist_store[node]
-        if level <= 0 or level > len(self.sweep.level_edges):
-            return []
-        edge_u, edge_v = self.sweep.level_edges[level - 1]
-        if _csr.HAS_NUMPY:
-            # One vectorised scan per query; a path visits each level once.
-            return edge_u[edge_v == node].tolist()
-        # Pure Python: group the level's edges by head once and reuse, so a
-        # query costs O(deg) instead of rescanning the whole level.
-        groups = self._pred_groups.get(level)
-        if groups is None:
-            groups = {}
-            for tail, head in zip(edge_u, edge_v):
-                groups.setdefault(head, []).append(tail)
-            self._pred_groups[level] = groups
-        return groups.get(node, [])
-
-    def sample_path_to(self, node_index: int, rng) -> List[int]:
-        """Sample a shortest path ``root -> node`` as an index list."""
-        path = [node_index]
-        current = node_index
-        while current != self.root:
-            preds = self.preds_of(current)
-            weights = [int(self.sigma[p]) for p in preds]
-            current = _weighted_choice(preds, weights, rng)
-            path.append(current)
-        path.reverse()
-        return path
-
-
-class _CSRSideView:
-    """Label-facing adapter so ``BidirectionalBFSResult.sample_path`` can walk
-    a CSR search side exactly like a dict one."""
-
-    __slots__ = ("side", "csr")
-
-    def __init__(self, side: _CSRSearchSide, csr) -> None:
-        self.side = side
-        self.csr = csr
+    def __init__(self, sweep, slot: int) -> None:
+        self.sweep = sweep
+        self.slot = slot
 
     def sample_path_to(self, node: Node, rng) -> List[Node]:
-        labels = self.csr.labels
-        path = self.side.sample_path_to(self.csr.index[node], rng)
-        return [labels[index] for index in path]
+        sweep = self.sweep
+        indptr, indices = sweep.csr.adjacency_lists()
+        shift = sweep.shift
+        slot = self.slot
+        dist = sweep.dist_store
+        sigma = sweep.sigma
+        current = sweep.csr.index[node]
+        path = [current]
+        depth = dist[(current << shift) | slot]
+        while depth > 0:
+            depth -= 1
+            first, stop = indptr[current], indptr[current + 1]
+            if _csr.HAS_NUMPY and stop - first >= _SMALL_SCAN:
+                flats = (sweep.csr.indices[first:stop] << shift) | slot
+                preds = flats[sweep.dist[flats] == depth].tolist()
+            else:
+                preds = [
+                    (w << shift) | slot for w in indices[first:stop]
+                    if dist[(w << shift) | slot] == depth
+                ]
+            flat = (
+                preds[0] if len(preds) == 1
+                else _weighted_choice(preds, [sigma[p] for p in preds], rng)
+            )
+            current = flat >> shift
+            path.append(current)
+        labels = sweep.csr.labels
+        return [labels[index] for index in reversed(path)]
+
+
+def _check_pair(graph, source: Node, target: Node) -> None:
+    if not graph.has_node(source):
+        raise GraphError(f"source node {source!r} does not exist")
+    if not graph.has_node(target):
+        raise GraphError(f"target node {target!r} does not exist")
+    if source == target:
+        raise GraphError("source and target must be distinct")
 
 
 def bidirectional_shortest_paths(
@@ -300,17 +264,13 @@ def bidirectional_shortest_paths(
     GraphError
         If either endpoint does not exist or ``source == target``.
     """
-    if not graph.has_node(source):
-        raise GraphError(f"source node {source!r} does not exist")
-    if not graph.has_node(target):
-        raise GraphError(f"target node {target!r} does not exist")
-    if source == target:
-        raise GraphError("source and target must be distinct")
+    _check_pair(graph, source, target)
     choice = _csr.effective_backend(
         graph, backend, auto_threshold=AUTO_CSR_BIDIRECTIONAL_THRESHOLD
     )
     if choice == _csr.CSR_BACKEND:
-        return _bidirectional_csr(graph, source, target)
+        [result] = bidirectional_searches(graph, [(source, target)])
+        return result
     return _bidirectional_dict(graph, source, target)
 
 
@@ -398,44 +358,107 @@ def _bidirectional_dict(
     )
 
 
-def _bidirectional_csr(
-    graph: Graph, source: Node, target: Node
-) -> BidirectionalBFSResult:
+def bidirectional_searches(
+    graph, pairs: Sequence[Tuple[Node, Node]]
+) -> List[BidirectionalBFSResult]:
+    """Run one balanced bidirectional BFS per ``(source, target)`` pair, stacked.
+
+    Pair ``k`` owns slots ``2k`` (forward, from the source) and ``2k + 1``
+    (backward, from the target) of one staggered CSR sweep.  Every step,
+    each unfinished pair picks its side by the dict search's rule — the
+    cheaper non-empty frontier, forward on ties — and all picked slots
+    expand together, each at its own depth, so the pairs' thin frontiers
+    merge into one fat one.  A pair stops exactly when the dict search
+    would; its distance, ``sigma_st``, cut nodes, visited edges and
+    sampled paths equal :func:`bidirectional_shortest_paths`' with the dict
+    backend.  ``graph`` may be a :class:`Graph` or a CSR snapshot; the
+    results keep the sweep's O(K n) state alive for path sampling.
+
+    Raises
+    ------
+    GraphError
+        If an endpoint does not exist or a pair has ``source == target``.
+    """
+    pairs = list(pairs)
+    for source, target in pairs:
+        _check_pair(graph, source, target)
     snapshot = _csr.as_csr(graph)
-    forward = _CSRSearchSide(snapshot, snapshot.index[source])
-    backward = _CSRSearchSide(snapshot, snapshot.index[target])
-    visited_edges = 0
-    best = None
-
+    roots = [snapshot.index[node] for pair in pairs for node in pair]
+    sweep = _csr.staggered_sweep(snapshot, roots)
+    depth = sweep.slot_depth
+    cost = sweep.slot_cost
+    size = sweep.slot_size
+    best: List[Optional[int]] = [None] * len(pairs)
+    visited = [0] * len(pairs)
+    active = range(len(pairs))
     while True:
-        level_sum = forward.level + backward.level
-        if best is not None and best <= level_sum:
+        running = []
+        chosen = []
+        for pair in active:
+            forward = 2 * pair
+            backward = forward + 1
+            meet = best[pair]
+            if meet is not None and meet <= depth[forward] + depth[backward]:
+                continue
+            if size[forward] and size[backward]:
+                side = forward if cost[forward] <= cost[backward] else backward
+            elif size[forward]:
+                side = forward
+            elif size[backward]:
+                side = backward
+            else:
+                continue  # both sides exhausted
+            running.append(pair)
+            chosen.append(side)
+            visited[pair] += cost[side]
+        if not chosen:
             break
-        side: Optional[_CSRSearchSide]
-        if forward.has_frontier and backward.has_frontier:
-            side = forward if forward.cost <= backward.cost else backward
-        elif forward.has_frontier:
-            side = forward
-        elif backward.has_frontier:
-            side = backward
-        else:
-            side = None
-        if side is None:
-            if best is None:
-                return BidirectionalBFSResult(
-                    source=source,
-                    target=target,
-                    distance=None,
-                    num_shortest_paths=0,
-                    visited_edges=visited_edges,
-                )
-            break
-        other = backward if side is forward else forward
-        visited_edges += side.expand()
-        best = _best_meeting(side, other, best)
+        start = sweep.log_size
+        sweep.expand_slots(chosen)
+        _record_meetings(sweep, start, best)
+        active = running
+    return [
+        _stacked_result(sweep, pair, source, target, best[pair], visited[pair])
+        for pair, (source, target) in enumerate(pairs)
+    ]
 
-    distance = best
-    if distance is None:  # pragma: no cover - defensive; handled above
+
+def _record_meetings(sweep, start: int, best: List[Optional[int]]) -> None:
+    """Lower each pair's best meeting distance with the nodes its expanded
+    side just discovered (``log[start:]``) that the other side has reached."""
+    # Slots 2k and 2k + 1 hold the same node at ids differing in bit 0.
+    mask = (1 << sweep.shift) - 1
+    stop = sweep.log_size
+    if _csr.HAS_NUMPY and stop - start >= _SMALL_SCAN:
+        fresh = sweep.log[start:stop]
+        other = sweep.dist[fresh ^ 1]
+        hit = other >= 0
+        if not hit.any():
+            return
+        met = fresh[hit]
+        found = zip(
+            ((met & mask) >> 1).tolist(), (sweep.dist[met] + other[hit]).tolist()
+        )
+    else:
+        log = sweep.log_store
+        dist = sweep.dist_store
+        found = []
+        for position in range(start, stop):
+            flat = log[position]
+            other = dist[flat ^ 1]
+            if other >= 0:
+                found.append(((flat & mask) >> 1, dist[flat] + other))
+    for pair, length in found:
+        meet = best[pair]
+        if meet is None or length < meet:
+            best[pair] = length
+
+
+def _stacked_result(
+    sweep, pair: int, source: Node, target: Node,
+    distance: Optional[int], visited_edges: int,
+) -> BidirectionalBFSResult:
+    if distance is None:
         return BidirectionalBFSResult(
             source=source,
             target=target,
@@ -443,23 +466,33 @@ def _bidirectional_csr(
             num_shortest_paths=0,
             visited_edges=visited_edges,
         )
-
-    cut_level = max(0, distance - backward.level)
-    cut_level = min(cut_level, forward.level)
-    labels = snapshot.labels
+    forward = 2 * pair
+    cut_level = min(
+        max(0, distance - sweep.slot_depth[forward + 1]),
+        sweep.slot_depth[forward],
+    )
+    # Cut nodes in the forward level's discovery order (the dict search's
+    # ``dist`` insertion order) whose backward distance completes a path.
+    first, stop = sweep.slot_levels[forward][cut_level]
+    remaining = distance - cut_level
+    if _csr.HAS_NUMPY and stop - first >= _SMALL_SCAN:
+        level = sweep.log[first:stop]
+        cut = level[sweep.dist[level ^ 1] == remaining].tolist()
+    else:
+        dist = sweep.dist_store
+        cut = [
+            flat for flat in sweep.log_store[first:stop]
+            if dist[flat ^ 1] == remaining
+        ]
+    labels = sweep.csr.labels
+    sigma = sweep.sigma
+    shift = sweep.shift
     cut_nodes: Dict[Node, tuple] = {}
     sigma_total = 0
-    candidates = (
-        forward.levels[cut_level] if cut_level < len(forward.levels) else ()
-    )
-    for node in candidates:
-        d_backward = int(backward.dist[node])
-        if d_backward < 0 or cut_level + d_backward != distance:
-            continue
-        pair = (int(forward.sigma[node]), int(backward.sigma[node]))
-        cut_nodes[labels[node]] = pair
-        sigma_total += pair[0] * pair[1]
-
+    for flat in cut:
+        counts = (int(sigma[flat]), int(sigma[flat ^ 1]))
+        cut_nodes[labels[flat >> shift]] = counts
+        sigma_total += counts[0] * counts[1]
     return BidirectionalBFSResult(
         source=source,
         target=target,
@@ -468,29 +501,6 @@ def _bidirectional_csr(
         cut_level=cut_level,
         cut_nodes=cut_nodes,
         visited_edges=visited_edges,
-        _forward=_CSRSideView(forward, snapshot),
-        _backward=_CSRSideView(backward, snapshot),
+        _forward=_SweepSide(sweep, forward),
+        _backward=_SweepSide(sweep, forward + 1),
     )
-
-
-def _best_meeting(side: _CSRSearchSide, other: _CSRSearchSide, best):
-    """Update the best meeting distance after ``side`` expanded one level."""
-    frontier = side.frontier
-    if len(frontier) == 0:
-        return best
-    if _csr.HAS_NUMPY and len(frontier) >= 64:
-        other_dist = other.sweep.dist[_np.asarray(frontier, dtype=_np.int64)]
-        reached = other_dist >= 0
-        if reached.any():
-            candidate = side.level + int(other_dist[reached].min())
-            if best is None or candidate < best:
-                best = candidate
-        return best
-    other_distances = other.dist
-    for node in frontier:
-        other_dist = other_distances[node]
-        if other_dist >= 0:
-            candidate = side.level + other_dist
-            if best is None or candidate < best:
-                best = candidate
-    return best

@@ -13,9 +13,9 @@ copies from re-growing by rejecting, outside the whitelist:
   ``*frontier*`` name and whose body reassigns one, or any assignment to
   a ``next_frontier``/``new_frontier`` variable.
 
-Legitimate exceptions (the bidirectional balancer's single-slot sweep,
-kernel unit tests, the hop-BFS oracle in the Brandes tests) carry
-audited suppressions.
+Legitimate exceptions (the dict reference of the bidirectional search,
+kernel unit tests, the hop-BFS oracle in the Brandes tests) carry audited
+suppressions.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ is below ``epsilon`` (Theorem 24).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Union
 
 from repro.core.estimation import ExactEvaluation, SaPHyRaResult
 from repro.core.ranking import rank_scores
@@ -124,8 +124,14 @@ class _BCProblem:
             lambda_exact=self._exact.lambda_exact, risks=list(self._exact.risks)
         )
 
-    def sample_losses(self, rng: SeedLike = None) -> Mapping[int, float]:
-        return self._generator.sample_losses(rng)
+    #: ``sample_losses`` takes a draw count, so the sampling engine hands it
+    #: a whole chunk at once, drawn in ``Gen_bc``'s chunk order.
+    chunk_draws = True
+
+    def sample_losses(
+        self, rng: SeedLike = None, draws: Optional[int] = None
+    ) -> Union[Mapping[int, float], List[Mapping[int, float]]]:
+        return self._generator.sample_losses(rng, draws)
 
     def collect_sample_stats(self):
         """Detach this copy's sampling counters (worker side of the

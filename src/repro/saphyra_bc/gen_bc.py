@@ -13,15 +13,37 @@ Algorithm 2 of the paper — multistage sampling followed by rejection:
    target middle node).
 
 The accepted paths are distributed exactly as ``D-tilde_c^(A)`` (Lemma 20).
+
+Chunk order.  The sampling engine asks for a whole chunk of draws at once
+(:meth:`GenBC.sample_losses` with a draw count), and a chunk consumes its RNG
+in rounds.  Each round draws every pair still needed with
+``space.sample_pair``, groups the pairs by block in first-appearance order,
+and searches each group in sub-batches; the searches consume no randomness.
+Then it samples each sub-batch's paths in pair order: the cut node by path
+count, in the forward search's discovery order, and each predecessor in
+adjacency order (a lone candidate consumes no draw).  Rejected pairs are redrawn in the next round, and
+``max_rejections`` counts consecutive rejections across rounds.  A single
+draw is the one-pair round.  On the CSR backend a sub-batch is one stacked
+search (:func:`repro.graphs.bidirectional.bidirectional_searches`) of
+:func:`~repro.graphs.bidirectional.stacked_batch_pairs` pairs, sized from
+the block's cached snapshot; the dict backend searches pair by pair.  Both
+give the same paths from the same seed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Set
+from typing import (
+    Dict, Hashable, Iterator, List, Optional, Sequence, Set, Tuple, Union,
+)
 
 from repro.errors import SamplingError
-from repro.graphs.bidirectional import bidirectional_shortest_paths
+from repro.graphs import csr as _csr
+from repro.graphs.bidirectional import (
+    bidirectional_searches,
+    bidirectional_shortest_paths,
+    stacked_batch_pairs,
+)
 from repro.saphyra_bc.isp import PersonalizedISP
 from repro.utils.rng import SeedLike, ensure_rng
 
@@ -95,46 +117,90 @@ class GenBC:
 
     # ------------------------------------------------------------------
     def sample_path(self, rng: SeedLike = None) -> List[Node]:
-        """Draw one shortest path from ``D-tilde_c^(A)``."""
-        rng = ensure_rng(rng)
-        rejections = 0
-        while True:
-            block_index, source, target = self.space.sample_pair(rng)
-            self.stats.pairs_drawn += 1
-            block_graph = self.space.bct.block_subgraph(block_index)
-            result = bidirectional_shortest_paths(
-                block_graph, source, target, backend=self.backend
-            )
-            self.stats.visited_edges += result.visited_edges
-            if not result.connected:  # pragma: no cover - blocks are connected
-                raise SamplingError(
-                    f"nodes {source!r} and {target!r} are disconnected inside "
-                    f"block {block_index}; the decomposition is inconsistent"
-                )
-            path = result.sample_path(rng)
-            if self._in_exact_subspace(path):
-                rejections += 1
-                self.stats.rejections += 1
-                if rejections > self.max_rejections:
-                    raise SamplingError(
-                        "rejection sampling exceeded "
-                        f"{self.max_rejections} consecutive rejections; "
-                        "the approximate subspace is (nearly) empty"
-                    )
-                continue
-            self.stats.samples_returned += 1
-            length = len(path) - 1
-            self.stats.path_length_histogram[length] = (
-                self.stats.path_length_histogram.get(length, 0) + 1
-            )
-            return path
+        """Draw one shortest path from ``D-tilde_c^(A)`` (a one-draw chunk)."""
+        [path] = self.sample_paths(rng, 1)
+        return path
 
-    def sample_losses(self, rng: SeedLike = None) -> Dict[int, float]:
+    def sample_paths(self, rng: SeedLike, draws: int) -> List[List[Node]]:
+        """Draw ``draws`` accepted paths in the chunk order (module docstring).
+
+        The paths come back in the order their pairs were drawn.
+
+        Raises
+        ------
+        SamplingError
+            After more than ``max_rejections`` consecutive rejections.
+        """
+        rng = ensure_rng(rng)
+        stats = self.stats
+        accepted: List[List[Node]] = []
+        rejections = 0
+        while len(accepted) < draws:
+            pairs = [
+                self.space.sample_pair(rng) for _ in range(draws - len(accepted))
+            ]
+            kept: Dict[int, List[Node]] = {}
+            for position, visited_edges, path in self._paths(pairs, rng):
+                stats.pairs_drawn += 1
+                stats.visited_edges += visited_edges
+                if self._in_exact_subspace(path):
+                    rejections += 1
+                    stats.rejections += 1
+                    if rejections > self.max_rejections:
+                        raise SamplingError(
+                            "rejection sampling exceeded "
+                            f"{self.max_rejections} consecutive rejections; "
+                            "the approximate subspace is (nearly) empty"
+                        )
+                    continue
+                rejections = 0
+                stats.samples_returned += 1
+                length = len(path) - 1
+                stats.path_length_histogram[length] = (
+                    stats.path_length_histogram.get(length, 0) + 1
+                )
+                kept[position] = path
+            accepted.extend(kept[position] for position in sorted(kept))
+        return accepted
+
+    def _paths(self, pairs, rng) -> Iterator[Tuple[int, int, List[Node]]]:
+        """Yield ``(position, visited edges, path)`` per pair in the chunk
+        order: block groups in first-appearance order, pairs in draw order,
+        a sub-batch searched before any of its paths is sampled."""
+        groups: Dict[int, List[int]] = {}
+        for position, (block_index, _, _) in enumerate(pairs):
+            groups.setdefault(block_index, []).append(position)
+        for block_index, positions in groups.items():
+            block_graph = self.space.bct.block_subgraph(block_index)
+            choice = _csr.effective_backend(block_graph, self.backend)
+            if choice != _csr.CSR_BACKEND:
+                for position in positions:
+                    _, source, target = pairs[position]
+                    result = bidirectional_shortest_paths(
+                        block_graph, source, target, backend=choice
+                    )
+                    yield position, result.visited_edges, _path(result, rng)
+                continue
+            step = stacked_batch_pairs(_csr.as_csr(block_graph))
+            for first in range(0, len(positions), step):
+                yield from _stacked_paths(
+                    block_graph, pairs, positions[first : first + step], rng
+                )
+
+    def sample_losses(
+        self, rng: SeedLike = None, draws: Optional[int] = None
+    ) -> Union[Dict[int, float], List[Dict[int, float]]]:
         """Draw one path and return the sparse losses of the target hypotheses.
 
         The loss of ``h_v`` is 1 iff ``v`` is an inner node of the path.
+        With ``draws`` the call draws a whole chunk (:meth:`sample_paths`)
+        and returns the list of its losses.
         """
-        path = self.sample_path(rng)
+        if draws is None:
+            return self._losses(self.sample_path(rng))
+        return [self._losses(path) for path in self.sample_paths(rng, draws)]
+
+    def _losses(self, path: List[Node]) -> Dict[int, float]:
         losses: Dict[int, float] = {}
         for node in path[1:-1]:
             position = self._target_index.get(node)
@@ -166,3 +232,25 @@ class GenBC:
         stats = self.stats
         self.stats = GenBCStatistics()
         return stats
+
+
+def _stacked_paths(block_graph, pairs, batch, rng) -> List[Tuple[int, int, List[Node]]]:
+    """Search one sub-batch as a stacked search, then sample its paths in
+    pair order.  The search state is dropped on return, before the caller
+    searches the next sub-batch."""
+    results = bidirectional_searches(
+        block_graph, [pairs[position][1:] for position in batch]
+    )
+    return [
+        (position, result.visited_edges, _path(result, rng))
+        for position, result in zip(batch, results)
+    ]
+
+
+def _path(result, rng) -> List[Node]:
+    if not result.connected:  # pragma: no cover - blocks are connected
+        raise SamplingError(
+            f"nodes {result.source!r} and {result.target!r} are disconnected "
+            "inside their block; the decomposition is inconsistent"
+        )
+    return result.sample_path(rng)

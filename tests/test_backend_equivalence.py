@@ -22,7 +22,10 @@ from repro.centrality.brandes import (
 )
 from repro.centrality.closeness import closeness_centrality
 from repro.datasets import random_subset
-from repro.graphs.bidirectional import bidirectional_shortest_paths
+from repro.graphs.bidirectional import (
+    bidirectional_searches,
+    bidirectional_shortest_paths,
+)
 from repro.graphs.generators import (
     barabasi_albert_graph,
     erdos_renyi_graph,
@@ -34,6 +37,8 @@ from repro.graphs.generators import (
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import bfs_distances, shortest_path_dag
 from repro.saphyra_bc import SaPHyRaBC
+from repro.saphyra_bc.gen_bc import GenBC
+from repro.saphyra_bc.isp import PersonalizedISP
 from repro.saphyra_cc.algorithm import SaPHyRaCC
 from repro.saphyra_cc.problem import ClosenessProblem
 
@@ -56,6 +61,21 @@ def _random_pairs(graph: Graph, count: int, seed: int):
     rng = random.Random(seed)
     nodes = list(graph.nodes())
     return [tuple(rng.sample(nodes, 2)) for _ in range(count)]
+
+
+def _assert_same_search(reference, candidate) -> None:
+    """Two bidirectional results agree on everything path sampling reads."""
+    assert reference.distance == candidate.distance
+    assert reference.num_shortest_paths == candidate.num_shortest_paths
+    assert reference.cut_level == candidate.cut_level
+    # Order too: the cut node is drawn in this order.
+    assert list(reference.cut_nodes.items()) == list(candidate.cut_nodes.items())
+    assert reference.visited_edges == candidate.visited_edges
+    if reference.connected:
+        for draw in range(3):
+            assert reference.sample_path(
+                random.Random(draw)
+            ) == candidate.sample_path(random.Random(draw))
 
 
 @pytest.mark.parametrize("make_graph", GRAPH_CASES)
@@ -165,16 +185,20 @@ class TestBidirectionalEquivalence:
             candidate = bidirectional_shortest_paths(
                 graph, source, target, backend="csr"
             )
-            assert reference.distance == candidate.distance
-            assert reference.num_shortest_paths == candidate.num_shortest_paths
-            assert reference.cut_level == candidate.cut_level
-            assert reference.cut_nodes == candidate.cut_nodes
-            assert reference.visited_edges == candidate.visited_edges
-            if reference.connected:
-                for draw in range(3):
-                    assert reference.sample_path(
-                        random.Random(draw)
-                    ) == candidate.sample_path(random.Random(draw))
+            _assert_same_search(reference, candidate)
+
+    def test_stacked_pairs_match_the_dict_search(self, make_graph, seed):
+        # K pairs as 2K slots of one staggered sweep; every pair picks its
+        # own side per step, so the slots sit at different depths.
+        graph = make_graph(seed)
+        pairs = _random_pairs(graph, 12, seed + 200)
+        for (source, target), candidate in zip(
+            pairs, bidirectional_searches(graph, pairs)
+        ):
+            reference = bidirectional_shortest_paths(
+                graph, source, target, backend="dict"
+            )
+            _assert_same_search(reference, candidate)
 
     def test_dict_frontier_cost_is_the_frontier_degree(self, make_graph, seed):
         # The balancer compares running degree sums; they must equal a
@@ -298,6 +322,83 @@ class TestEstimatorEquivalence:
             assert chunk == singles
             assert chunk_rng.getstate() == single_rng.getstate()
 
+    @pytest.mark.parametrize(
+        "make_graph, pick_targets",
+        [
+            pytest.param(
+                lambda: grid_road_graph(10, 10, seed=1)[0],
+                lambda graph: random_subset(graph, 8, 1), id="grid",
+            ),
+            # Hub targets sit in the middle of many length-2 paths, so
+            # chunks reject and redraw pairs.
+            pytest.param(
+                lambda: barabasi_albert_graph(150, 3, seed=2),
+                lambda graph: sorted(graph.nodes(), key=graph.degree)[-8:],
+                id="social-hubs",
+            ),
+        ],
+    )
+    def test_gen_bc_chunks_equal_across_backends(self, make_graph, pick_targets):
+        graph = make_graph()
+        targets = pick_targets(graph)
+        generators = {
+            backend: GenBC(PersonalizedISP(graph, targets), targets, backend=backend)
+            for backend in ("dict", "csr")
+        }
+        for draws in (1, 37, 64):
+            chunks, states = {}, {}
+            for backend, generator in generators.items():
+                rng = random.Random(draws)
+                chunks[backend] = generator.sample_losses(rng, draws)
+                states[backend] = rng.getstate()
+            assert len(chunks["dict"]) == draws
+            assert chunks["dict"] == chunks["csr"]
+            assert states["dict"] == states["csr"]
+        assert generators["dict"].stats == generators["csr"].stats
+        # One draw is the one-draw chunk.
+        for generator in generators.values():
+            chunk_rng, single_rng = random.Random(5), random.Random(5)
+            assert generator.sample_losses(chunk_rng, 1) == [
+                generator.sample_losses(single_rng)
+            ]
+            assert chunk_rng.getstate() == single_rng.getstate()
+
+    def test_saphyra_bc_pinned_values(self):
+        # Recorded after Gen_bc's chunk order was pinned (a round's pairs,
+        # then their paths); fails if the draws are reordered.
+        grid = grid_road_graph(14, 14, seed=1)[0]
+        social = barabasi_albert_graph(300, 3, seed=4)
+        cases = (
+            (
+                grid, random_subset(grid, 10, 11), 328, 0,
+                {133: 0.10573397276358949, 82: 0.04682510433817054,
+                 158: 0.06854076527421477, 107: 0.04045616839606386,
+                 174: 0.04990491506170949, 101: 0.04358830774336001,
+                 98: 0.0, 108: 0.13392322688925476,
+                 169: 0.02805843256627229, 134: 0.0},
+            ),
+            (
+                social, sorted(social.nodes(), key=social.degree, reverse=True)[:10],
+                168, 30,
+                {0: 0.25748849591862016, 4: 0.17625750148938554,
+                 5: 0.10680744709626698, 12: 0.07089100752403031,
+                 7: 0.05229628428852032, 9: 0.07270943941803157,
+                 8: 0.03552813105918696, 38: 0.030341323138942188,
+                 3: 0.01890338353847671, 6: 0.03428757612297985},
+            ),
+        )
+        for graph, targets, num_samples, rejections, scores in cases:
+            assert targets == list(scores)
+            for backend in ("dict", "csr"):
+                for workers in (0, 2):
+                    result = SaPHyRaBC(
+                        0.1, 0.1, seed=5, max_samples_cap=400,
+                        backend=backend, workers=workers,
+                    ).rank(graph, targets)
+                    assert result.num_samples == num_samples
+                    assert result.rejections == rejections
+                    assert result.scores == scores
+
     def test_saphyra_cc_pinned_values(self):
         # Recorded before chunked sampling; fails if the draws are reordered.
         cases = (
@@ -342,27 +443,56 @@ class TestBigSigmaExactness:
         assert max(reference.sigma.values()) > 2**63  # the test bites
         assert reference.sigma == candidate.sigma
 
-    def test_bidirectional_long_pair(self, overflow_grid):
+    def test_bidirectional_long_pair(self, overflow_grid, monkeypatch):
+        from repro.graphs import csr as csr_module
+
         grid = overflow_grid
         nodes = list(grid.nodes())
         rng = random.Random(1)
-        checked = 0
-        for source, target in (tuple(rng.sample(nodes, 2)) for _ in range(20)):
+        references = {}
+        for source, target in (tuple(rng.sample(nodes, 2)) for _ in range(40)):
             reference = bidirectional_shortest_paths(
                 grid, source, target, backend="dict"
             )
             if not reference.connected or reference.distance < 60:
                 continue
+            references[source, target] = reference
             candidate = bidirectional_shortest_paths(
                 grid, source, target, backend="csr"
             )
-            assert reference.num_shortest_paths == candidate.num_shortest_paths
-            assert reference.cut_nodes == candidate.cut_nodes
-            assert reference.sample_path(random.Random(2)) == (
-                candidate.sample_path(random.Random(2))
+            _assert_same_search(reference, candidate)
+        # at least one long pair exercised the guard
+        assert max(r.num_shortest_paths for r in references.values()) > 2**63
+
+        # One stacked batch mixing the long pairs with short ones: the guard
+        # must trip mid-batch, while the slots sit at different depths.  (A
+        # balanced search grows each side about half-way, so only some long
+        # pairs take a side's counts past 2**63 / max_degree.)
+        short = [(nodes[0], nodes[1]), (nodes[250], nodes[52]), (nodes[9], nodes[4])]
+        batch = [
+            pair for index, long_pair in enumerate(references)
+            for pair in (long_pair, short[index % len(short)])
+        ]
+        sweep_type = type(csr_module.staggered_sweep(csr_module.as_csr(grid), [0, 1]))
+        expand = sweep_type.expand_slots
+        steps = []
+
+        def watched(sweep, slots):
+            had_int64 = sweep.sigma_view is not None
+            expand(sweep, slots)
+            steps.append((had_int64 and sweep.sigma_view is None, set(sweep.slot_depth)))
+
+        monkeypatch.setattr(sweep_type, "expand_slots", watched)
+        results = bidirectional_searches(grid, batch)
+        monkeypatch.undo()
+        if csr_module.HAS_NUMPY:  # pure-Python counts never use int64
+            trip = [tripped for tripped, _ in steps].index(True)
+            assert len(steps[trip][1]) > 1 and trip < len(steps) - 1
+        for pair, candidate in zip(batch, results):
+            reference = references.get(pair) or bidirectional_shortest_paths(
+                grid, *pair, backend="dict"
             )
-            checked += 1
-        assert checked > 0  # at least one long pair exercised the guard
+            _assert_same_search(reference, candidate)
 
 
 class TestBatchedSweepEquivalence:

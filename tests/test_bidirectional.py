@@ -10,7 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GraphError, SamplingError
-from repro.graphs.bidirectional import bidirectional_shortest_paths
+from repro.graphs.bidirectional import (
+    bidirectional_searches,
+    bidirectional_shortest_paths,
+)
 from repro.graphs.generators import cycle_graph, erdos_renyi_graph
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import shortest_path_dag
@@ -48,6 +51,12 @@ class TestDistanceAndCounts:
     def test_missing_node_rejected(self, karate):
         with pytest.raises(GraphError):
             bidirectional_shortest_paths(karate, 0, 999)
+
+    def test_stacked_pairs_validated(self, karate):
+        for pairs in ([(0, 1), (2, 2)], [(0, 999)]):
+            with pytest.raises(GraphError):
+                bidirectional_searches(karate, pairs)
+        assert bidirectional_searches(karate, []) == []
 
     def test_matches_unidirectional_on_karate(self, karate):
         rng = random.Random(0)
@@ -116,9 +125,12 @@ class TestAgainstBruteForce:
         nodes = list(graph.nodes())
         source, target = rng.sample(nodes, 2)
         dag = shortest_path_dag(graph, source)
-        result = bidirectional_shortest_paths(graph, source, target)
-        if target in dag.distances:
-            assert result.distance == dag.distances[target]
-            assert result.num_shortest_paths == dag.sigma[target]
-        else:
-            assert result.distance is None
+        single = bidirectional_shortest_paths(graph, source, target)
+        # Stacked, both directions at once (a disconnected pair among them).
+        stacked = bidirectional_searches(graph, [(source, target), (target, source)])
+        for result in (single, *stacked):
+            if target in dag.distances:
+                assert result.distance == dag.distances[target]
+                assert result.num_shortest_paths == dag.sigma[target]
+            else:
+                assert result.distance is None

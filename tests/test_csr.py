@@ -23,7 +23,7 @@ from repro.graphs.csr import (
     set_default_backend,
     sigma_choice,
 )
-from repro.graphs.generators import erdos_renyi_graph, path_graph
+from repro.graphs.generators import erdos_renyi_graph, grid_road_graph, path_graph
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import bfs_distances, shortest_path_dag
 
@@ -290,6 +290,38 @@ class TestKernels:
             indices = dag_index.sample_path_indices(4, random.Random(seed))
             labels = dag_label.sample_path(4, random.Random(seed))
             assert [snapshot.labels[i] for i in indices] == labels
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            pytest.param(grid_road_graph(9, 9, seed=2)[0], id="thin-levels"),
+            pytest.param(erdos_renyi_graph(120, 0.05, seed=4), id="fat-levels"),
+        ],
+    )
+    def test_staggered_slots_match_single_source_sweeps(self, graph):
+        # Slots grown in random subsets, each at its own depth, end with the
+        # single-source distances and counts, levels in discovery order.
+        snapshot = as_csr(graph)
+        roots = list(range(0, snapshot.n, 5))[:24]
+        sweep = csr_module.staggered_sweep(snapshot, roots)
+        rng = random.Random(1)
+        while True:
+            live = [slot for slot in range(len(roots)) if sweep.slot_size[slot]]
+            if not live:
+                break
+            sweep.expand_slots(sorted(rng.sample(live, rng.randint(1, len(live)))))
+        for slot, root in enumerate(roots):
+            dag = csr_shortest_path_dag(snapshot, root)
+            order = [
+                sweep.log_store[position] >> sweep.shift
+                for first, stop in sweep.slot_levels[slot]
+                for position in range(first, stop)
+            ]
+            assert order == list(dag.order)
+            for node in range(snapshot.n):
+                flat = (node << sweep.shift) | slot
+                assert sweep.dist_store[flat] == dag.dist[node]
+                assert sweep.sigma[flat] == dag.sigma[node]
 
     def test_unreachable_target_raises(self):
         graph = Graph.from_edges([(0, 1)], nodes=[2])

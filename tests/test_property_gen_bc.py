@@ -43,16 +43,26 @@ def check_distribution(graph, targets, seed, draws=2500, tolerance=0.05):
     expected = conditional_expectations(space, targets)
     if expected is None:
         return
-    generator = GenBC(space, targets)
-    rng = random.Random(seed)
-    counts = {node: 0 for node in targets}
-    for _ in range(draws):
-        for index in generator.sample_losses(rng):
-            counts[targets[index]] += 1
-    for node in targets:
-        assert counts[node] / draws == pytest.approx(
-            expected[node], abs=tolerance
-        ), node
+    # Single draws, and 64-draw chunks on both backends: the chunk order
+    # (pairs first, redraws of rejected pairs in later rounds) keeps Lemma 20.
+    for backend, chunk in ((None, None), ("dict", 64), ("csr", 64)):
+        generator = GenBC(space, targets, backend=backend)
+        rng = random.Random(seed)
+        counts = {node: 0 for node in targets}
+        drawn = 0
+        while drawn < draws:
+            if chunk is None:
+                batch = [generator.sample_losses(rng)]
+            else:
+                batch = generator.sample_losses(rng, min(chunk, draws - drawn))
+            drawn += len(batch)
+            for losses in batch:
+                for index in losses:
+                    counts[targets[index]] += 1
+        for node in targets:
+            assert counts[node] / draws == pytest.approx(
+                expected[node], abs=tolerance
+            ), (backend, node)
 
 
 class TestGenBCDistribution:
