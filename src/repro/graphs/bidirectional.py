@@ -23,10 +23,10 @@ nothing.
 Two interchangeable backends implement the search (see
 :mod:`repro.graphs.csr`): the dict reference over the hash-based adjacency,
 and :func:`bidirectional_searches`, which runs ``K`` pairs as the ``2K``
-slots of one staggered sweep of the shared expansion kernel; every pair
-still picks its side per step by the same rule, so the single-pair CSR
-search is its ``K = 1`` case.  Both produce identical results — including
-identical sampled paths from identical seeds.
+slots of one staggered sweep (:func:`repro.graphs.csr.staggered_sweep`);
+every pair still picks its side per step by the same rule, so the
+single-pair CSR search is its ``K = 1`` case.  Both produce identical
+results — including identical sampled paths from identical seeds.
 
 The search is defined on *hop* distances: its balanced level expansion is a
 unit-weight optimisation.  Weighted workloads sample shortest paths from
@@ -67,8 +67,15 @@ _STACKED_EDGE_BUDGET = 2**20
 
 
 def stacked_batch_pairs(snapshot) -> int:
-    """Pairs per :func:`bidirectional_searches` batch on ``snapshot``."""
-    return max(1, min(64, _STACKED_EDGE_BUDGET // max(1, 2 * snapshot.m)))
+    """Pairs per :func:`bidirectional_searches` batch on ``snapshot``: the
+    largest power of two within the edge budget, at most 64.
+
+    A batch's ``2K`` slots are rounded up to a power of two anyway, so a
+    ``K`` in between would allocate the larger batch's state for fewer
+    pairs per batch.
+    """
+    pairs = max(1, min(64, _STACKED_EDGE_BUDGET // max(1, 2 * snapshot.m)))
+    return 1 << (pairs.bit_length() - 1)
 
 
 @dataclass

@@ -903,10 +903,11 @@ def weighted_choice(items: Sequence, weights: Sequence[int], rng):
 # :class:`_BatchSweep` below is the ONLY copy of this hybrid expansion and
 # of the int64→Python-int sigma overflow guard.  Every level-synchronous
 # consumer — ``_np_bfs``, ``_np_shortest_path_dag`` (and through it
-# ``csr_brandes``), the batched :func:`multi_source_sweep`, and the stacked
-# balanced bidirectional search (through :func:`staggered_sweep`) — drives
-# the same kernel, so the expansion logic cannot silently diverge between
-# call sites again.
+# ``csr_brandes``) and the batched :func:`multi_source_sweep` — drives the
+# same kernel, so the expansion logic cannot silently diverge between call
+# sites again.  The one exception is :class:`_StaggeredSweep`, whose slots
+# each grow at their own depth (the stacked balanced bidirectional search);
+# it reuses the same threshold, scatter and overflow test.
 
 #: Frontiers whose total degree falls below this are expanded sequentially.
 _SEQUENTIAL_EDGE_THRESHOLD = 192
@@ -936,12 +937,9 @@ def _sigma_may_overflow(frontier_max_sigma: int, max_degree: int) -> bool:
     return frontier_max_sigma * max_degree >= _SIGMA_INT64_LIMIT
 
 
-def _shared_state(n: int, typecode: str, fill=0):
-    """Return ``(buffer, numpy view)`` over the same ``n``-element memory,
-    every element ``fill``."""
-    # Repeating a one-element array is a C-level fill, ~20x faster than
-    # building the array from a zeroed ``bytes`` object.
-    store = array(typecode, [fill]) * n
+def _shared_state(n: int, typecode: str):
+    """Return ``(buffer, numpy view)`` over the same ``n``-element memory."""
+    store = array(typecode, bytes(8 * n))
     view = _np.frombuffer(store, dtype=_np.int64 if typecode == "q" else _np.float64)
     return store, view
 
@@ -992,31 +990,16 @@ class _BatchSweep:
     track_edges:
         Record the per-level DAG edge arrays ``(u, v)`` in scan order (needed
         by predecessor reconstruction and the Brandes backward pass).
-    staggered:
-        Let the slots advance independently: instead of :meth:`expand`,
-        each :meth:`expand_slots` step grows a chosen subset of slots by one
-        level at their own depths (the balanced bidirectional search runs
-        its pairs this way).  Needs ``sigma_mode="int"``; records no edges.
     """
 
     __slots__ = ("csr", "batch", "n", "size", "float_sigma", "track_edges",
                  "dist_store", "dist", "sigma", "sigma_view", "frontier",
                  "depth", "levels", "level_edges", "frontier_max_sigma",
                  "scratch", "direction", "bottom_up_levels",
-                 "_explored_cost", "_frontier_cost", "_unvisited",
-                 "shift", "log_store", "log", "log_size", "slot_levels",
-                 "slot_depth", "slot_cost", "slot_size", "_buffers")
+                 "_explored_cost", "_frontier_cost", "_unvisited")
 
     def __init__(self, csr: CSRGraph, roots, *, sigma_mode: Optional[str] = None,
-                 track_edges: bool = False, direction: str = TOP_DOWN,
-                 staggered: bool = False) -> None:
-        self._buffers = None  # read by __del__, even if a check below raises
-        if staggered and (sigma_mode != "int" or track_edges
-                          or direction != TOP_DOWN):
-            raise ValueError(
-                "a staggered sweep needs sigma_mode='int', no track_edges "
-                "and top-down expansion"
-            )
+                 track_edges: bool = False, direction: str = TOP_DOWN) -> None:
         if track_edges and sigma_mode is None:
             # Only the sigma-tracking loops record DAG edges; allowing the
             # combination would let the two expansion strategies disagree on
@@ -1039,33 +1022,17 @@ class _BatchSweep:
         self.csr = csr
         self.batch = len(roots)
         self.n = csr.n
+        self.size = self.batch * csr.n
         self.float_sigma = sigma_mode == "float"
         self.track_edges = track_edges
         n = csr.n
-        if staggered:
-            # Node-major ids over a power-of-two slot count: node ``v`` of
-            # slot ``k`` is ``(v << shift) | k``, so a node and its slot are
-            # one shift and one mask away, and slots ``2j``/``2j + 1`` hold
-            # the same node at ids that differ in the lowest bit.
-            self.shift = (self.batch - 1).bit_length()
-            self.size = n << self.shift
-            flat_roots = [(root << self.shift) | slot for slot, root in enumerate(roots)]
-        else:
-            self.shift = 0
-            self.size = self.batch * n
-            flat_roots = (
-                list(roots) if self.batch == 1
-                else [slot * n + root for slot, root in enumerate(roots)]
-            )
-        if staggered and HAS_NUMPY:
-            # numpy buffers, with memoryviews for the element-wise loops.
-            self._buffers = _take_staggered_buffers(csr, self.size)
-            self.dist, _, self.log = self._buffers
-            self.dist_store = memoryview(self.dist)
-            self.log_store = memoryview(self.log)
-            self.scratch = None
-        elif HAS_NUMPY:
-            self.dist_store, self.dist = _shared_state(self.size, "q", -1)
+        flat_roots = (
+            list(roots) if self.batch == 1
+            else [slot * n + root for slot, root in enumerate(roots)]
+        )
+        if HAS_NUMPY:
+            self.dist_store, self.dist = _shared_state(self.size, "q")
+            self.dist.fill(-1)
             self.scratch = _np.empty(self.size, dtype=_np.int64)
         else:
             self.dist_store = [-1] * self.size
@@ -1074,9 +1041,6 @@ class _BatchSweep:
         if sigma_mode is None:
             self.sigma = None
             self.sigma_view = None
-        elif self._buffers is not None:
-            self.sigma_view = self._buffers[1]
-            self.sigma = memoryview(self.sigma_view)
         elif HAS_NUMPY:
             # ``sigma`` is what gets indexed element-wise: the shared buffer
             # while counts fit in int64, a plain list of Python ints after
@@ -1115,24 +1079,6 @@ class _BatchSweep:
         self._frontier_cost = int(
             sum(indptr[root + 1] - indptr[root] for root in roots)
         )
-        if staggered:
-            # Every node a slot discovers is appended to ``log``, one
-            # contiguous run per slot and step; ``slot_levels[k][d]`` is the
-            # ``(start, stop)`` run of slot ``k``'s depth-``d`` nodes in
-            # discovery order.  Each slot discovers a node at most once.
-            if not HAS_NUMPY:
-                self.log_store = self.log = [0] * (self.batch * n)
-            for slot, flat in enumerate(flat_roots):
-                self.log_store[slot] = flat
-            self.log_size = self.batch
-            self.slot_levels = [[(slot, slot + 1)] for slot in range(self.batch)]
-            self.slot_depth = [0] * self.batch
-            self.slot_cost = [indptr[root + 1] - indptr[root] for root in roots]
-            self.slot_size = [1] * self.batch
-
-    def __del__(self) -> None:
-        if self._buffers is not None:
-            _release_staggered_buffers(self.csr, self._buffers, self.log_size)
 
     # ------------------------------------------------------------------
     @property
@@ -1143,18 +1089,6 @@ class _BatchSweep:
         """Total degree of the current frontier (the cost of one expansion)."""
         return self._frontier_cost
 
-    def _guard_sigma(self) -> None:
-        """Shortest-path counts grow multiplicatively per level (binomially
-        on grids); leave the int64 buffer for exact Python ints before the
-        next expansion could wrap.  Float sigma never overflows."""
-        if (
-            self.sigma_view is not None
-            and not self.float_sigma
-            and _sigma_may_overflow(self.frontier_max_sigma, self.csr.max_degree)
-        ):
-            self.sigma = self.sigma_view.tolist()
-            self.sigma_view = None
-
     def expand(self) -> int:
         """Expand one complete BFS level; return the number of scanned entries.
 
@@ -1164,7 +1098,16 @@ class _BatchSweep:
         :meth:`trim` once the loop ends.
         """
         frontier_cost = self._frontier_cost
-        self._guard_sigma()
+        # Shortest-path counts grow multiplicatively per level (binomially on
+        # grids); leave the int64 buffer for exact Python ints before the
+        # next expansion could wrap.  Float sigma never overflows.
+        if (
+            self.sigma_view is not None
+            and not self.float_sigma
+            and _sigma_may_overflow(self.frontier_max_sigma, self.csr.max_degree)
+        ):
+            self.sigma = self.sigma_view.tolist()
+            self.sigma_view = None
         if (
             self.direction == DIRECTION_AUTO
             and frontier_cost >= _SEQUENTIAL_EDGE_THRESHOLD
@@ -1188,136 +1131,6 @@ class _BatchSweep:
             self.levels.pop()
             if self.track_edges and self.level_edges:
                 self.level_edges.pop()
-
-    def expand_slots(self, slots: Sequence[int]) -> None:
-        """Grow each slot in ``slots`` (distinct) by one complete level.
-
-        The staggered step: every chosen slot expands its own frontier at
-        its own depth, and the other slots stay as they are.  Per slot the
-        edge stream is exactly the single-source kernel's, so distances and
-        sigma are too.  The new levels land in ``log`` in slot order (see
-        ``slot_levels``); ``slot_depth``, ``slot_cost`` and ``slot_size``
-        describe every slot's current frontier.
-        """
-        costs = self.slot_cost
-        total = 0
-        for slot in slots:
-            total += costs[slot]
-        self._guard_sigma()
-        if HAS_NUMPY and total >= _SEQUENTIAL_EDGE_THRESHOLD:
-            self._expand_slots_vectorised(slots)
-        else:
-            self._expand_slots_sequential(slots)
-
-    def _expand_slots_sequential(self, slots: Sequence[int]) -> None:
-        indptr, indices = self.csr.adjacency_lists()
-        shift = self.shift
-        dist = self.dist_store
-        sigma = self.sigma
-        log = self.log_store
-        start = write = self.log_size
-        for slot in slots:
-            levels = self.slot_levels[slot]
-            first, stop = levels[-1]
-            next_depth = self.slot_depth[slot] + 1
-            level_start = write
-            fresh_cost = 0
-            for position in range(first, stop):
-                flat = log[position]
-                node = flat >> shift
-                sigma_flat = sigma[flat]
-                for entry in range(indptr[node], indptr[node + 1]):
-                    target = indices[entry]
-                    neighbor = (target << shift) | slot
-                    known = dist[neighbor]
-                    if known < 0:
-                        dist[neighbor] = next_depth
-                        log[write] = neighbor
-                        write += 1
-                        fresh_cost += indptr[target + 1] - indptr[target]
-                        known = next_depth
-                    if known == next_depth:
-                        sigma[neighbor] += sigma_flat
-            levels.append((level_start, write))
-            self.slot_depth[slot] = next_depth
-            self.slot_cost[slot] = fresh_cost
-            self.slot_size[slot] = write - level_start
-        self.log_size = write
-        if self.sigma_view is not None and write > start:
-            # A running maximum over every discovered count bounds any
-            # frontier a later step may expand, whatever the slot depths.
-            self.frontier_max_sigma = max(
-                self.frontier_max_sigma,
-                max(sigma[log[position]] for position in range(start, write)),
-            )
-
-    def _expand_slots_vectorised(self, slots: Sequence[int]) -> None:
-        indptr, indices = self.csr.indptr, self.csr.indices
-        shift = self.shift
-        mask = (1 << shift) - 1
-        log = self.log
-        levels = self.slot_levels
-        # The chosen frontiers, concatenated in slot order: each slot's
-        # edges keep their single-source scan order.
-        frontier = _np.concatenate(
-            [log[first:stop] for first, stop in (levels[slot][-1] for slot in slots)]
-        )
-        nodes = frontier >> shift
-        starts = indptr[nodes]
-        counts = indptr[nodes + 1] - starts
-        row_offsets = _np.cumsum(counts)
-        total = int(row_offsets[-1])
-        row_offsets -= counts
-        positions = _np.arange(total, dtype=_np.int64)
-        positions += _np.repeat(starts - row_offsets, counts)
-        tails = _np.repeat(frontier, counts)
-        nbrs = (indices[positions] << shift) | (tails & mask)
-        dist = self.dist
-        unseen = dist[nbrs] < 0
-        edge_v = nbrs[unseen]
-        edge_u = tails[unseen]
-        # Deduplicate in first-occurrence order through ``dist`` itself:
-        # mark each head with its (negative) edge position, writing back to
-        # front so the first occurrence's mark survives.
-        marks = _np.arange(-edge_v.size - 1, -1, dtype=_np.int64)
-        dist[edge_v[::-1]] = marks[::-1]
-        fresh = edge_v[dist[edge_v] == marks]
-        # Every tail of a slot sits at that slot's depth, so each head gets
-        # its slot's next depth (duplicate heads write the same value).
-        dist[edge_v] = dist[edge_u] + 1
-        if self.sigma_view is not None:
-            _accumulate_level(
-                self.sigma_view, edge_v, self.sigma_view[edge_u], False, self.size
-            )
-            if fresh.size:
-                # A running maximum over every discovered count bounds any
-                # frontier a later step may expand, whatever the slot depths.
-                self.frontier_max_sigma = max(
-                    self.frontier_max_sigma, int(self.sigma_view[fresh].max())
-                )
-        else:
-            sigma = self.sigma
-            for tail, head in zip(edge_u.tolist(), edge_v.tolist()):
-                sigma[head] += sigma[tail]
-        base = self.log_size
-        log[base : base + fresh.size] = fresh
-        self.log_size = base + fresh.size
-        # ``fresh`` is grouped by slot in the order of ``slots``: split it
-        # into the chosen slots' new levels and their degree sums.
-        fresh_slots = fresh & mask
-        fresh_nodes = fresh >> shift
-        sizes = _np.bincount(fresh_slots, minlength=mask + 1).tolist()
-        degrees = _np.bincount(
-            fresh_slots, indptr[fresh_nodes + 1] - indptr[fresh_nodes],
-            minlength=mask + 1,
-        ).tolist()
-        for slot in slots:
-            size = sizes[slot]
-            levels[slot].append((base, base + size))
-            base += size
-            self.slot_depth[slot] += 1
-            self.slot_cost[slot] = int(degrees[slot])
-            self.slot_size[slot] = size
 
     # ------------------------------------------------------------------
     def _expand_sequential(self) -> int:
@@ -1506,48 +1319,200 @@ class _BatchSweep:
         return total
 
 
-#: Per snapshot, the buffers of its last released staggered sweep, every
-#: distance -1 and every count 0 again.  Allocating and first-touching
-#: ``O(slots * n)`` fresh buffers took ~3 ms per 64-pair batch on the
-#: usa-road surrogate's largest block, a fifth of the batch's search time,
-#: and a block's batches follow one another; the spare goes when the
-#: snapshot does.
-_spare_staggered: "WeakKeyDictionary[CSRGraph, tuple]" = WeakKeyDictionary()
+class _StaggeredSweep:
+    """Exact-sigma sweep over ``K`` stacked sources whose slots advance
+    independently.
+
+    The stacked balanced bidirectional search runs its pairs on it: each
+    :meth:`expand_slots` step grows a chosen subset of slots by one complete
+    level, every slot at its own depth, while the other slots stay as they
+    are.  Per slot the edge stream is exactly the single-source stream of
+    :class:`_BatchSweep` — the same sequential/vectorised split at
+    ``_SEQUENTIAL_EDGE_THRESHOLD``, the same order-preserving
+    :func:`_accumulate_level` and the same int64 overflow guard — so
+    distances and counts are too.
+
+    Ids are node-major over a power-of-two slot count: node ``v`` of slot
+    ``k`` is ``(v << shift) | k``, so a node and its slot are one shift and
+    one mask away, and slots ``2j``/``2j + 1`` hold the same node at ids that
+    differ in the lowest bit.  Every node a slot discovers is appended to
+    ``log``, one contiguous run per slot and step; ``slot_levels[k][d]`` is
+    the ``(start, stop)`` run of slot ``k``'s depth-``d`` nodes in discovery
+    order, and ``slot_depth``, ``slot_cost`` (total degree) and
+    ``slot_size`` describe every slot's current frontier.
+    """
+
+    __slots__ = ("csr", "shift", "size", "dist", "dist_store", "sigma",
+                 "sigma_view", "log", "log_store", "log_size",
+                 "frontier_max_sigma", "slot_levels", "slot_depth",
+                 "slot_cost", "slot_size")
+
+    def __init__(self, csr: CSRGraph, roots: Sequence[int]) -> None:
+        batch = len(roots)
+        self.csr = csr
+        self.shift = shift = (batch - 1).bit_length()
+        self.size = size = csr.n << shift
+        if HAS_NUMPY:
+            # numpy buffers, with memoryviews for the element-wise loops.
+            self.dist = _np.full(size, -1, dtype=_np.int64)
+            self.sigma_view = _np.zeros(size, dtype=_np.int64)
+            self.log = _np.empty(batch * csr.n, dtype=_np.int64)
+            self.dist_store = memoryview(self.dist)
+            self.sigma = memoryview(self.sigma_view)
+            self.log_store = memoryview(self.log)
+        else:
+            self.dist_store = self.dist = [-1] * size
+            self.sigma = [0] * size
+            self.sigma_view = None
+            self.log_store = self.log = [0] * (batch * csr.n)
+        for slot, root in enumerate(roots):
+            flat = (root << shift) | slot
+            self.dist_store[flat] = 0
+            self.sigma[flat] = 1
+            self.log_store[slot] = flat
+        self.log_size = batch
+        self.frontier_max_sigma = 1
+        indptr, _ = csr.adjacency_lists()
+        self.slot_levels = [[(slot, slot + 1)] for slot in range(batch)]
+        self.slot_depth = [0] * batch
+        self.slot_cost = [indptr[root + 1] - indptr[root] for root in roots]
+        self.slot_size = [1] * batch
+
+    def expand_slots(self, slots: Sequence[int]) -> None:
+        """Grow each slot in ``slots`` (distinct) by one complete level.
+
+        The new levels land in ``log`` in the order of ``slots``.
+        """
+        costs = self.slot_cost
+        total = 0
+        for slot in slots:
+            total += costs[slot]
+        # A running maximum over every discovered count bounds any frontier
+        # a step may expand, whatever the slot depths; see _BatchSweep.expand.
+        if self.sigma_view is not None and _sigma_may_overflow(
+            self.frontier_max_sigma, self.csr.max_degree
+        ):
+            self.sigma = self.sigma_view.tolist()
+            self.sigma_view = None
+        if HAS_NUMPY and total >= _SEQUENTIAL_EDGE_THRESHOLD:
+            self._expand_vectorised(slots)
+        else:
+            self._expand_sequential(slots)
+
+    def _expand_sequential(self, slots: Sequence[int]) -> None:
+        indptr, indices = self.csr.adjacency_lists()
+        shift = self.shift
+        dist = self.dist_store
+        sigma = self.sigma
+        log = self.log_store
+        start = write = self.log_size
+        for slot in slots:
+            levels = self.slot_levels[slot]
+            first, stop = levels[-1]
+            next_depth = self.slot_depth[slot] + 1
+            level_start = write
+            fresh_cost = 0
+            for position in range(first, stop):
+                flat = log[position]
+                node = flat >> shift
+                sigma_flat = sigma[flat]
+                for entry in range(indptr[node], indptr[node + 1]):
+                    target = indices[entry]
+                    neighbor = (target << shift) | slot
+                    known = dist[neighbor]
+                    if known < 0:
+                        dist[neighbor] = next_depth
+                        log[write] = neighbor
+                        write += 1
+                        fresh_cost += indptr[target + 1] - indptr[target]
+                        known = next_depth
+                    if known == next_depth:
+                        sigma[neighbor] += sigma_flat
+            levels.append((level_start, write))
+            self.slot_depth[slot] = next_depth
+            self.slot_cost[slot] = fresh_cost
+            self.slot_size[slot] = write - level_start
+        self.log_size = write
+        if self.sigma_view is not None and write > start:
+            self.frontier_max_sigma = max(
+                self.frontier_max_sigma,
+                max(sigma[log[position]] for position in range(start, write)),
+            )
+
+    def _expand_vectorised(self, slots: Sequence[int]) -> None:
+        indptr, indices = self.csr.indptr, self.csr.indices
+        shift = self.shift
+        mask = (1 << shift) - 1
+        log = self.log
+        levels = self.slot_levels
+        # The chosen frontiers, concatenated in slot order: each slot's
+        # edges keep their single-source scan order.
+        frontier = _np.concatenate(
+            [log[first:stop] for first, stop in (levels[slot][-1] for slot in slots)]
+        )
+        nodes = frontier >> shift
+        starts = indptr[nodes]
+        counts = indptr[nodes + 1] - starts
+        row_offsets = _np.cumsum(counts)
+        total = int(row_offsets[-1])
+        row_offsets -= counts
+        positions = _np.arange(total, dtype=_np.int64)
+        positions += _np.repeat(starts - row_offsets, counts)
+        tails = _np.repeat(frontier, counts)
+        nbrs = (indices[positions] << shift) | (tails & mask)
+        dist = self.dist
+        unseen = dist[nbrs] < 0
+        edge_v = nbrs[unseen]
+        edge_u = tails[unseen]
+        # Deduplicate in first-occurrence order through ``dist`` itself:
+        # mark each head with its (negative) edge position, writing back to
+        # front so the first occurrence's mark survives.
+        marks = _np.arange(-edge_v.size - 1, -1, dtype=_np.int64)
+        dist[edge_v[::-1]] = marks[::-1]
+        fresh = edge_v[dist[edge_v] == marks]
+        # Every tail of a slot sits at that slot's depth, so each head gets
+        # its slot's next depth (duplicate heads write the same value).
+        dist[edge_v] = dist[edge_u] + 1
+        if self.sigma_view is not None:
+            _accumulate_level(
+                self.sigma_view, edge_v, self.sigma_view[edge_u], False, self.size
+            )
+            if fresh.size:
+                self.frontier_max_sigma = max(
+                    self.frontier_max_sigma, int(self.sigma_view[fresh].max())
+                )
+        else:
+            sigma = self.sigma
+            for tail, head in zip(edge_u.tolist(), edge_v.tolist()):
+                sigma[head] += sigma[tail]
+        base = self.log_size
+        log[base : base + fresh.size] = fresh
+        self.log_size = base + fresh.size
+        # ``fresh`` is grouped by slot in the order of ``slots``: split it
+        # into the chosen slots' new levels and their degree sums.
+        fresh_slots = fresh & mask
+        fresh_nodes = fresh >> shift
+        sizes = _np.bincount(fresh_slots, minlength=mask + 1).tolist()
+        degrees = _np.bincount(
+            fresh_slots, indptr[fresh_nodes + 1] - indptr[fresh_nodes],
+            minlength=mask + 1,
+        ).tolist()
+        for slot in slots:
+            size = sizes[slot]
+            levels[slot].append((base, base + size))
+            base += size
+            self.slot_depth[slot] += 1
+            self.slot_cost[slot] = int(degrees[slot])
+            self.slot_size[slot] = size
 
 
-def _take_staggered_buffers(csr: CSRGraph, size: int) -> tuple:
-    """``(dist, sigma, log)`` int64 arrays for a staggered sweep of ``size``
-    flat ids: the snapshot's spare set if it is big enough (a sweep only
-    touches ids below its own size).  Fresh counts and logs are allocated
-    untouched, so only the pages a sweep writes become resident."""
-    spare = _spare_staggered.pop(csr, None)
-    if spare is not None and spare[0].size >= size:
-        return spare
-    return (
-        _np.full(size, -1, dtype=_np.int64),
-        _np.zeros(size, dtype=_np.int64),
-        _np.empty(size, dtype=_np.int64),
-    )
-
-
-def _release_staggered_buffers(csr: CSRGraph, buffers: tuple, used: int) -> None:
-    """Reset the entries a finished sweep wrote — exactly the ids in its
-    discovery log — and keep its buffers as the snapshot's spare set."""
-    dist, sigma, log = buffers
-    touched = log[:used]
-    dist[touched] = -1
-    # The int64 buffer, even if the overflow guard moved the counts on.
-    sigma[touched] = 0
-    _spare_staggered[csr] = buffers
-
-
-def staggered_sweep(csr: CSRGraph, roots: Sequence[int]) -> _BatchSweep:
+def staggered_sweep(csr: CSRGraph, roots: Sequence[int]) -> _StaggeredSweep:
     """Exact-sigma sweep over ``roots`` whose slots advance independently.
 
     Drive it with ``expand_slots``; the stacked balanced bidirectional
     search (:mod:`repro.graphs.bidirectional`) runs its pairs on it.
     """
-    return _BatchSweep(csr, roots, sigma_mode="int", staggered=True)
+    return _StaggeredSweep(csr, roots)
 
 
 def _accumulate_level(totals, heads, values, as_float: bool, size: int) -> None:

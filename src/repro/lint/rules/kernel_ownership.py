@@ -1,7 +1,8 @@
 """``kernel-ownership``: one kernel per concern, no private copies.
 
 Level expansion and the sigma-overflow guard live only in
-``graphs/csr.py``'s ``_BatchSweep`` (with ``delta_stepping.py``,
+``graphs/csr.py``'s ``_BatchSweep`` and its per-slot-depth sibling
+``_StaggeredSweep`` (with ``delta_stepping.py``,
 ``compiled.py`` and ``traversal.py`` as the other sanctioned kernel
 homes).  Before that consolidation the repo had five hand-rolled BFS
 loops that each had to re-learn every determinism fix; the rule keeps
@@ -31,6 +32,7 @@ from repro.lint.rules.common import is_kernel_module
 PRIVATE_KERNEL_NAMES = frozenset(
     {
         "_BatchSweep",
+        "_StaggeredSweep",
         "_backward_dependencies",
         "_np_bfs",
         "_np_shortest_path_dag",

@@ -21,11 +21,12 @@ in rounds.  Each round draws every pair still needed with
 and searches each group in sub-batches; the searches consume no randomness.
 Then it samples each sub-batch's paths in pair order: the cut node by path
 count, in the forward search's discovery order, and each predecessor in
-adjacency order (a lone candidate consumes no draw).  Rejected pairs are redrawn in the next round, and
-``max_rejections`` counts consecutive rejections across rounds.  A single
-draw is the one-pair round.  On the CSR backend a sub-batch is one stacked
-search (:func:`repro.graphs.bidirectional.bidirectional_searches`) of
-:func:`~repro.graphs.bidirectional.stacked_batch_pairs` pairs, sized from
+adjacency order (a lone candidate consumes no draw).  Rejected pairs are
+redrawn in the next round, and ``max_rejections`` counts consecutive
+rejections across rounds.  A single draw (:meth:`GenBC.sample_path` without
+a count) is the one-draw chunk.  On the CSR backend a sub-batch is one
+stacked search (:func:`repro.graphs.bidirectional.bidirectional_searches`)
+of :func:`~repro.graphs.bidirectional.stacked_batch_pairs` pairs, sized from
 the block's cached snapshot; the dict backend searches pair by pair.  Both
 give the same paths from the same seed.
 """
@@ -116,15 +117,14 @@ class GenBC:
         self.stats = GenBCStatistics()
 
     # ------------------------------------------------------------------
-    def sample_path(self, rng: SeedLike = None) -> List[Node]:
-        """Draw one shortest path from ``D-tilde_c^(A)`` (a one-draw chunk)."""
-        [path] = self.sample_paths(rng, 1)
-        return path
+    def sample_path(
+        self, rng: SeedLike = None, draws: Optional[int] = None
+    ) -> Union[List[Node], List[List[Node]]]:
+        """Draw one shortest path from ``D-tilde_c^(A)``.
 
-    def sample_paths(self, rng: SeedLike, draws: int) -> List[List[Node]]:
-        """Draw ``draws`` accepted paths in the chunk order (module docstring).
-
-        The paths come back in the order their pairs were drawn.
+        With ``draws`` the call draws a whole chunk of accepted paths in the
+        chunk order (module docstring) and returns them in the order their
+        pairs were drawn; a single draw is the one-draw chunk.
 
         Raises
         ------
@@ -132,12 +132,13 @@ class GenBC:
             After more than ``max_rejections`` consecutive rejections.
         """
         rng = ensure_rng(rng)
+        wanted = 1 if draws is None else draws
         stats = self.stats
         accepted: List[List[Node]] = []
         rejections = 0
-        while len(accepted) < draws:
+        while len(accepted) < wanted:
             pairs = [
-                self.space.sample_pair(rng) for _ in range(draws - len(accepted))
+                self.space.sample_pair(rng) for _ in range(wanted - len(accepted))
             ]
             kept: Dict[int, List[Node]] = {}
             for position, visited_edges, path in self._paths(pairs, rng):
@@ -161,7 +162,7 @@ class GenBC:
                 )
                 kept[position] = path
             accepted.extend(kept[position] for position in sorted(kept))
-        return accepted
+        return accepted[0] if draws is None else accepted
 
     def _paths(self, pairs, rng) -> Iterator[Tuple[int, int, List[Node]]]:
         """Yield ``(position, visited edges, path)`` per pair in the chunk
@@ -193,12 +194,12 @@ class GenBC:
         """Draw one path and return the sparse losses of the target hypotheses.
 
         The loss of ``h_v`` is 1 iff ``v`` is an inner node of the path.
-        With ``draws`` the call draws a whole chunk (:meth:`sample_paths`)
+        With ``draws`` the call draws a whole chunk (:meth:`sample_path`)
         and returns the list of its losses.
         """
         if draws is None:
             return self._losses(self.sample_path(rng))
-        return [self._losses(path) for path in self.sample_paths(rng, draws)]
+        return [self._losses(path) for path in self.sample_path(rng, draws)]
 
     def _losses(self, path: List[Node]) -> Dict[int, float]:
         losses: Dict[int, float] = {}

@@ -213,6 +213,29 @@ class TestBidirectionalEquivalence:
         assert side.cost == 0
 
 
+def test_interrupted_stacked_search_leaves_no_state(monkeypatch):
+    # A stacked search cut short mid-step (a timeout or Ctrl-C after the
+    # distances of a vectorised step are written, before its counts and
+    # discovery log) must not leak into the next search on the same cached
+    # snapshot.
+    pytest.importorskip("numpy")
+    from repro.graphs import csr as csr_module
+
+    graph = barabasi_albert_graph(300, 3, seed=3)
+    pairs = _random_pairs(graph, 16, 7)
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(csr_module, "_accumulate_level", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        bidirectional_searches(graph, pairs)
+    monkeypatch.undo()
+    for (source, target), candidate in zip(pairs, bidirectional_searches(graph, pairs)):
+        reference = bidirectional_shortest_paths(graph, source, target, backend="dict")
+        _assert_same_search(reference, candidate)
+
+
 class TestEstimatorEquivalence:
     """Full estimator runs draw identical samples and scores per backend."""
 
@@ -360,6 +383,9 @@ class TestEstimatorEquivalence:
             chunk_rng, single_rng = random.Random(5), random.Random(5)
             assert generator.sample_losses(chunk_rng, 1) == [
                 generator.sample_losses(single_rng)
+            ]
+            assert generator.sample_path(chunk_rng, 1) == [
+                generator.sample_path(single_rng)
             ]
             assert chunk_rng.getstate() == single_rng.getstate()
 

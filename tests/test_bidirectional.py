@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from repro.errors import GraphError, SamplingError
 from repro.graphs.bidirectional import (
     bidirectional_searches,
     bidirectional_shortest_paths,
+    stacked_batch_pairs,
 )
 from repro.graphs.generators import cycle_graph, erdos_renyi_graph
 from repro.graphs.graph import Graph
@@ -57,6 +59,13 @@ class TestDistanceAndCounts:
             with pytest.raises(GraphError):
                 bidirectional_searches(karate, pairs)
         assert bidirectional_searches(karate, []) == []
+
+    def test_stacked_batch_is_a_power_of_two_within_the_budget(self):
+        # A batch's 2K slots are rounded up to a power of two, so K is one:
+        # the largest with K * 2m <= 2**20, at most 64.
+        for m, pairs in ((1, 64), (5384, 64), (10_000, 32), (27_296, 16),
+                         (2**19, 1), (2**21, 1)):
+            assert stacked_batch_pairs(SimpleNamespace(m=m)) == pairs
 
     def test_matches_unidirectional_on_karate(self, karate):
         rng = random.Random(0)
