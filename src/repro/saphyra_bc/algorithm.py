@@ -73,7 +73,9 @@ class BCRankingResult:
         The underlying :class:`~repro.core.estimation.SaPHyRaResult`
         (risks in PISP units), or ``None`` for degenerate inputs.
     exact_work:
-        Adjacency entries scanned by ``Exact_bc`` (the ``K`` of Lemma 18).
+        2-hop walks ``s -> m -> t`` scanned by ``Exact_bc`` from the
+        targets' neighbours ``s``: ``sum_{s in B} sum_{m in N(s)} deg(m)``
+        (see :mod:`repro.saphyra_bc.exact_bc`).
     rejections:
         Rejected samples in ``Gen_bc``.
     """

@@ -6,6 +6,7 @@ import pytest
 
 from repro.datasets.synthetic import karate_club_graph
 from repro.graphs.generators import (
+    barabasi_albert_graph,
     barbell_graph,
     complete_graph,
     cycle_graph,
@@ -55,3 +56,16 @@ def karate() -> Graph:
 def two_triangles_shared_node() -> Graph:
     """Two triangles sharing node 0: 0 is the unique cutpoint."""
     return Graph.from_edges([(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)])
+
+
+@pytest.fixture
+def social_with_leaves() -> Graph:
+    """BA(120, 3) with a pendant leaf on every fifth node and a two-edge
+    pendant path on node 1: those hubs become cutpoints, so the graph has
+    cut–cut edges (inside the core, and hub–path) and cut–leaf bridges."""
+    graph = barabasi_albert_graph(120, 3, seed=5)
+    for node in range(0, 120, 5):
+        graph.add_edge(node, 1000 + node)
+    graph.add_edge(1, 2000)
+    graph.add_edge(2000, 2001)
+    return graph

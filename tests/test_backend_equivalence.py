@@ -289,6 +289,26 @@ class TestEstimatorEquivalence:
         assert reference.ranking == candidate.ranking
         assert reference.num_samples == candidate.num_samples
 
+    def test_saphyra_bc_full(self, social_with_leaves):
+        # SaPHyRa_bc-full (every node a target) on a graph with cutpoints:
+        # Exact_bc takes the stacked scan on CSR and the loop on dict.
+        results = [
+            SaPHyRaBC(
+                0.1, 0.1, seed=7, max_samples_cap=300,
+                backend=backend, workers=workers,
+            ).rank(social_with_leaves, None)
+            for backend in ("dict", "csr")
+            for workers in (0, 2)
+        ]
+        reference = results[0]
+        assert reference.exact_work > 0 and reference.lambda_exact > 0
+        for candidate in results[1:]:
+            assert candidate.scores == reference.scores
+            assert candidate.ranking == reference.ranking
+            assert candidate.num_samples == reference.num_samples
+            assert candidate.lambda_exact == reference.lambda_exact
+            assert candidate.exact_work == reference.exact_work
+
     def test_saphyra_cc(self, graph, targets):
         reference, candidate = self._pair(
             lambda backend: SaPHyRaCC(
