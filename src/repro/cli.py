@@ -15,177 +15,8 @@ import argparse
 import sys
 from typing import List, Optional, Sequence
 
+from repro import knobs
 from repro._version import __version__
-
-
-def _add_backend_argument(subparser) -> None:
-    # default=None so an absent flag leaves the REPRO_BACKEND environment
-    # variable (or the built-in auto selection) in charge.
-    subparser.add_argument(
-        "--backend",
-        choices=("auto", "dict", "csr"),
-        default=None,
-        help="traversal backend: csr (array kernels), dict (reference "
-             "implementation), or auto (pick per graph size; the default, "
-             "and when passed explicitly it overrides REPRO_BACKEND)",
-    )
-    # default=None so an absent flag leaves the REPRO_WEIGHTED environment
-    # variable (or the built-in auto routing) in charge.
-    subparser.add_argument(
-        "--weighted",
-        choices=("auto", "on", "off"),
-        default=None,
-        help="weighted SSSP routing: auto (use edge weights iff the graph "
-             "has them; the default), on (force the Dijkstra engine, absent "
-             "weights count as 1), or off (ignore weights, hop distances).  "
-             "When passed explicitly it overrides REPRO_WEIGHTED",
-    )
-    # default=None so an absent flag leaves the REPRO_SSSP_KERNEL environment
-    # variable (or the built-in auto selection) in charge.
-    subparser.add_argument(
-        "--sssp-kernel",
-        choices=("auto", "dijkstra", "delta"),
-        default=None,
-        help="weighted SSSP kernel: dijkstra (per-source binary heap), "
-             "delta (bucket-synchronous delta-stepping), or auto (delta for "
-             "batched sweeps, dijkstra for single-source calls; the "
-             "default).  When passed explicitly it overrides "
-             "REPRO_SSSP_KERNEL.  The kernels are bit-identical — this "
-             "never changes results, only wall-clock time",
-    )
-    # default=None so an absent flag leaves the REPRO_COMPILED environment
-    # variable (or the built-in auto detection) in charge.
-    subparser.add_argument(
-        "--compiled",
-        choices=("auto", "on", "off"),
-        default=None,
-        help="compiled (numba) kernel tier for the weighted engine: auto "
-             "(use numba iff installed; the default), on (require numba — "
-             "error when missing), or off (pure-Python loops).  When passed "
-             "explicitly it overrides REPRO_COMPILED.  Never changes "
-             "results, only wall-clock time",
-    )
-    # default=None so an absent flag leaves the REPRO_WORKERS environment
-    # variable (or serial execution) in charge.
-    subparser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for source sweeps and sampling (0 = serial; "
-             "the default, and when passed explicitly it overrides "
-             "REPRO_WORKERS).  Worker counts never change results, only "
-             "wall-clock time",
-    )
-    # default=None so an absent flag leaves the REPRO_START_METHOD
-    # environment variable (or the platform default) in charge.
-    subparser.add_argument(
-        "--start-method",
-        choices=("fork", "spawn", "forkserver"),
-        default=None,
-        help="multiprocessing start method for the worker pool (the "
-             "platform default when absent; when passed explicitly it "
-             "overrides REPRO_START_METHOD).  The pool is bit-identical "
-             "under every start method — this never changes results",
-    )
-    # default=None so an absent flag leaves the REPRO_DAG_CACHE environment
-    # variable (or the built-in on default) in charge.
-    subparser.add_argument(
-        "--dag-cache",
-        choices=("on", "off"),
-        default=None,
-        help="cross-sample shortest-path DAG cache (on by default; when "
-             "passed explicitly it overrides REPRO_DAG_CACHE).  The cache "
-             "never changes results, only wall-clock time; "
-             "REPRO_DAG_CACHE_SIZE bounds its per-graph entry count",
-    )
-    # default=None so an absent flag leaves REPRO_DAG_CACHE_SIZE (or the
-    # built-in default of 512) in charge.
-    subparser.add_argument(
-        "--dag-cache-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="per-graph LRU entry bound for the DAG cache (default 512; "
-             "when passed explicitly it overrides REPRO_DAG_CACHE_SIZE).  "
-             "Cache bounds never change results, only wall-clock time",
-    )
-    # default=None so an absent flag leaves REPRO_DAG_CACHE_BUDGET (or the
-    # built-in default of 16M elements) in charge.
-    subparser.add_argument(
-        "--dag-cache-budget",
-        type=int,
-        default=None,
-        metavar="N",
-        help="per-graph estimated-element budget for the DAG cache "
-             "(default 16000000, about 128 MB; when passed explicitly it "
-             "overrides REPRO_DAG_CACHE_BUDGET).  Never changes results",
-    )
-    # default=None so an absent flag leaves the REPRO_DAG_CACHE_DELTA
-    # environment variable (or the built-in auto default) in charge.
-    subparser.add_argument(
-        "--dag-cache-delta",
-        choices=("auto", "on", "off"),
-        default=None,
-        help="delta cache invalidation for mutating graphs: auto (validate "
-             "cached entries against the mutation journal, falling back to "
-             "wholesale eviction past a size limit; the default), on "
-             "(always validate), or off (journal disabled, wholesale "
-             "eviction on every mutation — the pre-delta behaviour).  When "
-             "passed explicitly it overrides REPRO_DAG_CACHE_DELTA.  "
-             "Retention is only ever claimed when provably safe — this "
-             "never changes results, only wall-clock time",
-    )
-    # default=None so an absent flag leaves REPRO_DELTA_JOURNAL_SIZE (or
-    # the built-in default of 256) in charge.
-    subparser.add_argument(
-        "--delta-journal-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="mutation-journal cap per graph (default 256; when passed "
-             "explicitly it overrides REPRO_DELTA_JOURNAL_SIZE).  Edits "
-             "past the cap degrade to wholesale cache eviction; never "
-             "changes results",
-    )
-    # default=None so an absent flag leaves the REPRO_SHARED_MEMORY
-    # environment variable (or the built-in on default) in charge.
-    subparser.add_argument(
-        "--shared-memory",
-        choices=("on", "off"),
-        default=None,
-        help="zero-copy shared-memory handoff of the CSR graph to worker "
-             "processes (on by default when numpy and "
-             "multiprocessing.shared_memory are available; when passed "
-             "explicitly it overrides REPRO_SHARED_MEMORY).  Never changes "
-             "results, only wall-clock time; 'off' ships the classic "
-             "pickle payload",
-    )
-    # default=None so an absent flag leaves the REPRO_SNAPSHOT_DIR
-    # environment variable (or no store at all) in charge.
-    subparser.add_argument(
-        "--snapshot-dir",
-        default=None,
-        metavar="DIR",
-        help="on-disk CSR snapshot store: datasets are memoised to "
-             "DIR/datasets and exact ground truth persists in "
-             "DIR/ground_truth, so repeat invocations skip graph "
-             "generation and Brandes entirely.  No store when absent "
-             "(when passed explicitly it overrides REPRO_SNAPSHOT_DIR).  "
-             "Never changes results, only cold-start time",
-    )
-    # default=None so an absent flag leaves the REPRO_MMAP environment
-    # variable (or the built-in auto default) in charge.
-    subparser.add_argument(
-        "--mmap",
-        choices=("auto", "on", "off"),
-        default=None,
-        help="how snapshot files are attached: auto (read-only np.memmap "
-             "views when numpy is available; the default), on (same, "
-             "asserting intent), or off (read arrays into RAM).  When "
-             "passed explicitly it overrides REPRO_MMAP.  Mapped and "
-             "in-RAM arrays are byte-identical — never changes results, "
-             "only memory footprint and load time",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -207,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
     rank.add_argument("--delta", type=float, default=0.01)
     rank.add_argument("--seed", type=int, default=7)
     rank.add_argument("--top", type=int, default=10, help="how many ranked nodes to print")
-    _add_backend_argument(rank)
+    knobs.add_cli_flags(rank)
 
     subparsers.add_parser("datasets", help="list available datasets")
 
@@ -225,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated estimator names "
              "(saphyra, saphyra_full, kadabra, abra, rk, bader, ego)",
     )
-    _add_backend_argument(compare)
+    knobs.add_cli_flags(compare)
 
     table = subparsers.add_parser("table", help="regenerate a table of the paper")
     table.add_argument("number", type=int, choices=(1, 2, 3), help="table number")
@@ -235,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--datasets", default=None,
         help="comma-separated dataset names (default: the paper's four networks)",
     )
-    _add_backend_argument(table)
+    knobs.add_cli_flags(table)
 
     figure = subparsers.add_parser("figure", help="regenerate a figure of the paper")
     figure.add_argument("number", type=int, choices=(3, 4, 5, 6, 7), help="figure number")
@@ -251,15 +82,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--datasets", default=None,
         help="comma-separated dataset names (default: the paper's four networks)",
     )
-    _add_backend_argument(figure)
+    knobs.add_cli_flags(figure)
 
     lint = subparsers.add_parser(
         "lint",
         help="run the AST-based invariant checker over source trees",
         description="Statically check the repo's architecture invariants "
-                    "(knob protocol, float-fold discipline, RNG discipline, "
-                    "env-mirror writes, kernel ownership).  Exits 1 on any "
-                    "unsuppressed finding.",
+                    "(float-fold discipline, RNG discipline, env-mirror "
+                    "writes, kernel ownership, knob threading).  Exits 1 on "
+                    "any unsuppressed finding.",
     )
     from repro.lint.cli import add_arguments as _add_lint_arguments
 
@@ -281,101 +112,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command is None:
         parser.print_help()
         return 1
-    backend = getattr(args, "backend", None)
-    if backend is not None:
-        # "auto" is set explicitly too, so `--backend auto` restores
-        # per-graph selection even when REPRO_BACKEND is exported.
-        from repro.graphs.csr import set_default_backend
-
-        set_default_backend(backend)
-    weighted = getattr(args, "weighted", None)
-    if weighted is not None:
-        # `--weighted auto` is set explicitly too, so it restores per-graph
-        # routing even when REPRO_WEIGHTED is exported.
-        from repro.graphs.sssp import set_default_weighted
-
-        set_default_weighted(weighted)
-    sssp_kernel = getattr(args, "sssp_kernel", None)
-    if sssp_kernel is not None:
-        # `--sssp-kernel auto` is set explicitly too, so it restores the
-        # built-in selection even when REPRO_SSSP_KERNEL is exported.
-        from repro.graphs.sssp import set_default_sssp_kernel
-
-        set_default_sssp_kernel(sssp_kernel)
-    compiled = getattr(args, "compiled", None)
-    if compiled is not None:
-        # `--compiled auto` is set explicitly too, so it restores numba
-        # auto-detection even when REPRO_COMPILED is exported.
-        from repro.graphs.compiled import set_default_compiled
-
-        set_default_compiled(compiled)
-    workers = getattr(args, "workers", None)
-    if workers is not None:
-        # `--workers 0` is set explicitly too, so it restores serial
-        # execution even when REPRO_WORKERS is exported.
-        from repro.parallel import set_default_workers
-
-        set_default_workers(workers)
-    start_method = getattr(args, "start_method", None)
-    if start_method is not None:
-        # An explicit --start-method overrides REPRO_START_METHOD for the
-        # whole process (and is mirrored back into it for nested tooling).
-        from repro.parallel import set_default_start_method
-
-        set_default_start_method(start_method)
-    dag_cache = getattr(args, "dag_cache", None)
-    if dag_cache is not None:
-        # `--dag-cache off` is set explicitly too, so it disables the cache
-        # even when REPRO_DAG_CACHE is exported.
-        from repro.engine import set_dag_cache_enabled
-
-        set_dag_cache_enabled(dag_cache == "on")
-    dag_cache_size = getattr(args, "dag_cache_size", None)
-    if dag_cache_size is not None:
-        # An explicit bound overrides REPRO_DAG_CACHE_SIZE process-wide.
-        from repro.engine import set_default_dag_cache_size
-
-        set_default_dag_cache_size(dag_cache_size)
-    dag_cache_budget = getattr(args, "dag_cache_budget", None)
-    if dag_cache_budget is not None:
-        # An explicit budget overrides REPRO_DAG_CACHE_BUDGET process-wide.
-        from repro.engine import set_default_dag_cache_budget
-
-        set_default_dag_cache_budget(dag_cache_budget)
-    dag_cache_delta = getattr(args, "dag_cache_delta", None)
-    if dag_cache_delta is not None:
-        # `--dag-cache-delta auto` is set explicitly too, so it restores the
-        # built-in default even when REPRO_DAG_CACHE_DELTA is exported.
-        from repro.engine import set_default_dag_cache_delta
-
-        set_default_dag_cache_delta(dag_cache_delta)
-    delta_journal_size = getattr(args, "delta_journal_size", None)
-    if delta_journal_size is not None:
-        # An explicit cap overrides REPRO_DELTA_JOURNAL_SIZE process-wide.
-        from repro.engine import set_default_delta_journal_size
-
-        set_default_delta_journal_size(delta_journal_size)
-    snapshot_dir = getattr(args, "snapshot_dir", None)
-    if snapshot_dir is not None:
-        # An explicit --snapshot-dir overrides REPRO_SNAPSHOT_DIR for the
-        # whole process (and is mirrored back into it for spawn workers).
-        from repro.graphs.store import set_default_snapshot_dir
-
-        set_default_snapshot_dir(snapshot_dir)
-    mmap = getattr(args, "mmap", None)
-    if mmap is not None:
-        # `--mmap auto` is set explicitly too, so it restores the built-in
-        # default even when REPRO_MMAP is exported.
-        from repro.graphs.store import set_default_mmap
-
-        set_default_mmap(mmap)
-    shared_memory = getattr(args, "shared_memory", None)
-    if shared_memory is not None:
-        # `--shared-memory off` is set explicitly too, so it restores the
-        # pickle payload even when REPRO_SHARED_MEMORY is exported.
-        from repro.parallel import set_shared_memory_enabled
-
-        set_shared_memory_enabled(shared_memory == "on")
+    # Every given knob flag becomes its process-wide, env-mirrored override
+    # (``--backend auto`` too, so it beats an exported REPRO_BACKEND).
+    knobs.apply(vars(args))
     if args.command == "lint":
         from repro.lint.cli import run as _run_lint
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
+from repro import knobs
+
 
 @dataclass
 class ExperimentConfig:
@@ -42,119 +44,17 @@ class ExperimentConfig:
     max_samples_cap:
         Hard cap on per-run sample counts, keeping worst-case bench times
         bounded (``None`` disables the cap).
-    backend:
-        Traversal backend for the whole run: ``"auto"`` (CSR when numpy is
-        importable), ``"csr"`` or ``"dict"``; ``None`` (default) leaves the
-        ``REPRO_BACKEND`` environment variable in charge.  Applied lazily
-        via :func:`repro.graphs.csr.set_default_backend` (process-wide,
-        sticky).  Backends are bit-identical, so this knob never changes
-        results — only wall-clock time.
-    workers:
-        Worker processes forwarded to every estimator and the ground-truth
-        computation (``None`` resolves via ``REPRO_WORKERS``, 0 = serial).
-        Worker counts never change results — only wall-clock time.
-    start_method:
-        Multiprocessing start method for the worker pool: ``"fork"``,
-        ``"spawn"`` or ``"forkserver"``; ``None`` (default) leaves the
-        ``REPRO_START_METHOD`` environment variable in charge.  Applied
-        lazily via :func:`repro.parallel.set_default_start_method`
-        (process-wide, sticky, mirrored into the environment); never
-        changes results.
-    dag_cache:
-        Force the cross-sample source-DAG cache on (``True``) or off
-        (``False``) for the whole experiment run; ``None`` (default) leaves
-        the ``REPRO_DAG_CACHE`` environment variable in charge.  Like the
-        worker count, the cache never changes results.  An explicit choice
-        is applied (lazily, when the runner first does real work) via
-        :func:`repro.engine.set_dag_cache_enabled`, which is **process-wide
-        and sticky**: it mirrors into ``REPRO_DAG_CACHE`` so spawned
-        workers agree, and it stays in force after the runner finishes
-        until ``set_dag_cache_enabled(None)`` restores the environment.
-    dag_cache_size:
-        Per-graph LRU entry bound for the source-DAG cache (``None`` leaves
-        ``REPRO_DAG_CACHE_SIZE`` / the built-in default in charge).  Applied
-        lazily via :func:`repro.engine.set_default_dag_cache_size`
-        (process-wide, sticky, mirrored into the environment); caches never
-        change results.
-    dag_cache_budget:
-        Per-graph estimated-element budget for the source-DAG cache
-        (``None`` leaves ``REPRO_DAG_CACHE_BUDGET`` / the built-in default
-        in charge).  Applied lazily via
-        :func:`repro.engine.set_default_dag_cache_budget` (process-wide,
-        sticky, mirrored into the environment).
-    dag_cache_delta:
-        Delta cache invalidation for mutating graphs: ``"auto"`` (validate
-        cached entries against the mutation journal, wholesale past a size
-        limit; the built-in default), ``"on"`` (always validate) or
-        ``"off"`` (journal disabled — the historical wholesale eviction);
-        ``None`` (default) leaves the ``REPRO_DAG_CACHE_DELTA``
-        environment variable in charge.  Applied lazily via
-        :func:`repro.engine.set_default_dag_cache_delta` (process-wide,
-        sticky, mirrored into the environment).  Retention is only
-        claimed when provably safe, so this never changes results — only
-        wall-clock time on mutate-then-requery workloads.
-    delta_journal_size:
-        Per-graph mutation-journal cap (``None`` leaves
-        ``REPRO_DELTA_JOURNAL_SIZE`` / the built-in default of 256 in
-        charge).  Applied lazily via
-        :func:`repro.engine.set_default_delta_journal_size` (process-wide,
-        sticky, mirrored into the environment); overflow degrades to
-        wholesale eviction, never wrong answers.
-    shared_memory:
-        Force the zero-copy shared-memory CSR handoff to worker processes
-        on (``True``) or off (``False``, the pickle payload) for the whole
-        run; ``None`` (default) leaves the ``REPRO_SHARED_MEMORY``
-        environment variable in charge.  Like ``dag_cache`` the choice is
-        applied lazily via
-        :func:`repro.parallel.set_shared_memory_enabled` (process-wide,
-        sticky, mirrored into the environment) and never changes results —
-        workers see the same CSR arrays bit for bit.
-    weighted:
-        Weighted SSSP routing for the whole run: ``"auto"`` (use edge
-        weights iff the graph has them), ``"on"`` (force the Dijkstra
-        engine) or ``"off"`` (hop distances); ``None`` (default) leaves
-        the ``REPRO_WEIGHTED`` environment variable in charge.  Applied
-        lazily via :func:`repro.graphs.sssp.set_default_weighted`
-        (process-wide, sticky, mirrored into the environment).  Unlike the
-        knobs above this one *selects the workload* — weighted and
-        unweighted runs rank different shortest paths.
-    sssp_kernel:
-        Weighted SSSP execution kernel for the whole run: ``"auto"``
-        (delta-stepping for batched sweeps, Dijkstra for single-source
-        calls), ``"dijkstra"`` or ``"delta"``; ``None`` (default) leaves
-        the ``REPRO_SSSP_KERNEL`` environment variable in charge.
-        Applied lazily via
-        :func:`repro.graphs.sssp.set_default_sssp_kernel` (process-wide,
-        sticky, mirrored into the environment).  The kernels are
-        bit-identical, so like ``workers`` this knob never changes
-        results — only wall-clock time.
-    compiled:
-        Compiled (numba) kernel tier: ``"auto"`` (use numba iff
-        importable), ``"on"`` (require numba — raises when missing) or
-        ``"off"`` (pure-Python loops); ``None`` (default) leaves the
-        ``REPRO_COMPILED`` environment variable in charge.  Applied
-        lazily via :func:`repro.graphs.compiled.set_default_compiled`
-        (process-wide, sticky, mirrored into the environment); never
-        changes results.
-    snapshot_dir:
-        On-disk CSR snapshot store directory for the whole run: datasets
-        are memoised to ``<dir>/datasets`` and exact ground truth persists
-        content-addressed in ``<dir>/ground_truth``, so repeat runs skip
-        graph generation and Brandes; ``None`` (default) leaves the
-        ``REPRO_SNAPSHOT_DIR`` environment variable (or no store) in
-        charge.  Applied lazily via
-        :func:`repro.graphs.store.set_default_snapshot_dir` (process-wide,
-        sticky, mirrored into the environment); never changes results,
-        only cold-start time.
-    mmap:
-        How snapshot files are attached: ``"auto"`` (read-only
-        ``np.memmap`` views when numpy is available), ``"on"`` (same,
-        asserting intent) or ``"off"`` (read arrays into RAM); ``None``
-        (default) leaves the ``REPRO_MMAP`` environment variable in
-        charge.  Applied lazily via
-        :func:`repro.graphs.store.set_default_mmap` (process-wide, sticky,
-        mirrored into the environment).  Mapped and in-RAM arrays are
-        byte-identical — never changes results, only memory footprint.
+    backend, weighted, sssp_kernel, compiled, workers, start_method,
+    dag_cache, dag_cache_size, dag_cache_budget, dag_cache_delta,
+    delta_journal_size, shared_memory, snapshot_dir, mmap:
+        The runtime knobs, one per row of :data:`repro.knobs.KNOBS`.
+        ``None`` (the default) leaves the knob's ``REPRO_*`` variable (or
+        its built-in default) in charge; a value is validated by its row
+        here and installed as the process-wide, sticky, env-mirrored
+        override when :class:`~repro.experiments.runner.ExperimentRunner`
+        first does real work.  ``workers`` is the exception: it is
+        forwarded to every estimator call instead.  The knobs never change
+        results — except ``weighted``, which selects the workload.
     """
 
     datasets: Sequence[str] = ("flickr", "livejournal", "usa-road", "orkut")
@@ -194,59 +94,7 @@ class ExperimentConfig:
         unknown = set(self.algorithms) - {"abra", "kadabra", "saphyra_full", "saphyra"}
         if unknown:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")
-        if self.backend is not None and self.backend not in ("auto", "csr", "dict"):
-            raise ValueError(
-                f"backend must be None, 'auto', 'csr' or 'dict', got {self.backend!r}"
-            )
-        if self.workers is not None and self.workers < 0:
-            raise ValueError(f"workers must be >= 0, got {self.workers}")
-        if self.start_method is not None and self.start_method not in (
-            "fork",
-            "spawn",
-            "forkserver",
-        ):
-            raise ValueError(
-                f"start_method must be None, 'fork', 'spawn' or 'forkserver', "
-                f"got {self.start_method!r}"
-            )
-        for name in ("dag_cache_size", "dag_cache_budget", "delta_journal_size"):
-            value = getattr(self, name)
-            if value is not None and (isinstance(value, bool) or value < 1):
-                raise ValueError(f"{name} must be None or >= 1, got {value!r}")
-        if self.dag_cache_delta is not None and self.dag_cache_delta not in (
-            "auto",
-            "on",
-            "off",
-        ):
-            raise ValueError(
-                f"dag_cache_delta must be None, 'auto', 'on' or 'off', "
-                f"got {self.dag_cache_delta!r}"
-            )
-        if self.weighted is not None and self.weighted not in ("auto", "on", "off"):
-            raise ValueError(
-                f"weighted must be None, 'auto', 'on' or 'off', got {self.weighted!r}"
-            )
-        if self.sssp_kernel is not None and self.sssp_kernel not in (
-            "auto",
-            "dijkstra",
-            "delta",
-        ):
-            raise ValueError(
-                f"sssp_kernel must be None, 'auto', 'dijkstra' or 'delta', "
-                f"got {self.sssp_kernel!r}"
-            )
-        if self.compiled is not None and self.compiled not in ("auto", "on", "off"):
-            raise ValueError(
-                f"compiled must be None, 'auto', 'on' or 'off', got {self.compiled!r}"
-            )
-        if self.snapshot_dir is not None and not str(self.snapshot_dir).strip():
-            raise ValueError(
-                f"snapshot_dir must be None or a non-empty path, got {self.snapshot_dir!r}"
-            )
-        if self.mmap is not None and self.mmap not in ("auto", "on", "off"):
-            raise ValueError(
-                f"mmap must be None, 'auto', 'on' or 'off', got {self.mmap!r}"
-            )
+        knobs.check(vars(self))
 
     # ------------------------------------------------------------------
     # Presets

@@ -14,6 +14,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
+from repro import knobs
 from repro.baselines import ABRA, KADABRA
 from repro.baselines.base import BaselineResult
 from repro.datasets.registry import Dataset, load
@@ -91,226 +92,25 @@ class ExperimentRunner:
 
     def __init__(self, config: Optional[ExperimentConfig] = None) -> None:
         self.config = config if config is not None else ExperimentConfig.default()
-        self._backend_applied = False
-        self._start_method_applied = False
-        self._dag_cache_applied = False
-        self._dag_cache_bounds_applied = False
-        self._dag_cache_delta_applied = False
-        self._shared_memory_applied = False
-        self._weighted_applied = False
-        self._sssp_kernel_applied = False
-        self._compiled_applied = False
-        self._snapshot_applied = False
+        self._knobs_applied = False
         self._datasets: Dict[str, Dataset] = {}
         self._block_cut_trees: Dict[str, BlockCutTree] = {}
         self._ground_truth_cache = GroundTruthCache()
         self._whole_network_cache: Dict[Tuple[str, str, float], BaselineResult] = {}
         self._full_saphyra_cache: Dict[Tuple[str, float], "SaPHyRaAsBaseline"] = {}
 
-    def _apply_backend_config(self) -> None:
-        """Apply an explicit ``config.backend`` choice, once, lazily.
-
-        Mirrors the CLI's --backend flag: process-wide and sticky
-        (``set_default_backend(None)`` hands control back to
-        ``REPRO_BACKEND``).  Backends are bit-identical, so this knob
-        never changes results — only wall-clock time.
-        """
-        if self._backend_applied or self.config.backend is None:
-            return
-        from repro.graphs.csr import set_default_backend
-
-        set_default_backend(self.config.backend)
-        self._backend_applied = True
-
-    def _apply_start_method_config(self) -> None:
-        """Apply an explicit ``config.start_method`` choice, once, lazily.
-
-        Same lifecycle as the knobs below (process-wide, sticky, mirrored
-        into ``REPRO_START_METHOD`` so nested tooling agrees;
-        ``set_default_start_method(None)`` hands control back to the
-        environment).  The worker pool is bit-identical under every start
-        method, so this knob never changes results.
-        """
-        if self._start_method_applied or self.config.start_method is None:
-            return
-        from repro.parallel import set_default_start_method
-
-        set_default_start_method(self.config.start_method)
-        self._start_method_applied = True
-
-    def _apply_dag_cache_config(self) -> None:
-        """Apply an explicit ``config.dag_cache`` choice, once, lazily.
-
-        Mirrors the CLI's --dag-cache flag: the choice overrides
-        ``REPRO_DAG_CACHE`` for the whole run (results are identical either
-        way; only wall-clock time changes).  Applied on first actual work —
-        not in the constructor — so merely building or inspecting a runner
-        flips nothing.  The override is process-wide and outlives this
-        runner; call ``set_dag_cache_enabled(None)`` to hand control back
-        to the environment.
-        """
-        if self._dag_cache_applied or self.config.dag_cache is None:
-            return
-        from repro.engine import set_dag_cache_enabled
-
-        set_dag_cache_enabled(self.config.dag_cache)
-        self._dag_cache_applied = True
-
-    def _apply_dag_cache_bounds_config(self) -> None:
-        """Apply explicit ``config.dag_cache_size``/``dag_cache_budget``.
-
-        Same lifecycle as the on/off knob above: process-wide, sticky,
-        mirrored into ``REPRO_DAG_CACHE_SIZE`` / ``REPRO_DAG_CACHE_BUDGET``
-        so spawned workers agree; ``set_default_dag_cache_size(None)`` /
-        ``set_default_dag_cache_budget(None)`` hand control back to the
-        environment.  Cache bounds never change results — only how many
-        traversals are recomputed.
-        """
-        if self._dag_cache_bounds_applied:
-            return
-        if self.config.dag_cache_size is None and self.config.dag_cache_budget is None:
-            return
-        from repro.engine import (
-            set_default_dag_cache_budget,
-            set_default_dag_cache_size,
-        )
-
-        if self.config.dag_cache_size is not None:
-            set_default_dag_cache_size(self.config.dag_cache_size)
-        if self.config.dag_cache_budget is not None:
-            set_default_dag_cache_budget(self.config.dag_cache_budget)
-        self._dag_cache_bounds_applied = True
-
-    def _apply_dag_cache_delta_config(self) -> None:
-        """Apply explicit ``config.dag_cache_delta``/``delta_journal_size``.
-
-        Same lifecycle as the cache bounds above: process-wide, sticky,
-        mirrored into ``REPRO_DAG_CACHE_DELTA`` / ``REPRO_DELTA_JOURNAL_SIZE``
-        so spawned workers agree; passing ``None`` to the setters hands
-        control back to the environment.  Delta invalidation only retains
-        cached work it can prove untouched, so the knob never changes
-        results — only wall-clock time on mutating graphs.
-        """
-        if self._dag_cache_delta_applied:
-            return
-        if (
-            self.config.dag_cache_delta is None
-            and self.config.delta_journal_size is None
-        ):
-            return
-        from repro.engine import (
-            set_default_dag_cache_delta,
-            set_default_delta_journal_size,
-        )
-
-        if self.config.dag_cache_delta is not None:
-            set_default_dag_cache_delta(self.config.dag_cache_delta)
-        if self.config.delta_journal_size is not None:
-            set_default_delta_journal_size(self.config.delta_journal_size)
-        self._dag_cache_delta_applied = True
-
-    def _apply_shared_memory_config(self) -> None:
-        """Apply an explicit ``config.shared_memory`` choice, once, lazily.
-
-        Same lifecycle as the DAG-cache knob above: process-wide, sticky,
-        mirrored into ``REPRO_SHARED_MEMORY`` so spawned workers agree;
-        call ``set_shared_memory_enabled(None)`` to hand control back to
-        the environment.  Results are identical either way — the handoff
-        only changes how the CSR arrays reach the workers.
-        """
-        if self._shared_memory_applied or self.config.shared_memory is None:
-            return
-        from repro.parallel import set_shared_memory_enabled
-
-        set_shared_memory_enabled(self.config.shared_memory)
-        self._shared_memory_applied = True
-
-    def _apply_weighted_config(self) -> None:
-        """Apply an explicit ``config.weighted`` choice, once, lazily.
-
-        Same lifecycle as the knobs above (process-wide, sticky, mirrored
-        into ``REPRO_WEIGHTED``; ``set_default_weighted(None)`` hands
-        control back to the environment) — but unlike them this knob
-        selects the *workload*: weighted runs rank weight-minimal shortest
-        paths, so their results legitimately differ from hop-based runs.
-        """
-        if self._weighted_applied or self.config.weighted is None:
-            return
-        from repro.graphs.sssp import set_default_weighted
-
-        set_default_weighted(self.config.weighted)
-        self._weighted_applied = True
-
-    def _apply_sssp_kernel_config(self) -> None:
-        """Apply an explicit ``config.sssp_kernel`` choice, once, lazily.
-
-        Same lifecycle as the knobs above (process-wide, sticky, mirrored
-        into ``REPRO_SSSP_KERNEL``; ``set_default_sssp_kernel(None)``
-        hands control back to the environment).  The Dijkstra and
-        delta-stepping kernels are bit-identical, so this knob — like the
-        worker count — never changes results, only wall-clock time.
-        """
-        if self._sssp_kernel_applied or self.config.sssp_kernel is None:
-            return
-        from repro.graphs.sssp import set_default_sssp_kernel
-
-        set_default_sssp_kernel(self.config.sssp_kernel)
-        self._sssp_kernel_applied = True
-
-    def _apply_compiled_config(self) -> None:
-        """Apply an explicit ``config.compiled`` choice, once, lazily.
-
-        Same lifecycle as the knobs above (process-wide, sticky, mirrored
-        into ``REPRO_COMPILED``; ``set_default_compiled(None)`` hands
-        control back to the environment).  The jitted loops are
-        structurally identical to the pure-Python ones, so the tier never
-        changes results; ``"on"`` raises here when numba is missing
-        rather than silently degrading.
-        """
-        if self._compiled_applied or self.config.compiled is None:
-            return
-        from repro.graphs.compiled import set_default_compiled
-
-        set_default_compiled(self.config.compiled)
-        self._compiled_applied = True
-
-    def _apply_snapshot_config(self) -> None:
-        """Apply explicit ``config.snapshot_dir``/``mmap`` choices, once.
-
-        Same lifecycle as the knobs above (process-wide, sticky, mirrored
-        into ``REPRO_SNAPSHOT_DIR`` / ``REPRO_MMAP`` so spawned workers
-        attach the same store the same way; passing ``None`` to the
-        setters hands control back to the environment).  Snapshots are
-        byte-identical to freshly built graphs, so neither knob changes
-        results — only cold-start time and memory footprint.
-        """
-        if self._snapshot_applied:
-            return
-        if self.config.snapshot_dir is None and self.config.mmap is None:
-            return
-        from repro.graphs.store import set_default_mmap, set_default_snapshot_dir
-
-        if self.config.snapshot_dir is not None:
-            set_default_snapshot_dir(self.config.snapshot_dir)
-        if self.config.mmap is not None:
-            set_default_mmap(self.config.mmap)
-        self._snapshot_applied = True
-
     # ------------------------------------------------------------------
     # Cached resources
     # ------------------------------------------------------------------
     def dataset(self, name: str) -> Dataset:
         """Load (and cache) a dataset at the configured scale."""
-        self._apply_backend_config()
-        self._apply_start_method_config()
-        self._apply_dag_cache_config()
-        self._apply_dag_cache_bounds_config()
-        self._apply_dag_cache_delta_config()
-        self._apply_shared_memory_config()
-        self._apply_weighted_config()
-        self._apply_sssp_kernel_config()
-        self._apply_compiled_config()
-        self._apply_snapshot_config()
+        if not self._knobs_applied:
+            # The config's knobs become process-wide, sticky overrides on
+            # first real work (not in the constructor), like the CLI flags.
+            # ``workers`` is forwarded per call instead, so it never leaks
+            # into later runs in the same process.
+            knobs.apply(vars(self.config), exclude=("workers",))
+            self._knobs_applied = True
         if name not in self._datasets:
             self._datasets[name] = load(
                 name, scale=self.config.scale, seed=self.config.seed

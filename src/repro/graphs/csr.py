@@ -30,9 +30,9 @@ alternative:
   deterministic Dijkstra kernels (``csr_dijkstra_dag`` /
   ``csr_dijkstra_distances`` / ``csr_dijkstra_brandes``).  Routing policy
   lives in :mod:`repro.graphs.sssp`.
-* Backend selection — :func:`resolve_backend` maps a user-facing
-  ``backend=`` argument (``None``/``"auto"``/``"dict"``/``"csr"``) to a
-  concrete backend, honouring the ``REPRO_BACKEND`` environment variable.
+* Backend selection — :func:`effective_backend` maps a user-facing
+  ``backend=`` argument (``None``/``"auto"``/``"dict"``/``"csr"``, the
+  ``backend`` knob of :mod:`repro.knobs`) to a concrete backend per graph.
 
 Determinism contract
 --------------------
@@ -53,13 +53,13 @@ and exceeds ``2**63`` at hop distances around 70.
 
 from __future__ import annotations
 
-import os
 from array import array
 from collections import deque
 from heapq import heappop, heappush
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
+from repro import knobs as _knobs
 from repro.errors import GraphError
 from repro.graphs import delta as _delta
 from repro.graphs.graph import Graph
@@ -79,88 +79,18 @@ CSR_BACKEND = "csr"
 AUTO_BACKEND = "auto"
 BACKENDS = (DICT_BACKEND, CSR_BACKEND)
 
-#: Environment variable overriding the default backend.
-BACKEND_ENV_VAR = "REPRO_BACKEND"
-
-_default_backend: Optional[str] = None
-
 #: Below this many nodes + edges the ``auto`` choice stays on the dict
 #: backend: snapshot construction and per-level array overhead only pay off
 #: once a graph has a few hundred adjacency entries.
 AUTO_CSR_THRESHOLD = 512
 
-
-_BACKEND_CHOICES = BACKENDS + (AUTO_BACKEND,)
-
-
-def _check_backend_name(value: str, *, source: str = "backend") -> None:
-    """Raise a uniform error for an invalid backend name.
-
-    ``source`` names where the value came from (the ``backend=`` argument or
-    the ``REPRO_BACKEND`` environment variable) so a typo'd setting is
-    attributable no matter how deep in the call stack it surfaces.
-    """
-    if value not in _BACKEND_CHOICES:
-        raise ValueError(
-            f"{source}={value!r} is not a valid backend; choose one of "
-            f"{_BACKEND_CHOICES} (the default can also be set via the "
-            f"{BACKEND_ENV_VAR} environment variable)"
-        )
-
-
-def _env_backend() -> Optional[str]:
-    """Return the validated ``REPRO_BACKEND`` value, or ``None`` if unset."""
-    env = os.environ.get(BACKEND_ENV_VAR, "").strip().lower()
-    if not env:
-        return None
-    _check_backend_name(env, source=BACKEND_ENV_VAR)
-    return env
-
-
-def default_backend() -> str:
-    """Return the backend used when callers pass ``backend=None``.
-
-    Resolution order: :func:`set_default_backend` override, then the
-    ``REPRO_BACKEND`` environment variable, then ``"auto"`` (pick per graph).
-    """
-    if _default_backend is not None:
-        return _default_backend
-    env = _env_backend()
-    if env is not None:
-        return env
-    return AUTO_BACKEND
-
-
-def set_default_backend(backend: Optional[str]) -> None:
-    """Set (or with ``None`` clear) the process-wide default backend.
-
-    ``"auto"`` is a valid setting: it restores per-graph selection,
-    overriding any ``REPRO_BACKEND`` environment variable.
-    """
-    global _default_backend
-    if backend is not None:
-        _check_backend_name(backend)
-    _default_backend = backend
-
-
-def resolve_backend(backend: Optional[str] = None) -> str:
-    """Map a user-facing ``backend`` argument to a backend name.
-
-    May return ``"auto"``, meaning "decide per graph" — dispatch sites pass
-    the graph through :func:`effective_backend` instead when they can.
-
-    An invalid ``REPRO_BACKEND`` value is rejected here as well (not only
-    when it is actually consulted), so a typo'd variable exported mid-run
-    surfaces as one clear error naming the variable instead of a confusing
-    deep-stack failure on some later dispatch.
-    """
-    env = _env_backend()
-    if backend is None:
-        if _default_backend is not None:
-            return _default_backend
-        return env if env is not None else AUTO_BACKEND
-    _check_backend_name(backend)
-    return backend
+#: The ``backend`` row of :mod:`repro.knobs`: ``resolve_backend`` may
+#: return ``"auto"`` ("decide per graph"), which dispatch sites hand to
+#: :func:`effective_backend` together with the graph.
+BACKEND_ENV_VAR = _knobs.BACKEND.env
+default_backend = _knobs.BACKEND.resolve
+set_default_backend = _knobs.BACKEND.override
+resolve_backend = _knobs.BACKEND.resolve
 
 
 def effective_backend(

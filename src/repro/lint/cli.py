@@ -140,10 +140,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description="Statically check the repo's architecture invariants "
-                    "(knob protocol and knob threading, float-fold "
-                    "discipline, RNG discipline, env-mirror writes, kernel "
-                    "ownership, cache version fencing, the graph mutation "
-                    "journal protocol, suppression hygiene).",
+                    "(knob threading, float-fold discipline, RNG "
+                    "discipline, env-mirror writes, kernel ownership, cache "
+                    "version fencing, the graph mutation journal protocol, "
+                    "suppression hygiene).",
     )
     add_arguments(parser)
     return run(parser.parse_args(argv))

@@ -263,8 +263,9 @@ class Rule:
     """Base class for lint rules.
 
     Per-file rules override :meth:`check_file`; cross-module rules (the
-    knob-protocol audit) override :meth:`check_project`, which sees every
-    file of the run at once.  A rule may implement both.
+    whole-program audits such as ``knob-flow``) override
+    :meth:`check_project`, which sees every file of the run at once.  A
+    rule may implement both.
     """
 
     rule_id: str = ""

@@ -20,7 +20,6 @@ from repro.lint.rules.float_fold import FloatFoldRule
 from repro.lint.rules.journal_hook import JournalHookRule
 from repro.lint.rules.kernel_ownership import KernelOwnershipRule
 from repro.lint.rules.knob_flow import KnobFlowRule
-from repro.lint.rules.knob_protocol import KnobProtocolRule
 from repro.lint.rules.rng_discipline import RngDisciplineRule
 from repro.lint.rules.suppression_stale import SuppressionStaleRule
 
@@ -31,7 +30,6 @@ __all__ = [
     "JournalHookRule",
     "KernelOwnershipRule",
     "KnobFlowRule",
-    "KnobProtocolRule",
     "RngDisciplineRule",
     "SuppressionStaleRule",
     "all_rule_ids",
@@ -42,7 +40,6 @@ __all__ = [
 def default_rules() -> List[Rule]:
     """Fresh instances of every shipped rule."""
     return [
-        KnobProtocolRule(),
         FloatFoldRule(),
         RngDisciplineRule(),
         EnvMirrorRule(),

@@ -12,9 +12,9 @@ lint run and shares it between rules:
   matching so the fixture corpus resolves under any root directory.
 * :mod:`repro.lint.semantics.symbols` — the symbol table: signatures of
   every module-level function and every method (positional/keyword-only
-  parameters, ``*args``/``**kwargs``, decorators), class layouts, the
-  ``ExperimentConfig`` field list, the ``set_default_*`` registry, and the
-  knob-name registry derived from the declared ``REPRO_*`` variables.
+  parameters, ``*args``/``**kwargs``, decorators), class layouts, and the
+  knob-name registry derived from the ``REPRO_*`` names the code spells
+  out (the rows of :mod:`repro.knobs`).
 * :mod:`repro.lint.semantics.callgraph` — the call-graph builder: per
   call site, the resolved callee (through import aliases, ``from x import
   y as z`` bindings, dotted module paths and ``self.``/class-name method

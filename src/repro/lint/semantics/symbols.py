@@ -125,50 +125,18 @@ class Project:
             info.source.path: ModuleSymbols(info) for info in self.index.modules
         }
         #: ``REPRO_*`` env value → every (file, declaring node) site, in
-        #: file order.  Declarations are ``X_ENV_VAR = "REPRO_X"``
-        #: constants and literal ``os.environ.get``/``os.getenv`` reads —
-        #: the same discovery the knob-protocol rule audits.
+        #: file order.  A declaration is any string literal that is exactly
+        #: a ``REPRO_*`` name — a row of the :mod:`repro.knobs` table, an
+        #: ``X_ENV_VAR = "REPRO_X"`` constant, an ``os.environ.get`` read.
         self.env_declarations: Dict[str, List[Tuple[SourceFile, ast.AST]]] = {}
-        #: ``ExperimentConfig`` field names seen anywhere in the run.
-        self.config_fields: Set[str] = set()
-        #: ``set_default_*`` / ``set_*_enabled`` override functions by name.
-        self.setter_registry: Dict[str, FunctionInfo] = {}
-        self._collect()
-
-    # ------------------------------------------------------------------
-    def _collect(self) -> None:
         for info in self.index.modules:
-            tree = info.source.tree
-            assert tree is not None
-            for node in ast.walk(tree):
-                value = ""
-                if isinstance(node, ast.Assign):
-                    if any(
-                        isinstance(target, ast.Name)
-                        and target.id.endswith("_ENV_VAR")
-                        for target in node.targets
-                    ):
-                        value = _env_constant(node.value)
-                elif isinstance(node, ast.Call):
-                    name = dotted_name(node.func)
-                    if name in ("os.environ.get", "os.getenv") and node.args:
-                        value = _env_constant(node.args[0])
-                elif isinstance(node, ast.ClassDef) and node.name == "ExperimentConfig":
-                    for statement in node.body:
-                        if isinstance(statement, ast.AnnAssign) and isinstance(
-                            statement.target, ast.Name
-                        ):
-                            self.config_fields.add(statement.target.id)
+            assert info.source.tree is not None
+            for node in ast.walk(info.source.tree):
+                value = _env_constant(node)
                 if value:
                     self.env_declarations.setdefault(value, []).append(
                         (info.source, node)
                     )
-            for function in self.symbols[info.source.path].functions.values():
-                if function.name.startswith("set_default_") or (
-                    function.name.startswith("set_")
-                    and function.name.endswith("_enabled")
-                ):
-                    self.setter_registry.setdefault(function.name, function)
 
     # ------------------------------------------------------------------
     def knob_names(self, exclude_parts: Sequence[str] = ()) -> Set[str]:

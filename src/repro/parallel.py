@@ -47,17 +47,14 @@ allocation fails.
 
 Configuration
 -------------
-The default worker count is resolved like the traversal backend: an explicit
-``workers=`` argument wins, then :func:`set_default_workers` (the CLI's
-``--workers`` flag), then the ``REPRO_WORKERS`` environment variable, then 0
-(serial).  The multiprocessing start method follows the same protocol:
-:func:`set_default_start_method` (the CLI's ``--start-method`` flag), then
-``REPRO_START_METHOD`` (``fork``/``spawn``/``forkserver``), then the
-platform default; everything shipped to workers is
+The worker count, the start method and the shared-memory handoff are the
+``workers``, ``start_method`` and ``shared_memory`` rows of
+:mod:`repro.knobs`: an explicit ``workers=`` argument wins, then the
+override (:func:`set_default_workers`, the CLI's ``--workers``), then
+``REPRO_WORKERS``, then 0 (serial); the start method falls back to the
+platform default, the handoff to on.  Everything shipped to workers is
 picklable top-level functions plus payload objects, so the pool is
 spawn-safe (CI runs the equivalence suite under ``spawn``).
-``REPRO_SHARED_MEMORY`` (``1``/``on`` — the default — or ``0``/``off``) and
-the CLI's ``--shared-memory`` flag control the zero-copy handoff.
 """
 
 from __future__ import annotations
@@ -66,59 +63,13 @@ import os
 import random
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
+from repro import knobs
+
 T = TypeVar("T")
 
-#: Environment variable providing the default worker count.
-WORKERS_ENV_VAR = "REPRO_WORKERS"
-
-#: Environment variable selecting the multiprocessing start method.
-START_METHOD_ENV_VAR = "REPRO_START_METHOD"
-
-#: Environment variable toggling the shared-memory CSR handoff
-#: (``1``/``on`` — the default — or ``0``/``off``).
-SHARED_MEMORY_ENV_VAR = "REPRO_SHARED_MEMORY"
-
-_START_METHODS = ("fork", "spawn", "forkserver")
-
-_TRUE_VALUES = ("1", "on", "true", "yes")
-_FALSE_VALUES = ("0", "off", "false", "no")
-
-#: Sentinel marking "no override active" for the displaced-env machinery.
-_UNSET = object()
-
-
-class EnvMirroredOverride:
-    """Process-wide override mirrored into an environment variable.
-
-    Every runtime knob that spawn/forkserver workers must agree on (worker
-    count, shared-memory handoff, the engine's DAG cache) follows the same
-    protocol: setting an override writes the encoded value into the
-    variable — ``fork`` children copy the module global, but ``spawn``
-    children re-import modules fresh and resolve from the environment — and
-    the *first* override displaces the variable's prior value so clearing
-    the override (``set(None)``) can put it back.
-    """
-
-    __slots__ = ("env_var", "_displaced")
-
-    def __init__(self, env_var: str) -> None:
-        self.env_var = env_var
-        self._displaced: object = _UNSET
-
-    def set(self, encoded: Optional[str]) -> None:
-        """Mirror ``encoded`` into the variable; ``None`` restores the
-        value the first override displaced."""
-        if encoded is None:
-            if self._displaced is not _UNSET:
-                if self._displaced is None:
-                    os.environ.pop(self.env_var, None)
-                else:
-                    os.environ[self.env_var] = self._displaced  # type: ignore[assignment]
-                self._displaced = _UNSET
-            return
-        if self._displaced is _UNSET:
-            self._displaced = os.environ.get(self.env_var)
-        os.environ[self.env_var] = encoded
+WORKERS_ENV_VAR = knobs.WORKERS.env
+START_METHOD_ENV_VAR = knobs.START_METHOD.env
+SHARED_MEMORY_ENV_VAR = knobs.SHARED_MEMORY.env
 
 #: Default number of BFS sources assigned to one worker task.
 SOURCE_CHUNK_SIZE = 32
@@ -128,144 +79,34 @@ SOURCE_CHUNK_SIZE = 32
 #: layout), so changing it changes sampled sequences — like changing a seed.
 SAMPLE_CHUNK_SIZE = 64
 
-_default_workers: Optional[int] = None
-_workers_env_mirror = EnvMirroredOverride(WORKERS_ENV_VAR)
-
-
-def _check_workers(value: int, *, source: str = "workers") -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(
-            f"{source} must be a non-negative int, got {type(value).__name__}"
-        )
-    if value < 0:
-        raise ValueError(f"{source} must be >= 0, got {value}")
-    return value
-
-
-def _env_workers() -> Optional[int]:
-    """Return the validated ``REPRO_WORKERS`` value, or ``None`` if unset."""
-    env = os.environ.get(WORKERS_ENV_VAR, "").strip()
-    if not env:
-        return None
-    try:
-        value = int(env)
-    except ValueError:
-        raise ValueError(
-            f"{WORKERS_ENV_VAR}={env!r} is not a valid worker count; "
-            "expected a non-negative integer"
-        ) from None
-    return _check_workers(value, source=WORKERS_ENV_VAR)
-
-
-def set_default_workers(workers: Optional[int]) -> None:
-    """Set (or with ``None`` clear) the process-wide default worker count.
-
-    ``0`` means serial in-process execution; it overrides any
-    ``REPRO_WORKERS`` environment variable.
-
-    The choice is mirrored into ``REPRO_WORKERS`` so helper processes
-    resolve the same default under every multiprocessing start method:
-    ``fork`` children copy the module global, but ``spawn``/``forkserver``
-    children re-import this module fresh and would otherwise fall back to
-    the parent's *original* environment.  ``None`` restores the environment
-    variable the first override displaced — the same semantics as
-    :func:`repro.engine.set_dag_cache_enabled`.
-    """
-    global _default_workers
-    if workers is not None:
-        _check_workers(workers)
-    _workers_env_mirror.set(None if workers is None else str(workers))
-    _default_workers = workers
-
-
-def default_workers() -> int:
-    """Return the worker count used when callers pass ``workers=None``.
-
-    Resolution order: :func:`set_default_workers` override, then the
-    ``REPRO_WORKERS`` environment variable, then 0 (serial).
-    """
-    if _default_workers is not None:
-        return _default_workers
-    env = _env_workers()
-    return 0 if env is None else env
+set_default_workers = knobs.WORKERS.override
+default_workers = knobs.WORKERS.resolve
+set_default_start_method = knobs.START_METHOD.override
+#: The configured start method (``None`` = the platform default).
+start_method = knobs.START_METHOD.resolve
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
     """Map a user-facing ``workers`` argument to a concrete count.
 
     ``0`` and ``1`` both execute in-process (a one-worker pool would only add
-    IPC overhead); counts above 1 use a process pool.
-
-    Every executor environment knob — ``REPRO_WORKERS``,
-    ``REPRO_START_METHOD`` and ``REPRO_SHARED_MEMORY`` — is validated here
-    eagerly (even when an explicit ``workers`` argument makes the variable
-    moot for this call), mirroring the eager ``REPRO_BACKEND`` validation in
-    :func:`repro.graphs.csr.resolve_backend`: a typo'd variable surfaces as
-    one clear error naming the variable at executor-configuration time
-    instead of mid-sweep.
+    IPC overhead); counts above 1 use a process pool.  The start-method and
+    shared-memory variables are validated here too, so a typo'd executor
+    variable fails at configuration time, naming the variable, instead of
+    mid-sweep.
     """
-    _env_workers()
-    _env_start_method()
-    shared_memory_enabled()
-    if workers is None:
-        return default_workers()
-    return _check_workers(workers)
-
-
-_default_start_method: Optional[str] = None
-_start_method_env_mirror = EnvMirroredOverride(START_METHOD_ENV_VAR)
-
-
-def _check_start_method(value: str, *, source: str = "start_method") -> str:
-    if value not in _START_METHODS:
-        raise ValueError(
-            f"{source}={value!r} is not a valid start method; "
-            f"choose one of {_START_METHODS} (the default can also be set via "
-            f"the {START_METHOD_ENV_VAR} environment variable)"
-        )
-    return value
-
-
-def _env_start_method() -> Optional[str]:
-    """Return the validated ``REPRO_START_METHOD`` value, or ``None`` if unset."""
-    env = os.environ.get(START_METHOD_ENV_VAR, "").strip().lower()
-    if not env:
-        return None
-    return _check_start_method(env, source=START_METHOD_ENV_VAR)
-
-
-def set_default_start_method(method: Optional[str]) -> None:
-    """Set (or with ``None`` clear) the process-wide default start method.
-
-    Mirrored into ``REPRO_START_METHOD`` via :class:`EnvMirroredOverride` so
-    helper processes (and benchmark subprocesses) resolve the same method;
-    ``None`` restores the environment variable the first override displaced —
-    the semantics shared by every knob's ``set_default_*`` mirror.
-    """
-    global _default_start_method
-    if method is not None:
-        _check_start_method(method)
-    _start_method_env_mirror.set(method)
-    _default_start_method = method
-
-
-def start_method() -> Optional[str]:
-    """The configured multiprocessing start method (``None`` = platform default).
-
-    Resolution order: :func:`set_default_start_method` override, then the
-    ``REPRO_START_METHOD`` environment variable, then ``None`` (let
-    :mod:`multiprocessing` pick the platform default).
-    """
-    if _default_start_method is not None:
-        return _default_start_method
-    return _env_start_method()
+    knobs.START_METHOD.resolve()
+    knobs.SHARED_MEMORY.resolve()
+    return knobs.WORKERS.resolve(workers)
 
 
 # ----------------------------------------------------------------------
 # Shared-memory CSR handoff
 # ----------------------------------------------------------------------
-_shared_memory_override: Optional[bool] = None
-_shared_env_mirror = EnvMirroredOverride(SHARED_MEMORY_ENV_VAR)
+#: Whether payloads should use the shared-memory handoff when possible;
+#: an enabled-but-unavailable handoff falls back to the pickle payload.
+shared_memory_enabled = knobs.SHARED_MEMORY.resolve
+set_shared_memory_enabled = knobs.SHARED_MEMORY.override
 
 #: Lazily-probed availability of numpy + multiprocessing.shared_memory.
 _shared_memory_probe: Optional[bool] = None
@@ -299,44 +140,6 @@ def shared_memory_available() -> bool:
         except ImportError:  # pragma: no cover - numpy-less installs
             _shared_memory_probe = False
     return _shared_memory_probe
-
-
-def shared_memory_enabled() -> bool:
-    """Whether payloads should use the shared-memory handoff when possible.
-
-    Resolution order: :func:`set_shared_memory_enabled` override, then the
-    ``REPRO_SHARED_MEMORY`` environment variable, then on.  Availability is
-    checked separately (:func:`shared_memory_available`); an enabled-but-
-    unavailable configuration falls back to the pickle payload silently.
-    """
-    if _shared_memory_override is not None:
-        return _shared_memory_override
-    env = os.environ.get(SHARED_MEMORY_ENV_VAR, "").strip().lower()
-    if not env:
-        return True
-    if env in _TRUE_VALUES:
-        return True
-    if env in _FALSE_VALUES:
-        return False
-    raise ValueError(
-        f"{SHARED_MEMORY_ENV_VAR}={env!r} is not a valid setting; use one of "
-        f"{_TRUE_VALUES} to enable or {_FALSE_VALUES} to disable"
-    )
-
-
-def set_shared_memory_enabled(enabled: Optional[bool]) -> None:
-    """Force the shared-memory handoff on/off process-wide.
-
-    Mirrored into ``REPRO_SHARED_MEMORY`` so worker processes inherit the
-    choice under every start method; ``None`` restores the environment
-    variable the first override displaced (the backend/workers/dag-cache
-    semantics).  The handoff never changes results, only wall-clock time.
-    """
-    global _shared_memory_override
-    _shared_env_mirror.set(
-        None if enabled is None else ("1" if enabled else "0")
-    )
-    _shared_memory_override = enabled
 
 
 def _export_array(data) -> Tuple[str, object]:

@@ -16,6 +16,12 @@ from repro.graphs.generators import (
 from repro.graphs.graph import Graph
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: runs a whole example script end to end"
+    )
+
+
 @pytest.fixture
 def triangle() -> Graph:
     """K3: one block, no cutpoints, every betweenness is 0."""

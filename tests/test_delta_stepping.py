@@ -8,6 +8,7 @@ the pure-Python degradation, and the small helpers the kernel builds on.
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
@@ -40,7 +41,7 @@ class TestSSSPKernelKnob:
         try:
             assert sssp.resolve_sssp_kernel() == "delta"
             # The override mirrors into the environment for spawn workers.
-            assert sssp._env_sssp_kernel() == "delta"
+            assert os.environ[sssp.SSSP_KERNEL_ENV_VAR] == "delta"
         finally:
             sssp.set_default_sssp_kernel(None)
         assert sssp.resolve_sssp_kernel() == "dijkstra"  # displaced env restored
@@ -107,7 +108,7 @@ class TestCompiledKnob:
         compiled_module.set_default_compiled("off")
         try:
             assert compiled_module.resolve_compiled() == "off"
-            assert compiled_module._env_compiled() == "off"
+            assert os.environ[compiled_module.COMPILED_ENV_VAR] == "off"
         finally:
             compiled_module.set_default_compiled(None)
 

@@ -32,7 +32,6 @@ from repro.lint.rules import (
     JournalHookRule,
     KernelOwnershipRule,
     KnobFlowRule,
-    KnobProtocolRule,
     RngDisciplineRule,
     SuppressionStaleRule,
 )
@@ -64,7 +63,6 @@ RULE_FIXTURES = [
     ("rng_discipline", "rng-discipline", lambda: [RngDisciplineRule()]),
     ("env_mirror", "env-mirror", lambda: [EnvMirrorRule()]),
     ("kernel_ownership", "kernel-ownership", lambda: [KernelOwnershipRule()]),
-    ("knob_protocol", "knob-protocol", lambda: [KnobProtocolRule(exclude_parts=())]),
     ("knob_flow", "knob-flow", lambda: [KnobFlowRule(exclude_parts=())]),
     (
         "cache_version_key",
@@ -114,18 +112,6 @@ class TestRuleFixtures:
         lines = sorted(f.line for f in report.findings)
         # private import, the while-frontier loop, and the attribute use.
         assert len(lines) == 3
-
-    def test_knob_protocol_names_every_missing_surface(self):
-        report = _lint_fixture(
-            KnobProtocolRule(exclude_parts=()),
-            FIXTURES / "knob_protocol" / "violation",
-        )
-        assert len(report.findings) == 1
-        message = report.findings[0].message
-        assert "REPRO_FROB" in message
-        assert "set_default_frob" in message
-        assert "--frob" in message
-        assert "ExperimentConfig.frob" in message
 
     def test_float_fold_ignores_non_kernel_modules(self):
         source = SourceFile("pkg/analysis.py", "total = values.sum()\n", KNOWN)
@@ -583,7 +569,7 @@ class TestCli:
                 sys.executable,
                 "-m",
                 "repro.lint",
-                str(FIXTURES / "knob_protocol" / "violation"),
+                str(FIXTURES / "knob_flow" / "violation"),
             ],
             capture_output=True,
             text=True,

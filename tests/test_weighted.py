@@ -4,6 +4,7 @@ weighted generators/datasets and the REPRO_WEIGHTED knob machinery."""
 from __future__ import annotations
 
 import math
+import os
 import random
 import warnings
 
@@ -275,7 +276,7 @@ class TestWeightedKnob:
         try:
             assert sssp.resolve_weighted() == "on"
             # The override mirrors into the environment for spawn workers.
-            assert sssp._env_weighted() == "on"
+            assert os.environ[sssp.WEIGHTED_ENV_VAR] == "on"
         finally:
             sssp.set_default_weighted(None)
         assert sssp.resolve_weighted() == "off"  # displaced env restored
