@@ -78,7 +78,7 @@ def _spread_nodes(graph, count: int):
 
 def _legacy_rows_chunk(payload, chunk):
     """The pre-fold worker task: per-source vectors shipped to the master."""
-    graph, backend = payload
+    graph, backend, use_weights = payload
     graph = parallel.resolve_payload_graph(graph)
     snapshot = csr_module.as_csr(graph)
     indices = [snapshot.index_of(source) for source in chunk]
@@ -115,7 +115,7 @@ def graphs():
 
 def _brandes_payload(graph, mode: str):
     parallel.set_shared_memory_enabled(mode == "partial-shared")
-    return (parallel.shareable_graph(graph, "csr"), "csr")
+    return (parallel.shareable_graph(graph, "csr"), "csr", False)
 
 
 def _run_brandes_sweep(task, payload, chunks, workers: int, n: int):
@@ -160,7 +160,7 @@ def test_bench_exact_brandes(benchmark, graphs, topology, mode, workers):
     # float rounding (its reassociation is exactly what the fold change
     # re-fixed as a pure function of the chunk layout).
     reference = _run_brandes_sweep(
-        _dependency_chunk, (graph, "csr"), chunks, 0, snapshot.n
+        _dependency_chunk, (graph, "csr", False), chunks, 0, snapshot.n
     )
     if mode == "legacy-rows":
         import numpy as np

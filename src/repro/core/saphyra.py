@@ -21,7 +21,7 @@ from repro.core.problem import HypothesisRankingProblem
 from repro.core.ranking import rank_scores
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.timing import StageTimings, Timer
-from repro.utils.validation import check_probability_pair
+from repro.utils.validation import check_probability_pair, check_sample_cap
 
 
 class SaPHyRa:
@@ -71,6 +71,7 @@ class SaPHyRa:
         workers: Optional[int] = None,
     ) -> None:
         check_probability_pair(epsilon, delta)
+        check_sample_cap(max_samples_cap)
         self.epsilon = epsilon
         self.delta = delta
         self.seed = seed

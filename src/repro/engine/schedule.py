@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Iterator, Optional
 
-from repro.utils.validation import check_probability_pair
+from repro.utils.validation import check_probability_pair, check_sample_cap
 
 
 class SampleSchedule:
@@ -46,8 +46,7 @@ class SampleSchedule:
     __slots__ = ("first_stage", "max_samples", "growth")
 
     def __init__(self, first_stage: int, max_samples: int, *, growth: float = 2.0) -> None:
-        if max_samples < 1:
-            raise ValueError(f"max_samples must be >= 1, got {max_samples}")
+        check_sample_cap(max_samples)
         if first_stage < 1:
             raise ValueError(f"first_stage must be >= 1, got {first_stage}")
         if growth <= 1.0:

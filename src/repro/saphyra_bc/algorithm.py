@@ -36,7 +36,7 @@ from repro.saphyra_bc.isp import PersonalizedISP
 from repro.saphyra_bc.vc_bounds import personalized_vc_dimension
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.timing import StageTimings
-from repro.utils.validation import check_probability_pair
+from repro.utils.validation import check_probability_pair, check_sample_cap
 
 Node = Hashable
 
@@ -198,6 +198,7 @@ class SaPHyRaBC:
         workers: Optional[int] = None,
     ) -> None:
         check_probability_pair(epsilon, delta)
+        check_sample_cap(max_samples_cap)
         self.epsilon = epsilon
         self.delta = delta
         self.seed = seed

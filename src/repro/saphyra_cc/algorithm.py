@@ -12,7 +12,7 @@ from repro.graphs.graph import Graph
 from repro.saphyra_cc.problem import ClosenessProblem
 from repro.utils.rng import SeedLike
 from repro.utils.timing import Timer
-from repro.utils.validation import check_probability_pair
+from repro.utils.validation import check_probability_pair, check_sample_cap
 
 Node = Hashable
 
@@ -98,6 +98,7 @@ class SaPHyRaCC:
         workers: Optional[int] = None,
     ) -> None:
         check_probability_pair(epsilon, delta)
+        check_sample_cap(max_samples_cap)
         self.epsilon = epsilon
         self.delta = delta
         self.seed = seed
@@ -113,6 +114,7 @@ class SaPHyRaCC:
         distance_bound: Optional[int] = None,
     ) -> ClosenessRankingResult:
         """Estimate closeness for ``targets`` and rank them."""
+        targets = list(targets)
         timer = Timer()
         with timer:
             problem = ClosenessProblem(
@@ -138,7 +140,7 @@ class SaPHyRaCC:
                 closeness[node] = problem.risk_to_closeness(risk)
 
         return ClosenessRankingResult(
-            targets=list(targets),
+            targets=targets,
             closeness=closeness,
             average_distance=average_distance,
             ranking=rank_scores(closeness),

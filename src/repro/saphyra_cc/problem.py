@@ -23,7 +23,7 @@ uniformly from ``V \\ A``.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Union
+from typing import Hashable, List, Mapping, Optional, Sequence, Union
 
 from repro.core.estimation import ExactEvaluation
 from repro.engine import dag_cache as _dag_cache
@@ -33,6 +33,9 @@ from repro.graphs.components import is_connected
 from repro.graphs.diameter import estimate_diameter
 from repro.graphs.graph import Graph
 from repro.utils.rng import SeedLike, ensure_rng
+
+if _csr.HAS_NUMPY:
+    import numpy as _np
 
 Node = Hashable
 
@@ -48,14 +51,23 @@ class ClosenessProblem:
         Target nodes to rank.
     distance_bound:
         Optional explicit upper bound ``D`` on hop distances; estimated from
-        the graph when omitted.
+        the graph when omitted.  An explicit bound below the largest
+        distance in the target rows raises :class:`ValueError`: sampled
+        losses are clipped at 1, the exact part is not, and the mix would
+        silently skew the answer.
     seed:
         Seed used only for the diameter estimate.
     backend:
         Traversal backend (``"dict"``, ``"csr"`` or ``None`` for the
-        default).  The CSR path reads target distances straight off the BFS
-        distance array instead of materialising per-node dicts; losses are
-        identical either way.
+        default).  The CSR path stacks the target rows into one
+        ``(n, |A|)`` table, so a chunk of samples is one row gather; the
+        dict path keeps one label-keyed distance map per target.  Losses
+        are identical either way.
+
+    Cost: ``|A|`` BFS rows at construction (``O(|A| (n + m))``), then
+    ``O(|A|)`` lookups per sample instead of a BFS of its own.  The target
+    rows are read in both directions, which is sound because the graph is
+    undirected and the distances are hop counts: ``d(t, v) = d(v, t)``.
     """
 
     def __init__(
@@ -87,44 +99,71 @@ class ClosenessProblem:
         self.targets = targets
         self._nodes = list(graph.nodes())
         self.n = graph.number_of_nodes()
-        # Target indices, target distances and the distance bound are all
-        # frozen at construction; sample-time traversals read the live graph
-        # (through the shared DAG cache).  Record the graph version so a
-        # post-construction mutation fails loudly instead of silently mixing
-        # stale per-target state with fresh distance rows.
+        # The target rows and the distance bound are frozen at construction
+        # and every loss is read off them.  Record the graph version so a
+        # post-construction mutation fails loudly instead of silently
+        # answering for the graph as it was.
         self._graph_version = graph._version
+        explicit_bound = distance_bound is not None
         if distance_bound is None:
             distance_bound = max(1, estimate_diameter(graph, seed))
         elif distance_bound < 1:
             raise ValueError(f"distance_bound must be >= 1, got {distance_bound}")
         self.distance_bound = distance_bound
 
-        # Exact subspace: distances from every target to every target.
+        # One BFS row per target: the exact subspace's target-target
+        # distances and, by symmetry, every sample's distances to A.
         self._target_set = set(targets)
-        self._backend = _csr.effective_backend(graph, backend)
-        if self._backend == _csr.CSR_BACKEND:
-            self._snapshot = _csr.as_csr(graph)
-            self._target_indices = [
-                self._snapshot.index_of(node) for node in targets
-            ]
-            # One BFS distance array per target (``-1`` = unreachable).
+        backend = _csr.effective_backend(graph, backend)
+        # ``_table`` (numpy CSR) or ``_target_rows`` (one row per target)
+        # holds the distances; ``_index`` maps labels to row keys (``None``
+        # when rows are label-keyed maps).
+        self._table = None
+        self._target_rows = None
+        if backend == _csr.CSR_BACKEND:
+            self._index = _csr.as_csr(graph).index
             # Rows come from the shared source-DAG cache (repeated target
             # sweeps on the same graph — epsilon grids, repeated ranks —
-            # reuse them); cache misses run as batched multi-source sweeps,
-            # so the per-target thin frontiers still merge into fat ones on
-            # road-style graphs.
-            self._target_distances = dict(
-                zip(targets, _dag_cache.source_distance_rows(graph, targets))
-            )
+            # reuse them); misses run as batched multi-source sweeps.
+            rows = _dag_cache.source_distance_rows(graph, targets)
+            if _csr.HAS_NUMPY:
+                # Row ``t`` of the table is ``d(t, A)``.
+                self._table = _np.stack(rows, axis=1)
+            else:
+                self._target_rows = rows
         else:
-            self._snapshot = None
-            self._target_indices = None
-            self._target_distances = {
-                node: _dag_cache.source_distance_map(
-                    graph, node, backend=self._backend
-                )
+            self._index = None
+            self._target_rows = [
+                _dag_cache.source_distance_map(graph, node, backend=backend)
                 for node in targets
-            }
+            ]
+        if explicit_bound:
+            largest = self._largest_distance()
+            if distance_bound < largest:
+                raise ValueError(
+                    f"distance_bound={distance_bound} is below the largest "
+                    f"target distance {largest}; pass a bound of at least "
+                    f"{largest} or omit it to use the diameter estimate"
+                )
+
+    def _largest_distance(self) -> int:
+        """The largest entry of the target rows (the largest loss numerator)."""
+        if self._table is not None:
+            return int(self._table.max())
+        if self._index is None:  # label-keyed distance maps
+            return max(max(distances.values()) for distances in self._target_rows)
+        return max(max(row) for row in self._target_rows)
+
+    def _distances_to_targets(self, nodes: Sequence[Node]):
+        """``d(t, v)`` for each node ``t`` (rows) and target ``v`` (columns).
+
+        Read off the target rows as ``d(v, t)``, equal by the symmetry of
+        hop distances in undirected graphs: no traversal runs.
+        """
+        keys = nodes if self._index is None else [self._index[node] for node in nodes]
+        if self._table is not None:
+            return self._table[keys]
+        return [[row[key] for row in self._target_rows] for key in keys]
 
     # ------------------------------------------------------------------
     @property
@@ -133,20 +172,11 @@ class ClosenessProblem:
 
     def exact_evaluation(self) -> ExactEvaluation:
         """Exact risks over the subspace ``{t : t in A}`` (mass ``|A| / n``)."""
-        risks: List[float] = []
         scale = 1.0 / (self.n * self.distance_bound)
-        for node in self.targets:
-            distances = self._target_distances[node]
-            if self._snapshot is not None:
-                total = 0
-                for other, other_index in zip(self.targets, self._target_indices):
-                    if other != node:
-                        total += int(distances[other_index])
-            else:
-                total = sum(
-                    distances[other] for other in self.targets if other != node
-                )
-            risks.append(total * scale)
+        # Column ``v`` holds ``d(t, v)`` for every target ``t``; the
+        # target's own entry is ``d(v, v) = 0``.
+        block = self._distances_to_targets(self.targets)
+        risks = [int(sum(column)) * scale for column in zip(*block)]
         return ExactEvaluation(lambda_exact=len(self.targets) / self.n, risks=risks)
 
     #: ``sample_losses`` takes a draw count, so the sampling engine hands it
@@ -158,19 +188,18 @@ class ClosenessProblem:
     ) -> Union[Mapping[int, float], List[Mapping[int, float]]]:
         """Draw ``t`` uniformly from ``V \\ A`` and return all target losses.
 
-        Unlike betweenness, closeness losses are dense: one BFS from the
-        sampled node yields the distance to every target.
+        Unlike betweenness, closeness losses are dense: a sample has a loss
+        ``min(1, d(v, t) / D)`` for every target ``v``.  The distances are
+        entries of the target rows held since construction (``d(t, v) =
+        d(v, t)`` on undirected graphs), so a sample costs ``O(|A|)``
+        lookups and runs no traversal.
 
         With ``draws`` the call makes that many draws and returns the list
-        of their losses in draw order.  All sample nodes are drawn first; a
-        distance row consumes no randomness, so the RNG sequence, and with
-        it every loss, is that of ``draws`` single calls.  On the CSR
-        backend the rows then come in sub-batches of
-        :func:`repro.graphs.csr.distance_sweep_batch` sources — cache hits
-        plus one stacked multi-source sweep for the misses — and each
-        sub-batch becomes losses before the next is swept, so at most one
-        sweep batch of rows is held.  The dict backend has no stacked
-        kernel and fetches one distance map per draw.
+        of their losses in draw order.  All sample nodes are drawn first;
+        reading their losses consumes no randomness, so the RNG sequence,
+        and with it every loss, is that of ``draws`` single calls.  On the
+        CSR backend the chunk's losses come from one gather of the stacked
+        target table.
         """
         from repro.errors import SamplingError
 
@@ -193,43 +222,16 @@ class ClosenessProblem:
                 if sample not in self._target_set:
                     break
             samples.append(sample)
-        losses: List[Mapping[int, float]] = []
-        if self._snapshot is not None:
-            step = _csr.distance_sweep_batch(self._snapshot)
-            for start in range(0, len(samples), step):
-                rows = _dag_cache.source_distance_rows(
-                    self.graph, samples[start : start + step]
-                )
-                losses.extend(map(self._row_losses, rows))
+        bound = self.distance_bound
+        distances = self._distances_to_targets(samples)
+        if self._table is not None:
+            table = _np.minimum(1.0, distances / bound).tolist()
         else:
-            for sample in samples:
-                distances = _dag_cache.source_distance_map(
-                    self.graph, sample, backend=self._backend
-                )
-                losses.append(self._map_losses(distances))
+            table = [
+                [min(1.0, distance / bound) for distance in row] for row in distances
+            ]
+        losses: List[Mapping[int, float]] = [dict(enumerate(row)) for row in table]
         return losses[0] if draws is None else losses
-
-    def _row_losses(self, dist) -> Dict[int, float]:
-        """Target losses from one CSR distance row (``-1`` = unreachable)."""
-        bound = self.distance_bound
-        losses: Dict[int, float] = {}
-        for index, target_index in enumerate(self._target_indices):
-            distance = int(dist[target_index])
-            if distance < 0:  # pragma: no cover - connected graphs
-                distance = bound
-            losses[index] = min(1.0, distance / bound)
-        return losses
-
-    def _map_losses(self, distances: Mapping[Node, int]) -> Dict[int, float]:
-        """Target losses from one label-keyed distance map."""
-        bound = self.distance_bound
-        losses: Dict[int, float] = {}
-        for index, node in enumerate(self.targets):
-            distance = distances.get(node)
-            if distance is None:  # pragma: no cover - connected graphs
-                distance = bound
-            losses[index] = min(1.0, distance / bound)
-        return losses
 
     def vc_dimension(self) -> float:
         """Pseudo-dimension bound for the [0, 1]-valued distance losses.

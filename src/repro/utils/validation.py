@@ -7,6 +7,7 @@ algorithm code focused on the algorithm.
 from __future__ import annotations
 
 from numbers import Real
+from typing import Optional
 
 
 def check_positive(value: Real, name: str) -> None:
@@ -44,3 +45,9 @@ def check_probability_pair(epsilon: Real, delta: Real) -> None:
     """Validate an ``(epsilon, delta)`` accuracy/confidence pair."""
     check_in_unit_interval(epsilon, "epsilon")
     check_in_unit_interval(delta, "delta")
+
+
+def check_sample_cap(cap: Optional[int]) -> None:
+    """Reject a sample cap below 1 (``None`` means uncapped)."""
+    if cap is not None and cap < 1:
+        raise ValueError(f"max_samples must be >= 1, got {cap}")

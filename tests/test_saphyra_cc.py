@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.centrality.closeness import closeness_centrality
+from repro.datasets import random_subset
+from repro.datasets.synthetic import karate_club_graph
 from repro.errors import GraphError, SamplingError
-from repro.graphs.generators import complete_graph, path_graph
+from repro.graphs.generators import (
+    barabasi_albert_graph,
+    complete_graph,
+    grid_road_graph,
+    path_graph,
+)
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import bfs_distances
 from repro.metrics.rank_correlation import spearman_rank_correlation
@@ -61,12 +70,88 @@ class TestClosenessProblem:
         problem = ClosenessProblem(karate, [0, 1, 2, 3], distance_bound=5)
         assert 0 <= problem.vc_dimension() <= 3
 
+    def test_distance_bound_below_largest_distance_raises(self, karate):
+        # Node 16 is 5 hops from the farthest node; a bound of 2 would clip
+        # sampled losses at 1 but leave the exact part unclipped.
+        with pytest.raises(ValueError, match=r"distance_bound=2 .* 5"):
+            ClosenessProblem(karate, [0, 5, 16, 33], distance_bound=2)
+        result = SaPHyRaCC(epsilon=0.05, delta=0.1, seed=1).rank(
+            karate, [0, 5, 16, 33], distance_bound=5
+        )
+        assert result.distance_bound == 5
+        exact = 1.0 / closeness_centrality(karate, nodes=[16])[16]
+        assert abs(result.average_distance[16] - exact) < 0.3
+
     def test_risk_round_trip(self, karate):
         problem = ClosenessProblem(karate, [0], distance_bound=5)
         # A node at average distance 2 has closeness 0.5.
         risk = 2.0 * (34 - 1) / (34 * 5)
         assert problem.risk_to_average_distance(risk) == pytest.approx(2.0)
         assert problem.risk_to_closeness(risk) == pytest.approx(0.5)
+
+
+class _ScriptedRandom(random.Random):
+    """An RNG whose ``randrange`` replays a fixed list of positions."""
+
+    def __init__(self, positions):
+        super().__init__(0)
+        self._positions = iter(positions)
+
+    def randrange(self, *args):
+        return next(self._positions)
+
+
+_REFERENCE_GRAPHS = [
+    pytest.param(karate_club_graph, id="karate"),
+    pytest.param(lambda: grid_road_graph(12, 12, seed=1)[0], id="grid"),
+    pytest.param(lambda: barabasi_albert_graph(250, 3, seed=2), id="social"),
+]
+
+
+class TestSampleLossesFromTargetRows:
+    """Sampled losses are read off the target rows, never a sample's BFS."""
+
+    @pytest.mark.parametrize("backend", ["dict", "csr"])
+    @pytest.mark.parametrize("make_graph", _REFERENCE_GRAPHS)
+    def test_losses_match_a_fresh_bfs_from_every_sample(self, make_graph, backend):
+        graph = make_graph()
+        targets = random_subset(graph, 8, 1)
+        problem = ClosenessProblem(graph, targets, seed=3, backend=backend)
+        bound = problem.distance_bound
+        # Scripting every node position in turn makes the draws visit each
+        # non-target node once, in node order (targets are redrawn).
+        target_set = set(targets)
+        others = [node for node in graph.nodes() if node not in target_set]
+        rng = _ScriptedRandom(range(graph.number_of_nodes()))
+        losses = problem.sample_losses(rng, len(others))
+        for sample, sampled in zip(others, losses):
+            distances = bfs_distances(graph, sample)
+            assert sampled == {
+                index: min(1.0, distances[target] / bound)
+                for index, target in enumerate(targets)
+            }
+
+    @pytest.mark.parametrize("backend", ["dict", "csr"])
+    def test_sampling_runs_no_traversal(self, backend, monkeypatch):
+        from repro.engine import dag_cache
+        from repro.graphs import csr
+
+        graph = barabasi_albert_graph(250, 3, seed=2)
+        problem = ClosenessProblem(
+            graph, random_subset(graph, 10, 4), seed=3, backend=backend
+        )
+        expected = problem.sample_losses(random.Random(5), 64)
+
+        def no_traversal(*args, **kwargs):
+            raise AssertionError("sample_losses must not traverse the graph")
+
+        for module, name in (
+            (dag_cache, "source_distance_rows"),
+            (dag_cache, "source_distance_map"),
+            (csr, "multi_source_sweep"),
+        ):
+            monkeypatch.setattr(module, name, no_traversal)
+        assert problem.sample_losses(random.Random(5), 64) == expected
 
 
 class TestSaPHyRaCC:
@@ -109,6 +194,17 @@ class TestSaPHyRaCC:
         result = SaPHyRaCC(epsilon=0.1, delta=0.1, seed=3).rank(karate, [0, 9, 16])
         values = [result.closeness[node] for node in result.ranking]
         assert values == sorted(values, reverse=True)
+
+    def test_iterator_targets_match_list_targets(self, karate):
+        targets = [0, 5, 16, 33]
+        from_list = SaPHyRaCC(epsilon=0.1, delta=0.1, seed=4).rank(karate, targets)
+        from_iter = SaPHyRaCC(epsilon=0.1, delta=0.1, seed=4).rank(
+            karate, iter(targets)
+        )
+        assert from_iter.targets == from_list.targets == targets
+        assert from_iter.closeness == from_list.closeness
+        assert from_iter.ranking == from_list.ranking
+        assert from_iter.num_samples == from_list.num_samples
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

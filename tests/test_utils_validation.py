@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import SaPHyRa
+from repro.saphyra_bc import SaPHyRaBC
+from repro.saphyra_cc import SaPHyRaCC
 from repro.utils.validation import (
     check_in_unit_interval,
     check_non_negative,
     check_positive,
     check_probability_pair,
+    check_sample_cap,
 )
 
 
@@ -64,3 +68,15 @@ class TestCheckProbabilityPair:
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError, match="delta"):
             check_probability_pair(0.05, 1.0)
+
+
+class TestCheckSampleCap:
+    @pytest.mark.parametrize("cap", [None, 1, 500])
+    def test_accepts_none_and_positive(self, cap):
+        check_sample_cap(cap)
+
+    @pytest.mark.parametrize("cap", [0, -5])
+    @pytest.mark.parametrize("estimator", [SaPHyRa, SaPHyRaBC, SaPHyRaCC])
+    def test_estimators_reject_caps_below_one(self, estimator, cap):
+        with pytest.raises(ValueError, match=f"max_samples must be >= 1, got {cap}"):
+            estimator(0.1, 0.1, max_samples_cap=cap)
