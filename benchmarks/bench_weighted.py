@@ -1,7 +1,7 @@
-"""Weighted SSSP engine benchmarks: BFS vs Dijkstra vs delta-stepping, and
-weighted Brandes/closeness end-to-end.
+"""Weighted SSSP engine benchmarks: BFS vs Dijkstra, and weighted
+Brandes/closeness end-to-end.
 
-Four comparisons, each on a road grid and a BA social graph (scaled by
+Three comparisons, each on a road grid and a BA social graph (scaled by
 ``REPRO_BENCH_WEIGHTED_SCALE``):
 
 * **Engine A/B on unit weights** — the same unit-weight graph through the
@@ -13,10 +13,6 @@ Four comparisons, each on a road grid and a BA social graph (scaled by
   hash-based adjacency vs the flat CSR arrays (bit-identical results).
 * **Weighted exact centrality** — weighted Brandes and weighted closeness
   on the weighted generators registered in the dataset registry.
-* **Batched sweep kernels** — K stacked weighted sources through per-source
-  Dijkstra vs the delta-stepping bucket kernel (``sssp_kernel`` knob, same
-  CSR backend, bit-identical rows).  ``benchmarks/check_weighted_baseline.py``
-  asserts the speedup floor recorded in ``BENCH_weighted.json`` in CI.
 
 The bit-identity of dict/CSR weighted results is asserted inside the
 benches themselves, so a kernel regression fails loudly here as well as in
@@ -155,65 +151,6 @@ def test_bench_weighted_closeness(benchmark, weighted_graphs, topology):
     )
     assert set(scores) == set(nodes)
     assert scores == closeness_centrality(graph, nodes, backend="dict")
-
-
-def _sweep_sources(snapshot, count: int = 32):
-    step = max(1, snapshot.n // count)
-    return list(range(0, snapshot.n, step))[:count]
-
-
-@pytest.mark.parametrize("kernel", ("dijkstra", "delta"))
-@pytest.mark.parametrize("topology", TOPOLOGIES)
-def test_bench_batched_sweep_kernels(benchmark, weighted_graphs, topology, kernel):
-    """Batched weighted distance sweeps: per-source Dijkstra vs the
-    delta-stepping bucket kernel (same CSR backend, bit-identical rows).
-
-    This is the PR 6 headline comparison — the ``auto`` kernel routing
-    sends exactly this shape of work (K stacked weighted sources) to the
-    bucket kernel.
-    """
-    graph = weighted_graphs[topology]
-    snapshot = csr_module.as_csr(graph)
-    sources = _sweep_sources(snapshot)
-
-    rows = benchmark(
-        lambda: csr_module.multi_source_sweep(
-            snapshot, sources, kind="distance", weighted=True, sssp_kernel=kernel
-        )
-    )
-    assert len(rows) == len(sources)
-    # Bit-identity cross-check against the other kernel on the first rows.
-    other = "delta" if kernel == "dijkstra" else "dijkstra"
-    check = csr_module.multi_source_sweep(
-        snapshot, sources[:4], kind="distance", weighted=True, sssp_kernel=other
-    )
-    for mine, theirs in zip(rows[:4], check):
-        assert list(mine) == list(theirs)
-
-
-@pytest.mark.parametrize("kernel", ("dijkstra", "delta"))
-@pytest.mark.parametrize("topology", TOPOLOGIES)
-def test_bench_batched_sigma_sweep_kernels(
-    benchmark, weighted_graphs, topology, kernel
-):
-    """Batched weighted sigma sweeps (the sampling engine's workload)."""
-    graph = weighted_graphs[topology]
-    snapshot = csr_module.as_csr(graph)
-    sources = _sweep_sources(snapshot)
-
-    rows = benchmark(
-        lambda: csr_module.multi_source_sweep(
-            snapshot, sources, kind="sigma", weighted=True, sssp_kernel=kernel
-        )
-    )
-    assert len(rows) == len(sources)
-    other = "delta" if kernel == "dijkstra" else "dijkstra"
-    check = csr_module.multi_source_sweep(
-        snapshot, sources[:2], kind="sigma", weighted=True, sssp_kernel=other
-    )
-    for (dist_a, sigma_a), (dist_b, sigma_b) in zip(rows[:2], check):
-        assert list(dist_a) == list(dist_b)
-        assert list(sigma_a) == list(sigma_b)
 
 
 def test_weighted_full_betweenness_smoke(weighted_graphs):

@@ -13,10 +13,33 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro import knobs
 from repro._version import __version__
+from repro.utils.validation import check_in_unit_interval
+
+
+def _unit_interval(text: str) -> float:
+    """argparse ``type=`` for ``--epsilon``/``--delta``: a float in (0, 1).
+
+    A bad value becomes a usage error (exit 2) naming the flag instead of
+    a traceback from the first estimator.
+    """
+    try:
+        value = float(text)
+        check_in_unit_interval(value, "the value")
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+    return value
+
+
+def _unit_interval_list(text: str) -> Tuple[float, ...]:
+    """argparse ``type=`` for ``--epsilons``: comma-separated values in (0, 1)."""
+    values = tuple(_unit_interval(token) for token in text.split(",") if token.strip())
+    if not values:
+        raise argparse.ArgumentTypeError("expected at least one value")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -34,8 +57,8 @@ def build_parser() -> argparse.ArgumentParser:
     rank.add_argument("--scale", type=float, default=0.25, help="dataset scale factor")
     rank.add_argument("--subset-size", type=int, default=20, help="random target-subset size")
     rank.add_argument("--targets", default=None, help="comma-separated node ids (overrides --subset-size)")
-    rank.add_argument("--epsilon", type=float, default=0.05)
-    rank.add_argument("--delta", type=float, default=0.01)
+    rank.add_argument("--epsilon", type=_unit_interval, default=0.05)
+    rank.add_argument("--delta", type=_unit_interval, default=0.01)
     rank.add_argument("--seed", type=int, default=7)
     rank.add_argument("--top", type=int, default=10, help="how many ranked nodes to print")
     knobs.add_cli_flags(rank)
@@ -48,8 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--dataset", default="karate")
     compare.add_argument("--scale", type=float, default=0.25)
     compare.add_argument("--subset-size", type=int, default=30)
-    compare.add_argument("--epsilon", type=float, default=0.05)
-    compare.add_argument("--delta", type=float, default=0.01)
+    compare.add_argument("--epsilon", type=_unit_interval, default=0.05)
+    compare.add_argument("--delta", type=_unit_interval, default=0.01)
     compare.add_argument("--seed", type=int, default=7)
     compare.add_argument(
         "--estimators", default="saphyra,kadabra,abra",
@@ -75,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     figure.add_argument("--num-subsets", type=int, default=2)
     figure.add_argument("--subset-size", type=int, default=30)
     figure.add_argument(
-        "--epsilons", default=None,
+        "--epsilons", type=_unit_interval_list, default=None,
         help="comma-separated epsilon grid, e.g. '0.2,0.1,0.05'",
     )
     figure.add_argument(
@@ -307,9 +330,7 @@ def _command_figure(args) -> int:
     if datasets is not None:
         overrides["datasets"] = datasets
     if args.epsilons is not None:
-        overrides["epsilons"] = tuple(
-            float(token) for token in args.epsilons.split(",") if token.strip()
-        )
+        overrides["epsilons"] = args.epsilons
     config = ExperimentConfig(
         scale=args.scale,
         seed=args.seed,

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 from repro import knobs
+from repro.utils.validation import check_probability_pair, check_sample_cap
 
 
 @dataclass
@@ -44,9 +45,9 @@ class ExperimentConfig:
     max_samples_cap:
         Hard cap on per-run sample counts, keeping worst-case bench times
         bounded (``None`` disables the cap).
-    backend, weighted, sssp_kernel, compiled, workers, start_method,
-    dag_cache, dag_cache_size, dag_cache_budget, dag_cache_delta,
-    delta_journal_size, shared_memory, snapshot_dir, mmap:
+    backend, weighted, workers, start_method, dag_cache, dag_cache_size,
+    dag_cache_budget, dag_cache_delta, delta_journal_size, shared_memory,
+    snapshot_dir, mmap:
         The runtime knobs, one per row of :data:`repro.knobs.KNOBS`.
         ``None`` (the default) leaves the knob's ``REPRO_*`` variable (or
         its built-in default) in charge; a value is validated by its row
@@ -77,8 +78,6 @@ class ExperimentConfig:
     delta_journal_size: Optional[int] = None
     shared_memory: Optional[bool] = None
     weighted: Optional[str] = None
-    sssp_kernel: Optional[str] = None
-    compiled: Optional[str] = None
     snapshot_dir: Optional[str] = None
     mmap: Optional[str] = None
 
@@ -87,10 +86,16 @@ class ExperimentConfig:
             raise ValueError(f"scale must be > 0, got {self.scale}")
         if self.subset_size < 2:
             raise ValueError(f"subset_size must be >= 2, got {self.subset_size}")
+        for size in self.subset_sizes:
+            if size < 2:
+                raise ValueError(f"subset_sizes entries must be >= 2, got {size}")
         if self.num_subsets < 1:
             raise ValueError(f"num_subsets must be >= 1, got {self.num_subsets}")
         if not self.epsilons:
             raise ValueError("epsilons must not be empty")
+        for epsilon in self.epsilons:
+            check_probability_pair(epsilon, self.delta)
+        check_sample_cap(self.max_samples_cap)
         unknown = set(self.algorithms) - {"abra", "kadabra", "saphyra_full", "saphyra"}
         if unknown:
             raise ValueError(f"unknown algorithms: {sorted(unknown)}")

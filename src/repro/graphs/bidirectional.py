@@ -42,7 +42,7 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.errors import GraphError, SamplingError
 from repro.graphs import csr as _csr
-from repro.graphs.csr import sigma_choice as _weighted_choice
+from repro.graphs.csr import sigma_choice
 from repro.graphs.graph import Graph
 from repro.utils.rng import SeedLike, ensure_rng
 
@@ -132,7 +132,7 @@ class BidirectionalBFSResult:
         # Pick the cut node proportional to the number of paths through it;
         # here and in the walks back, a lone candidate consumes no draw.
         nodes = list(self.cut_nodes)
-        middle = nodes[0] if len(nodes) == 1 else _weighted_choice(
+        middle = nodes[0] if len(nodes) == 1 else sigma_choice(
             nodes, [a * b for a, b in self.cut_nodes.values()], rng
         )
         first_half = self._forward.sample_path_to(middle, rng)
@@ -199,7 +199,7 @@ class _SearchSide:
             preds = [w for w in adj[node] if dist.get(w) == depth]
             node = (
                 preds[0] if len(preds) == 1
-                else _weighted_choice(preds, [sigma[w] for w in preds], rng)
+                else sigma_choice(preds, [sigma[w] for w in preds], rng)
             )
             path.append(node)
         path.reverse()
@@ -239,7 +239,7 @@ class _SweepSide:
                 ]
             flat = (
                 preds[0] if len(preds) == 1
-                else _weighted_choice(preds, [sigma[p] for p in preds], rng)
+                else sigma_choice(preds, [sigma[p] for p in preds], rng)
             )
             current = flat >> shift
             path.append(current)

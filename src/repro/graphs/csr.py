@@ -799,25 +799,6 @@ def sigma_choice(items: Sequence, weights: Sequence[int], rng):
     return items[-1]
 
 
-def weighted_choice(items: Sequence, weights: Sequence[int], rng):
-    """Deprecated alias of :func:`sigma_choice`.
-
-    "weighted" refers to *edge weights* throughout the codebase since the
-    weighted SSSP engine landed; the sampling-weight helper is
-    ``sigma_choice``.  This wrapper warns once per call site and will be
-    removed in a future release.
-    """
-    import warnings
-
-    warnings.warn(
-        "weighted_choice is deprecated; use sigma_choice (the probability "
-        "weights here are shortest-path counts, not edge weights)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return sigma_choice(items, weights, rng)
-
-
 # ---------------------- the level-expansion kernel --------------------
 #
 # The expansion kernel is *hybrid*: each BFS level is expanded either with
@@ -1799,31 +1780,13 @@ def csr_dijkstra_distances(csr: CSRGraph, source: int, *, with_order: bool = Fal
 def weighted_backward_dependencies(dag: CSRShortestPathDAG):
     """Backward Brandes accumulation over a weighted DAG's settle order.
 
-    The single copy of the weighted backward pass, shared by
-    :func:`csr_dijkstra_brandes` and the delta-stepping kernel: node by
-    node in reverse settle order, predecessors in append order, exactly
-    the dict reference's float addition sequence.  When the compiled tier
-    (:mod:`repro.graphs.compiled`) is on, a structurally identical numba
-    loop runs instead — same scalar operations in the same order, fastmath
-    disabled, so the floats are bit-identical either way.
+    The backward half of :func:`csr_dijkstra_brandes`: node by node in
+    reverse settle order, predecessors in append order, exactly the dict
+    reference's float addition sequence.
     """
     n = dag.csr.n
     sigma = dag.sigma
     pred_indptr, pred_indices = dag.pred_indptr, dag.pred_indices
-    if HAS_NUMPY and not isinstance(dag.order, list):
-        from repro.graphs import compiled as _compiled
-
-        kernel = _compiled.get_kernel("brandes_backward")
-        if kernel is not None:
-            delta = _np.zeros(n, dtype=_np.float64)
-            kernel(
-                dag.order,
-                pred_indptr,
-                pred_indices,
-                _np.asarray(sigma, dtype=_np.float64),
-                delta,
-            )
-            return delta
     delta = [0.0] * n
     order = dag.order if isinstance(dag.order, list) else dag.order.tolist()
     for node in reversed(order):
@@ -1857,30 +1820,21 @@ def csr_sssp_dag(
     weighted: bool = False,
     max_depth: Optional[int] = None,
     float_sigma: bool = False,
-    sssp_kernel: Optional[str] = None,
 ) -> CSRShortestPathDAG:
     """The one SSSP entry point: route to the BFS or the Dijkstra engine.
 
     ``weighted=False`` is the exact historical
-    :func:`csr_shortest_path_dag` BFS path; ``weighted=True`` runs the
-    weighted kernel ``sssp_kernel`` selects (edge weights, or implicit
-    ``1.0`` on an unweighted snapshot): Dijkstra by default for
-    single-source calls, delta-stepping when forced — the two are
-    bit-identical, see :mod:`repro.graphs.delta_stepping`.  ``max_depth``
-    is a hop-count cap and therefore only meaningful for the BFS engine.
+    :func:`csr_shortest_path_dag` BFS path; ``weighted=True`` runs
+    :func:`csr_dijkstra_dag` (edge weights, or implicit ``1.0`` on an
+    unweighted snapshot).  ``max_depth`` is a hop-count cap and therefore
+    only meaningful for the BFS engine.
     """
     if weighted:
         if max_depth is not None:
             raise ValueError(
                 "max_depth is a hop-count cap; it is not supported by the "
-                "weighted (Dijkstra/delta-stepping) SSSP engine"
+                "weighted (Dijkstra) SSSP engine"
             )
-        from repro.graphs import sssp as _sssp
-
-        if _sssp.effective_sssp_kernel(sssp_kernel) == _sssp.KERNEL_DELTA:
-            from repro.graphs import delta_stepping as _delta
-
-            return _delta.csr_delta_dag(csr, source, float_sigma=float_sigma)
         return csr_dijkstra_dag(csr, source, float_sigma=float_sigma)
     return csr_shortest_path_dag(
         csr, source, max_depth=max_depth, float_sigma=float_sigma
@@ -1941,7 +1895,6 @@ def multi_source_sweep(
     batch_size: Optional[int] = None,
     direction: Optional[str] = None,
     weighted: bool = False,
-    sssp_kernel: Optional[str] = None,
 ) -> List[object]:
     """Run one sweep per source, ``batch_size`` sources at a time.
 
@@ -1981,17 +1934,10 @@ def multi_source_sweep(
         either way, only wall-clock time changes.  Order-sensitive kinds
         (``"sigma"``, ``"brandes"``) always run top-down.
     weighted:
-        Run the weighted SSSP engine instead of BFS; float distance rows
-        (``-1.0`` = unreachable).  ``direction`` is ignored (there is no
-        bottom-up step to take).
-    sssp_kernel:
-        Weighted kernel choice (``"auto"``/``"dijkstra"``/``"delta"``, see
-        :mod:`repro.graphs.sssp`).  ``"auto"`` batches multi-source sweeps
-        through the delta-stepping kernel
-        (:func:`repro.graphs.delta_stepping.delta_sweep` — stacked bucket
-        frontiers, the weighted analogue of the BFS level batching) and
-        keeps single-source sweeps on the per-source Dijkstra loop.  The
-        kernels are bit-identical, so the knob affects speed only.
+        Run the weighted SSSP engine instead of BFS: one per-source
+        Dijkstra per source, float distance rows (``-1.0`` = unreachable).
+        ``batch_size`` and ``direction`` are ignored (there is nothing to
+        stack and no bottom-up step to take).
 
     Without numpy the batched layout has nothing to vectorise, so the
     function falls back to the per-source pure-Python kernels (results are
@@ -2020,17 +1966,6 @@ def multi_source_sweep(
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     results: List[object] = []
     if weighted:
-        from repro.graphs import sssp as _sssp
-
-        kernel = _sssp.effective_sssp_kernel(
-            sssp_kernel, batched=len(source_list) > 1
-        )
-        if kernel == _sssp.KERNEL_DELTA:
-            from repro.graphs import delta_stepping as _delta
-
-            return _delta.delta_sweep(
-                csr, source_list, kind=kind, batch_size=batch_size
-            )
         for source in source_list:
             if kind == SWEEP_DISTANCE:
                 results.append(csr_dijkstra_distances(csr, source))

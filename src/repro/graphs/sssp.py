@@ -25,19 +25,6 @@ boolean per graph:
   (the unit-weight A/B used by the equivalence tests and benchmarks).
 * ``"off"``: ignore weights and run hop-distance BFS even on weighted
   graphs.
-
-This module also owns the **weighted kernel knob**: once the weighted
-engine is selected, the ``sssp_kernel`` row (``"auto"``/``"dijkstra"``/
-``"delta"``, ``REPRO_SSSP_KERNEL``, :func:`set_default_sssp_kernel`) picks
-the *execution strategy* — the per-source binary-heap Dijkstra, or
-the bucket-synchronous delta-stepping kernel of
-:mod:`repro.graphs.delta_stepping`.  The two
-kernels are **bit-identical** (distances, exact sigma, predecessor append
-order, settle order, sampled paths — the delta kernel re-pins Dijkstra's
-exact ``(distance, push counter)`` settle order from the final
-distances), so like the ``backend`` and ``direction`` knobs this choice
-affects speed only.  The dict backend always runs the reference Dijkstra
-— it *is* the reference both kernels are pinned to.
 """
 
 from __future__ import annotations
@@ -70,44 +57,3 @@ def effective_weighted(graph, weighted: Optional[str] = None) -> bool:
     if mode == WEIGHTED_OFF:
         return False
     return bool(getattr(graph, "is_weighted", False))
-
-
-# ---------------------------------------------------------------------------
-# Weighted kernel selection (Dijkstra vs delta-stepping)
-# ---------------------------------------------------------------------------
-
-KERNEL_AUTO = "auto"
-KERNEL_DIJKSTRA = "dijkstra"
-KERNEL_DELTA = "delta"
-
-SSSP_KERNEL_ENV_VAR = knobs.SSSP_KERNEL.env
-default_sssp_kernel = knobs.SSSP_KERNEL.resolve
-set_default_sssp_kernel = knobs.SSSP_KERNEL.override
-resolve_sssp_kernel = knobs.SSSP_KERNEL.resolve
-
-
-def effective_sssp_kernel(
-    kernel: Optional[str] = None, *, batched: bool = False
-) -> str:
-    """Resolve ``sssp_kernel`` to a concrete kernel for one weighted run.
-
-    ``"auto"`` picks delta-stepping for *batched* multi-source sweeps when
-    numpy is available — fat stacked frontiers are where the bucket kernel
-    beats the per-source heap — and stays on Dijkstra for single-source
-    calls (sampler DAG construction), whose thin frontiers favour the
-    heap.  Forcing ``"delta"`` routes every weighted call through the
-    bucket kernel; without numpy the pure-python bucket loop runs (same
-    results, interpreter speed), mirroring the no-numpy CSR degradation.
-
-    The dict backend ignores the knob: it *is* the Dijkstra reference both
-    CSR kernels are pinned bit-identical to, so routing it would change
-    nothing but indirection.
-    """
-    mode = resolve_sssp_kernel(kernel)
-    if mode != KERNEL_AUTO:
-        return mode
-    from repro.graphs.csr import HAS_NUMPY
-
-    if batched and HAS_NUMPY:
-        return KERNEL_DELTA
-    return KERNEL_DIJKSTRA

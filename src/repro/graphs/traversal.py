@@ -223,9 +223,6 @@ def shortest_path_dag(
             )
         if _csr.effective_backend(graph, backend) == _csr.CSR_BACKEND:
             snapshot = _csr.as_csr(graph)
-            # csr_sssp_dag routes the ``sssp_kernel`` knob (Dijkstra or the
-            # bit-identical delta-stepping kernel); the dict reference below
-            # is always Dijkstra — it IS the oracle both kernels pin to.
             dag = _csr.csr_sssp_dag(
                 snapshot, snapshot.index[source], weighted=True
             )
@@ -411,20 +408,11 @@ def sssp_distances(
             raise GraphError(f"source node {source!r} does not exist")
         if _csr.effective_backend(graph, backend) == _csr.CSR_BACKEND:
             snapshot = _csr.as_csr(graph)
-            # Lean kernels: distance queries skip the sigma/predecessor
-            # bookkeeping of the full DAG (identical floats, same order —
-            # the delta kernel reconstructs the Dijkstra settle order from
-            # the final distances).
-            if _sssp.effective_sssp_kernel() == _sssp.KERNEL_DELTA:
-                from repro.graphs import delta_stepping as _delta
-
-                row, order = _delta.csr_delta_distances(
-                    snapshot, snapshot.index[source], with_order=True
-                )
-            else:
-                row, order = _csr.csr_dijkstra_distances(
-                    snapshot, snapshot.index[source], with_order=True
-                )
+            # Lean kernel: distance queries skip the sigma/predecessor
+            # bookkeeping of the full DAG (identical floats, same order).
+            row, order = _csr.csr_dijkstra_distances(
+                snapshot, snapshot.index[source], with_order=True
+            )
             labels = snapshot.labels
             if snapshot.identity_labels:
                 return {index: float(row[index]) for index in order}
@@ -469,16 +457,3 @@ def sigma_choice(items: Sequence, weights: Sequence[int], rng) -> Node:
     refers to edge weights across the codebase.
     """
     return _csr.sigma_choice(items, weights, rng)
-
-
-def _weighted_choice(items: Sequence, weights: Sequence[int], rng) -> Node:
-    """Deprecated alias of :func:`sigma_choice` (warns once per call site)."""
-    import warnings
-
-    warnings.warn(
-        "_weighted_choice is deprecated; use sigma_choice (the probability "
-        "weights here are shortest-path counts, not edge weights)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return sigma_choice(items, weights, rng)

@@ -297,16 +297,6 @@ WEIGHTED = Choice(
     "on (Dijkstra, absent weights count as 1) or off (hop distances).  "
     "Selects the workload, so it can change results.",
 )
-SSSP_KERNEL = Choice(
-    "sssp_kernel", "REPRO_SSSP_KERNEL", "auto", ("auto", "dijkstra", "delta"),
-    "weighted SSSP kernel: dijkstra (binary heap), delta (delta-stepping) "
-    "or auto (delta for batched sweeps, dijkstra otherwise)." + _SPEED,
-)
-COMPILED = Choice(
-    "compiled", "REPRO_COMPILED", "auto", ("auto", "on", "off"),
-    "numba tier of the weighted engine: auto (iff installed), on (error "
-    "without numba) or off (pure-Python loops)." + _SPEED,
-)
 WORKERS = Count(
     "workers", "REPRO_WORKERS", 0, 0,
     "worker processes for source sweeps and sampling (0 = serial, the "
@@ -361,9 +351,9 @@ MMAP = Choice(
 
 #: Every knob, in command-line flag order.
 KNOBS: Tuple[Knob, ...] = (
-    BACKEND, WEIGHTED, SSSP_KERNEL, COMPILED, WORKERS, START_METHOD,
-    DAG_CACHE, DAG_CACHE_SIZE, DAG_CACHE_BUDGET, DAG_CACHE_DELTA,
-    DELTA_JOURNAL_SIZE, SHARED_MEMORY, SNAPSHOT_DIR, MMAP,
+    BACKEND, WEIGHTED, WORKERS, START_METHOD, DAG_CACHE, DAG_CACHE_SIZE,
+    DAG_CACHE_BUDGET, DAG_CACHE_DELTA, DELTA_JOURNAL_SIZE, SHARED_MEMORY,
+    SNAPSHOT_DIR, MMAP,
 )
 
 

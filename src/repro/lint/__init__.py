@@ -1,8 +1,8 @@
 """``repro lint``: an AST-based checker for the architecture invariants.
 
 The ROADMAP's "Architecture invariants" section is load-bearing — the
-backends, worker pool, delta-stepping and compiled kernels are all
-required to agree bit for bit — but equivalence tests only catch a
+backends, the worker pool and every kernel are required to agree bit for
+bit — but equivalence tests only catch a
 violation *after* it has produced wrong numbers.  This package enforces
 the contracts statically, at CI time, with stdlib :mod:`ast` visitors.
 
@@ -18,7 +18,7 @@ Per-file pattern rules:
   ``repro/knobs.py``'s ``EnvMirroredOverride`` machinery.
 * ``kernel-ownership`` — frontier/level-expansion loops and kernel
   privates (``_BatchSweep`` & co.) stay inside the whitelisted
-  ``graphs/{csr,delta_stepping,compiled,traversal}.py`` modules.
+  ``graphs/{csr,traversal}.py`` modules.
 
 Whole-program rules (built on the :mod:`repro.lint.semantics` model —
 module index with import/alias resolution, symbol table, call graph with

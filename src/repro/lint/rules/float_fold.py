@@ -42,9 +42,9 @@ class FloatFoldRule(Rule):
     rule_id = "float-fold"
     description = (
         "sum()/.sum()/np.sum/math.fsum in kernel modules "
-        "(graphs/{csr,delta_stepping,compiled,traversal}.py) must be "
-        "int()-wrapped integer folds or carry an audited suppression — "
-        "pairwise summation re-associates float additions"
+        "(graphs/{csr,traversal}.py) must be int()-wrapped integer folds "
+        "or carry an audited suppression — pairwise summation "
+        "re-associates float additions"
     )
 
     def check_file(self, source: SourceFile) -> List[Finding]:

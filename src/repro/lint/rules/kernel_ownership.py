@@ -2,9 +2,8 @@
 
 Level expansion and the sigma-overflow guard live only in
 ``graphs/csr.py``'s ``_BatchSweep`` and its per-slot-depth sibling
-``_StaggeredSweep`` (with ``delta_stepping.py``,
-``compiled.py`` and ``traversal.py`` as the other sanctioned kernel
-homes).  Before that consolidation the repo had five hand-rolled BFS
+``_StaggeredSweep`` (with ``traversal.py`` as the other sanctioned kernel
+home).  Before that consolidation the repo had five hand-rolled BFS
 loops that each had to re-learn every determinism fix; the rule keeps
 copies from re-growing by rejecting, outside the whitelist:
 
@@ -41,7 +40,7 @@ PRIVATE_KERNEL_NAMES = frozenset(
     }
 )
 
-_KERNEL_MODULE_STEMS = frozenset({"csr", "delta_stepping", "compiled", "traversal"})
+_KERNEL_MODULE_STEMS = frozenset({"csr", "traversal"})
 
 
 def _is_frontier_name(name: str) -> bool:
@@ -66,9 +65,8 @@ class KernelOwnershipRule(Rule):
     rule_id = "kernel-ownership"
     description = (
         "frontier/level-expansion loops and kernel privates "
-        "(_BatchSweep etc.) belong to graphs/{csr,delta_stepping,"
-        "compiled,traversal}.py; elsewhere they need an audited "
-        "suppression"
+        "(_BatchSweep etc.) belong to graphs/{csr,traversal}.py; "
+        "elsewhere they need an audited suppression"
     )
 
     def check_file(self, source: SourceFile) -> List[Finding]:

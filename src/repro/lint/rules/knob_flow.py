@@ -1,9 +1,9 @@
 """``knob-flow``: knob kwargs must be threaded through every call chain.
 
 The bug class this gates is the one PRs 1, 3, 5 and 8 each fixed by hand:
-a function accepts a knob (``backend=``, ``weighted=``, ``workers=``,
-``sssp_kernel=`` …), calls a callee whose signature *also* accepts that
-knob, and silently drops it — the callee then re-resolves the knob from
+a function accepts a knob (``backend=``, ``weighted=``, ``workers=`` …),
+calls a callee whose signature *also* accepts that knob, and silently
+drops it — the callee then re-resolves the knob from
 process-wide defaults, which agrees with the caller's argument on every
 test machine until the day it doesn't.  A dropped knob is a silent
 wrong-answer (or wrong-performance) bug, so the contract is syntactic and
@@ -48,8 +48,8 @@ DEFAULT_EXCLUDE_PARTS: Tuple[str, ...] = (
 class KnobFlowRule(Rule):
     rule_id = "knob-flow"
     description = (
-        "a function accepting a knob kwarg (backend/workers/weighted/"
-        "sssp_kernel/...) must forward it explicitly to every callee whose "
+        "a function accepting a knob kwarg (backend/workers/weighted/...) "
+        "must forward it explicitly to every callee whose "
         "signature also accepts it — dropped knobs re-resolve from global "
         "defaults and silently diverge"
     )

@@ -143,7 +143,7 @@ class Project:
         """The knob parameter names the project declares.
 
         A knob is the lowercased remainder of a declared ``REPRO_*``
-        variable (``REPRO_SSSP_KERNEL`` → ``sssp_kernel``); declarations in
+        variable (``REPRO_DAG_CACHE_SIZE`` → ``dag_cache_size``); declarations in
         files whose path contains an excluded part (tests, benchmarks, the
         lint package itself) do not mint knobs.
         """

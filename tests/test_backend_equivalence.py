@@ -977,6 +977,16 @@ class TestSubgraphDeterminism:
 # ----------------------------------------------------------------------
 # Weighted SSSP engine (PR 5)
 # ----------------------------------------------------------------------
+def _integer_tie_graph(seed):
+    """Integer weights => many equal-length shortest paths (heavy tie load)."""
+    rng = random.Random(seed)
+    base = barabasi_albert_graph(80, 3, seed=seed)
+    graph = Graph()
+    for u, v in base.edges():
+        graph.add_edge(u, v, weight=rng.choice([1, 2, 3]))
+    return graph
+
+
 WEIGHTED_GRAPH_CASES = [
     pytest.param(
         lambda seed: weighted_barabasi_albert_graph(120, 3, seed=seed),
@@ -986,6 +996,7 @@ WEIGHTED_GRAPH_CASES = [
         lambda seed: weighted_grid_road_graph(8, 9, seed=seed)[0],
         id="weighted-grid",
     ),
+    pytest.param(_integer_tie_graph, id="integer-ties"),
 ]
 
 
@@ -1478,154 +1489,226 @@ class TestWeightedCompareGroundTruth:
 
 
 # ----------------------------------------------------------------------
-# Weighted SSSP kernel knob (PR 6): delta-stepping == Dijkstra == dict
+# Weighted engine against the dict oracle: random small graphs, sweeps,
+# and the numpy-less CSR build
 # ----------------------------------------------------------------------
-def _integer_tie_graph(seed):
-    """Integer weights => many equal-length shortest paths (heavy tie load)."""
-    rng = random.Random(seed)
-    base = barabasi_albert_graph(80, 3, seed=seed)
+def _random_weighted_graph(trial):
+    """A small random weighted graph: isolated nodes, several components.
+
+    Odd trials draw integer weights in 1..4 (equal-length shortest paths
+    are common), even trials continuous weights (ties are rare).
+    """
+    rng = random.Random(trial)
+    n = rng.randint(5, 30)
     graph = Graph()
-    for u, v in base.edges():
-        graph.add_edge(u, v, weight=rng.choice([1, 2, 3]))
+    for node in range(n):
+        graph.add_node(node)
+    for _ in range(rng.randint(n // 2, 2 * n)):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u == v:
+            continue
+        weight = float(rng.randint(1, 4)) if trial % 2 else rng.uniform(0.1, 2.5)
+        graph.add_edge(u, v, weight=weight)
     return graph
 
 
-KERNEL_GRAPH_CASES = WEIGHTED_GRAPH_CASES + [
-    pytest.param(lambda seed: _integer_tie_graph(seed), id="integer-ties"),
-]
+@pytest.mark.parametrize("trial", range(8))
+class TestRandomWeightedGraphs:
+    """CSR Dijkstra vs the dict oracle from every source of small random
+    graphs, whose unreachable nodes the generator cases never produce."""
 
-
-class TestSSSPKernelEquivalence:
-    """The ``sssp_kernel`` knob never changes results — only speed.
-
-    Delta-stepping settles distances by bucket-ordered label correction,
-    then re-pins Dijkstra's settle order / predecessor order / sigma from
-    the final distances, so every output (including sampled paths and
-    worker/shared-memory runs) must be bit-identical across kernels and
-    against the dict oracle.  Integer weights make equal-length shortest
-    paths (and settle-order ties) common, exercising the tie-break
-    reconstruction rather than the easy unique-path case.
-    """
-
-    @pytest.fixture()
-    def kernel_toggle(self):
-        from repro.graphs.sssp import set_default_sssp_kernel
-
-        yield set_default_sssp_kernel
-        set_default_sssp_kernel(None)
-
-    @pytest.mark.parametrize("make_graph", KERNEL_GRAPH_CASES)
-    @pytest.mark.parametrize("seed", (0, 1))
-    def test_dag_bit_identical_across_kernels(self, make_graph, seed, kernel_toggle):
-        graph = make_graph(seed)
-        oracle = shortest_path_dag(graph, list(graph.nodes())[0], backend="dict")
-        dags = {}
-        for kernel in ("dijkstra", "delta"):
-            kernel_toggle(kernel)
-            dags[kernel] = shortest_path_dag(
-                graph, list(graph.nodes())[0], backend="csr"
+    def test_dags_match_dict_oracle(self, trial):
+        graph = _random_weighted_graph(trial)
+        for source in graph.nodes():
+            reference = shortest_path_dag(
+                graph, source, backend="dict", weighted="on"
             )
-        for dag in dags.values():
-            assert dag.distances == oracle.distances
-            assert dag.sigma == oracle.sigma
-            assert dag.order == oracle.order
-            assert dag.predecessors == oracle.predecessors
-
-    @pytest.mark.parametrize("make_graph", KERNEL_GRAPH_CASES)
-    @pytest.mark.parametrize("seed", (0, 1))
-    def test_sampled_paths_identical_across_kernels(
-        self, make_graph, seed, kernel_toggle
-    ):
-        graph = make_graph(seed)
-        nodes = list(graph.nodes())
-        source = nodes[0]
-        reference = shortest_path_dag(graph, source, backend="dict")
-        kernel_toggle("delta")
-        candidate = shortest_path_dag(graph, source, backend="csr")
-        for target in nodes[-4:]:
-            if target == source or target not in reference.distances:
-                continue
-            for draw in range(3):
-                assert reference.sample_path(
-                    target, random.Random(draw)
-                ) == candidate.sample_path(target, random.Random(draw))
-
-    @pytest.mark.parametrize("make_graph", KERNEL_GRAPH_CASES)
-    @pytest.mark.parametrize("kind", ("distance", "sigma", "brandes"))
-    def test_sweeps_bit_identical_across_kernels(self, make_graph, kind):
-        from repro.graphs import csr as csr_module
-
-        graph = make_graph(0)
-        snapshot = csr_module.as_csr(graph)
-        sources = list(range(min(6, snapshot.n)))
-        results = {
-            kernel: csr_module.multi_source_sweep(
-                snapshot, sources, kind=kind, weighted=True, sssp_kernel=kernel
+            candidate = shortest_path_dag(
+                graph, source, backend="csr", weighted="on"
             )
-            for kernel in ("dijkstra", "delta")
-        }
-        for a, b in zip(results["dijkstra"], results["delta"]):
-            if kind == "sigma":
-                dist_a, sigma_a = a
-                dist_b, sigma_b = b
-                assert list(dist_a) == list(dist_b)
-                assert list(sigma_a) == list(sigma_b)
-            else:
-                assert list(a) == list(b)
+            # Dijkstra reaches exactly the source's connected component.
+            assert set(reference.distances) == set(
+                bfs_distances(graph, source, backend="dict")
+            )
+            assert candidate.distances == reference.distances
+            assert candidate.sigma == reference.sigma
+            assert candidate.order == reference.order
+            assert candidate.predecessors == reference.predecessors
 
-    @pytest.mark.parametrize("make_graph", KERNEL_GRAPH_CASES)
-    def test_distances_with_order_identical(self, make_graph, kernel_toggle):
+    def test_distances_match_dict_oracle(self, trial):
         from repro.graphs.traversal import sssp_distances
 
-        graph = make_graph(0)
-        source = list(graph.nodes())[0]
-        reference = sssp_distances(graph, source, backend="dict")
-        for kernel in ("dijkstra", "delta"):
-            kernel_toggle(kernel)
-            candidate = sssp_distances(graph, source, backend="csr")
-            assert reference == candidate
-            assert list(reference) == list(candidate)
+        graph = _random_weighted_graph(trial)
+        for source in graph.nodes():
+            reference = sssp_distances(graph, source, backend="dict", weighted="on")
+            candidate = sssp_distances(graph, source, backend="csr", weighted="on")
+            assert list(candidate.items()) == list(reference.items())
 
-    @pytest.mark.parametrize("workers", (0, 2))
-    def test_centrality_workers_bitwise_across_kernels(
-        self, workers, kernel_toggle
-    ):
-        graph = weighted_barabasi_albert_graph(120, 3, seed=6)
-        reference = betweenness_centrality(graph, backend="dict")
-        scores = {}
-        for kernel in ("dijkstra", "delta"):
-            kernel_toggle(kernel)
-            scores[kernel] = betweenness_centrality(
-                graph, backend="csr", workers=workers
+    def test_dependencies_match_dict_oracle(self, trial):
+        graph = _random_weighted_graph(trial)
+        for source in graph.nodes():
+            reference = single_source_dependencies(
+                graph, source, backend="dict", weighted="on"
             )
-        assert scores["dijkstra"] == scores["delta"] == reference
+            candidate = single_source_dependencies(
+                graph, source, backend="csr", weighted="on"
+            )
+            assert list(candidate.items()) == list(reference.items())
 
-    def test_shared_memory_on_off_bitwise_delta(self, kernel_toggle, monkeypatch):
-        from repro import parallel
 
-        if not parallel.shared_memory_available():
-            pytest.skip("numpy/shared_memory unavailable")
-        monkeypatch.setenv("REPRO_START_METHOD", "spawn")
-        graph = weighted_barabasi_albert_graph(150, 3, seed=6)
-        reference = betweenness_centrality(graph, backend="dict")
-        kernel_toggle("delta")
-        try:
-            parallel.set_shared_memory_enabled(True)
-            shared = betweenness_centrality(graph, backend="csr", workers=2)
-            parallel.set_shared_memory_enabled(False)
-            pickled = betweenness_centrality(graph, backend="csr", workers=2)
-        finally:
-            parallel.set_shared_memory_enabled(None)
-        assert shared == pickled == reference
-        assert parallel._active_shared_blocks == set()
+@pytest.mark.parametrize("make_graph", WEIGHTED_GRAPH_CASES)
+class TestWeightedSweepOracle:
+    """Weighted ``multi_source_sweep`` rows, index by index, against the
+    dict Dijkstra oracle run from the same labels."""
 
-    def test_sampler_identical_across_kernels(self, kernel_toggle):
-        graph = weighted_barabasi_albert_graph(150, 3, seed=9)
-        results = {}
-        for kernel in ("dijkstra", "delta"):
-            kernel_toggle(kernel)
-            results[kernel] = ABRA(
-                0.3, 0.1, seed=11, backend="csr", max_samples_cap=200
-            ).estimate(graph)
-        assert results["dijkstra"].scores == results["delta"].scores
-        assert results["dijkstra"].num_samples == results["delta"].num_samples
+    SOURCES = (0, 3, 7, 11)
+
+    def _sweep(self, graph, kind, **kwargs):
+        from repro.graphs import csr as csr_module
+
+        snapshot = csr_module.as_csr(graph)
+        rows = csr_module.multi_source_sweep(
+            snapshot, self.SOURCES, kind=kind, weighted=True, **kwargs
+        )
+        return snapshot, rows
+
+    def test_distance_rows(self, make_graph):
+        from repro.graphs.traversal import dict_dijkstra_distances
+
+        graph = make_graph(2)
+        snapshot, rows = self._sweep(graph, "distance")
+        for source, row in zip(self.SOURCES, rows):
+            reference = dict_dijkstra_distances(graph, snapshot.labels[source])
+            expected = [reference.get(label, -1.0) for label in snapshot.labels]
+            assert list(row) == expected
+
+    def test_sigma_rows(self, make_graph):
+        from repro.graphs.traversal import dict_dijkstra_dag
+
+        graph = make_graph(2)
+        snapshot, rows = self._sweep(graph, "sigma")
+        for source, (dist_row, sigma_row) in zip(self.SOURCES, rows):
+            reference = dict_dijkstra_dag(graph, snapshot.labels[source])
+            assert list(dist_row) == [
+                reference.distances.get(label, -1.0) for label in snapshot.labels
+            ]
+            assert list(sigma_row) == [
+                reference.sigma.get(label, 0) for label in snapshot.labels
+            ]
+
+    def test_brandes_rows(self, make_graph):
+        graph = make_graph(2)
+        snapshot, rows = self._sweep(graph, "brandes")
+        for source, row in zip(self.SOURCES, rows):
+            reference = single_source_dependencies(
+                graph, snapshot.labels[source], backend="dict"
+            )
+            # Index ``source`` holds the residue callers ignore.
+            assert [
+                value for index, value in enumerate(row) if index != source
+            ] == [
+                reference.get(label, 0.0)
+                for index, label in enumerate(snapshot.labels)
+                if index != source
+            ]
+
+    def test_batch_size_and_direction_do_not_apply(self, make_graph):
+        graph = make_graph(2)
+        for kind in ("distance", "sigma", "brandes"):
+            _, default = self._sweep(graph, kind)
+            _, forced = self._sweep(graph, kind, batch_size=1, direction="top-down")
+            for a, b in zip(default, forced):
+                if kind == "sigma":
+                    assert list(a[0]) == list(b[0])
+                    assert list(a[1]) == list(b[1])
+                else:
+                    assert list(a) == list(b)
+
+
+@pytest.mark.parametrize("make_graph", WEIGHTED_GRAPH_CASES)
+class TestDijkstraKernelForms:
+    """The Brandes (float sigma) and lean distance-only forms of the CSR
+    Dijkstra kernel agree with its full exact-count DAG."""
+
+    def test_float_sigma_mode_counts_the_same_paths(self, make_graph):
+        from repro.graphs import csr as csr_module
+
+        snapshot = csr_module.as_csr(make_graph(3))
+        for source in range(4):
+            exact = csr_module.csr_dijkstra_dag(snapshot, source)
+            floats = csr_module.csr_dijkstra_dag(snapshot, source, float_sigma=True)
+            assert all(isinstance(count, int) for count in exact.sigma)
+            assert all(isinstance(count, float) for count in floats.sigma)
+            assert floats.sigma == [float(count) for count in exact.sigma]
+            assert list(floats.dist) == list(exact.dist)
+            assert list(floats.order) == list(exact.order)
+
+    def test_lean_distance_kernel_matches_dag(self, make_graph):
+        from repro.graphs import csr as csr_module
+
+        snapshot = csr_module.as_csr(make_graph(4))
+        for source in range(5):
+            dag = csr_module.csr_dijkstra_dag(snapshot, source)
+            row, order = csr_module.csr_dijkstra_distances(
+                snapshot, source, with_order=True
+            )
+            assert list(row) == list(dag.dist)
+            assert list(order) == list(dag.order)
+
+
+@pytest.mark.skipif(
+    not __import__("repro.graphs.csr", fromlist=["x"]).HAS_NUMPY,
+    reason="compares against the numpy build",
+)
+@pytest.mark.parametrize("make_graph", WEIGHTED_GRAPH_CASES)
+class TestWeightedPurePythonFallback:
+    """Without numpy the weighted kernels return plain lists holding the
+    same values as the numpy build."""
+
+    def test_dag_matches_numpy_build(self, make_graph, monkeypatch):
+        from repro.graphs import csr as csr_module
+
+        graph = make_graph(3)
+        reference_snapshot = csr_module.as_csr(graph)
+        sources = range(4)
+        references = [
+            csr_module.csr_dijkstra_dag(reference_snapshot, source)
+            for source in sources
+        ]
+        monkeypatch.setattr(csr_module, "HAS_NUMPY", False)
+        snapshot = csr_module.CSRGraph.from_graph(graph)
+        assert list(snapshot.weights) == reference_snapshot.weights.tolist()
+        for source, reference in zip(sources, references):
+            dag = csr_module.csr_dijkstra_dag(snapshot, source)
+            assert isinstance(dag.dist, list)
+            assert dag.dist == reference.dist.tolist()
+            assert dag.sigma == reference.sigma
+            assert list(dag.order) == reference.order.tolist()
+            assert list(dag.pred_indptr) == reference.pred_indptr.tolist()
+            assert list(dag.pred_indices) == reference.pred_indices.tolist()
+
+    def test_sweeps_match_numpy_build(self, make_graph, monkeypatch):
+        from repro.graphs import csr as csr_module
+
+        graph = make_graph(3)
+        sources = [0, 1, 2]
+        reference_snapshot = csr_module.as_csr(graph)
+        expected = {
+            kind: csr_module.multi_source_sweep(
+                reference_snapshot, sources, kind=kind, weighted=True
+            )
+            for kind in ("distance", "sigma", "brandes")
+        }
+        monkeypatch.setattr(csr_module, "HAS_NUMPY", False)
+        snapshot = csr_module.CSRGraph.from_graph(graph)
+        for kind, reference_rows in expected.items():
+            rows = csr_module.multi_source_sweep(
+                snapshot, sources, kind=kind, weighted=True
+            )
+            for row, reference in zip(rows, reference_rows):
+                if kind == "sigma":
+                    assert row[0] == reference[0].tolist()
+                    assert row[1] == reference[1]
+                else:
+                    assert isinstance(row, list)
+                    assert row == reference.tolist()

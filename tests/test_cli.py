@@ -22,6 +22,43 @@ class TestParser:
         with pytest.raises(SystemExit):
             parser.parse_args(["frobnicate"])
 
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["rank", "--epsilon", "1.5"], "--epsilon"),
+            (["compare", "--delta", "0"], "--delta"),
+            (["figure", "3", "--epsilons", "0.2,1.5"], "--epsilons"),
+            # Both ends of (0, 1) are excluded.
+            (["rank", "--epsilon", "0"], "--epsilon"),
+            (["rank", "--epsilon", "1"], "--epsilon"),
+            (["compare", "--delta", "1.0"], "--delta"),
+            (["rank", "--delta", "-0.1"], "--delta"),
+            (["rank", "--delta", "nan"], "--delta"),
+            (["compare", "--epsilon", "inf"], "--epsilon"),
+            (["compare", "--epsilon", "abc"], "--epsilon"),
+            (["figure", "3", "--epsilons", "0"], "--epsilons"),
+            (["figure", "3", "--epsilons", "0.2,nan"], "--epsilons"),
+            (["figure", "3", "--epsilons", "0.2,x"], "--epsilons"),
+            (["figure", "3", "--epsilons", ","], "--epsilons"),
+        ],
+    )
+    def test_out_of_range_accuracy_is_a_usage_error(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,field,expected",
+        [
+            (["rank", "--epsilon", "0.2"], "epsilon", 0.2),
+            (["compare", "--delta", "1e-3"], "delta", 0.001),
+            (["figure", "3", "--epsilons", "0.2, 0.1,"], "epsilons", (0.2, 0.1)),
+        ],
+    )
+    def test_in_range_accuracy_parses(self, argv, field, expected):
+        assert getattr(build_parser().parse_args(argv), field) == expected
+
 
 class TestProcessKnobFlags:
     def test_shared_memory_flag_applies_override(self, capsys, monkeypatch):

@@ -43,11 +43,37 @@ class TestConfig:
             {"dag_cache_size": 0},
             {"dag_cache_budget": -5},
             {"dag_cache_size": True},
+            {"delta": 0.0},
+            {"delta": 1.5},
+            {"epsilons": (0.2, 0.0)},
+            {"epsilons": (1.5,)},
+            {"max_samples_cap": 0},
+            {"subset_sizes": (1, 10)},
+            {"delta": 1.0},
+            {"delta": float("nan")},
+            {"epsilons": (1.0,)},
+            {"epsilons": (0.1, -0.2)},
+            {"max_samples_cap": -3},
+            {"subset_sizes": (10, 0)},
         ],
     )
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ValueError):
             ExperimentConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"max_samples_cap": None},
+            {"max_samples_cap": 1},
+            {"subset_sizes": (2,)},
+            {"epsilons": (0.999, 1e-6), "delta": 0.5},
+        ],
+    )
+    def test_boundary_configs_accepted(self, kwargs):
+        config = ExperimentConfig(**kwargs)
+        for name, value in kwargs.items():
+            assert getattr(config, name) == value
 
     def test_knob_fields_accept_valid_values(self):
         config = ExperimentConfig(
@@ -73,8 +99,6 @@ class TestConfig:
             "dag_cache_budget",
             "shared_memory",
             "weighted",
-            "sssp_kernel",
-            "compiled",
         ):
             assert hasattr(ExperimentConfig(), field_name)
 

@@ -1,6 +1,6 @@
 """The knob table: every ``REPRO_*`` knob declared once, its surfaces derived.
 
-``PINNED`` is a literal copy of the 14 knobs — name, environment variable,
+``PINNED`` is a literal copy of the 12 knobs — name, environment variable,
 flag, command-line choices and default — so a row changes only on purpose.
 Every other test is table-driven over it: the CLI flags, the
 ``ExperimentConfig`` fields, override/env precedence and mirroring, error
@@ -32,9 +32,6 @@ SRC = REPO_ROOT / "src" / "repro"
 PINNED = [
     ("backend", "REPRO_BACKEND", "--backend", ("auto", "dict", "csr"), "auto"),
     ("weighted", "REPRO_WEIGHTED", "--weighted", ("auto", "on", "off"), "auto"),
-    ("sssp_kernel", "REPRO_SSSP_KERNEL", "--sssp-kernel",
-     ("auto", "dijkstra", "delta"), "auto"),
-    ("compiled", "REPRO_COMPILED", "--compiled", ("auto", "on", "off"), "auto"),
     ("workers", "REPRO_WORKERS", "--workers", None, 0),
     ("start_method", "REPRO_START_METHOD", "--start-method",
      ("fork", "spawn", "forkserver"), None),
@@ -58,8 +55,6 @@ PINNED = [
 SAMPLES = {
     "backend": ("csr", "csr", "dict", "dict", "gpu", "gpu"),
     "weighted": ("on", "on", "off", "off", "maybe", "maybe"),
-    "sssp_kernel": ("delta", "delta", "dijkstra", "dijkstra", "bfs", "bfs"),
-    "compiled": ("off", "off", "on", "on", "jit", "jit"),
     "workers": ("3", 3, 2, "2", "many", -1),
     "start_method": ("forkserver", "forkserver", "spawn", "spawn", "threads",
                      "threads"),
@@ -209,15 +204,15 @@ def test_runner_applies_every_row_but_workers():
     from repro.experiments.runner import ExperimentRunner
 
     config = ExperimentConfig(
-        datasets=("karate",), scale=1.0, workers=2, sssp_kernel="dijkstra"
+        datasets=("karate",), scale=1.0, workers=2, mmap="off"
     )
     runner = ExperimentRunner(config)
     try:
         runner.dataset("karate")
-        assert knobs.SSSP_KERNEL.value == "dijkstra"
+        assert knobs.MMAP.value == "off"
         assert knobs.WORKERS.value is None
     finally:
-        knobs.SSSP_KERNEL.override(None)
+        knobs.MMAP.override(None)
 
 
 def _repro_literals():

@@ -15,6 +15,7 @@ from repro.graphs import csr as csr_module
 from repro.graphs import sssp
 from repro.graphs.generators import (
     barabasi_albert_graph,
+    grid_road_graph,
     weighted_barabasi_albert_graph,
     weighted_grid_road_graph,
 )
@@ -322,44 +323,18 @@ class TestWeightedKnob:
 
 
 class TestSigmaChoiceRename:
-    def test_alias_warns_and_delegates(self):
-        from repro.graphs import traversal
-
-        rng = random.Random(0)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert csr_module.weighted_choice(["x"], [5], rng) == "x"
-        assert len(caught) == 1
-        assert issubclass(caught[0].category, DeprecationWarning)
-        assert "sigma_choice" in str(caught[0].message)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert traversal._weighted_choice(["y"], [3], rng) == "y"
-        assert len(caught) == 1
-        assert issubclass(caught[0].category, DeprecationWarning)
-        assert "sigma_choice" in str(caught[0].message)
-
     def test_canonical_name_does_not_warn(self):
         rng = random.Random(0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert csr_module.sigma_choice(["x"], [5], rng) == "x"
 
-    def test_aliases_delegate_bit_identically(self):
-        rng_alias, rng_canonical = random.Random(42), random.Random(42)
-        population = list(range(10))
-        sigmas = [i + 1 for i in range(10)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            picks_alias = [
-                csr_module.weighted_choice(population, sigmas, rng_alias)
-                for _ in range(50)
-            ]
-        picks_canonical = [
-            csr_module.sigma_choice(population, sigmas, rng_canonical)
-            for _ in range(50)
-        ]
-        assert picks_alias == picks_canonical
+
+def test_has_numba_flag_is_a_bool():
+    # perfbench/run.py prints it in every result's environment line.
+    from repro.graphs import compiled
+
+    assert isinstance(compiled.HAS_NUMBA, bool)
 
 
 class TestDictDijkstraOracle:
@@ -396,3 +371,176 @@ class TestDictDijkstraOracle:
         dag = dict_dijkstra_dag(graph, 0)
         assert dag.distances[3] == 3.0
         assert dag.predecessors[2] == [1]
+
+
+# Hand-checked DAGs for the weighted engine.  Each ``distances`` literal
+# lists the nodes in the expected settle order.
+HAND_CHECKED_DAGS = [
+    pytest.param(
+        [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 3.0)], 0,
+        {0: 0.0, 1: 1.0, 2: 2.0},
+        {0: 1, 1: 1, 2: 1},
+        {0: [], 1: [0], 2: [1]},
+        id="two-hop-beats-direct",
+    ),
+    pytest.param(
+        [(0, 1, 2.0), (0, 2, 2.0), (1, 3, 2.0), (2, 3, 2.0)], 0,
+        {0: 0.0, 1: 2.0, 2: 2.0, 3: 4.0},
+        {0: 1, 1: 1, 2: 1, 3: 2},
+        {0: [], 1: [0], 2: [0], 3: [1, 2]},
+        id="tied-routes",
+    ),
+    pytest.param(
+        # Two shortest s->t paths of length 3 with different hop counts.
+        [("s", "a", 1.0), ("a", "b", 1.0), ("b", "t", 1.0), ("a", "t", 2.0)],
+        "s",
+        {"s": 0.0, "a": 1.0, "b": 2.0, "t": 3.0},
+        {"s": 1, "a": 1, "b": 1, "t": 2},
+        {"s": [], "a": ["s"], "b": ["a"], "t": ["a", "b"]},
+        id="hop-heterogeneous-tie",
+    ),
+    pytest.param(
+        # Distinct powers of two: every shortest path is unique.
+        [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 4.0), (0, 4, 8.0), (4, 5, 16.0)], 0,
+        {0: 0.0, 1: 1.0, 2: 3.0, 3: 7.0, 4: 8.0, 5: 24.0},
+        {node: 1 for node in range(6)},
+        {0: [], 1: [0], 2: [1], 3: [2], 4: [0], 5: [4]},
+        id="unique-paths",
+    ),
+    pytest.param(
+        # 0.1 + 0.2 rounds above 0.3, so the two-hop route is strictly longer.
+        [(0, 1, 0.1), (1, 2, 0.2), (0, 2, 0.3)], 0,
+        {0: 0.0, 1: 0.1, 2: 0.3},
+        {0: 1, 1: 1, 2: 1},
+        {0: [], 1: [0], 2: [0]},
+        id="float-near-tie",
+    ),
+    pytest.param(
+        # ... and equals 0.30000000000000004 exactly, which is a tie.
+        [(0, 1, 0.1), (1, 2, 0.2), (0, 2, 0.30000000000000004)], 0,
+        {0: 0.0, 1: 0.1, 2: 0.30000000000000004},
+        {0: 1, 1: 1, 2: 2},
+        {0: [], 1: [0], 2: [0, 1]},
+        id="float-exact-tie",
+    ),
+    pytest.param(
+        # A heavy direct edge loses to a lighter two-hop detour.
+        [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 10.0), (2, 3, 1.0)], 0,
+        {0: 0.0, 1: 1.0, 2: 2.0, 3: 3.0},
+        {0: 1, 1: 1, 2: 1, 3: 1},
+        {0: [], 1: [0], 2: [1], 3: [2]},
+        id="heavy-direct-edge",
+    ),
+]
+
+
+class TestCSRDijkstraKernel:
+    """The CSR Dijkstra kernel on hand-checked graphs, with the dict engine
+    held to the same literal answers."""
+
+    @pytest.mark.parametrize(
+        "edges,source,distances,sigma,predecessors", HAND_CHECKED_DAGS
+    )
+    def test_hand_checked_dag(self, edges, source, distances, sigma, predecessors):
+        from repro.graphs.traversal import shortest_path_dag
+
+        graph = Graph.from_edges(edges)
+        for backend in ("csr", "dict"):
+            dag = shortest_path_dag(graph, source, backend=backend, weighted="on")
+            assert dag.weighted
+            assert dag.order == list(distances)
+            assert list(dag.distances.items()) == list(distances.items())
+            assert dag.sigma == sigma
+            assert dag.predecessors == predecessors
+
+    def test_unreachable_node_row(self):
+        from repro.errors import SamplingError
+
+        graph = Graph.from_edges([(0, 1, 2.0), (2, 3, 1.5)], nodes=[9])
+        snapshot = csr_module.as_csr(graph)
+        dag = csr_module.csr_dijkstra_dag(snapshot, snapshot.index[0])
+        order = list(dag.order)
+        assert [snapshot.labels[i] for i in order] == [0, 1]
+        for label in (2, 3, 9):
+            index = snapshot.index[label]
+            assert dag.dist[index] == -1.0
+            assert dag.sigma[index] == 0
+            assert dag.pred_indptr[index] == dag.pred_indptr[index + 1]
+            with pytest.raises(SamplingError):
+                dag.sample_path_indices(index, random.Random(0))
+        row = csr_module.csr_dijkstra_distances(snapshot, snapshot.index[0])
+        assert list(row) == list(dag.dist)
+
+    @pytest.mark.parametrize(
+        "make_graph",
+        [
+            pytest.param(lambda: barabasi_albert_graph(70, 3, seed=5), id="ba"),
+            pytest.param(lambda: grid_road_graph(6, 7, seed=5)[0], id="grid"),
+            pytest.param(
+                lambda: Graph.from_edges([(0, 1), (0, 2), (1, 3), (2, 3)], nodes=[4]),
+                id="square-plus-isolated",
+            ),
+        ],
+    )
+    def test_unit_weights_reproduce_the_bfs_dag(self, make_graph):
+        # On an unweighted snapshot the kernel counts every edge as 1.0;
+        # its push-order tie-breaking then settles nodes in BFS order.
+        graph = make_graph()
+        assert not graph.is_weighted
+        snapshot = csr_module.as_csr(graph)
+        assert snapshot.weights is None
+        for source in range(min(4, snapshot.n)):
+            bfs = csr_module.csr_shortest_path_dag(snapshot, source)
+            dijkstra = csr_module.csr_dijkstra_dag(snapshot, source)
+            assert list(dijkstra.dist) == [float(d) for d in bfs.dist]
+            assert list(dijkstra.sigma) == list(bfs.sigma)
+            assert list(dijkstra.order) == list(bfs.order)
+            for node in range(snapshot.n):
+                assert list(dijkstra.predecessors(node)) == list(
+                    bfs.predecessors(node)
+                )
+
+    def test_backward_dependencies_hand_checked(self):
+        # s-a(1), a-b(1), b-t(1), a-t(2): a lies on every path to b and t,
+        # b on one of the two shortest s->t paths.
+        from repro.centrality.brandes import single_source_dependencies
+
+        graph = Graph.from_edges(
+            [("s", "a", 1.0), ("a", "b", 1.0), ("b", "t", 1.0), ("a", "t", 2.0)]
+        )
+        snapshot = csr_module.as_csr(graph)
+        dag = csr_module.csr_dijkstra_dag(
+            snapshot, snapshot.index["s"], float_sigma=True
+        )
+        delta = csr_module.weighted_backward_dependencies(dag)
+        by_label = {label: delta[snapshot.index[label]] for label in "sabt"}
+        # delta[s] is the residue callers ignore: 1 + delta[a].
+        assert by_label == {"s": 3.0, "a": 2.0, "b": 0.5, "t": 0.0}
+        for backend in ("csr", "dict"):
+            assert single_source_dependencies(graph, "s", backend=backend) == {
+                "a": 2.0, "b": 0.5, "t": 0.0,
+            }
+
+    def test_distance_query_keys_are_labels_in_settle_order(self):
+        graph = Graph.from_edges(
+            [("s", "a", 1.0), ("a", "b", 1.0), ("b", "t", 1.0), ("a", "t", 2.0)],
+            nodes=["z"],
+        )
+        snapshot = csr_module.as_csr(graph)
+        assert not snapshot.identity_labels
+        expected = [("s", 0.0), ("a", 1.0), ("b", 2.0), ("t", 3.0)]
+        for backend in ("csr", "dict"):
+            assert list(sssp_distances(graph, "s", backend=backend).items()) == expected
+
+    @pytest.mark.parametrize("env_var", ("REPRO_SSSP_KERNEL", "REPRO_COMPILED"))
+    def test_retired_kernel_variables_are_ignored(self, env_var, monkeypatch):
+        from repro import knobs
+        from repro.graphs.traversal import shortest_path_dag
+
+        assert env_var not in {knob.env for knob in knobs.KNOBS}
+        graph = weighted_barabasi_albert_graph(40, 2, seed=6)
+        reference = shortest_path_dag(graph, 0, backend="csr")
+        monkeypatch.setenv(env_var, "not-a-valid-value")
+        dag = shortest_path_dag(graph, 0, backend="csr")
+        assert dag == reference
+        assert dag == shortest_path_dag(graph, 0, backend="dict")
