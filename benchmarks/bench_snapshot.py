@@ -70,8 +70,6 @@ def test_bench_rebuild_baseline(benchmark, topology):
 
 def test_bench_payload_pickle(benchmark, snapshot_path):
     """Pickling the snapshot-file worker payload (path + header)."""
-    if not parallel.shared_memory_available():
-        pytest.skip("numpy/shared_memory unavailable")
     _topology, path = snapshot_path
     csr = load_snapshot(path)
     payload = parallel.shareable_graph(csr, backend="csr")

@@ -136,14 +136,6 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.parallel import shared_memory_available
-
-    if not shared_memory_available():
-        # The payload scenario needs the shared-memory stack (numpy); the
-        # no-numpy CI leg gates nothing here rather than measuring noise.
-        print("shared memory unavailable; skipping snapshot baseline gate")
-        return 0
-
     baseline = json.loads(BASELINE_PATH.read_text())
     measured = measure()
 

@@ -58,16 +58,10 @@ def single_source_dependencies(
         snapshot = _csr.as_csr(graph)
         source_index = snapshot.index[source]
         delta, order, _ = _csr.csr_brandes(snapshot, source_index)
-        if _csr.HAS_NUMPY:
-            order_list = order.tolist()
-            values = delta[order].tolist()
-        else:
-            order_list = list(order)
-            values = [delta[node] for node in order_list]
         labels = snapshot.labels
         return {
             labels[node]: value
-            for node, value in zip(order_list, values)
+            for node, value in zip(order.tolist(), delta[order].tolist())
             if node != source_index
         }
     distances: Dict[Node, int] = {source: 0}
@@ -111,16 +105,10 @@ def _weighted_dependencies(
         snapshot = _csr.as_csr(graph)
         source_index = snapshot.index[source]
         delta, order, _ = _csr.csr_dijkstra_brandes(snapshot, source_index)
-        if _csr.HAS_NUMPY:
-            order_list = order.tolist()
-            values = delta[order].tolist()
-        else:
-            order_list = list(order)
-            values = [delta[node] for node in order_list]
         labels = snapshot.labels
         return {
             labels[node]: value
-            for node, value in zip(order_list, values)
+            for node, value in zip(order.tolist(), delta[order].tolist())
             if node != source_index
         }
     from repro.graphs.traversal import dict_dijkstra_dag
@@ -267,19 +255,12 @@ def _dependency_chunk(payload, chunk: Sequence[Node]):
         rows = _csr.multi_source_sweep(
             snapshot, indices, kind=_csr.SWEEP_BRANDES, weighted=use_weights
         )
-        if _csr.HAS_NUMPY:
-            import numpy as np
+        import numpy as np
 
-            partial = np.zeros(snapshot.n, dtype=np.float64)
-            for index, row in zip(indices, rows):
-                row[index] = 0.0
-                np.add(partial, row, out=partial)
-        else:
-            partial = [0.0] * snapshot.n
-            for index, row in zip(indices, rows):
-                row[index] = 0.0
-                for node in range(snapshot.n):
-                    partial[node] += row[node]
+        partial = np.zeros(snapshot.n, dtype=np.float64)
+        for index, row in zip(indices, rows):
+            row[index] = 0.0
+            np.add(partial, row, out=partial)
         return partial
     partial_map: Dict[Node, float] = {}
     for source in chunk:
@@ -315,25 +296,16 @@ def _sum_dependencies(
     choice = _csr.effective_backend(graph, backend)
     use_weights = _sssp.effective_weighted(graph, weighted)
     if choice == _csr.CSR_BACKEND:
+        import numpy as np
+
         snapshot = _csr.as_csr(graph)
-        if _csr.HAS_NUMPY:
-            import numpy as np
+        totals = np.zeros(snapshot.n, dtype=np.float64)
 
-            totals = np.zeros(snapshot.n, dtype=np.float64)
-
-            def fold(chunk, partial) -> None:
-                np.add(totals, partial, out=totals)
-
-        else:
-            totals = [0.0] * snapshot.n
-
-            def fold(chunk, partial) -> None:
-                for node in range(snapshot.n):
-                    totals[node] += partial[node]
+        def fold(chunk, partial) -> None:
+            np.add(totals, partial, out=totals)
 
         def finalize() -> Dict[Node, float]:
-            flat = totals.tolist() if _csr.HAS_NUMPY else totals
-            return {label: flat[i] for i, label in enumerate(snapshot.labels)}
+            return dict(zip(snapshot.labels, totals.tolist()))
 
     else:
         centrality: Dict[Node, float] = {node: 0.0 for node in graph.nodes()}

@@ -15,6 +15,10 @@ metric (hop vs weighted).  The digest covers the exact labels, adjacency
 order and weights, so a restarted process — or a different key naming the
 same graph — reuses the exact Brandes run bit for bit, and a mutated or
 regenerated graph can never collide with a stale entry.
+
+Both tiers write through :func:`repro.graphs.store.atomic_write`, and an
+unreadable file (truncated, not JSON) counts as a miss: the truth is
+recomputed and the file overwritten.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from typing import Dict, Hashable, Optional, Union
 from repro.centrality.brandes import betweenness_centrality
 from repro.graphs import delta as _delta
 from repro.graphs import sssp as _sssp
+from repro.graphs import store as snapshot_store
 from repro.graphs.graph import Graph
 
 Node = Hashable
@@ -143,21 +148,19 @@ class GroundTruthCache:
             stale = True
             del self._memory[key]
         if self._cache_dir is not None and not stale:
-            path = self._path_for(key)
-            if path.exists():
-                values = self._load(path)
-                if len(values) == graph.number_of_nodes():
-                    self._memory[key] = values
-                    self._remember(key, graph)
-                    return values
+            values = self._load(self._path_for(key))
+            if values is not None and len(values) == graph.number_of_nodes():
+                self._memory[key] = values
+                self._remember(key, graph)
+                return values
         # Content-addressed persistent tier: the digest is recomputed from
         # the graph *as it is now*, so (unlike the key file) a hit here is
         # safe even when this key's previous entry went stale — a mutated
         # graph simply hashes to a different file.
         digest_path = self._digest_path_for(graph)
-        if digest_path is not None and digest_path.exists():
+        if digest_path is not None:
             values = self._load(digest_path)
-            if len(values) == graph.number_of_nodes():
+            if values is not None and len(values) == graph.number_of_nodes():
                 self._memory[key] = values
                 self._remember(key, graph)
                 if self._cache_dir is not None:
@@ -169,7 +172,6 @@ class GroundTruthCache:
         if self._cache_dir is not None:
             self._store(self._path_for(key), values)
         if digest_path is not None:
-            digest_path.parent.mkdir(parents=True, exist_ok=True)
             self._store(digest_path, values)
         return values
 
@@ -186,8 +188,6 @@ class GroundTruthCache:
         """The content-addressed tier directory, or ``None`` when disabled."""
         if self._digest_dir is not None:
             return self._digest_dir
-        from repro.graphs import store as snapshot_store
-
         base = snapshot_store.resolve_snapshot_dir()
         return None if base is None else base / "ground_truth"
 
@@ -202,27 +202,32 @@ class GroundTruthCache:
         directory = self._digest_tier()
         if directory is None:
             return None
-        from repro.graphs import store as snapshot_store
-
         metric = "weighted" if _sssp.effective_weighted(graph) else "hop"
         digest = snapshot_store.content_digest(graph)
         return directory / f"bt_{digest}_{metric}.json"
 
     def _path_for(self, key: str) -> Path:
-        safe = "".join(ch if ch.isalnum() or ch in "-_.@" else "_" for ch in key)
-        return self._cache_dir / f"{safe}.json"
+        return self._cache_dir / f"{snapshot_store.safe_key(key)}.json"
 
     @staticmethod
-    def _load(path: Path) -> Dict[Node, float]:
-        with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
+    def _load(path: Path) -> Optional[Dict[Node, float]]:
+        """The values stored at ``path``, or ``None`` when the file is
+        missing, unreadable or not a JSON object (the caller recomputes)."""
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                raw = json.load(handle)
+        except (OSError, ValueError):
+            return None
+        if not isinstance(raw, dict):
+            return None
         return {_parse_node(node): value for node, value in raw.items()}
 
     @staticmethod
     def _store(path: Path, values: Dict[Node, float]) -> None:
         serialisable = {str(node): value for node, value in values.items()}
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(serialisable, handle)
+        snapshot_store.atomic_write(
+            path, (json.dumps(serialisable).encode("utf-8"),)
+        )
 
 
 def _parse_node(token: str) -> Node:

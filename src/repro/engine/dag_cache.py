@@ -107,7 +107,7 @@ def _entry_cost(value: object) -> int:
     size = getattr(value, "size", None)  # numpy distance row
     if isinstance(size, int):
         return max(1, size)
-    if isinstance(value, (dict, list)):  # distance map / pure-python row
+    if isinstance(value, dict):  # label-keyed distance map
         return max(1, len(value))
     csr = getattr(value, "csr", None)
     if csr is not None:  # CSRShortestPathDAG: ~4 state arrays + DAG edges

@@ -46,9 +46,6 @@ from repro.graphs.csr import sigma_choice
 from repro.graphs.graph import Graph
 from repro.utils.rng import SeedLike, ensure_rng
 
-if _csr.HAS_NUMPY:
-    import numpy as _np
-
 Node = Hashable
 
 #: ``auto`` backend cutoff for one bidirectional search (KADABRA's).  One
@@ -229,7 +226,7 @@ class _SweepSide:
         while depth > 0:
             depth -= 1
             first, stop = indptr[current], indptr[current + 1]
-            if _csr.HAS_NUMPY and stop - first >= _SMALL_SCAN:
+            if stop - first >= _SMALL_SCAN:
                 flats = (sweep.csr.indices[first:stop] << shift) | slot
                 preds = flats[sweep.dist[flats] == depth].tolist()
             else:
@@ -436,7 +433,7 @@ def _record_meetings(sweep, start: int, best: List[Optional[int]]) -> None:
     # Slots 2k and 2k + 1 hold the same node at ids differing in bit 0.
     mask = (1 << sweep.shift) - 1
     stop = sweep.log_size
-    if _csr.HAS_NUMPY and stop - start >= _SMALL_SCAN:
+    if stop - start >= _SMALL_SCAN:
         fresh = sweep.log[start:stop]
         other = sweep.dist[fresh ^ 1]
         hit = other >= 0
@@ -482,7 +479,7 @@ def _stacked_result(
     # ``dist`` insertion order) whose backward distance completes a path.
     first, stop = sweep.slot_levels[forward][cut_level]
     remaining = distance - cut_level
-    if _csr.HAS_NUMPY and stop - first >= _SMALL_SCAN:
+    if stop - first >= _SMALL_SCAN:
         level = sweep.log[first:stop]
         cut = level[sweep.dist[level ^ 1] == remaining].tolist()
     else:

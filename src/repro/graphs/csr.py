@@ -15,11 +15,10 @@ alternative:
 * :func:`as_csr` — build-and-cache: snapshots are cached per graph object and
   invalidated automatically when the graph mutates (via ``Graph._version``).
 * Integer-index kernels — ``csr_bfs``, ``csr_shortest_path_dag``,
-  ``csr_brandes`` — vectorised with numpy when it is importable and falling
-  back to pure-Python loops over the same flat arrays otherwise.  All of
-  them (and the bidirectional search in
-  :mod:`repro.graphs.bidirectional`) drive the one shared expand-one-level
-  kernel, :class:`_BatchSweep`.
+  ``csr_brandes`` — over numpy arrays.  All of them drive the one shared
+  expand-one-level kernel, :class:`_BatchSweep`; the stacked bidirectional
+  search in :mod:`repro.graphs.bidirectional` drives its per-slot sibling,
+  :class:`_StaggeredSweep`.
 * Batched sweeps — :func:`multi_source_sweep` runs K sources per call over
   stacked ``(K, n)`` state arrays, merging the thin per-source frontiers of
   high-diameter (road-style) graphs into fat vectorised ones, with results
@@ -33,6 +32,11 @@ alternative:
 * Backend selection — :func:`effective_backend` maps a user-facing
   ``backend=`` argument (``None``/``"auto"``/``"dict"``/``"csr"``, the
   ``backend`` knob of :mod:`repro.knobs`) to a concrete backend per graph.
+
+numpy is optional for the package but required here: every module imports
+without it, ``auto`` then picks the dict backend, and an explicit ``csr``
+(or building, saving or loading a snapshot) raises
+:class:`~repro.errors.GraphError` from :func:`require_numpy`.
 
 Determinism contract
 --------------------
@@ -54,7 +58,6 @@ and exceeds ``2**63`` at hop distances around 70.
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from heapq import heappop, heappush
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
@@ -64,7 +67,7 @@ from repro.errors import GraphError
 from repro.graphs import delta as _delta
 from repro.graphs.graph import Graph
 
-try:  # numpy is optional: the CSR backend degrades to pure-Python loops.
+try:  # numpy is optional: without it only the dict backend runs.
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised only on numpy-less installs
     _np = None
@@ -93,6 +96,19 @@ set_default_backend = _knobs.BACKEND.override
 resolve_backend = _knobs.BACKEND.resolve
 
 
+def require_numpy(what: str) -> None:
+    """Raise :class:`GraphError` naming numpy unless it is importable.
+
+    The one numpy check of the CSR backend and the snapshot store, whose
+    arrays are numpy arrays.  ``what`` names the operation that needs it.
+    """
+    if not HAS_NUMPY:
+        raise GraphError(
+            f"{what} requires numpy, which is not importable; install numpy "
+            "or use backend='dict' (or 'auto', which picks dict without numpy)"
+        )
+
+
 def effective_backend(
     graph: Graph,
     backend: Optional[str] = None,
@@ -102,9 +118,10 @@ def effective_backend(
     """Choose the concrete backend for one operation on ``graph``.
 
     Explicit choices (argument, :func:`set_default_backend`, or the
-    ``REPRO_BACKEND`` variable) are always honoured.  The remaining ``auto``
-    case picks CSR when numpy is available and the graph is large enough for
-    the array kernels to win (or already has a cached snapshot), and the dict
+    ``REPRO_BACKEND`` variable) are always honoured; an explicit ``csr``
+    without numpy raises :class:`GraphError`.  The remaining ``auto`` case
+    picks CSR when numpy is available and the graph is large enough for the
+    array kernels to win (or already has a cached snapshot), and the dict
     reference otherwise.  Both backends return identical results, so the
     heuristic affects speed only.
 
@@ -121,6 +138,8 @@ def effective_backend(
         # adjacency to fall back to.
         return CSR_BACKEND
     resolved = resolve_backend(backend)
+    if resolved == CSR_BACKEND:
+        require_numpy("the csr backend")
     if resolved != AUTO_BACKEND:
         return resolved
     if not HAS_NUMPY:
@@ -223,14 +242,7 @@ class CSRGraph:
         self.identity_labels = all(
             isinstance(label, int) and label == i for i, label in enumerate(labels)
         )
-        if self.n == 0:
-            self.max_degree = 0
-        elif HAS_NUMPY and not isinstance(indptr, array):
-            self.max_degree = int((indptr[1:] - indptr[:-1]).max())
-        else:
-            self.max_degree = max(
-                indptr[i + 1] - indptr[i] for i in range(self.n)
-            )
+        self.max_degree = int((indptr[1:] - indptr[:-1]).max()) if self.n else 0
         # Set by repro.graphs.store when the snapshot is backed by an
         # on-disk file (saved or loaded, possibly as read-only np.memmap
         # views).  repro.parallel uses it to hand workers a path + header
@@ -258,10 +270,7 @@ class CSRGraph:
         if self.weights is None:
             return None
         if self._weights_list is None:
-            if HAS_NUMPY and not isinstance(self.weights, array):
-                self._weights_list = self.weights.tolist()
-            else:
-                self._weights_list = list(self.weights)
+            self._weights_list = self.weights.tolist()
         return self._weights_list
 
     def adjacency_lists(self) -> Tuple[List[int], List[int]]:
@@ -272,12 +281,8 @@ class CSRGraph:
         boxing one numpy scalar per edge.
         """
         if self._indptr_list is None:
-            if HAS_NUMPY:
-                self._indptr_list = self.indptr.tolist()
-                self._indices_list = self.indices.tolist()
-            else:
-                self._indptr_list = list(self.indptr)
-                self._indices_list = list(self.indices)
+            self._indptr_list = self.indptr.tolist()
+            self._indices_list = self.indices.tolist()
         return self._indptr_list, self._indices_list
 
     def save(self, path):
@@ -296,12 +301,11 @@ class CSRGraph:
         """Load a snapshot written by :meth:`save`.
 
         With ``mmap`` unset the ``mmap`` knob decides (``REPRO_MMAP``,
-        default ``auto``): when numpy is importable the arrays come back
-        as read-only ``np.memmap`` views — an O(1) attach regardless of
-        graph size — otherwise they are read into RAM.  Both forms are
-        byte-identical.  Corrupt, truncated, stale-version or
-        foreign-endianness files raise :class:`~repro.errors.GraphError`
-        naming the path and the mismatch.
+        default ``auto``): ``auto``/``on`` return read-only ``np.memmap``
+        views — an O(1) attach regardless of graph size — and ``off`` reads
+        the arrays into RAM.  Both forms are byte-identical.  Corrupt,
+        truncated, stale-version or foreign-endianness files raise
+        :class:`~repro.errors.GraphError` naming the path and the mismatch.
         """
         from repro.graphs.store import load_snapshot
 
@@ -314,7 +318,9 @@ class CSRGraph:
         Weighted graphs additionally get a float64 ``weights`` array aligned
         with ``indices`` (one entry per directed adjacency slot); unit-weight
         graphs keep ``weights is None`` and the exact historical snapshot.
+        Raises :class:`GraphError` when numpy is not importable.
         """
+        require_numpy("a CSR snapshot")
         labels = list(graph.nodes())
         index = {label: i for i, label in enumerate(labels)}
         flat: List[int] = []
@@ -330,16 +336,9 @@ class CSRGraph:
                 for neighbor in graph.neighbors(label):
                     flat.append(index[neighbor])
             indptr_list.append(len(flat))
-        if HAS_NUMPY:
-            indptr = _np.asarray(indptr_list, dtype=_np.int64)
-            indices = _np.asarray(flat, dtype=_np.int64)
-            weights = (
-                _np.asarray(flat_weights, dtype=_np.float64) if weighted else None
-            )
-        else:
-            indptr = array("q", indptr_list)
-            indices = array("q", flat)
-            weights = array("d", flat_weights) if weighted else None
+        indptr = _np.asarray(indptr_list, dtype=_np.int64)
+        indices = _np.asarray(flat, dtype=_np.int64)
+        weights = _np.asarray(flat_weights, dtype=_np.float64) if weighted else None
         return cls(indptr, indices, labels, weights)
 
     # ------------------------------------------------------------------
@@ -418,18 +417,10 @@ def _patched_snapshot(
         if seg is None:
             start = int(old.indptr[a])
             end = int(old.indptr[a + 1])
-            chunk = old.indices[start:end]
-            seg = chunk.tolist() if HAS_NUMPY and not isinstance(
-                chunk, array
-            ) else list(chunk)
+            seg = old.indices[start:end].tolist()
             segments[a] = seg
             if old_weighted:
-                wchunk = old.weights[start:end]
-                weight_segments[a] = (
-                    wchunk.tolist()
-                    if HAS_NUMPY and not isinstance(wchunk, array)
-                    else list(wchunk)
-                )
+                weight_segments[a] = old.weights[start:end].tolist()
             else:
                 weight_segments[a] = [1.0] * len(seg)
         return seg
@@ -461,68 +452,42 @@ def _patched_snapshot(
     n = old.n
     total = 2 * graph.number_of_edges()
     affected = sorted(segments)
-    if HAS_NUMPY and not isinstance(old.indptr, array):
-        counts = (old.indptr[1:] - old.indptr[:-1]).copy()
-        for a in affected:
-            counts[a] = len(segments[a])
-        indptr = _np.empty(n + 1, dtype=_np.int64)
-        indptr[0] = 0
-        _np.cumsum(counts, out=indptr[1:])
-        if int(indptr[n]) != total:
-            return None
-        indices = _np.empty(total, dtype=_np.int64)
-        weights = _np.empty(total, dtype=_np.float64) if new_weighted else None
-        src = 0  # read cursor into the old arrays
-        dst = 0  # write cursor into the new arrays
+    counts = (old.indptr[1:] - old.indptr[:-1]).copy()
+    for a in affected:
+        counts[a] = len(segments[a])
+    indptr = _np.empty(n + 1, dtype=_np.int64)
+    indptr[0] = 0
+    _np.cumsum(counts, out=indptr[1:])
+    if int(indptr[n]) != total:
+        return None
+    indices = _np.empty(total, dtype=_np.int64)
+    weights = _np.empty(total, dtype=_np.float64) if new_weighted else None
+    src = 0  # read cursor into the old arrays
+    dst = 0  # write cursor into the new arrays
 
-        def copy_run(src: int, end: int, dst: int) -> int:
-            length = end - src
-            if length:
-                indices[dst : dst + length] = old.indices[src:end]
-                if weights is not None:
-                    if old_weighted:
-                        weights[dst : dst + length] = old.weights[src:end]
-                    else:
-                        weights[dst : dst + length] = 1.0
-            return dst + length
+    def copy_run(src: int, end: int, dst: int) -> int:
+        length = end - src
+        if length:
+            indices[dst : dst + length] = old.indices[src:end]
+            if weights is not None:
+                if old_weighted:
+                    weights[dst : dst + length] = old.weights[src:end]
+                else:
+                    weights[dst : dst + length] = 1.0
+        return dst + length
 
-        for a in affected:
-            dst = copy_run(src, int(old.indptr[a]), dst)
-            src = int(old.indptr[a + 1])
-            seg = segments[a]
-            if seg:
-                indices[dst : dst + len(seg)] = seg
-                if weights is not None:
-                    weights[dst : dst + len(seg)] = weight_segments[a]
-            dst += len(seg)
-        dst = copy_run(src, int(old.indptr[n]), dst)
-        if dst != total:
-            return None
-    else:
-        indices = array("q")
-        weights = array("d") if new_weighted else None
-        indptr_list = [0]
-        src = 0
-        affected_set = set(affected)
-        for a in range(n):
-            if a in affected_set:
-                seg = segments[a]
-                indices.extend(seg)
-                if weights is not None:
-                    weights.extend(weight_segments[a])
-            else:
-                start = int(old.indptr[a])
-                end = int(old.indptr[a + 1])
-                indices.extend(old.indices[start:end])
-                if weights is not None:
-                    if old_weighted:
-                        weights.extend(old.weights[start:end])
-                    else:
-                        weights.extend([1.0] * (end - start))
-            indptr_list.append(len(indices))
-        if len(indices) != total:
-            return None
-        indptr = array("q", indptr_list)
+    for a in affected:
+        dst = copy_run(src, int(old.indptr[a]), dst)
+        src = int(old.indptr[a + 1])
+        seg = segments[a]
+        if seg:
+            indices[dst : dst + len(seg)] = seg
+            if weights is not None:
+                weights[dst : dst + len(seg)] = weight_segments[a]
+        dst += len(seg)
+    dst = copy_run(src, int(old.indptr[n]), dst)
+    if dst != total:
+        return None
     return CSRGraph(indptr, indices, old.labels, weights)
 
 
@@ -702,23 +667,16 @@ class CSRShortestPathDAG:
             members = {target_index}
             stack = [target_index]
             while stack:
-                preds = self.predecessors(stack.pop())
-                if not isinstance(preds, list):
-                    preds = preds.tolist()
-                for predecessor in preds:
+                for predecessor in self.predecessors(stack.pop()).tolist():
                     if predecessor not in members:
                         members.add(predecessor)
                         stack.append(predecessor)
             beta: Dict[int, float] = {target_index: 1.0}
-            order = self.order.tolist() if HAS_NUMPY else self.order
-            for node in reversed(order):
+            for node in reversed(self.order.tolist()):
                 if node not in members:
                     continue
                 value = beta[node]
-                preds = self.predecessors(node)
-                if not isinstance(preds, list):
-                    preds = preds.tolist()
-                for predecessor in preds:
+                for predecessor in self.predecessors(node).tolist():
                     beta[predecessor] = beta.get(predecessor, 0.0) + value
             return beta
         beta = {target_index: 1.0}
@@ -726,10 +684,7 @@ class CSRShortestPathDAG:
         while frontier:
             next_frontier: List[int] = []
             for node in frontier:
-                preds = self.predecessors(node)
-                if not isinstance(preds, list):
-                    preds = preds.tolist()
-                for predecessor in preds:
+                for predecessor in self.predecessors(node).tolist():
                     if predecessor not in beta:
                         beta[predecessor] = 0.0
                         next_frontier.append(predecessor)
@@ -754,8 +709,7 @@ class CSRShortestPathDAG:
         current = target_index
         sigma = self.sigma
         while current != self.source:
-            preds = self.predecessors(current)
-            preds = preds.tolist() if HAS_NUMPY else list(preds)
+            preds = self.predecessors(current).tolist()
             weights = [int(sigma[p]) for p in preds]
             current = sigma_choice(preds, weights, rng)
             path.append(current)
@@ -813,12 +767,12 @@ def sigma_choice(items: Sequence, weights: Sequence[int], rng):
 #
 # :class:`_BatchSweep` below is the ONLY copy of this hybrid expansion and
 # of the int64→Python-int sigma overflow guard.  Every level-synchronous
-# consumer — ``_np_bfs``, ``_np_shortest_path_dag`` (and through it
-# ``csr_brandes``) and the batched :func:`multi_source_sweep` — drives the
-# same kernel, so the expansion logic cannot silently diverge between call
-# sites again.  The one exception is :class:`_StaggeredSweep`, whose slots
-# each grow at their own depth (the stacked balanced bidirectional search);
-# it reuses the same threshold, scatter and overflow test.
+# consumer — ``csr_bfs``, ``csr_shortest_path_dag``, ``csr_brandes`` and
+# the batched :func:`multi_source_sweep` — drives the same kernel, so the
+# expansion logic cannot silently diverge between call sites again.  The
+# one exception is :class:`_StaggeredSweep`, whose slots each grow at their
+# own depth (the stacked balanced bidirectional search); it reuses the same
+# threshold, scatter and overflow test.
 
 #: Frontiers whose total degree falls below this are expanded sequentially.
 _SEQUENTIAL_EDGE_THRESHOLD = 192
@@ -941,18 +895,13 @@ class _BatchSweep:
             list(roots) if self.batch == 1
             else [slot * n + root for slot, root in enumerate(roots)]
         )
-        if HAS_NUMPY:
-            self.dist_store, self.dist = _shared_state(self.size, "q")
-            self.dist.fill(-1)
-            self.scratch = _np.empty(self.size, dtype=_np.int64)
-        else:
-            self.dist_store = [-1] * self.size
-            self.dist = self.dist_store
-            self.scratch = None
+        self.dist_store, self.dist = _shared_state(self.size, "q")
+        self.dist.fill(-1)
+        self.scratch = _np.empty(self.size, dtype=_np.int64)
         if sigma_mode is None:
             self.sigma = None
             self.sigma_view = None
-        elif HAS_NUMPY:
+        else:
             # ``sigma`` is what gets indexed element-wise: the shared buffer
             # while counts fit in int64, a plain list of Python ints after
             # the overflow guard trips (float sigma — the Brandes case —
@@ -960,21 +909,16 @@ class _BatchSweep:
             self.sigma, self.sigma_view = _shared_state(
                 self.size, "d" if self.float_sigma else "q"
             )
-        else:
-            self.sigma = [0.0 if self.float_sigma else 0] * self.size
-            self.sigma_view = None
         for flat in flat_roots:
             self.dist_store[flat] = 0
             if self.sigma is not None:
                 self.sigma[flat] = 1.0 if self.float_sigma else 1
         self.frontier: object = flat_roots
         self.depth = 0
-        self.levels: List[object] = [
-            _np.asarray(flat_roots, dtype=_np.int64) if HAS_NUMPY else flat_roots
-        ]
+        self.levels: List[object] = [_np.asarray(flat_roots, dtype=_np.int64)]
         self.level_edges: List[Tuple[object, object]] = []
         self.frontier_max_sigma = 1
-        self.direction = direction if HAS_NUMPY else TOP_DOWN
+        self.direction = direction
         self.bottom_up_levels = 0
         self._unvisited = None
         # Cumulative degree of every already-*expanded* frontier.  Each node
@@ -1026,7 +970,7 @@ class _BatchSweep:
             <= frontier_cost * (_BOTTOM_UP_ALPHA + 1)
         ):
             scanned = self._expand_bottom_up()
-        elif HAS_NUMPY and frontier_cost >= _SEQUENTIAL_EDGE_THRESHOLD:
+        elif frontier_cost >= _SEQUENTIAL_EDGE_THRESHOLD:
             scanned = self._expand_vectorised()
             self._unvisited = None
         else:
@@ -1097,19 +1041,14 @@ class _BatchSweep:
                             edge_v.append(neighbor)
             if fresh and not self.float_sigma and self.sigma_view is not None:
                 self.frontier_max_sigma = max(sigma[flat] for flat in fresh)
-        if HAS_NUMPY:
-            self.levels.append(_np.asarray(fresh, dtype=_np.int64))
-            if track_edges:
-                self.level_edges.append(
-                    (
-                        _np.asarray(edge_u, dtype=_np.int64),
-                        _np.asarray(edge_v, dtype=_np.int64),
-                    )
+        self.levels.append(_np.asarray(fresh, dtype=_np.int64))
+        if track_edges:
+            self.level_edges.append(
+                (
+                    _np.asarray(edge_u, dtype=_np.int64),
+                    _np.asarray(edge_v, dtype=_np.int64),
                 )
-        else:
-            self.levels.append(fresh)
-            if track_edges:
-                self.level_edges.append((edge_u, edge_v))
+            )
         self.frontier = fresh
         self._frontier_cost = fresh_cost
         return scanned
@@ -1263,19 +1202,13 @@ class _StaggeredSweep:
         self.csr = csr
         self.shift = shift = (batch - 1).bit_length()
         self.size = size = csr.n << shift
-        if HAS_NUMPY:
-            # numpy buffers, with memoryviews for the element-wise loops.
-            self.dist = _np.full(size, -1, dtype=_np.int64)
-            self.sigma_view = _np.zeros(size, dtype=_np.int64)
-            self.log = _np.empty(batch * csr.n, dtype=_np.int64)
-            self.dist_store = memoryview(self.dist)
-            self.sigma = memoryview(self.sigma_view)
-            self.log_store = memoryview(self.log)
-        else:
-            self.dist_store = self.dist = [-1] * size
-            self.sigma = [0] * size
-            self.sigma_view = None
-            self.log_store = self.log = [0] * (batch * csr.n)
+        # numpy buffers, with memoryviews for the element-wise loops.
+        self.dist = _np.full(size, -1, dtype=_np.int64)
+        self.sigma_view = _np.zeros(size, dtype=_np.int64)
+        self.log = _np.empty(batch * csr.n, dtype=_np.int64)
+        self.dist_store = memoryview(self.dist)
+        self.sigma = memoryview(self.sigma_view)
+        self.log_store = memoryview(self.log)
         for slot, root in enumerate(roots):
             flat = (root << shift) | slot
             self.dist_store[flat] = 0
@@ -1305,7 +1238,7 @@ class _StaggeredSweep:
         ):
             self.sigma = self.sigma_view.tolist()
             self.sigma_view = None
-        if HAS_NUMPY and total >= _SEQUENTIAL_EDGE_THRESHOLD:
+        if total >= _SEQUENTIAL_EDGE_THRESHOLD:
             self._expand_vectorised(slots)
         else:
             self._expand_sequential(slots)
@@ -1490,22 +1423,30 @@ def _backward_dependencies(levels, level_edges, sigma, size, scratch):
     return delta
 
 
-def _np_bfs(csr: CSRGraph, source: int, max_depth: Optional[int]):
-    """Level-synchronous hybrid BFS; returns ``(dist, levels)``.
+# ------------------------- public kernels -----------------------------
+def csr_bfs(csr: CSRGraph, source: int, *, max_depth: Optional[int] = None):
+    """BFS from index ``source``; returns ``(dist, order)``.
 
-    ``levels[k]`` holds the indices discovered at depth ``k`` in discovery
-    order (int64 arrays).
+    ``dist`` holds ``-1`` for unreachable nodes; ``order`` lists the settled
+    indices in discovery order (the dict backend's result-dict key order).
     """
     sweep = _BatchSweep(csr, (source,))
     while sweep.has_frontier and (max_depth is None or sweep.depth < max_depth):
         sweep.expand()
     sweep.trim()
-    return sweep.dist, sweep.levels
+    levels = sweep.levels
+    order = _np.concatenate(levels) if len(levels) > 1 else levels[0]
+    return sweep.dist, order
 
 
-def _np_shortest_path_dag(
-    csr: CSRGraph, source: int, max_depth: Optional[int], float_sigma: bool
+def csr_shortest_path_dag(
+    csr: CSRGraph,
+    source: int,
+    *,
+    max_depth: Optional[int] = None,
+    float_sigma: bool = False,
 ) -> CSRShortestPathDAG:
+    """Build the shortest-path DAG rooted at index ``source``."""
     sweep = _BatchSweep(
         csr, (source,),
         sigma_mode="float" if float_sigma else "int",
@@ -1522,8 +1463,13 @@ def _np_shortest_path_dag(
     )
 
 
-def _np_brandes(csr: CSRGraph, source: int):
-    """Forward + backward Brandes pass; returns ``(delta, order, dist)``."""
+def csr_brandes(csr: CSRGraph, source: int):
+    """Brandes single-source dependencies from index ``source``.
+
+    Returns ``(delta, order, dist)`` where ``delta[v]`` is the dependency of
+    the source on ``v`` (``delta[source]`` carries a partial sum the caller
+    must ignore, mirroring the dict implementation's ``pop``).
+    """
     sweep = _BatchSweep(csr, (source,), sigma_mode="float", track_edges=True)
     while sweep.has_frontier:
         sweep.expand()
@@ -1534,122 +1480,6 @@ def _np_brandes(csr: CSRGraph, source: int):
         levels, sweep.level_edges, sweep.sigma_view, sweep.size, sweep.scratch
     )
     return delta, order, sweep.dist
-
-
-# ----------------------- pure-Python kernels --------------------------
-def _py_bfs(csr: CSRGraph, source: int, max_depth: Optional[int]):
-    indptr, indices = csr.indptr, csr.indices
-    dist = [-1] * csr.n
-    dist[source] = 0
-    order = [source]
-    queue = deque([source])
-    while queue:
-        node = queue.popleft()
-        depth = dist[node]
-        if max_depth is not None and depth >= max_depth:
-            continue
-        for position in range(indptr[node], indptr[node + 1]):
-            neighbor = indices[position]
-            if dist[neighbor] < 0:
-                dist[neighbor] = depth + 1
-                order.append(neighbor)
-                queue.append(neighbor)
-    return dist, order
-
-
-def _py_shortest_path_dag(
-    csr: CSRGraph, source: int, max_depth: Optional[int], float_sigma: bool
-) -> CSRShortestPathDAG:
-    indptr, indices = csr.indptr, csr.indices
-    n = csr.n
-    dist = [-1] * n
-    dist[source] = 0
-    sigma: List = [0.0 if float_sigma else 0] * n
-    sigma[source] = 1.0 if float_sigma else 1
-    preds: List[List[int]] = [[] for _ in range(n)]
-    order = [source]
-    queue = deque([source])
-    while queue:
-        node = queue.popleft()
-        depth = dist[node]
-        if max_depth is not None and depth >= max_depth:
-            continue
-        for position in range(indptr[node], indptr[node + 1]):
-            neighbor = indices[position]
-            if dist[neighbor] < 0:
-                dist[neighbor] = depth + 1
-                order.append(neighbor)
-                queue.append(neighbor)
-            if dist[neighbor] == depth + 1:
-                sigma[neighbor] += sigma[node]
-                preds[neighbor].append(node)
-    pred_indptr = [0] * (n + 1)
-    pred_indices: List[int] = []
-    for node in range(n):
-        pred_indices.extend(preds[node])
-        pred_indptr[node + 1] = len(pred_indices)
-    levels: List[List[int]] = []
-    for node in order:
-        if dist[node] == len(levels):
-            levels.append([])
-        levels[dist[node]].append(node)
-    return CSRShortestPathDAG(
-        csr, source, dist, sigma, order, levels, None,
-        pred_indptr=pred_indptr, pred_indices=pred_indices,
-    )
-
-
-def _py_brandes(csr: CSRGraph, source: int):
-    dag = _py_shortest_path_dag(csr, source, None, float_sigma=True)
-    sigma = dag.sigma
-    delta = [0.0] * csr.n
-    pred_indptr, pred_indices = dag.pred_indptr, dag.pred_indices
-    for node in reversed(dag.order):
-        coefficient = 1.0 + delta[node]
-        sigma_node = sigma[node]
-        for position in range(pred_indptr[node], pred_indptr[node + 1]):
-            predecessor = pred_indices[position]
-            delta[predecessor] += sigma[predecessor] / sigma_node * coefficient
-    return delta, dag.order, dag.dist
-
-
-# ------------------------- public kernels -----------------------------
-def csr_bfs(csr: CSRGraph, source: int, *, max_depth: Optional[int] = None):
-    """BFS from index ``source``; returns ``(dist, order)``.
-
-    ``dist`` holds ``-1`` for unreachable nodes; ``order`` lists the settled
-    indices in discovery order (the dict backend's result-dict key order).
-    """
-    if HAS_NUMPY:
-        dist, levels = _np_bfs(csr, source, max_depth)
-        order = _np.concatenate(levels) if len(levels) > 1 else levels[0]
-        return dist, order
-    return _py_bfs(csr, source, max_depth)
-
-
-def csr_shortest_path_dag(
-    csr: CSRGraph,
-    source: int,
-    *,
-    max_depth: Optional[int] = None,
-    float_sigma: bool = False,
-) -> CSRShortestPathDAG:
-    """Build the shortest-path DAG rooted at index ``source``."""
-    if HAS_NUMPY:
-        return _np_shortest_path_dag(csr, source, max_depth, float_sigma)
-    return _py_shortest_path_dag(csr, source, max_depth, float_sigma)
-
-
-def csr_brandes(csr: CSRGraph, source: int):
-    """Brandes single-source dependencies from index ``source``.
-
-    Returns ``(delta, order, dist)`` where ``delta[v]`` is the dependency of
-    the source on ``v`` (``delta[source]`` carries a partial sum the caller
-    must ignore, mirroring the dict implementation's ``pop``).
-    """
-    if HAS_NUMPY:
-        return _np_brandes(csr, source)
-    return _py_brandes(csr, source)
 
 
 # ----------------------- the weighted SSSP engine ---------------------
@@ -1718,22 +1548,15 @@ def csr_dijkstra_dag(
     for node in range(n):
         pred_indices.extend(preds[node])
         pred_indptr[node + 1] = len(pred_indices)
-    dist_out: object
-    order_out: object
-    if HAS_NUMPY:
-        dist_out = _np.asarray(
-            [-1.0 if value is None else value for value in dist],
-            dtype=_np.float64,
-        )
-        order_out = _np.asarray(order, dtype=_np.int64)
-        pred_indptr = _np.asarray(pred_indptr, dtype=_np.int64)
-        pred_indices = _np.asarray(pred_indices, dtype=_np.int64)
-    else:
-        dist_out = [-1.0 if value is None else value for value in dist]
-        order_out = order
+    dist_out = _np.asarray(
+        [-1.0 if value is None else value for value in dist], dtype=_np.float64
+    )
     return CSRShortestPathDAG(
-        csr, source, dist_out, sigma, order_out, None, None,
-        pred_indptr=pred_indptr, pred_indices=pred_indices, weighted=True,
+        csr, source, dist_out, sigma, _np.asarray(order, dtype=_np.int64),
+        None, None,
+        pred_indptr=_np.asarray(pred_indptr, dtype=_np.int64),
+        pred_indices=_np.asarray(pred_indices, dtype=_np.int64),
+        weighted=True,
     )
 
 
@@ -1769,9 +1592,9 @@ def csr_dijkstra_distances(csr: CSRGraph, source: int, *, with_order: bool = Fal
                 dist[neighbor] = candidate
                 heappush(heap, (candidate, counter, neighbor))
                 counter += 1
-    row = [-1.0 if value is None else value for value in dist]
-    if HAS_NUMPY:
-        row = _np.asarray(row, dtype=_np.float64)
+    row = _np.asarray(
+        [-1.0 if value is None else value for value in dist], dtype=_np.float64
+    )
     if with_order:
         return row, order
     return row
@@ -1788,16 +1611,13 @@ def weighted_backward_dependencies(dag: CSRShortestPathDAG):
     sigma = dag.sigma
     pred_indptr, pred_indices = dag.pred_indptr, dag.pred_indices
     delta = [0.0] * n
-    order = dag.order if isinstance(dag.order, list) else dag.order.tolist()
-    for node in reversed(order):
+    for node in reversed(dag.order.tolist()):
         coefficient = 1.0 + delta[node]
         sigma_node = sigma[node]
         for position in range(pred_indptr[node], pred_indptr[node + 1]):
             predecessor = pred_indices[position]
             delta[predecessor] += sigma[predecessor] / sigma_node * coefficient
-    if HAS_NUMPY:
-        delta = _np.asarray(delta, dtype=_np.float64)
-    return delta
+    return _np.asarray(delta, dtype=_np.float64)
 
 
 def csr_dijkstra_brandes(csr: CSRGraph, source: int):
@@ -1938,10 +1758,6 @@ def multi_source_sweep(
         Dijkstra per source, float distance rows (``-1.0`` = unreachable).
         ``batch_size`` and ``direction`` are ignored (there is nothing to
         stack and no bottom-up step to take).
-
-    Without numpy the batched layout has nothing to vectorise, so the
-    function falls back to the per-source pure-Python kernels (results are
-    identical by the same contract).
     """
     if kind not in _SWEEP_KINDS:
         raise ValueError(f"unknown sweep kind {kind!r}; choose one of {_SWEEP_KINDS}")
@@ -1974,17 +1790,6 @@ def multi_source_sweep(
                 results.append((dag.dist, dag.sigma))
             else:
                 delta, _, _ = csr_dijkstra_brandes(csr, source)
-                results.append(delta)
-        return results
-    if not HAS_NUMPY:
-        for source in source_list:
-            if kind == SWEEP_DISTANCE:
-                results.append(csr_bfs(csr, source)[0])
-            elif kind == SWEEP_SIGMA:
-                dag = csr_shortest_path_dag(csr, source)
-                results.append((dag.dist, dag.sigma))
-            else:
-                delta, _, _ = csr_brandes(csr, source)
                 results.append(delta)
         return results
     if batch_size is None:
@@ -2035,26 +1840,18 @@ def multi_source_sweep(
 def distance_stats_from_row(dist):
     """``(reachable node count, total distance)`` of one distance row.
 
-    Accepts either a numpy row from :func:`multi_source_sweep` or the list
-    the pure-Python fallback produces (``-1`` = unreachable).  Hop-distance
-    rows yield an integer total; weighted (float) rows yield a float total.
+    ``dist`` is a row from :func:`multi_source_sweep` (``-1`` =
+    unreachable).  Hop-distance rows yield an integer total; weighted
+    (float) rows yield a float total.
     """
-    if HAS_NUMPY and not isinstance(dist, list):
-        reached = dist >= 0
-        if dist.dtype.kind == "f":
-            # Sequential left-to-right sum in node-index order: numpy's
-            # pairwise .sum() re-associates float additions, which would
-            # break bit-identity with the dict backend's sequential total.
-            # repro-lint: disable=float-fold — audited: builtin sum over tolist() is the pinned sequential node-index-order fold
-            return int(reached.sum()), sum(dist[reached].tolist())
-        return int(reached.sum()), int(dist[reached].sum())
-    reachable = 0
-    total = 0
-    for value in dist:
-        if value >= 0:
-            reachable += 1
-            total += value
-    return reachable, total
+    reached = dist >= 0
+    if dist.dtype.kind == "f":
+        # Sequential left-to-right sum in node-index order: numpy's
+        # pairwise .sum() re-associates float additions, which would
+        # break bit-identity with the dict backend's sequential total.
+        # repro-lint: disable=float-fold — audited: builtin sum over tolist() is the pinned sequential node-index-order fold
+        return int(reached.sum()), sum(dist[reached].tolist())
+    return int(reached.sum()), int(dist[reached].sum())
 
 
 def csr_distance_stats(csr: CSRGraph, source: int) -> Tuple[int, int]:

@@ -69,12 +69,19 @@ Knobs (rows of :mod:`repro.knobs`):
 * ``snapshot_dir`` — the default store directory (``None`` = no store;
   :func:`set_default_snapshot_dir`).
 * ``mmap`` = ``auto`` | ``on`` | ``off`` — whether file-backed loads
-  attach zero-copy ``np.memmap`` views (``auto``/``on`` when numpy is
-  importable) or read the arrays into RAM (``off``, or any mode on
-  numpy-less installs, where the worker handoff likewise degrades to the
-  pickle payload; :func:`set_default_mmap`).  The knob never changes
-  results — mapped and in-RAM arrays are byte-identical — only memory
-  footprint and cold-start time.
+  attach zero-copy ``np.memmap`` views (``auto`` and ``on``, which behave
+  the same) or read the arrays into RAM (``off``;
+  :func:`set_default_mmap`).  The knob never changes results — mapped and
+  in-RAM arrays are byte-identical — only memory footprint and cold-start
+  time.
+
+The store reads and writes numpy arrays: without numpy,
+:func:`save_snapshot` and :func:`load_snapshot` raise
+:class:`~repro.errors.GraphError` naming it (see
+:func:`repro.graphs.csr.require_numpy`), and so does the datasets
+registry when a store is configured.  Every file the store writes —
+snapshots, metadata side-cars and the ground-truth cache's JSON — goes
+through :func:`atomic_write`.
 """
 
 from __future__ import annotations
@@ -84,20 +91,17 @@ import json
 import os
 import struct
 import zlib
-from array import array
 from collections import deque
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro import knobs
 from repro.errors import GraphError
-from repro.graphs.csr import CSRGraph, HAS_NUMPY, as_csr
+from repro.graphs.csr import CSRGraph, HAS_NUMPY, as_csr, require_numpy
 from repro.graphs.graph import Graph
 
 if HAS_NUMPY:  # pragma: no branch - mirrors repro.graphs.csr
     import numpy as _np
-else:  # pragma: no cover - exercised only on numpy-less installs
-    _np = None
 
 PathLike = Union[str, Path]
 
@@ -150,28 +154,43 @@ def resolve_snapshot_dir(
 def effective_mmap(mmap: Optional[str] = None) -> bool:
     """Whether file-backed loads should attach ``np.memmap`` views.
 
-    ``auto`` and ``on`` both map when numpy is importable; on numpy-less
-    installs every mode degrades to in-RAM ``array`` reads (and the worker
-    handoff to the pickle payload), mirroring how an enabled-but-
-    unavailable shared-memory knob degrades silently.  The choice never
-    changes results — mapped and in-RAM arrays are byte-identical.
+    ``auto`` and ``on`` both map; ``off`` reads the arrays into RAM.  The
+    choice never changes results — mapped and in-RAM arrays are
+    byte-identical.
     """
-    return resolve_mmap(mmap) != MMAP_OFF and HAS_NUMPY
+    return resolve_mmap(mmap) != MMAP_OFF
 
 
 # ---------------------------------------------------------------------------
 # Serialisation helpers
 # ---------------------------------------------------------------------------
-def _array_bytes(data, *, path: PathLike) -> bytes:
-    """Raw native bytes of one int64/float64 array (numpy or stdlib)."""
-    if HAS_NUMPY and not isinstance(data, array):
-        return _np.ascontiguousarray(data).tobytes()
-    if data.itemsize != 8:  # pragma: no cover - exotic platforms only
-        raise GraphError(
-            f"cannot write snapshot {path}: stdlib array itemsize is "
-            f"{data.itemsize}, expected 8 (int64/float64)"
-        )
-    return data.tobytes()
+def atomic_write(path: PathLike, chunks: Iterable[bytes]) -> Path:
+    """Write ``chunks`` to ``path`` atomically; return the path.
+
+    The bytes go to a temporary file next to ``path``, which is flushed,
+    ``fsync``-ed and renamed over ``path`` with ``os.replace``, so ``path``
+    holds either its old content or all of the new one, never a part.  On
+    any failure the temporary file is deleted and the error re-raised.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as handle:
+            for chunk in chunks:
+                handle.write(chunk)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
+
+
+def _array_bytes(data) -> bytes:
+    """Raw native bytes of one int64/float64 array."""
+    return _np.ascontiguousarray(data).tobytes()
 
 
 def _labels_blob(csr: CSRGraph, *, path: PathLike) -> bytes:
@@ -206,16 +225,16 @@ def save_snapshot(graph, path: PathLike) -> Path:
     Raises
     ------
     GraphError
-        If a node label is not JSON-serialisable (int/str).
+        If numpy is not importable, or a node label is not
+        JSON-serialisable (int/str).
     """
-    csr = as_csr(graph)
     path = Path(path)
+    require_numpy(f"saving snapshot {path}")
+    csr = as_csr(graph)
     labels_blob = _labels_blob(csr, path=path)
-    indptr_bytes = _array_bytes(csr.indptr, path=path)
-    indices_bytes = _array_bytes(csr.indices, path=path)
-    weights_bytes = (
-        _array_bytes(csr.weights, path=path) if csr.weights is not None else b""
-    )
+    indptr_bytes = _array_bytes(csr.indptr)
+    indices_bytes = _array_bytes(csr.indices)
+    weights_bytes = _array_bytes(csr.weights) if csr.weights is not None else b""
     flags = 0
     if csr.weights is not None:
         flags |= _FLAG_WEIGHTED
@@ -237,20 +256,17 @@ def save_snapshot(graph, path: PathLike) -> Path:
         len(labels_blob),
         arrays_crc,
     )
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as handle:
-            handle.write(header)
-            handle.write(labels_blob)
-            handle.write(b"\0" * _pad(len(labels_blob)))
-            handle.write(indptr_bytes)
-            handle.write(indices_bytes)
-            handle.write(weights_bytes)
-        os.replace(tmp, path)
-    finally:
-        if tmp.exists():  # pragma: no cover - only on a failed write
-            tmp.unlink()
+    atomic_write(
+        path,
+        (
+            header,
+            labels_blob,
+            b"\0" * _pad(len(labels_blob)),
+            indptr_bytes,
+            indices_bytes,
+            weights_bytes,
+        ),
+    )
     csr.source_path = str(path)
     return path
 
@@ -367,10 +383,8 @@ def load_snapshot(
         ``"auto"`` / ``"on"`` — attach the arrays as read-only
         ``np.memmap`` views (zero-copy, O(1) in graph size); ``"off"`` —
         read them into RAM; ``None`` resolves the ``mmap`` knob
-        (:func:`resolve_mmap`).  On numpy-less installs mapped loads
-        degrade to in-RAM ``array`` reads, except an *explicit*
-        ``mmap="on"`` argument, which raises (you asked for a mapping that
-        cannot exist).  Mapped and in-RAM loads are byte-identical.
+        (:func:`resolve_mmap`).  Mapped and in-RAM loads are
+        byte-identical.
     verify:
         Also check the arrays checksum on a mapped load (reads the whole
         file once).  In-RAM loads always verify it.
@@ -378,18 +392,13 @@ def load_snapshot(
     Raises
     ------
     GraphError
-        When the file is missing, truncated, checksum-corrupt, written
-        with a different format version or byte order — the error names
-        the path and the mismatch.
+        When numpy is not importable, or the file is missing, truncated,
+        checksum-corrupt, written with a different format version or byte
+        order — the error names the path and the mismatch.
     """
     path = Path(path)
-    mode = resolve_mmap(mmap)
-    if mmap == MMAP_ON and not HAS_NUMPY:
-        raise GraphError(
-            f"snapshot {path}: mmap='on' requires numpy, which is not "
-            "importable (use mmap='auto' to degrade to an in-RAM load)"
-        )
-    use_mmap = mode != MMAP_OFF and HAS_NUMPY
+    require_numpy(f"loading snapshot {path}")
+    use_mmap = effective_mmap(mmap)
     n, num_indices, flags, arrays_crc, arrays_offset, labels_blob = _read_header(path)
     labels = _decode_labels(path, n, flags, labels_blob)
     weighted = bool(flags & _FLAG_WEIGHTED)
@@ -428,23 +437,13 @@ def load_snapshot(
                 f"arrays checksum mismatch (stored 0x{arrays_crc:08x}, "
                 f"computed 0x{crc:08x}) — the file is corrupt",
             )
-        if HAS_NUMPY:
-            indptr = _np.frombuffer(indptr_bytes, dtype=_np.int64).copy()
-            indices = _np.frombuffer(indices_bytes, dtype=_np.int64).copy()
-            weights = (
-                _np.frombuffer(weights_bytes, dtype=_np.float64).copy()
-                if weighted
-                else None
-            )
-        else:
-            indptr = array("q")
-            indptr.frombytes(indptr_bytes)
-            indices = array("q")
-            indices.frombytes(indices_bytes)
-            weights = None
-            if weighted:
-                weights = array("d")
-                weights.frombytes(weights_bytes)
+        indptr = _np.frombuffer(indptr_bytes, dtype=_np.int64).copy()
+        indices = _np.frombuffer(indices_bytes, dtype=_np.int64).copy()
+        weights = (
+            _np.frombuffer(weights_bytes, dtype=_np.float64).copy()
+            if weighted
+            else None
+        )
     if len(indptr) != n + 1 or (n and int(indptr[n]) != num_indices):
         raise _corrupt(
             path,
@@ -579,8 +578,8 @@ class SnapshotStore:
     (``<dir>/datasets``) and the ground-truth cache keeps its persistent
     tier next to it (``<dir>/ground_truth``); benches and tests build
     scratch stores directly.  Keys are sanitised to file-system-safe
-    names; a key's graph lives in ``<key>.csr`` and its metadata in
-    ``<key>.meta.json``.
+    names (:func:`safe_key`); a key's graph lives in ``<key>.csr`` and its
+    metadata in ``<key>.meta.json``.
     """
 
     def __init__(self, directory: PathLike) -> None:
@@ -589,11 +588,11 @@ class SnapshotStore:
     # ------------------------------------------------------------------
     def path_for(self, key: str) -> Path:
         """The snapshot file backing ``key``."""
-        return self.directory / f"{_safe_key(key)}.csr"
+        return self.directory / f"{safe_key(key)}.csr"
 
     def meta_path_for(self, key: str) -> Path:
         """The JSON side-car metadata file of ``key``."""
-        return self.directory / f"{_safe_key(key)}.meta.json"
+        return self.directory / f"{safe_key(key)}.meta.json"
 
     def contains(self, key: str) -> bool:
         """Whether a snapshot for ``key`` exists on disk."""
@@ -617,24 +616,19 @@ class SnapshotStore:
 
     def save_meta(self, key: str, meta: Dict) -> Path:
         """Persist a JSON metadata document next to ``key``'s snapshot."""
-        path = self.meta_path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(meta, handle)
-        os.replace(tmp, path)
-        return path
+        return atomic_write(
+            self.meta_path_for(key), (json.dumps(meta).encode("utf-8"),)
+        )
 
     def load_meta(self, key: str) -> Optional[Dict]:
-        """Load ``key``'s metadata document, or ``None`` when absent/corrupt."""
-        path = self.meta_path_for(key)
-        if not path.exists():
-            return None
+        """Load ``key``'s metadata document, or ``None`` when it is absent,
+        unreadable or not a JSON object."""
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                return json.load(handle)
-        except (OSError, json.JSONDecodeError):
+            with open(self.meta_path_for(key), "r", encoding="utf-8") as handle:
+                meta = json.load(handle)
+        except (OSError, ValueError):
             return None
+        return meta if isinstance(meta, dict) else None
 
     def keys(self) -> Iterator[str]:
         """Iterate the (sanitised) keys present in the store."""
@@ -646,7 +640,7 @@ class SnapshotStore:
         return f"SnapshotStore({str(self.directory)!r})"
 
 
-def _safe_key(key: str) -> str:
+def safe_key(key: str) -> str:
     """Sanitise a store key to a file-system-safe name (collision-hashed).
 
     Alphanumerics and ``-_.@#`` pass through; anything else is replaced

@@ -64,12 +64,8 @@ def bfs_distances(
         dist, order = _csr.csr_bfs(
             snapshot, snapshot.index[source], max_depth=max_depth
         )
-        if _csr.HAS_NUMPY:
-            order_list = order.tolist()
-            values = dist[order].tolist()
-        else:
-            order_list = order
-            values = [dist[node] for node in order_list]
+        order_list = order.tolist()
+        values = dist[order].tolist()
         if snapshot.identity_labels:
             return dict(zip(order_list, values))
         labels = snapshot.labels
@@ -266,10 +262,10 @@ def shortest_path_dag(
 def _dag_to_labels(snapshot, dag, source: Node) -> ShortestPathDAG:
     """Translate an index-space DAG back to the label-keyed dataclass."""
     labels = snapshot.labels
-    order_list = dag.order.tolist() if _csr.HAS_NUMPY else list(dag.order)
+    order_list = dag.order.tolist()
     dist, sigma = dag.dist, dag.sigma
-    pred_indptr, pred_indices = dag.pred_indptr, dag.pred_indices
-    pred_list = pred_indices.tolist() if _csr.HAS_NUMPY else pred_indices
+    pred_indptr = dag.pred_indptr
+    pred_list = dag.pred_indices.tolist()
     weighted = bool(getattr(dag, "weighted", False))
     # Weighted DAGs carry float path lengths; truncating them to int would
     # corrupt distances, so only hop-count DAGs go through int().

@@ -344,8 +344,8 @@ SNAPSHOT_DIR = FilePath(
 )
 MMAP = Choice(
     "mmap", "REPRO_MMAP", "auto", ("auto", "on", "off"),
-    "how snapshot files attach: auto or on (read-only np.memmap views when "
-    "numpy is available) or off (read into RAM).  Never changes results, "
+    "how snapshot files attach: auto or on (read-only np.memmap views; the "
+    "two behave the same) or off (read into RAM).  Never changes results, "
     "only memory footprint and load time.",
 )
 

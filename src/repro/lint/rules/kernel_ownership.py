@@ -33,8 +33,6 @@ PRIVATE_KERNEL_NAMES = frozenset(
         "_BatchSweep",
         "_StaggeredSweep",
         "_backward_dependencies",
-        "_np_bfs",
-        "_np_shortest_path_dag",
         "_shared_state",
         "_sigma_may_overflow",
     }

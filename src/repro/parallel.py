@@ -27,8 +27,8 @@ assert exactly that.
 Shared-memory graph handoff
 ---------------------------
 Chunk payloads usually contain the graph, and the graph dominates the
-payload's pickle size.  When numpy and :mod:`multiprocessing.shared_memory`
-are available, :func:`shareable_graph` wraps the frozen CSR snapshot in a
+payload's pickle size.  On the CSR backend (which requires numpy),
+:func:`shareable_graph` wraps the frozen CSR snapshot in a
 :class:`SharedCSRPayload`: the ``indptr``/``indices`` (and, on weighted
 snapshots, ``weights``) arrays are exported into shared-memory blocks
 **once per pool** (lazily, on the first payload
@@ -42,8 +42,7 @@ export is skipped entirely: the payload is the file path plus a header and
 each worker attaches read-only ``np.memmap`` views of the file itself —
 the file *is* the shared block.  The handoff never changes results —
 workers see the same arrays bit for bit — and degrades gracefully to the
-pickle payload when numpy or ``shared_memory`` is missing or block
-allocation fails.
+pickle payload when block allocation fails.
 
 Configuration
 -------------
@@ -103,13 +102,10 @@ def resolve_workers(workers: Optional[int] = None) -> int:
 # ----------------------------------------------------------------------
 # Shared-memory CSR handoff
 # ----------------------------------------------------------------------
-#: Whether payloads should use the shared-memory handoff when possible;
-#: an enabled-but-unavailable handoff falls back to the pickle payload.
+#: Whether CSR payloads should use the shared-memory handoff; a failed
+#: block allocation falls back to the pickle payload.
 shared_memory_enabled = knobs.SHARED_MEMORY.resolve
 set_shared_memory_enabled = knobs.SHARED_MEMORY.override
-
-#: Lazily-probed availability of numpy + multiprocessing.shared_memory.
-_shared_memory_probe: Optional[bool] = None
 
 #: Names of shared-memory blocks currently owned (created and not yet
 #: unlinked) by this process — accounting for the leak tests.
@@ -126,20 +122,6 @@ _attached_snapshots: Dict[Tuple[str, str], object] = {}
 #: ``CSRGraph`` per snapshot file, attached on first use and reused by
 #: every chunk the worker runs.
 _attached_file_snapshots: Dict[Tuple[str, int, int, bool], object] = {}
-
-
-def shared_memory_available() -> bool:
-    """Whether the zero-copy handoff can work at all (numpy + shared_memory)."""
-    global _shared_memory_probe
-    if _shared_memory_probe is None:
-        try:
-            import numpy  # noqa: F401
-            from multiprocessing import shared_memory  # noqa: F401
-
-            _shared_memory_probe = True
-        except ImportError:  # pragma: no cover - numpy-less installs
-            _shared_memory_probe = False
-    return _shared_memory_probe
 
 
 def _export_array(data) -> Tuple[str, object]:
@@ -299,9 +281,9 @@ class SharedCSRPayload:
         """The ``_attach_snapshot_file`` args, or ``None`` when ineligible.
 
         Eligible means: the snapshot is backed by an on-disk file that
-        still exists and the ``mmap`` knob resolves to mapping (numpy
-        importable, mode not ``off``).  With ``mmap=off`` the shared-
-        memory export keeps the pre-snapshot behaviour byte-for-byte.
+        still exists and the ``mmap`` knob resolves to mapping (mode not
+        ``off``).  With ``mmap=off`` the shared-memory export keeps the
+        pre-snapshot behaviour byte-for-byte.
         """
         path = getattr(self.csr, "source_path", None)
         if path is None:
@@ -375,17 +357,13 @@ def shareable_graph(graph, backend: Optional[str] = None):
 
     Returns a :class:`SharedCSRPayload` around the (cached) CSR snapshot
     when the resolved ``backend`` is CSR and the shared-memory handoff is
-    enabled and available; otherwise returns ``graph`` unchanged — the
-    pickle payload.  Chunk tasks recover the graph (or snapshot) with
+    enabled; otherwise returns ``graph`` unchanged — the pickle payload.
+    Chunk tasks recover the graph (or snapshot) with
     :func:`resolve_payload_graph`, so the same task code serves both paths.
     """
     from repro.graphs import csr as _csr
 
-    if (
-        backend == _csr.CSR_BACKEND
-        and shared_memory_enabled()
-        and shared_memory_available()
-    ):
+    if backend == _csr.CSR_BACKEND and shared_memory_enabled():
         return SharedCSRPayload(_csr.as_csr(graph))
     return graph
 

@@ -32,12 +32,12 @@ for low-centrality nodes.
 
 Two paths compute the scan, chosen by
 :func:`repro.graphs.csr.effective_backend` on the graph and the space's
-backend.  The loop (:func:`_loop_scan`) is the dict-backend path, the only
-path without numpy, the path for graphs of ``n >= 2**26.5`` (about 95M)
-nodes and the reference for the tests.  On the CSR backend
-:func:`_stacked_scan` evaluates the walks of whole sub-batches of ``B`` with
-numpy on the graph's snapshot.  Both fold in the same order, so they return
-the same ``risks``, ``lambda_exact``, ``num_pairs`` and ``work`` bit for bit:
+backend.  The loop (:func:`_loop_scan`) is the dict-backend path, the path
+for graphs of ``n >= 2**26.5`` (about 95M) nodes and the reference for the
+tests.  On the CSR backend :func:`_stacked_scan` evaluates the walks of
+whole sub-batches of ``B`` with numpy on the graph's snapshot.  Both fold
+in the same order, so they return the same ``risks``, ``lambda_exact``,
+``num_pairs`` and ``work`` bit for bit:
 
 * sources in ``B``'s order (the targets' adjacency lists, first occurrence
   kept), middles and endpoints in adjacency order;
@@ -121,8 +121,7 @@ def exact_two_hop_risks(
     if target_list != space.targets:
         raise ValueError(_mismatch(target_list, space.targets))
     if (
-        _csr.HAS_NUMPY
-        and space.n * space.n < _EXACT_WEIGHT_LIMIT
+        space.n * space.n < _EXACT_WEIGHT_LIMIT
         and _csr.effective_backend(space.graph, space.backend) == _csr.CSR_BACKEND
     ):
         risks_units, lambda_units, num_pairs, work = _stacked_scan(space)
@@ -155,7 +154,7 @@ def _mismatch(given: List[Node], expected: List[Node]) -> str:
 
 
 # ----------------------------------------------------------------------
-# The loop (dict backend, no numpy, test reference)
+# The loop (dict backend, test reference)
 # ----------------------------------------------------------------------
 def _loop_scan(space: PersonalizedISP) -> Tuple[List[float], float, int, int]:
     """Return ``(risks, lambda-hat, num_pairs, work)`` in pair-weight units."""
@@ -227,7 +226,7 @@ def _loop_scan(space: PersonalizedISP) -> Tuple[List[float], float, int, int]:
 
 
 # ----------------------------------------------------------------------
-# The stacked scan (CSR backend with numpy)
+# The stacked scan (CSR backend)
 # ----------------------------------------------------------------------
 def two_hop_batch_sources(snapshot) -> int:
     """Most sources one sub-batch of the stacked scan holds on ``snapshot``:

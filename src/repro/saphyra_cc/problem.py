@@ -115,9 +115,9 @@ class ClosenessProblem:
         # distances and, by symmetry, every sample's distances to A.
         self._target_set = set(targets)
         backend = _csr.effective_backend(graph, backend)
-        # ``_table`` (numpy CSR) or ``_target_rows`` (one row per target)
-        # holds the distances; ``_index`` maps labels to row keys (``None``
-        # when rows are label-keyed maps).
+        # ``_table`` (CSR, rows indexed through ``_index``) or
+        # ``_target_rows`` (dict, one label-keyed map per target) holds the
+        # distances.
         self._table = None
         self._target_rows = None
         if backend == _csr.CSR_BACKEND:
@@ -126,13 +126,9 @@ class ClosenessProblem:
             # sweeps on the same graph — epsilon grids, repeated ranks —
             # reuse them); misses run as batched multi-source sweeps.
             rows = _dag_cache.source_distance_rows(graph, targets)
-            if _csr.HAS_NUMPY:
-                # Row ``t`` of the table is ``d(t, A)``.
-                self._table = _np.stack(rows, axis=1)
-            else:
-                self._target_rows = rows
+            # Row ``t`` of the table is ``d(t, A)``.
+            self._table = _np.stack(rows, axis=1)
         else:
-            self._index = None
             self._target_rows = [
                 _dag_cache.source_distance_map(graph, node, backend=backend)
                 for node in targets
@@ -150,9 +146,7 @@ class ClosenessProblem:
         """The largest entry of the target rows (the largest loss numerator)."""
         if self._table is not None:
             return int(self._table.max())
-        if self._index is None:  # label-keyed distance maps
-            return max(max(distances.values()) for distances in self._target_rows)
-        return max(max(row) for row in self._target_rows)
+        return max(max(distances.values()) for distances in self._target_rows)
 
     def _distances_to_targets(self, nodes: Sequence[Node]):
         """``d(t, v)`` for each node ``t`` (rows) and target ``v`` (columns).
@@ -160,10 +154,9 @@ class ClosenessProblem:
         Read off the target rows as ``d(v, t)``, equal by the symmetry of
         hop distances in undirected graphs: no traversal runs.
         """
-        keys = nodes if self._index is None else [self._index[node] for node in nodes]
         if self._table is not None:
-            return self._table[keys]
-        return [[row[key] for row in self._target_rows] for key in keys]
+            return self._table[[self._index[node] for node in nodes]]
+        return [[row[node] for row in self._target_rows] for node in nodes]
 
     # ------------------------------------------------------------------
     @property

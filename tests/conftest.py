@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.datasets.synthetic import karate_club_graph
+from repro.graphs import csr
 from repro.graphs.generators import (
     barabasi_albert_graph,
     barbell_graph,
@@ -20,6 +21,23 @@ def pytest_configure(config):
     config.addinivalue_line(
         "markers", "slow: runs a whole example script end to end"
     )
+    config.addinivalue_line(
+        "markers",
+        "requires_numpy: builds CSR snapshots, so it is skipped without numpy",
+    )
+
+
+def pytest_collection_modifyitems(config, items):
+    """Skip ``requires_numpy`` tests when numpy is not importable: the CSR
+    backend and the snapshot store raise without it."""
+    if csr.HAS_NUMPY:
+        return
+    skip = pytest.mark.skip(
+        reason="needs numpy: the CSR backend and the snapshot store require it"
+    )
+    for item in items:
+        if item.get_closest_marker("requires_numpy") is not None:
+            item.add_marker(skip)
 
 
 @pytest.fixture

@@ -42,6 +42,9 @@ from repro.saphyra_bc.isp import PersonalizedISP
 from repro.saphyra_cc.algorithm import SaPHyRaCC
 from repro.saphyra_cc.problem import ClosenessProblem
 
+# Every test here runs the CSR backend against the dict reference.
+pytestmark = pytest.mark.requires_numpy
+
 GRAPH_CASES = [
     pytest.param(lambda seed: erdos_renyi_graph(60, 0.08, seed=seed), id="erdos-renyi"),
     pytest.param(lambda seed: barabasi_albert_graph(120, 3, seed=seed), id="barabasi-albert"),
@@ -218,7 +221,6 @@ def test_interrupted_stacked_search_leaves_no_state(monkeypatch):
     # distances of a vectorised step are written, before its counts and
     # discovery log) must not leak into the next search on the same cached
     # snapshot.
-    pytest.importorskip("numpy")
     from repro.graphs import csr as csr_module
 
     graph = barabasi_albert_graph(300, 3, seed=3)
@@ -531,9 +533,8 @@ class TestBigSigmaExactness:
         monkeypatch.setattr(sweep_type, "expand_slots", watched)
         results = bidirectional_searches(grid, batch)
         monkeypatch.undo()
-        if csr_module.HAS_NUMPY:  # pure-Python counts never use int64
-            trip = [tripped for tripped, _ in steps].index(True)
-            assert len(steps[trip][1]) > 1 and trip < len(steps) - 1
+        trip = [tripped for tripped, _ in steps].index(True)
+        assert len(steps[trip][1]) > 1 and trip < len(steps) - 1
         for pair, candidate in zip(batch, results):
             reference = references.get(pair) or bidirectional_shortest_paths(
                 grid, *pair, backend="dict"
@@ -859,11 +860,6 @@ class TestSharedMemoryEquivalence:
     payloads through pickling and therefore exports blocks) are bit-identical
     to pickle-payload runs, to the serial path, and to the dict reference —
     and every exported block is unlinked when the pools shut down."""
-
-    pytestmark = pytest.mark.skipif(
-        not __import__("repro.parallel", fromlist=["x"]).shared_memory_available(),
-        reason="numpy/shared_memory unavailable",
-    )
 
     @pytest.fixture(scope="class")
     def social(self):
@@ -1295,11 +1291,6 @@ class TestWeightedSharedMemory:
     """The weighted CSR snapshot (three blocks: indptr, indices, weights)
     rides the zero-copy handoff with bit-identical results and no leaks."""
 
-    pytestmark = pytest.mark.skipif(
-        not __import__("repro.parallel", fromlist=["x"]).shared_memory_available(),
-        reason="numpy/shared_memory unavailable",
-    )
-
     @pytest.fixture(scope="class")
     def weighted_social(self):
         return weighted_barabasi_albert_graph(200, 3, seed=6)
@@ -1654,61 +1645,3 @@ class TestDijkstraKernelForms:
             )
             assert list(row) == list(dag.dist)
             assert list(order) == list(dag.order)
-
-
-@pytest.mark.skipif(
-    not __import__("repro.graphs.csr", fromlist=["x"]).HAS_NUMPY,
-    reason="compares against the numpy build",
-)
-@pytest.mark.parametrize("make_graph", WEIGHTED_GRAPH_CASES)
-class TestWeightedPurePythonFallback:
-    """Without numpy the weighted kernels return plain lists holding the
-    same values as the numpy build."""
-
-    def test_dag_matches_numpy_build(self, make_graph, monkeypatch):
-        from repro.graphs import csr as csr_module
-
-        graph = make_graph(3)
-        reference_snapshot = csr_module.as_csr(graph)
-        sources = range(4)
-        references = [
-            csr_module.csr_dijkstra_dag(reference_snapshot, source)
-            for source in sources
-        ]
-        monkeypatch.setattr(csr_module, "HAS_NUMPY", False)
-        snapshot = csr_module.CSRGraph.from_graph(graph)
-        assert list(snapshot.weights) == reference_snapshot.weights.tolist()
-        for source, reference in zip(sources, references):
-            dag = csr_module.csr_dijkstra_dag(snapshot, source)
-            assert isinstance(dag.dist, list)
-            assert dag.dist == reference.dist.tolist()
-            assert dag.sigma == reference.sigma
-            assert list(dag.order) == reference.order.tolist()
-            assert list(dag.pred_indptr) == reference.pred_indptr.tolist()
-            assert list(dag.pred_indices) == reference.pred_indices.tolist()
-
-    def test_sweeps_match_numpy_build(self, make_graph, monkeypatch):
-        from repro.graphs import csr as csr_module
-
-        graph = make_graph(3)
-        sources = [0, 1, 2]
-        reference_snapshot = csr_module.as_csr(graph)
-        expected = {
-            kind: csr_module.multi_source_sweep(
-                reference_snapshot, sources, kind=kind, weighted=True
-            )
-            for kind in ("distance", "sigma", "brandes")
-        }
-        monkeypatch.setattr(csr_module, "HAS_NUMPY", False)
-        snapshot = csr_module.CSRGraph.from_graph(graph)
-        for kind, reference_rows in expected.items():
-            rows = csr_module.multi_source_sweep(
-                snapshot, sources, kind=kind, weighted=True
-            )
-            for row, reference in zip(rows, reference_rows):
-                if kind == "sigma":
-                    assert row[0] == reference[0].tolist()
-                    assert row[1] == reference[1]
-                else:
-                    assert isinstance(row, list)
-                    assert row == reference.tolist()

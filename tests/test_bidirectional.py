@@ -54,6 +54,7 @@ class TestDistanceAndCounts:
         with pytest.raises(GraphError):
             bidirectional_shortest_paths(karate, 0, 999)
 
+    @pytest.mark.requires_numpy
     def test_stacked_pairs_validated(self, karate):
         for pairs in ([(0, 1), (2, 2)], [(0, 999)]):
             with pytest.raises(GraphError):
@@ -126,6 +127,7 @@ class TestPathSampling:
 
 
 class TestAgainstBruteForce:
+    @pytest.mark.requires_numpy
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=30, deadline=None)
     def test_random_graphs_match_unidirectional(self, seed):

@@ -37,6 +37,7 @@ def _reset_default_backend(monkeypatch):
     set_default_backend(None)
 
 
+@pytest.mark.requires_numpy
 class TestCSRGraph:
     def test_structure_matches_adjacency(self):
         graph = Graph.from_edges([(0, 1), (0, 2), (1, 2), (2, 3)])
@@ -74,6 +75,7 @@ class TestCSRGraph:
         assert snapshot.degree(snapshot.index[5]) == 0
 
 
+@pytest.mark.requires_numpy
 class TestAsCSRCaching:
     def test_snapshot_is_cached(self):
         graph = path_graph(6)
@@ -137,26 +139,27 @@ class TestBackendSelection:
         set_default_backend("auto")
         assert default_backend() == "auto"
 
+    @pytest.mark.requires_numpy
     def test_effective_backend_explicit_always_wins(self):
         tiny = path_graph(3)
         assert effective_backend(tiny, "csr") == "csr"
         assert effective_backend(tiny, "dict") == "dict"
 
-    @pytest.mark.skipif(not csr_module.HAS_NUMPY, reason="needs numpy")
+    @pytest.mark.requires_numpy
     def test_effective_backend_auto_scales_with_size(self):
         tiny = path_graph(3)
         assert effective_backend(tiny, None) == "dict"
         big = path_graph(AUTO_CSR_THRESHOLD)
         assert effective_backend(big, None) == "csr"
 
-    @pytest.mark.skipif(not csr_module.HAS_NUMPY, reason="needs numpy")
+    @pytest.mark.requires_numpy
     def test_effective_backend_auto_reuses_cached_snapshot(self):
         tiny = path_graph(4)
         assert effective_backend(tiny, None) == "dict"
         as_csr(tiny)
         assert effective_backend(tiny, None) == "csr"
 
-    @pytest.mark.skipif(not csr_module.HAS_NUMPY, reason="needs numpy")
+    @pytest.mark.requires_numpy
     def test_effective_backend_auto_ignores_unpatchable_stale_snapshot(self):
         # Regression: the auto heuristic used to probe `graph in cache`
         # without checking the snapshot's version, so a small graph mutated
@@ -173,7 +176,7 @@ class TestBackendSelection:
         finally:
             delta_module.set_default_dag_cache_delta(None)
 
-    @pytest.mark.skipif(not csr_module.HAS_NUMPY, reason="needs numpy")
+    @pytest.mark.requires_numpy
     def test_effective_backend_auto_keeps_patchable_stale_snapshot(self):
         # With the mutation journal covering the gap the stale snapshot is
         # one cheap incremental patch away, so auto stays on the array
@@ -191,7 +194,7 @@ class TestBackendSelection:
         finally:
             delta_module.set_default_dag_cache_delta(None)
 
-    @pytest.mark.skipif(not csr_module.HAS_NUMPY, reason="needs numpy")
+    @pytest.mark.requires_numpy
     def test_effective_backend_evicts_unpatchable_stale_cache_entry(self):
         # Without journal coverage the stale snapshot must also be dropped
         # so mutate/query cycles cannot keep dead array copies alive.
@@ -254,6 +257,7 @@ class TestSigmaChoice:
             sigma_choice(["a"], [1, 2], random.Random(0))
 
 
+@pytest.mark.requires_numpy
 class TestKernels:
     def test_csr_bfs_matches_dict(self):
         graph = erdos_renyi_graph(40, 0.15, seed=1)
@@ -261,8 +265,7 @@ class TestKernels:
         for source in list(graph.nodes())[:5]:
             dist, order = csr_bfs(snapshot, snapshot.index[source])
             reference = bfs_distances(graph, source, backend="dict")
-            order_labels = [snapshot.labels[i] for i in
-                            (order.tolist() if csr_module.HAS_NUMPY else order)]
+            order_labels = [snapshot.labels[i] for i in order.tolist()]
             assert order_labels == list(reference)
             for node, hops in reference.items():
                 assert dist[snapshot.index[node]] == hops
@@ -329,34 +332,3 @@ class TestKernels:
         dag = csr_shortest_path_dag(snapshot, snapshot.index[0])
         with pytest.raises(SamplingError):
             dag.sample_path_indices(snapshot.index[2], random.Random(0))
-
-
-class TestPurePythonFallback:
-    """The csr backend must stay functional without numpy."""
-
-    @pytest.fixture()
-    def no_numpy(self, monkeypatch):
-        monkeypatch.setattr(csr_module, "HAS_NUMPY", False)
-        yield
-
-    def test_snapshot_and_kernels(self, no_numpy):
-        graph = erdos_renyi_graph(30, 0.2, seed=3)
-        snapshot = CSRGraph.from_graph(graph)
-        source = next(iter(graph.nodes()))
-        dist, order = csr_bfs(snapshot, snapshot.index[source])
-        reference = bfs_distances(graph, source, backend="dict")
-        assert [snapshot.labels[i] for i in order] == list(reference)
-        delta, brandes_order, _ = csr_brandes(snapshot, snapshot.index[source])
-        from repro.centrality.brandes import single_source_dependencies
-
-        expected = single_source_dependencies(graph, source, backend="dict")
-        for node, value in expected.items():
-            assert delta[snapshot.index[node]] == pytest.approx(value, abs=1e-12)
-
-    def test_dag_sampling(self, no_numpy):
-        graph = Graph.from_edges([(0, 1), (0, 2), (1, 3), (2, 3)])
-        snapshot = CSRGraph.from_graph(graph)
-        dag = csr_shortest_path_dag(snapshot, 0)
-        assert dag.sigma[3] == 2
-        path = dag.sample_path_indices(3, random.Random(0))
-        assert path[0] == 0 and path[-1] == 3 and len(path) == 3

@@ -21,7 +21,6 @@ import pytest
 from repro.engine import dag_cache as dag_cache_module
 from repro.engine.dag_cache import SourceDAGCache
 from repro.errors import GraphError
-from repro.graphs import csr as csr_module
 from repro.graphs import delta as delta_module
 from repro.graphs import sssp as sssp_module
 from repro.graphs.csr import CSRGraph, as_csr
@@ -172,6 +171,7 @@ class TestKnobProtocol:
         with pytest.raises(ValueError, match="delta_journal_size"):
             ExperimentConfig(delta_journal_size=0)
 
+    @pytest.mark.requires_numpy
     def test_off_disables_journaling_entirely(self):
         set_default_dag_cache_delta("off")
         graph = path_graph(4)
@@ -181,6 +181,7 @@ class TestKnobProtocol:
         graph.add_edge(0, 3)
         assert deltas_between(graph, graph._version - 1) is None
 
+    @pytest.mark.requires_numpy
     def test_track_tolerates_frozen_snapshots(self):
         # Bare CSR payloads (shared-memory workers) have no journal slot;
         # they never mutate, so tracking is a polite no-op.
@@ -212,6 +213,7 @@ class TestNoOpMutationsStayVersionNeutral:
         assert graph._version == version
         assert deltas_between(graph, version) == []
 
+    @pytest.mark.requires_numpy
     def test_noop_mutations_keep_caches_warm(self):
         graph = path_graph(6)
         cache = SourceDAGCache(max_entries=8)
@@ -239,7 +241,7 @@ def _assert_patched_bytes_match(graph):
     return patched
 
 
-@pytest.mark.skipif(not csr_module.HAS_NUMPY, reason="needs numpy")
+@pytest.mark.requires_numpy
 class TestIncrementalCSRPatching:
     """The patched snapshot must be byte-identical to a rebuild, in every
     mutation mix the journal can cover — and must actually take the patch
@@ -348,6 +350,7 @@ def _weighted_y_graph():
     return Graph.from_edges([(0, 1, 5.0), (1, 2, 5.0), (0, 2, 100.0)])
 
 
+@pytest.mark.requires_numpy
 class TestSourceDAGCacheDeltaValidation:
     def _warm_weighted_rows(self, cache, graph, sources):
         for source in sources:
@@ -598,6 +601,7 @@ def _dag_signature(dag, targets, seed):
     return dist, sigma, paths
 
 
+@pytest.mark.requires_numpy
 class TestMutateThenQueryEquivalence:
     """Satellite (c): with delta invalidation on, every mutate-then-query
     result is bit-identical to delta off and to a freshly built graph."""
@@ -639,8 +643,6 @@ class TestMutateThenQueryEquivalence:
     @pytest.mark.parametrize("backend", ["dict", "csr"])
     @pytest.mark.parametrize("weighted", [False, True])
     def test_delta_on_off_and_fresh_agree(self, backend, weighted):
-        if backend == "csr" and not csr_module.HAS_NUMPY:
-            pytest.skip("needs numpy")
         on, on_stats = self._scenario("on", backend, weighted=weighted)
         off, off_stats = self._scenario("off", backend, weighted=weighted)
         assert on == off
@@ -649,8 +651,6 @@ class TestMutateThenQueryEquivalence:
 
     @pytest.mark.parametrize("backend", ["dict", "csr"])
     def test_equivalence_survives_journal_overflow(self, backend):
-        if backend == "csr" and not csr_module.HAS_NUMPY:
-            pytest.skip("needs numpy")
         on, _ = self._scenario("on", backend, weighted=True, journal_cap=1)
         set_default_delta_journal_size(None)
         off, _ = self._scenario("off", backend, weighted=True)
@@ -678,7 +678,6 @@ class TestMutateThenQueryEquivalence:
             graph_on.copy(), normalized=True
         )
 
-    @pytest.mark.skipif(not csr_module.HAS_NUMPY, reason="needs numpy")
     def test_estimator_equivalence_through_the_default_cache(self):
         from repro.baselines import RiondatoKornaropoulos
 

@@ -178,6 +178,7 @@ class TestSourceDAGCache:
         assert cache.misses == 2
         assert cache.stats()["entries"] == 2
 
+    @pytest.mark.requires_numpy
     def test_backends_cached_separately(self):
         cache = SourceDAGCache(max_entries=8)
         graph = barabasi_albert_graph(60, 2, seed=0)
@@ -304,6 +305,7 @@ class TestSourceDAGCache:
         with pytest.raises(ValueError, match=module.DAG_CACHE_SIZE_ENV_VAR):
             dag_cache_enabled()
 
+    @pytest.mark.requires_numpy
     def test_distance_rows_batched_misses_then_hits(self):
         cache = SourceDAGCache(max_entries=16)
         graph = grid_road_graph(6, 6, seed=0)[0]
@@ -320,6 +322,7 @@ class TestSourceDAGCache:
             dist, _ = csr_module.csr_bfs(snapshot, snapshot.index_of(node))
             assert list(row) == list(dist)
 
+    @pytest.mark.requires_numpy
     def test_distance_rows_counts_repeats_like_distances_calls(self):
         # A source repeated within one call is one more lookup, a hit — what
         # the same draws made one `distances` call at a time report.
@@ -361,7 +364,7 @@ class TestSourceDAGCache:
             SourceDAGCache()
 
 
-@pytest.mark.skipif(not csr_module.HAS_NUMPY, reason="bottom-up needs numpy")
+@pytest.mark.requires_numpy
 class TestDirectionOptimising:
     @pytest.mark.parametrize(
         "make_graph",

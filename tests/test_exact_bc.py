@@ -21,7 +21,9 @@ from repro.saphyra_bc import exact_bc
 from repro.saphyra_bc.exact_bc import exact_two_hop_risks
 from repro.saphyra_bc.isp import PersonalizedISP
 
-BACKENDS = pytest.mark.parametrize("backend", ["dict", "csr"])
+BACKENDS = pytest.mark.parametrize(
+    "backend", ["dict", pytest.param("csr", marks=pytest.mark.requires_numpy)]
+)
 
 
 def enumerate_exact_subspace(space: PersonalizedISP, targets):
@@ -167,6 +169,7 @@ def _assert_paths_equal(graph, targets):
     return reference
 
 
+@pytest.mark.requires_numpy
 class TestStackedScan:
     """The numpy path over the CSR snapshot is bit-identical to the loop
     (``TestAgainstEnumeration`` checks the same on its graphs)."""
@@ -219,7 +222,6 @@ class TestStackedScan:
             exact_bc._WALK_BUDGET, exact_bc._KEY_BUDGET = original
 
     def test_dispatch_by_backend(self, karate, monkeypatch):
-        pytest.importorskip("numpy")
         targets = list(karate.nodes())
 
         def forbidden(space):

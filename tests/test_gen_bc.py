@@ -16,6 +16,9 @@ from repro.saphyra_bc.exact_bc import exact_two_hop_risks
 from repro.saphyra_bc.gen_bc import GenBC
 from repro.saphyra_bc.isp import PersonalizedISP
 
+#: Both backends; the CSR one needs numpy.
+BACKENDS = ["dict", pytest.param("csr", marks=pytest.mark.requires_numpy)]
+
 
 def draw_losses(generator, rng, draws, chunk=None):
     """``draws`` loss samples, one call each or in ``chunk``-draw chunks."""
@@ -77,6 +80,7 @@ class TestLossSampling:
             assert all(0 <= index < len(targets) for index in losses)
             assert all(value == 1.0 for value in losses.values())
 
+    @pytest.mark.requires_numpy
     def test_empirical_means_match_conditional_expectation(self, karate):
         """The empirical hit frequency from Gen_bc should approximate the
         exhaustively computed conditional expectation on D-tilde."""
@@ -129,7 +133,7 @@ class TestRejectionSafety:
         with pytest.raises(SamplingError):
             generator.sample_path(random.Random(0))
 
-    @pytest.mark.parametrize("backend", ["dict", "csr"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_exhausted_rejections_raise_in_a_chunk(self, backend):
         # A 64-draw round is all rejected; the count carries into the next
         # round and trips on the 101st consecutive rejection.
@@ -143,7 +147,7 @@ class TestRejectionSafety:
         assert (stats.samples_returned, stats.rejections) == (0, 101)
         assert stats.pairs_drawn == stats.samples_returned + stats.rejections
 
-    @pytest.mark.parametrize("backend", ["dict", "csr"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_rejected_pairs_are_redrawn(self, karate, backend):
         generator = GenBC(
             PersonalizedISP(karate, targets=[0, 33]), [0, 33], backend=backend
@@ -157,7 +161,7 @@ class TestRejectionSafety:
         assert stats.pairs_drawn == stats.samples_returned + stats.rejections
 
 
-@pytest.mark.parametrize("backend", ["dict", "csr"])
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_chunk_searches_blocks_in_first_appearance_order(barbell, backend, monkeypatch):
     # A round searches its pairs grouped by block: blocks in the order they
     # first appear among the drawn pairs, pairs in draw order.

@@ -318,13 +318,6 @@ class TestPoolLifecycle:
         assert results == [[value * value] for value in range(12)]
 
 
-_SHM_AVAILABLE = parallel.shared_memory_available()
-
-shm = pytest.mark.skipif(
-    not _SHM_AVAILABLE, reason="numpy/shared_memory unavailable"
-)
-
-
 def _ladder_graph(n: int = 12) -> Graph:
     edges = [(i, i + 1) for i in range(n - 1)]
     edges += [(i, i + 2) for i in range(n - 2)]
@@ -381,7 +374,7 @@ class TestSharedMemoryKnob:
         assert parallel.shared_memory_enabled() is True
 
 
-@shm
+@pytest.mark.requires_numpy
 class TestSharedCSRPayload:
     @pytest.fixture(autouse=True)
     def _reset(self):

@@ -65,6 +65,7 @@ def check_distribution(graph, targets, seed, draws=2500, tolerance=0.05):
             ), (backend, node)
 
 
+@pytest.mark.requires_numpy
 class TestGenBCDistribution:
     @given(st.integers(min_value=0, max_value=100_000))
     @settings(max_examples=6, deadline=None)

@@ -21,6 +21,9 @@ from repro.graphs.traversal import bfs_distances
 from repro.metrics.rank_correlation import spearman_rank_correlation
 from repro.saphyra_cc import ClosenessProblem, SaPHyRaCC
 
+#: Both backends; the CSR one needs numpy.
+BACKENDS = ["dict", pytest.param("csr", marks=pytest.mark.requires_numpy)]
+
 
 class TestClosenessProblem:
     def test_validation(self, karate):
@@ -111,7 +114,7 @@ _REFERENCE_GRAPHS = [
 class TestSampleLossesFromTargetRows:
     """Sampled losses are read off the target rows, never a sample's BFS."""
 
-    @pytest.mark.parametrize("backend", ["dict", "csr"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("make_graph", _REFERENCE_GRAPHS)
     def test_losses_match_a_fresh_bfs_from_every_sample(self, make_graph, backend):
         graph = make_graph()
@@ -131,7 +134,7 @@ class TestSampleLossesFromTargetRows:
                 for index, target in enumerate(targets)
             }
 
-    @pytest.mark.parametrize("backend", ["dict", "csr"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_sampling_runs_no_traversal(self, backend, monkeypatch):
         from repro.engine import dag_cache
         from repro.graphs import csr

@@ -4,8 +4,7 @@ Covers the PR-10 out-of-core subsystem end to end:
 
 * save/load/mmap roundtrip **byte-identity** against ``CSRGraph.from_graph``
   (``tobytes`` asserts), on unweighted, weighted, identity- and
-  string-labelled graphs, under ``mmap`` auto/on/off and the pure-Python
-  (no-numpy) fallback;
+  string-labelled graphs, under ``mmap`` auto/on/off;
 * corruption safety — truncation, bad magic, foreign endianness, stale
   format version, header/arrays checksum damage all raise ``GraphError``
   naming the path and the mismatch;
@@ -13,10 +12,16 @@ Covers the PR-10 out-of-core subsystem end to end:
   default, env-mirrored setters);
 * ``graph_from_snapshot`` adjacency-order-exact reconstruction and
   ``content_digest`` backend-independence;
+* atomic, fsynced writes of every store file (``store.atomic_write``) and
+  metadata that is not a JSON object read as missing;
 * the datasets-registry memoisation, snapshot adoption into ``as_csr``,
   and the zero-copy snapshot-file worker handoff in ``repro.parallel``;
-* the ``GroundTruthCache`` content-addressed disk tier, including
-  bit-identical reuse across a real process boundary.
+* the ``GroundTruthCache`` disk tiers, including bit-identical reuse
+  across a real process boundary, recomputation of truncated files and
+  distinct files for keys that sanitise alike.
+
+The CSR parts need numpy (``requires_numpy``); the numpy boundary itself
+is in ``tests/test_numpy_boundary.py``.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ import pickle
 import struct
 import subprocess
 import sys
-from array import array
 from pathlib import Path
 
 import pytest
@@ -35,11 +39,13 @@ import pytest
 import repro.parallel as parallel
 from repro.centrality.brandes import betweenness_centrality
 from repro.datasets import GroundTruthCache, load, load_csr
+from repro.datasets.ground_truth import exact_betweenness
 from repro.datasets.registry import dataset_key
 from repro.errors import GraphError
 from repro.experiments.config import ExperimentConfig
 from repro.graphs import store
-from repro.graphs.csr import CSRGraph, HAS_NUMPY, adopt_snapshot, as_csr, effective_backend
+from repro.graphs.csr import CSRGraph, adopt_snapshot, as_csr, effective_backend
+from repro.graphs.generators import path_graph, star_graph
 from repro.graphs.graph import Graph
 from repro.graphs.store import (
     SnapshotStore,
@@ -49,15 +55,10 @@ from repro.graphs.store import (
     save_snapshot,
 )
 
-needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="numpy unavailable")
-
-
 def _bytes(arr) -> bytes:
-    """Raw bytes of an int64/float64 array on either backend."""
+    """Raw bytes of an int64/float64 array (``b""`` for ``None``)."""
     if arr is None:
         return b""
-    if isinstance(arr, array):
-        return arr.tobytes()
     import numpy as np
 
     return np.asarray(arr).tobytes()
@@ -95,6 +96,7 @@ def _reset_knobs():
 # ----------------------------------------------------------------------
 # Roundtrip byte-identity
 # ----------------------------------------------------------------------
+@pytest.mark.requires_numpy
 class TestRoundtrip:
     @pytest.mark.parametrize("mmap", ["auto", "off"])
     def test_unweighted_roundtrip_bytes(self, tmp_path, mmap):
@@ -150,7 +152,6 @@ class TestRoundtrip:
         assert loaded.labels == ["x", "y", "z"]
         assert _snapshot_bytes(loaded) == _snapshot_bytes(csr)
 
-    @needs_numpy
     def test_mmap_views_are_readonly_memmaps(self, tmp_path):
         import numpy as np
 
@@ -164,7 +165,6 @@ class TestRoundtrip:
         with pytest.raises((ValueError, RuntimeError)):
             loaded.indices[0] = 99
 
-    @needs_numpy
     def test_mmap_off_reads_into_ram(self, tmp_path):
         import numpy as np
 
@@ -173,38 +173,6 @@ class TestRoundtrip:
         csr.save(path)
         loaded = CSRGraph.load(path, mmap="off")
         assert type(loaded.indptr) is np.ndarray
-
-    def test_pure_python_fallback_roundtrip(self, tmp_path, monkeypatch):
-        # Force the no-numpy branch of the store even on numpy machines:
-        # stdlib-array writes and reads, byte-identical to the numpy form.
-        graph = _weighted_graph()
-        csr = CSRGraph.from_graph(graph)
-        path = tmp_path / "w.csr"
-        save_snapshot(csr, path)
-        expected = _snapshot_bytes(csr)
-        monkeypatch.setattr(store, "HAS_NUMPY", False)
-        loaded = load_snapshot(path)
-        assert isinstance(loaded.indptr, array)
-        assert isinstance(loaded.weights, array)
-        assert _snapshot_bytes(loaded) == expected
-        # And pure-python saves reload under numpy too.
-        repath = tmp_path / "re.csr"
-        save_snapshot(loaded, repath)
-        monkeypatch.setattr(store, "HAS_NUMPY", HAS_NUMPY)
-        again = load_snapshot(repath, verify=True)
-        assert _snapshot_bytes(again) == expected
-
-    def test_explicit_mmap_on_without_numpy_raises(self, tmp_path, monkeypatch):
-        csr = CSRGraph.from_graph(_ordered_graph())
-        path = tmp_path / "g.csr"
-        save_snapshot(csr, path)
-        monkeypatch.setattr(store, "HAS_NUMPY", False)
-        with pytest.raises(GraphError, match="mmap='on' requires numpy"):
-            load_snapshot(path, mmap="on")
-        # Knob-resolved "on" degrades silently (the shared-memory precedent).
-        monkeypatch.setenv(store.MMAP_ENV_VAR, "on")
-        loaded = load_snapshot(path)
-        assert isinstance(loaded.indptr, array)
 
     def test_save_accepts_dict_graph(self, tmp_path):
         graph = _ordered_graph()
@@ -238,6 +206,7 @@ def _patch_byte(path: Path, offset: int, value: bytes) -> None:
         handle.write(value)
 
 
+@pytest.mark.requires_numpy
 class TestCorruption:
     @pytest.fixture
     def snapshot_path(self, tmp_path) -> Path:
@@ -301,7 +270,6 @@ class TestCorruption:
         with pytest.raises(GraphError, match="arrays checksum mismatch"):
             load_snapshot(snapshot_path, mmap="off")
 
-    @needs_numpy
     def test_arrays_checksum_mmap_verify(self, snapshot_path):
         size = os.path.getsize(snapshot_path)
         _patch_byte(snapshot_path, size - 1, b"\xab")
@@ -361,12 +329,12 @@ class TestKnobs:
         with pytest.raises(ValueError, match="non-empty"):
             store.set_default_snapshot_dir("   ")
 
-    def test_effective_mmap_tracks_numpy(self, monkeypatch):
+    def test_effective_mmap_follows_the_mode(self, monkeypatch):
         monkeypatch.delenv(store.MMAP_ENV_VAR, raising=False)
-        assert store.effective_mmap() is HAS_NUMPY
+        assert store.effective_mmap() is True  # the default, auto
+        assert store.effective_mmap("auto") is True
+        assert store.effective_mmap("on") is True
         assert store.effective_mmap("off") is False
-        monkeypatch.setattr(store, "HAS_NUMPY", False)
-        assert store.effective_mmap("on") is False
 
     def test_experiment_config_fields(self, tmp_path):
         config = ExperimentConfig(snapshot_dir=str(tmp_path), mmap="auto")
@@ -376,6 +344,7 @@ class TestKnobs:
         with pytest.raises(ValueError, match="snapshot_dir"):
             ExperimentConfig(snapshot_dir="  ")
 
+    @pytest.mark.requires_numpy
     def test_runner_applies_snapshot_config(self, tmp_path):
         from repro.experiments.runner import ExperimentRunner
 
@@ -405,6 +374,7 @@ class TestKnobs:
 # ----------------------------------------------------------------------
 # Reconstruction and digests
 # ----------------------------------------------------------------------
+@pytest.mark.requires_numpy
 class TestGraphFromSnapshot:
     def test_preserves_adjacency_order(self):
         graph = _ordered_graph()
@@ -436,12 +406,9 @@ class TestGraphFromSnapshot:
         # Break symmetry: claim node 0 has neighbour 2 instead of 1.
         indices = list(csr.indices)
         indices[0] = 2
-        if HAS_NUMPY:
-            import numpy as np
+        import numpy as np
 
-            bad = CSRGraph(np.asarray(csr.indptr), np.asarray(indices), csr.labels)
-        else:
-            bad = CSRGraph(csr.indptr, array("q", indices), csr.labels)
+        bad = CSRGraph(np.asarray(csr.indptr), np.asarray(indices), csr.labels)
         with pytest.raises(GraphError, match="not symmetric"):
             graph_from_snapshot(bad)
 
@@ -453,6 +420,7 @@ class TestGraphFromSnapshot:
 
 
 class TestContentDigest:
+    @pytest.mark.requires_numpy
     def test_graph_and_snapshot_agree(self, tmp_path):
         graph = _ordered_graph()
         csr = CSRGraph.from_graph(graph)
@@ -466,6 +434,7 @@ class TestContentDigest:
         }
         assert len(digests) == 1
 
+    @pytest.mark.requires_numpy
     def test_weighted_graph_and_snapshot_agree(self):
         graph = _weighted_graph()
         assert content_digest(graph) == content_digest(CSRGraph.from_graph(graph))
@@ -491,7 +460,16 @@ class TestContentDigest:
 # ----------------------------------------------------------------------
 # SnapshotStore
 # ----------------------------------------------------------------------
+def _count_fsyncs(monkeypatch):
+    """Record every ``os.fsync`` call (and still sync)."""
+    synced = []
+    fsync = os.fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: synced.append(fd) or fsync(fd))
+    return synced
+
+
 class TestSnapshotStore:
+    @pytest.mark.requires_numpy
     def test_save_load_contains(self, tmp_path):
         snap = SnapshotStore(tmp_path / "store")
         graph = _ordered_graph()
@@ -515,10 +493,48 @@ class TestSnapshotStore:
         assert snap.path_for(a) != snap.path_for(b)
         assert snap.path_for("plain@1.0#0").name == "plain@1.0#0.csr"
 
+    def test_failed_meta_write_leaves_no_temp_file(self, tmp_path):
+        with pytest.raises(TypeError):
+            SnapshotStore(tmp_path).save_meta("k", {"x": object()})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_meta_that_is_not_an_object_reads_as_missing(self, tmp_path):
+        snap = SnapshotStore(tmp_path)
+        snap.meta_path_for("k").write_text("[1, 2]")
+        assert snap.load_meta("k") is None
+
+    def test_interrupted_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "f.bin"
+        store.atomic_write(path, (b"old",))
+
+        def chunks():
+            yield b"new"
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            store.atomic_write(path, chunks())
+        assert path.read_bytes() == b"old"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_meta_and_truth_writes_fsync_once_each(self, tmp_path, monkeypatch):
+        synced = _count_fsyncs(monkeypatch)
+        SnapshotStore(tmp_path).save_meta("k", {"n": 3})
+        assert len(synced) == 1
+        cache = GroundTruthCache(cache_dir=tmp_path / "keys", digest_dir=tmp_path / "gt")
+        cache.get("p5", path_graph(5))
+        assert len(synced) == 3  # the key file and the digest file
+
+    @pytest.mark.requires_numpy
+    def test_snapshot_write_fsyncs_once(self, tmp_path, monkeypatch):
+        synced = _count_fsyncs(monkeypatch)
+        save_snapshot(_ordered_graph(), tmp_path / "g.csr")
+        assert len(synced) == 1
+
 
 # ----------------------------------------------------------------------
 # Registry memoisation
 # ----------------------------------------------------------------------
+@pytest.mark.requires_numpy
 class TestRegistryMemoisation:
     def test_store_roundtrip_is_bit_identical(self, tmp_path):
         fresh = load("flickr", scale=0.1, seed=3)
@@ -574,6 +590,15 @@ class TestRegistryMemoisation:
         reloaded = load_snapshot(path, verify=True)
         assert reloaded.n == 34
 
+    def test_meta_that_is_not_an_object_is_rebuilt(self, tmp_path):
+        load("karate", snapshot_dir=str(tmp_path))
+        key = dataset_key("karate", 1.0, 0)
+        meta = tmp_path / "datasets" / f"{key}.meta.json"
+        meta.write_text("[1, 2]")
+        hit = load("karate", snapshot_dir=str(tmp_path))
+        assert hit.graph.number_of_nodes() == 34
+        assert isinstance(json.loads(meta.read_text()), dict)
+
     def test_knob_driven_store(self, tmp_path, monkeypatch):
         monkeypatch.setenv(store.SNAPSHOT_DIR_ENV_VAR, str(tmp_path))
         load("karate")
@@ -597,6 +622,7 @@ class TestRegistryMemoisation:
 # ----------------------------------------------------------------------
 # Worker handoff
 # ----------------------------------------------------------------------
+@pytest.mark.requires_numpy
 class TestSnapshotFileHandoff:
     @pytest.fixture(autouse=True)
     def _reset(self):
@@ -604,7 +630,6 @@ class TestSnapshotFileHandoff:
         parallel.set_shared_memory_enabled(None)
         store.set_default_mmap(None)
 
-    @needs_numpy
     def test_payload_ships_path_not_blocks(self, tmp_path):
         store.set_default_mmap("auto")  # pin: mmap=off legs export shm instead
         csr = load_csr("flickr", scale=0.1, seed=3, snapshot_dir=str(tmp_path))
@@ -618,7 +643,6 @@ class TestSnapshotFileHandoff:
         restored = pickle.loads(blob)
         assert _snapshot_bytes(restored) == _snapshot_bytes(csr)
 
-    @needs_numpy
     def test_worker_attach_is_cached_per_file(self, tmp_path):
         csr = load_csr("karate", snapshot_dir=str(tmp_path))
         args = (csr.source_path, csr.n, len(csr.indices), False)
@@ -626,7 +650,6 @@ class TestSnapshotFileHandoff:
         second = parallel._attach_snapshot_file(*args)
         assert first is second
 
-    @needs_numpy
     def test_attach_header_mismatch_raises(self, tmp_path):
         csr = load_csr("karate", snapshot_dir=str(tmp_path))
         with pytest.raises(GraphError, match="no longer matches"):
@@ -634,7 +657,6 @@ class TestSnapshotFileHandoff:
                 csr.source_path, csr.n + 1, len(csr.indices), False
             )
 
-    @needs_numpy
     def test_mmap_off_falls_back_to_shm_export(self, tmp_path):
         csr = load_csr("flickr", scale=0.1, seed=3, snapshot_dir=str(tmp_path))
         store.set_default_mmap("off")
@@ -647,7 +669,6 @@ class TestSnapshotFileHandoff:
         finally:
             payload.release()
 
-    @needs_numpy
     def test_deleted_file_falls_back_to_shm_export(self, tmp_path):
         csr = load_csr("karate", snapshot_dir=str(tmp_path))
         os.unlink(csr.source_path)
@@ -659,7 +680,6 @@ class TestSnapshotFileHandoff:
         finally:
             payload.release()
 
-    @needs_numpy
     def test_worker_equivalence_on_adopted_snapshot(self, tmp_path):
         baseline = betweenness_centrality(
             load("flickr", scale=0.1, seed=3).graph, normalized=True, workers=0
@@ -686,6 +706,7 @@ class TestPersistentGroundTruth:
         reloaded = second.get("another-key", load("karate").graph)
         assert reloaded == truth
 
+    @pytest.mark.requires_numpy
     def test_digest_tier_derives_from_snapshot_dir_knob(self, tmp_path):
         store.set_default_snapshot_dir(tmp_path)
         try:
@@ -715,6 +736,28 @@ class TestPersistentGroundTruth:
         finally:
             set_default_weighted(None)
         assert weighted_truth != hop_truth
+
+    @pytest.mark.parametrize("tier", ["cache_dir", "digest_dir"])
+    def test_truncated_file_is_recomputed_and_rewritten(self, tmp_path, tier):
+        graph = path_graph(5)
+        GroundTruthCache(**{tier: tmp_path}).get("p5", graph)
+        [path] = tmp_path.glob("*.json")
+        content = path.read_bytes()
+        with open(path, "r+b") as handle:
+            handle.truncate(10)
+        values = GroundTruthCache(**{tier: tmp_path}).get("p5", graph)
+        assert values == exact_betweenness(graph)
+        assert path.read_bytes() == content
+
+    def test_keys_that_sanitise_alike_keep_their_own_values(self, tmp_path):
+        path5, star4 = path_graph(5), star_graph(4)  # 5 nodes each
+        assert GroundTruthCache(cache_dir=tmp_path).get("g#1", path5) == (
+            exact_betweenness(path5)
+        )
+        assert GroundTruthCache(cache_dir=tmp_path).get("g_1", star4) == (
+            exact_betweenness(star4)
+        )
+        assert len(list(tmp_path.glob("*.json"))) == 2
 
     def test_restart_equivalence_across_process_boundary(self, tmp_path):
         """Exact Brandes survives a real process restart, bit for bit."""

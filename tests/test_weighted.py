@@ -130,6 +130,7 @@ class TestGraphWeights:
             graph.neighbor_weights(99)
 
 
+@pytest.mark.requires_numpy
 class TestCSRWeights:
     def test_snapshot_carries_weights(self):
         graph = Graph.from_edges([(0, 1, 2.0), (1, 2, 0.5)])
@@ -289,6 +290,7 @@ class TestWeightedKnob:
             monkeypatch.setenv(sssp.WEIGHTED_ENV_VAR, "maybe")
             sssp.resolve_weighted()
 
+    @pytest.mark.requires_numpy
     def test_effective_weighted_routing(self, monkeypatch):
         monkeypatch.delenv(sssp.WEIGHTED_ENV_VAR, raising=False)
         weighted = Graph.from_edges([(0, 1, 2.0)])
@@ -434,6 +436,7 @@ HAND_CHECKED_DAGS = [
 ]
 
 
+@pytest.mark.requires_numpy
 class TestCSRDijkstraKernel:
     """The CSR Dijkstra kernel on hand-checked graphs, with the dict engine
     held to the same literal answers."""
