@@ -9,9 +9,9 @@ Three workloads on the Flickr-surrogate (social) and USA-road-surrogate
   from-scratch build.
 * **Rebuild baseline** — the historical cold start (generator +
   ``from_graph``), benchmarked for side-by-side comparison.
-* **Payload pickle** — ``pickle.dumps`` of the snapshot-file worker
-  payload: a path + header handle of a few hundred bytes, independent of
-  graph size, with zero shared-memory blocks exported.
+* **Payload pickle** — ``pickle.dumps`` of a file-backed snapshot, which
+  pickles as its path plus a header: a few hundred bytes, independent of
+  graph size.
 
 ``benchmarks/check_snapshot_baseline.py`` measures the same workloads
 head-to-head and gates CI on the ratio floors committed in
@@ -29,7 +29,6 @@ import pickle
 
 import pytest
 
-import repro.parallel as parallel
 from repro.datasets import load
 from repro.graphs.csr import CSRGraph
 from repro.graphs.store import load_snapshot, save_snapshot
@@ -69,11 +68,8 @@ def test_bench_rebuild_baseline(benchmark, topology):
 
 
 def test_bench_payload_pickle(benchmark, snapshot_path):
-    """Pickling the snapshot-file worker payload (path + header)."""
+    """Pickling a file-backed snapshot (path + header)."""
     _topology, path = snapshot_path
     csr = load_snapshot(path)
-    payload = parallel.shareable_graph(csr, backend="csr")
-    assert isinstance(payload, parallel.SharedCSRPayload)
-    blob = benchmark(pickle.dumps, payload)
+    blob = benchmark(pickle.dumps, csr)
     assert len(blob) < 512
-    assert payload.block_names() == []

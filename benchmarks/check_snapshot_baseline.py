@@ -9,14 +9,14 @@ against the floors committed in ``BENCH_snapshot.json`` at the repo root.
   dataset generator and re-freezing with ``CSRGraph.from_graph``.  The
   ratio is ``rebuild_time / load_time``.
 * ``payload_bytes`` — worker-handoff size: the raw CSR array bytes a
-  pickle fallback would ship per pool, vs ``pickle.dumps`` of the
-  snapshot-file payload (path + header).  The ratio is
+  by-value pickle would ship per worker, vs ``pickle.dumps`` of the
+  file-backed snapshot (path + header).  The ratio is
   ``array_bytes / payload_bytes``.
 
 Both are same-process ratios, so the committed baseline transfers across
 machines; the floors sit far below the measured numbers (the ISSUE
 acceptance floor for ``cold_load`` is 5x) so only a real regression —
-losing the zero-copy attach or the file handoff — trips them.
+losing the zero-copy attach or the by-path pickle — trips them.
 
 Usage::
 
@@ -98,19 +98,15 @@ def _ratio_cold_load(topology: str, directory: Path) -> float:
 
 
 def _ratio_payload_bytes(topology: str, directory: Path) -> float:
-    """Raw CSR array bytes over the pickled snapshot-file payload bytes."""
-    import repro.parallel as parallel
-    from repro.graphs.store import load_snapshot
+    """Raw CSR array bytes over the bytes of the pickled file-backed
+    snapshot (which pickles as its path plus a header)."""
+    from repro.graphs.store import _attach_snapshot_file, load_snapshot
 
     path = _snapshot_for(topology, directory)
     csr = load_snapshot(path)
-    payload = parallel.shareable_graph(csr, backend="csr")
-    if not isinstance(payload, parallel.SharedCSRPayload):  # pragma: no cover
-        raise RuntimeError("expected a SharedCSRPayload; is shared memory off?")
-    blob = pickle.dumps(payload)
-    fn, _args = payload._handle
-    assert fn is parallel._attach_snapshot_file, "file handoff did not engage"
-    assert payload.block_names() == [], "file handoff must not export blocks"
+    blob = pickle.dumps(csr)
+    fn, _args = csr.__reduce__()
+    assert fn is _attach_snapshot_file, "the snapshot did not pickle by path"
     return _array_bytes(csr) / len(blob)
 
 

@@ -48,12 +48,11 @@ def _abra_sample_chunk(payload, piece: Tuple[int, int]):
 
     The chunk's RNG stream is seeded from ``(base_seed, chunk_index)`` only,
     so the partials — and the chunk-order fold of them — are identical for
-    any worker count.  The payload's graph slot may be a shared-memory
-    snapshot handle (:func:`repro.parallel.shareable_graph`); the source-DAG
-    cache keys on the attached snapshot exactly as it would on a graph.
+    any worker count.  On CSR the payload's graph slot holds the snapshot
+    (:func:`repro.graphs.csr.shareable_graph`); the source-DAG cache keys
+    on it exactly as it would on a graph.
     """
     estimator, graph, nodes, backend, use_weights, base_seed = payload
-    graph = _parallel.resolve_payload_graph(graph)
     chunk_index, draws = piece
     rng = _parallel.chunk_rng(base_seed, chunk_index)
     totals: Dict[Node, float] = defaultdict(float)
@@ -182,7 +181,7 @@ class ABRA:
                 _abra_sample_chunk,
                 payload=(
                     self,
-                    _parallel.shareable_graph(graph, choice),
+                    _csr.shareable_graph(graph, choice),
                     nodes,
                     choice,
                     use_weights,

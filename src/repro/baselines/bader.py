@@ -51,8 +51,8 @@ class BaderPivot:
         Worker processes for the pivot passes (``None`` resolves via
         ``REPRO_WORKERS``); bit-identical for any worker count.  The pivot
         sweep inherits the exact-Brandes fold contract: each chunk of pivots
-        reduces to one dependency partial in-worker, and CSR payloads reach
-        workers through the shared-memory handoff when it is active.
+        reduces to one dependency partial in-worker, and CSR payloads carry
+        the frozen snapshot.
     """
 
     name = "bader"

@@ -55,7 +55,6 @@ def _kadabra_sample_chunk(payload, piece: Tuple[int, int]):
     chunk RNG streams make results independent of the worker count.
     """
     graph, nodes, backend, use_weights, base_seed = payload
-    graph = _parallel.resolve_payload_graph(graph)
     chunk_index, draws = piece
     rng = _parallel.chunk_rng(base_seed, chunk_index)
     counts: Dict[Node, float] = {}
@@ -200,7 +199,7 @@ class KADABRA:
             with SampleDriver(
                 _kadabra_sample_chunk,
                 payload=(
-                    _parallel.shareable_graph(graph, choice),
+                    _csr.shareable_graph(graph, choice),
                     nodes,
                     choice,
                     use_weights,

@@ -44,7 +44,6 @@ def _rk_sample_chunk(payload, piece: Tuple[int, int]) -> Dict[Node, float]:
     any process — worker counts never change results.
     """
     graph, nodes, backend, use_weights, base_seed = payload
-    graph = _parallel.resolve_payload_graph(graph)
     chunk_index, draws = piece
     rng = _parallel.chunk_rng(base_seed, chunk_index)
     counts: Dict[Node, float] = {}
@@ -161,7 +160,7 @@ class RiondatoKornaropoulos:
             with SampleDriver(
                 _rk_sample_chunk,
                 payload=(
-                    _parallel.shareable_graph(graph, choice),
+                    _csr.shareable_graph(graph, choice),
                     nodes,
                     choice,
                     use_weights,

@@ -24,7 +24,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence
 
-from repro import parallel as _parallel
 from repro.engine.driver import sweep_sources
 from repro.errors import GraphError
 from repro.graphs import csr as _csr
@@ -243,12 +242,11 @@ def _dependency_chunk(payload, chunk: Sequence[Node]):
 
     CSR backend: one batched multi-source sweep per chunk, with each row's
     ``delta[source]`` residue zeroed before folding — mirroring the
-    ``dependency.pop(source)`` of the dict implementation.  The payload's
-    graph slot may be a shared-memory snapshot handle
-    (:func:`repro.parallel.shareable_graph`).
+    ``dependency.pop(source)`` of the dict implementation.  On CSR the
+    payload's graph slot holds the snapshot
+    (:func:`repro.graphs.csr.shareable_graph`).
     """
     graph, backend, use_weights = payload
-    graph = _parallel.resolve_payload_graph(graph)
     if backend == _csr.CSR_BACKEND:
         snapshot = _csr.as_csr(graph)
         indices = [snapshot.index_of(source) for source in chunk]
@@ -290,8 +288,8 @@ def _sum_dependencies(
     addition order is therefore a pure function of the fixed chunk layout —
     identical for the serial path, any worker count, and both backends (the
     backend-equivalence tests assert bit-identical totals).  CSR payloads
-    hand the frozen snapshot to workers through the shared-memory path when
-    it is enabled and available.
+    carry the frozen snapshot, which ``spawn`` workers unpickle once
+    (:meth:`repro.graphs.csr.CSRGraph.__reduce__`).
     """
     choice = _csr.effective_backend(graph, backend)
     use_weights = _sssp.effective_weighted(graph, weighted)
@@ -319,7 +317,7 @@ def _sum_dependencies(
 
     sweep_sources(
         _dependency_chunk, sources, fold,
-        payload=(_parallel.shareable_graph(graph, choice), choice, use_weights),
+        payload=(_csr.shareable_graph(graph, choice), choice, use_weights),
         workers=workers,
     )
     return finalize()

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
-from repro import parallel as _parallel
 from repro.engine.driver import sweep_sources
 from repro.graphs import csr as _csr
 from repro.graphs import sssp as _sssp
@@ -26,15 +25,14 @@ def _distance_stats_chunk(payload, chunk: Sequence[Node]) -> List[Tuple[int, flo
     (two numbers per source), so the chunk partial is simply their list —
     nothing bulkier ever crosses the process boundary.  CSR backend: one
     batched multi-source distance sweep per chunk (thin road-network
-    frontiers from the whole chunk merge into one fat one), with the
-    snapshot arriving zero-copy when the shared-memory handoff is active.
+    frontiers from the whole chunk merge into one fat one) on the snapshot
+    the payload carries (:func:`repro.graphs.csr.shareable_graph`).
     Weighted sweeps run the Dijkstra engine; their float distance totals
     are summed in node-index order under *both* backends (the CSR row
     order equals the graph's insertion order), so dict/csr/worker results
     stay bit-identical.
     """
     graph, backend, use_weights = payload
-    graph = _parallel.resolve_payload_graph(graph)
     if backend == _csr.CSR_BACKEND:
         snapshot = _csr.as_csr(graph)
         indices = [snapshot.index_of(node) for node in chunk]
@@ -109,7 +107,7 @@ def closeness_centrality(
 
     sweep_sources(
         _distance_stats_chunk, selected, fold,
-        payload=(_parallel.shareable_graph(graph, choice), choice, use_weights),
+        payload=(_csr.shareable_graph(graph, choice), choice, use_weights),
         workers=workers,
     )
     return result

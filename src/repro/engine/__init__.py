@@ -22,8 +22,9 @@ places; now it lives here, once:
   BFS distance rows keyed on ``(Graph._version, source, backend)``, so
   pivot-heavy and repeated-source workloads reuse traversals instead of
   recomputing them per sample (``REPRO_DAG_CACHE`` toggles it,
-  ``REPRO_DAG_CACHE_SIZE`` / ``REPRO_DAG_CACHE_BUDGET`` bound its per-graph
-  entry count and estimated memory).
+  ``REPRO_DAG_CACHE_SIZE`` bounds its per-graph entry count and the
+  constant :data:`~repro.engine.dag_cache.DEFAULT_DAG_CACHE_BUDGET` its
+  estimated memory).
 
 Nothing in the engine changes results: schedules and folds reproduce the
 exact chunk/RNG layout the estimators used before the port, and cached
@@ -33,25 +34,19 @@ traversals are pure functions of ``(graph version, source, backend)``.
 from __future__ import annotations
 
 from repro.engine.dag_cache import (
-    DAG_CACHE_BUDGET_ENV_VAR,
     DAG_CACHE_DELTA_ENV_VAR,
     DAG_CACHE_ENV_VAR,
     DAG_CACHE_SIZE_ENV_VAR,
-    DELTA_JOURNAL_SIZE_ENV_VAR,
     SourceDAGCache,
     clear_default_dag_cache,
     dag_cache_enabled,
     default_dag_cache,
     default_dag_cache_delta,
-    resolve_dag_cache_budget,
     resolve_dag_cache_delta,
     resolve_dag_cache_size,
-    resolve_delta_journal_size,
     set_dag_cache_enabled,
-    set_default_dag_cache_budget,
     set_default_dag_cache_delta,
     set_default_dag_cache_size,
-    set_default_delta_journal_size,
     source_dag,
     source_distance_map,
     source_distance_rows,
@@ -85,17 +80,11 @@ __all__ = [
     "dag_cache_enabled",
     "set_dag_cache_enabled",
     "resolve_dag_cache_size",
-    "resolve_dag_cache_budget",
     "set_default_dag_cache_size",
-    "set_default_dag_cache_budget",
     "default_dag_cache_delta",
     "resolve_dag_cache_delta",
     "set_default_dag_cache_delta",
-    "resolve_delta_journal_size",
-    "set_default_delta_journal_size",
     "DAG_CACHE_ENV_VAR",
     "DAG_CACHE_SIZE_ENV_VAR",
-    "DAG_CACHE_BUDGET_ENV_VAR",
     "DAG_CACHE_DELTA_ENV_VAR",
-    "DELTA_JOURNAL_SIZE_ENV_VAR",
 ]

@@ -37,12 +37,12 @@ path sampling only reads the DAG.  The equivalence tests assert cached ==
 uncached == ``workers > 1`` bit for bit.
 
 Configuration: the process-wide default cache follows the ``dag_cache``
-(on by default), ``dag_cache_size`` (max entries per graph, default 512)
-and ``dag_cache_budget`` (max estimated elements per graph, default 16M ≈
-128 MB) rows of :mod:`repro.knobs` — :func:`set_dag_cache_enabled`,
-:func:`set_default_dag_cache_size` and :func:`set_default_dag_cache_budget`
-override their ``REPRO_*`` variables, and :func:`default_dag_cache`
-rebuilds the cache when its bounds change.
+(on by default) and ``dag_cache_size`` (max entries per graph, default
+512) rows of :mod:`repro.knobs` — :func:`set_dag_cache_enabled` and
+:func:`set_default_dag_cache_size` override their ``REPRO_*`` variables,
+and :func:`default_dag_cache` rebuilds the cache when its size changes.
+Its element budget is the constant :data:`DEFAULT_DAG_CACHE_BUDGET` (16M
+≈ 128 MB per graph).
 """
 
 from __future__ import annotations
@@ -56,12 +56,9 @@ from repro.graphs import csr as _csr
 from repro.graphs import delta as _delta
 from repro.graphs.delta import (  # re-exported via repro.engine
     DAG_CACHE_DELTA_ENV_VAR,
-    DELTA_JOURNAL_SIZE_ENV_VAR,
     default_dag_cache_delta,
     resolve_dag_cache_delta,
-    resolve_delta_journal_size,
     set_default_dag_cache_delta,
-    set_default_delta_journal_size,
 )
 from repro.graphs.graph import Graph
 
@@ -76,23 +73,19 @@ DEFAULT_DAG_CACHE_SIZE = knobs.DAG_CACHE_SIZE.default
 set_default_dag_cache_size = knobs.DAG_CACHE_SIZE.override
 resolve_dag_cache_size = knobs.DAG_CACHE_SIZE.resolve
 
-DAG_CACHE_BUDGET_ENV_VAR = knobs.DAG_CACHE_BUDGET.env
 #: Default per-graph element budget (one unit ~ one stored int64/float64,
 #: so ~128 MB).
-DEFAULT_DAG_CACHE_BUDGET = knobs.DAG_CACHE_BUDGET.default
-set_default_dag_cache_budget = knobs.DAG_CACHE_BUDGET.override
-resolve_dag_cache_budget = knobs.DAG_CACHE_BUDGET.resolve
+DEFAULT_DAG_CACHE_BUDGET = 16_000_000
 
 
 def dag_cache_enabled() -> bool:
     """Whether the shared default cache is consulted by the samplers.
 
-    The size and budget variables are validated here too, so a typo'd
-    bound fails at the first cache decision, naming the variable, instead
-    of deep inside a sampler.
+    The size variable is validated here too, so a typo'd bound fails at
+    the first cache decision, naming the variable, instead of deep inside
+    a sampler.
     """
     knobs.DAG_CACHE_SIZE.resolve()
-    knobs.DAG_CACHE_BUDGET.resolve()
     return knobs.DAG_CACHE.resolve()
 
 
@@ -159,7 +152,7 @@ class SourceDAGCache:
         ``REPRO_DAG_CACHE_SIZE``, then the default).
     max_cost:
         Element budget per graph, in stored int64/float64-sized units
-        (``None`` resolves via :func:`resolve_dag_cache_budget`).  When a workload's
+        (``None``: :data:`DEFAULT_DAG_CACHE_BUDGET`).  When a workload's
         traversals are individually huge — one DAG on a paper-scale graph
         is already hundreds of megabytes — the budget degrades the cache to
         roughly one resident traversal (the most recent entry is always
@@ -191,7 +184,7 @@ class SourceDAGCache:
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         if max_cost is None:
-            max_cost = resolve_dag_cache_budget()
+            max_cost = DEFAULT_DAG_CACHE_BUDGET
         if max_cost < 1:
             raise ValueError(f"max_cost must be >= 1, got {max_cost}")
         self.max_entries = max_entries
@@ -523,15 +516,15 @@ _default_cache: Optional[SourceDAGCache] = None
 def default_dag_cache() -> SourceDAGCache:
     """The lazily-created process-wide cache (one per worker process too).
 
-    It is rebuilt whenever the resolved size or budget differs from the
-    bounds it was built with; the cache never changes results, so
-    dropping its entries is free of correctness concerns.
+    It is rebuilt whenever the resolved size differs from the bound it was
+    built with; the cache never changes results, so dropping its entries
+    is free of correctness concerns.
     """
     global _default_cache
-    size, budget = resolve_dag_cache_size(), resolve_dag_cache_budget()
+    size = resolve_dag_cache_size()
     cache = _default_cache
-    if cache is None or (cache.max_entries, cache.max_cost) != (size, budget):
-        cache = _default_cache = SourceDAGCache(size, max_cost=budget)
+    if cache is None or cache.max_entries != size:
+        cache = _default_cache = SourceDAGCache(size)
     return cache
 
 

@@ -22,9 +22,10 @@ folds partials strictly in chunk order.  The serial path (``workers=0``)
 runs the identical chunk tasks in-process, so the float accumulation order
 is a pure function of the fixed chunk layout and worker counts never change
 results, while the bytes shipped per chunk shrink from O(chunk x n) to
-O(n).  Graph payloads go through :func:`repro.parallel.shareable_graph` so
-CSR-backed sweeps hand the frozen snapshot to workers zero-copy via shared
-memory instead of pickling the adjacency per process.
+O(n).  Graph payloads go through :func:`repro.graphs.csr.shareable_graph`,
+so CSR-backed sweeps hand workers the frozen snapshot: ``fork`` workers
+inherit it, ``spawn`` workers unpickle it once (by file path when a
+snapshot file backs it).
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ class SampleDriver:
     def __exit__(self, exc_type, exc_value, traceback) -> None:
         # Mirror WorkerPool's lifecycle contract: a clean exit drains
         # in-flight chunks (close + join), an exception hard-stops the
-        # workers.  Both paths release shared-memory payload blocks.
+        # workers.
         if exc_type is not None:
             self._pool.terminate()
         else:

@@ -28,9 +28,7 @@ from repro.graphs.delta import (
     default_dag_cache_delta,
     deltas_between,
     resolve_dag_cache_delta,
-    resolve_delta_journal_size,
     set_default_dag_cache_delta,
-    set_default_delta_journal_size,
 )
 from repro.graphs.diameter import (
     estimate_diameter,
@@ -143,6 +141,4 @@ __all__ = [
     "default_dag_cache_delta",
     "resolve_dag_cache_delta",
     "set_default_dag_cache_delta",
-    "resolve_delta_journal_size",
-    "set_default_delta_journal_size",
 ]

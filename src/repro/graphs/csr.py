@@ -57,6 +57,7 @@ and exceeds ``2**63`` at hop distances around 70.
 
 from __future__ import annotations
 
+import os
 from array import array
 from heapq import heappop, heappush
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
@@ -133,8 +134,8 @@ def effective_backend(
         search allocates per-query state arrays) pass a larger cutoff.
     """
     if isinstance(graph, CSRGraph):
-        # A frozen snapshot (e.g. a zero-copy shared-memory handoff from
-        # repro.parallel) can only run the array kernels; there is no dict
+        # A frozen snapshot (e.g. the graph slot of a worker payload, see
+        # shareable_graph) can only run the array kernels; there is no dict
         # adjacency to fall back to.
         return CSR_BACKEND
     resolved = resolve_backend(backend)
@@ -214,6 +215,7 @@ class CSRGraph:
         "identity_labels",
         "max_degree",
         "source_path",
+        "source_crcs",
         "_indptr_list",
         "_indices_list",
         "_weights_list",
@@ -224,9 +226,8 @@ class CSRGraph:
     #: :class:`Graph` version attribute (plus the weakref slot above and the
     #: count/lookup methods below) lets version-keyed caches — the CSR
     #: snapshot cache, the engine's ``SourceDAGCache`` — and backend dispatch
-    #: treat a bare snapshot exactly like a graph.  Worker processes receive
-    #: bare snapshots through the shared-memory handoff in
-    #: :mod:`repro.parallel`.
+    #: treat a bare snapshot exactly like a graph.  Chunk tasks on the CSR
+    #: backend receive bare snapshots (:func:`shareable_graph`).
     _version = 0
 
     def __init__(self, indptr, indices, labels: List[Node], weights=None) -> None:
@@ -245,12 +246,13 @@ class CSRGraph:
         self.max_degree = int((indptr[1:] - indptr[:-1]).max()) if self.n else 0
         # Set by repro.graphs.store when the snapshot is backed by an
         # on-disk file (saved or loaded, possibly as read-only np.memmap
-        # views).  repro.parallel uses it to hand workers a path + header
-        # instead of re-exporting the arrays to shared memory.  Patched
-        # snapshots (_patched_snapshot) construct fresh arrays and so drop
-        # the backing file — copy-on-write, the mapped file is never
-        # written through.
+        # views), together with the file header's (header, arrays) CRC32
+        # fields: __reduce__ then pickles a path plus a header instead of
+        # the arrays.  Patched snapshots (_patched_snapshot) construct
+        # fresh arrays and so drop the backing file — copy-on-write, the
+        # mapped file is never written through.
         self.source_path: Optional[str] = None
+        self.source_crcs: Optional[Tuple[int, int]] = None
         self._indptr_list: Optional[List[int]] = None
         self._indices_list: Optional[List[int]] = None
         self._weights_list: Optional[List[float]] = None
@@ -285,12 +287,49 @@ class CSRGraph:
             self._indices_list = self.indices.tolist()
         return self._indptr_list, self._indices_list
 
+    def __reduce__(self):
+        """Pickle by file path when a snapshot file backs this snapshot,
+        else by value — the one rule for handing a snapshot to workers.
+
+        Only ``spawn``/``forkserver`` workers unpickle payloads (``fork``
+        workers inherit them).  A snapshot whose backing file still exists
+        pickles as the path plus a header of its counts and the file's two
+        CRC32 fields; the worker loads the file under its own ``mmap`` knob
+        and raises :class:`GraphError` if the file now holds another
+        graph.  Any other snapshot pickles as its arrays and labels
+        (``None`` for the identity labelling); the label index and the list
+        caches are rebuilt on demand, never shipped.
+        """
+        path = self.source_path
+        if path is not None and os.path.exists(path):
+            from repro.graphs.store import _attach_snapshot_file
+
+            return (_attach_snapshot_file, (path, self.file_header()))
+        return (
+            _snapshot_from_arrays,
+            (
+                _np.asarray(self.indptr),
+                _np.asarray(self.indices),
+                None if self.identity_labels else self.labels,
+                None if self.weights is None else _np.asarray(self.weights),
+            ),
+        )
+
+    def file_header(self) -> Tuple[int, int, bool, int, int]:
+        """``(n, num_indices, weighted, header_crc, arrays_crc)`` of the
+        backing file, as recorded when it was saved or loaded."""
+        header_crc, arrays_crc = self.source_crcs
+        return (
+            self.n, len(self.indices), self.weights is not None,
+            header_crc, arrays_crc,
+        )
+
     def save(self, path):
         """Persist the snapshot to ``path`` (see :mod:`repro.graphs.store`).
 
         The written file is versioned and checksummed; on success
-        ``self.source_path`` points at it, arming the zero-copy worker
-        handoff in :mod:`repro.parallel`.  Returns the written path.
+        ``self.source_path`` points at it, so the snapshot pickles by path
+        (:meth:`__reduce__`).  Returns the written path.
         """
         from repro.graphs.store import save_snapshot
 
@@ -377,6 +416,13 @@ class CSRGraph:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CSRGraph(n={self.n}, m={self.m})"
+
+
+def _snapshot_from_arrays(indptr, indices, labels, weights) -> CSRGraph:
+    """Unpickle a by-value snapshot (``labels is None``: labels ``0..n-1``)."""
+    if labels is None:
+        labels = list(range(len(indptr) - 1))
+    return CSRGraph(indptr, indices, labels, weights)
 
 
 _csr_cache: "WeakKeyDictionary[Graph, Tuple[int, CSRGraph]]" = WeakKeyDictionary()
@@ -500,8 +546,8 @@ def as_csr(graph: Graph) -> CSRGraph:
     patched in O(|Δ| + copy) instead of re-walking the whole adjacency,
     byte-identical to a from-scratch build.  Repeated calls on an unchanged
     graph are O(1).  A :class:`CSRGraph` passes through unchanged, so code
-    holding either a graph or a bare snapshot (a shared-memory worker
-    payload, or a memory-mapped on-disk snapshot from
+    holding either a graph or a bare snapshot (a worker payload, or a
+    memory-mapped on-disk snapshot from
     :mod:`repro.graphs.store` — whose arrays stay read-only; patching a
     *mutated* graph always materialises fresh in-RAM arrays, i.e.
     copy-on-write) can normalise with one call.
@@ -523,6 +569,19 @@ def as_csr(graph: Graph) -> CSRGraph:
     return csr
 
 
+def shareable_graph(graph, backend: Optional[str]):
+    """The graph slot of a worker payload for a chunk task on ``backend``.
+
+    CSR chunk tasks get the cached snapshot (:func:`as_csr`), so ``fork``
+    workers inherit the arrays and ``spawn`` workers unpickle them once
+    (:meth:`CSRGraph.__reduce__`) instead of rebuilding them from a
+    pickled dict graph; dict chunk tasks get ``graph`` itself.
+    """
+    if backend == CSR_BACKEND:
+        return as_csr(graph)
+    return graph
+
+
 def adopt_snapshot(graph: Graph, snapshot: CSRGraph) -> None:
     """Seed the CSR cache of ``graph`` with an existing ``snapshot``.
 
@@ -530,8 +589,8 @@ def adopt_snapshot(graph: Graph, snapshot: CSRGraph) -> None:
     on-disk snapshot (:func:`repro.graphs.store.graph_from_snapshot`): the
     file-backed snapshot *is* the graph's CSR form, so adopting it makes
     ``as_csr(graph)`` return it directly — keeping the arrays memory-mapped
-    and the zero-copy file handoff to workers armed — instead of
-    rebuilding identical arrays in RAM.
+    and the by-path handoff to workers — instead of rebuilding identical
+    arrays in RAM.
 
     The caller warrants that ``snapshot`` is byte-identical to
     ``CSRGraph.from_graph(graph)`` (``graph_from_snapshot`` reconstructs

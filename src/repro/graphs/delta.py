@@ -15,7 +15,7 @@ This module records *what actually changed* so the caches can do better:
   per graph by :func:`track` the first time a cache snapshots it.  Node
   additions/removals are recorded as *structural* markers: they change the
   label set, so consumers degrade to today's wholesale semantics.  The
-  journal is capped (:func:`resolve_delta_journal_size`): overflowing
+  journal is capped (:data:`DELTA_JOURNAL_SIZE` entries): overflowing
   drops the oldest entries, after which version ranges reaching past the
   cap are reported as uncovered — again the wholesale fallback, never a
   wrong answer.
@@ -34,18 +34,13 @@ This module records *what actually changed* so the caches can do better:
   compare), so retention decisions agree bit-for-bit with what a fresh
   traversal would compute.
 
-Knobs (rows of :mod:`repro.knobs`):
-
-* ``dag_cache_delta`` = ``auto`` | ``on`` | ``off``
-  (:func:`set_default_dag_cache_delta`).  ``off`` disables journaling
-  entirely — byte-for-byte the pre-delta wholesale behaviour; ``on``
-  always validates per entry; ``auto`` (the default) validates but falls
-  back to wholesale eviction when the delta range exceeds
-  :data:`AUTO_DELTA_VALIDATION_LIMIT` edits, bounding the per-entry scan
-  cost.
-* ``delta_journal_size`` — the cap newly armed journals are built with
-  (:func:`set_default_delta_journal_size`); already-armed journals keep
-  theirs.
+The knob (a row of :mod:`repro.knobs`): ``dag_cache_delta`` = ``auto`` |
+``on`` | ``off`` (:func:`set_default_dag_cache_delta`).  ``off`` disables
+journaling entirely — byte-for-byte the pre-delta wholesale behaviour;
+``on`` always validates per entry; ``auto`` (the default) validates but
+falls back to wholesale eviction when the delta range exceeds
+:data:`AUTO_DELTA_VALIDATION_LIMIT` edits, bounding the per-entry scan
+cost.
 
 Correctness stance: the journal only ever *retains* work that a validity
 test proves unaffected; anything uncertain — uncovered ranges, structural
@@ -73,13 +68,10 @@ default_dag_cache_delta = knobs.DAG_CACHE_DELTA.resolve
 set_default_dag_cache_delta = knobs.DAG_CACHE_DELTA.override
 resolve_dag_cache_delta = knobs.DAG_CACHE_DELTA.resolve
 
-DELTA_JOURNAL_SIZE_ENV_VAR = knobs.DELTA_JOURNAL_SIZE.env
-#: Default journal cap: generous for interactive edit streams, small enough
-#: that the per-entry validation scan (O(cap) comparisons) stays negligible
-#: next to one traversal.
-DEFAULT_DELTA_JOURNAL_SIZE = knobs.DELTA_JOURNAL_SIZE.default
-set_default_delta_journal_size = knobs.DELTA_JOURNAL_SIZE.override
-resolve_delta_journal_size = knobs.DELTA_JOURNAL_SIZE.resolve
+#: The cap :func:`track` arms journals with: generous for interactive edit
+#: streams, small enough that the per-entry validation scan (O(cap)
+#: comparisons) stays negligible next to one traversal.
+DELTA_JOURNAL_SIZE = 256
 
 #: In ``auto`` mode a delta range longer than this skips per-entry
 #: validation and wholesale-evicts instead: past a few dozen edits the
@@ -186,7 +178,7 @@ def track(graph) -> Optional[MutationJournal]:
         return None
     journal = getattr(graph, "_journal", None)
     if journal is None:
-        journal = MutationJournal(graph._version, resolve_delta_journal_size())
+        journal = MutationJournal(graph._version, DELTA_JOURNAL_SIZE)
         try:
             graph._journal = journal
         except AttributeError:

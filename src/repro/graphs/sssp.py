@@ -47,8 +47,8 @@ def effective_weighted(graph, weighted: Optional[str] = None) -> bool:
     """Whether one operation on ``graph`` should run the weighted engine.
 
     ``graph`` may be a :class:`~repro.graphs.graph.Graph` or a bare
-    :class:`~repro.graphs.csr.CSRGraph` snapshot (the shared-memory worker
-    handoff); both expose the O(1) ``is_weighted`` check the ``"auto"``
+    :class:`~repro.graphs.csr.CSRGraph` snapshot (the graph slot of a
+    CSR worker payload); both expose the O(1) ``is_weighted`` check the ``"auto"``
     mode routes on.
     """
     mode = resolve_weighted(weighted)

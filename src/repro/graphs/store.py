@@ -1,22 +1,21 @@
 """On-disk CSR snapshot store: persist-once, memory-map-many graphs.
 
-ROADMAP open item 3: the paper's headline workload is the USA road network
-(~24M nodes), but every run of this repo used to rebuild each graph in
-process RAM — an O(V+E) parse-and-generate on every cold start.  The PR-4
-shared-memory export already fixed the frozen array layout workers consume
-(``indptr``/``indices``/``weights`` + labels); this module *persists* that
-layout, so a cold start becomes an O(1) ``np.memmap`` attach and graphs
-larger than RAM page in on demand:
+The paper's headline workload is the USA road network (~24M nodes), but
+every run of this repo used to rebuild each graph in process RAM — an
+O(V+E) parse-and-generate on every cold start.  This module *persists* the
+frozen CSR layout (``indptr``/``indices``/``weights`` + labels), so a cold
+start becomes an O(1) ``np.memmap`` attach and graphs larger than RAM page
+in on demand:
 
 * :func:`save_snapshot` / :func:`load_snapshot` — write a
   :class:`~repro.graphs.csr.CSRGraph` to a single versioned, checksummed
   file and load it back, optionally as **read-only** ``np.memmap`` views
   (also reachable as ``CSRGraph.save(path)`` / ``CSRGraph.load(path)``).
   A loaded (or freshly saved) snapshot remembers its backing file in
-  ``CSRGraph.source_path``, which :mod:`repro.parallel` uses to hand the
-  graph to worker processes as *a path plus a header* — the snapshot file
-  is the shared block, nothing is re-exported to
-  ``multiprocessing.shared_memory``.
+  ``CSRGraph.source_path`` and the file's two CRC32 fields in
+  ``CSRGraph.source_crcs``, so it pickles to worker processes as *a path
+  plus a header* (:meth:`CSRGraph.__reduce__`): each worker attaches the
+  file itself (:func:`_attach_snapshot_file`), zero-copy when it maps.
 * :class:`SnapshotStore` — a directory of snapshots addressed by string
   keys (plus JSON side-car metadata), used by the datasets registry to
   memoise generated graphs and by benches/tests for scratch stores.
@@ -219,8 +218,8 @@ def save_snapshot(graph, path: PathLike) -> Path:
     :class:`~repro.graphs.csr.CSRGraph`.  The write goes through a
     temporary file + ``os.replace``, so a crash mid-write never leaves a
     half-written snapshot under the final name.  On success the snapshot's
-    ``source_path`` is set to the written file, arming the zero-copy
-    worker handoff in :mod:`repro.parallel`.
+    ``source_path`` and ``source_crcs`` describe the written file, so it
+    pickles to workers by path (:meth:`CSRGraph.__reduce__`).
 
     Raises
     ------
@@ -268,6 +267,7 @@ def save_snapshot(graph, path: PathLike) -> Path:
         ),
     )
     csr.source_path = str(path)
+    csr.source_crcs = (header_crc, arrays_crc)
     return path
 
 
@@ -275,9 +275,9 @@ def _corrupt(path: PathLike, problem: str) -> GraphError:
     return GraphError(f"snapshot {path}: {problem}")
 
 
-def _read_header(path: Path) -> Tuple[int, int, int, int, int, bytes]:
-    """Validate the header; return ``(n, num_indices, flags, arrays_crc,
-    arrays_offset, labels_blob)``.
+def _read_header(path: Path) -> Tuple[int, int, int, int, int, int, bytes]:
+    """Validate the header; return ``(n, num_indices, flags, header_crc,
+    arrays_crc, arrays_offset, labels_blob)``.
 
     Every check runs before the arrays are touched, so a truncated, stale
     or foreign-endianness file fails with one attributable error instead
@@ -351,7 +351,7 @@ def _read_header(path: Path) -> Tuple[int, int, int, int, int, bytes]:
             f"file is {size} bytes but the header describes {expected_size} "
             "(truncated or trailing garbage)",
         )
-    return n, num_indices, flags, arrays_crc, arrays_offset, labels_blob
+    return n, num_indices, flags, header_crc, arrays_crc, arrays_offset, labels_blob
 
 
 def _decode_labels(path: Path, n: int, flags: int, labels_blob: bytes) -> List:
@@ -399,7 +399,8 @@ def load_snapshot(
     path = Path(path)
     require_numpy(f"loading snapshot {path}")
     use_mmap = effective_mmap(mmap)
-    n, num_indices, flags, arrays_crc, arrays_offset, labels_blob = _read_header(path)
+    (n, num_indices, flags, header_crc, arrays_crc, arrays_offset,
+     labels_blob) = _read_header(path)
     labels = _decode_labels(path, n, flags, labels_blob)
     weighted = bool(flags & _FLAG_WEIGHTED)
     indptr_off = arrays_offset
@@ -452,6 +453,39 @@ def load_snapshot(
         )
     snapshot = CSRGraph(indptr, indices, labels, weights)
     snapshot.source_path = str(path)
+    snapshot.source_crcs = (header_crc, arrays_crc)
+    return snapshot
+
+
+#: Worker-side cache of file-attached snapshots, keyed by the pickled
+#: ``(path, header)``: one snapshot per file, attached by the first chunk a
+#: worker runs and reused by every later one.
+_attached_snapshots: Dict[Tuple[str, Tuple], CSRGraph] = {}
+
+
+def _attach_snapshot_file(path: str, header: Tuple) -> CSRGraph:
+    """Unpickle a by-path snapshot (see :meth:`CSRGraph.__reduce__`).
+
+    Loads ``path`` under this process's ``mmap`` knob (mirrored into the
+    environment, so ``spawn`` workers agree with the master).  ``header``
+    is ``(n, num_indices, weighted, header_crc, arrays_crc)`` of the file
+    the pickled snapshot was backed by; a file that was since overwritten
+    with another graph — even one of the same size — fails loudly instead
+    of handing the worker the wrong graph.
+    """
+    key = (path, header)
+    snapshot = _attached_snapshots.get(key)
+    if snapshot is None:
+        snapshot = load_snapshot(path)
+        if snapshot.file_header() != header:
+            raise _corrupt(
+                path,
+                "file no longer matches the pickled snapshot (file "
+                "(n, num_indices, weighted, header_crc, arrays_crc) = "
+                f"{snapshot.file_header()}, pickled {header}) — was it "
+                "overwritten while workers were using it?",
+            )
+        _attached_snapshots[key] = snapshot
     return snapshot
 
 
@@ -464,8 +498,8 @@ def content_digest(graph) -> str:
     Covers the node labels (in insertion order), each node's neighbour
     list (in adjacency order — the order every deterministic traversal
     scans) and, on weighted graphs, the float64 edge weights.  A dict
-    :class:`~repro.graphs.graph.Graph` and any CSR snapshot of it (in-RAM,
-    shared-memory or memory-mapped) produce the **same** digest, so
+    :class:`~repro.graphs.graph.Graph` and any CSR snapshot of it (in-RAM
+    or memory-mapped) produce the **same** digest, so
     content-addressed caches — the ``GroundTruthCache`` disk tier — hit
     across process restarts and across backends.
     """

@@ -315,26 +315,11 @@ DAG_CACHE_SIZE = Count(
     "dag_cache_size", "REPRO_DAG_CACHE_SIZE", 512, 1,
     "per-graph entry bound of the DAG cache (default 512)." + _SPEED,
 )
-DAG_CACHE_BUDGET = Count(
-    "dag_cache_budget", "REPRO_DAG_CACHE_BUDGET", 16_000_000, 1,
-    "per-graph element budget of the DAG cache (default 16000000, about "
-    "128 MB)." + _SPEED,
-)
 DAG_CACHE_DELTA = Choice(
     "dag_cache_delta", "REPRO_DAG_CACHE_DELTA", "auto", ("auto", "on", "off"),
     "cache invalidation on mutation: auto (validate entries against the "
     "mutation journal up to a size limit), on (always validate) or off "
     "(evict wholesale)." + _SPEED,
-)
-DELTA_JOURNAL_SIZE = Count(
-    "delta_journal_size", "REPRO_DELTA_JOURNAL_SIZE", 256, 1,
-    "mutation-journal cap per graph (default 256); older edits fall back "
-    "to wholesale eviction." + _SPEED,
-)
-SHARED_MEMORY = Switch(
-    "shared_memory", "REPRO_SHARED_MEMORY", True,
-    "zero-copy shared-memory handoff of the CSR graph to worker processes "
-    "(on by default; off ships the pickle payload)." + _SPEED,
 )
 SNAPSHOT_DIR = FilePath(
     "snapshot_dir", "REPRO_SNAPSHOT_DIR", None,
@@ -352,8 +337,7 @@ MMAP = Choice(
 #: Every knob, in command-line flag order.
 KNOBS: Tuple[Knob, ...] = (
     BACKEND, WEIGHTED, WORKERS, START_METHOD, DAG_CACHE, DAG_CACHE_SIZE,
-    DAG_CACHE_BUDGET, DAG_CACHE_DELTA, DELTA_JOURNAL_SIZE, SHARED_MEMORY,
-    SNAPSHOT_DIR, MMAP,
+    DAG_CACHE_DELTA, SNAPSHOT_DIR, MMAP,
 )
 
 

@@ -854,81 +854,56 @@ class TestDAGCacheEquivalence:
         assert all(answer == reference for answer in answers.values())
 
 
-class TestSharedMemoryEquivalence:
-    """The zero-copy shared-memory CSR handoff never changes results: with
-    the handoff on, `workers > 1` runs (under `spawn`, which actually ships
-    payloads through pickling and therefore exports blocks) are bit-identical
-    to pickle-payload runs, to the serial path, and to the dict reference —
-    and every exported block is unlinked when the pools shut down."""
+class TestSpawnEquivalence:
+    """Spawn workers unpickle their own copy of the CSR snapshot (by value:
+    nothing backs it on disk), so `workers > 1` under `spawn` is
+    bit-identical to the serial path and to the dict reference."""
 
     @pytest.fixture(scope="class")
     def social(self):
         return barabasi_albert_graph(300, 3, seed=6)
 
-    @pytest.fixture()
-    def shm_toggle(self, monkeypatch):
-        from repro.parallel import set_shared_memory_enabled
-
+    @pytest.fixture(autouse=True)
+    def spawn(self, monkeypatch):
         # spawn so payloads are actually pickled (fork inherits memory and
-        # would exercise the in-process resolution only).
+        # would exercise the in-process objects only).
         monkeypatch.setenv("REPRO_START_METHOD", "spawn")
-        yield set_shared_memory_enabled
-        set_shared_memory_enabled(None)
 
-    def _no_leaked_blocks(self):
-        from repro import parallel
-
-        assert parallel._active_shared_blocks == set()
-
-    def test_exact_brandes_shared_vs_pickle_vs_serial(self, social, shm_toggle):
+    def test_exact_brandes_spawn_vs_serial_vs_dict(self, social):
         reference = betweenness_centrality(social, backend="dict")
         serial = betweenness_centrality(social, backend="csr", workers=0)
-        shm_toggle(True)
-        shared = betweenness_centrality(social, backend="csr", workers=2)
-        shm_toggle(False)
-        pickled = betweenness_centrality(social, backend="csr", workers=2)
-        assert shared == pickled == serial == reference
-        self._no_leaked_blocks()
+        spawned = betweenness_centrality(social, backend="csr", workers=2)
+        assert spawned == serial == reference
 
-    def test_closeness_shared_vs_pickle_vs_serial(self, social, shm_toggle):
+    def test_closeness_spawn_vs_serial_vs_dict(self, social):
         reference = closeness_centrality(social, backend="dict")
         serial = closeness_centrality(social, backend="csr", workers=0)
-        shm_toggle(True)
-        shared = closeness_centrality(social, backend="csr", workers=2)
-        shm_toggle(False)
-        pickled = closeness_centrality(social, backend="csr", workers=2)
-        assert shared == pickled == serial == reference
-        self._no_leaked_blocks()
+        spawned = closeness_centrality(social, backend="csr", workers=2)
+        assert spawned == serial == reference
 
-    def test_samplers_shared_vs_pickle_vs_serial(self, social, shm_toggle):
-        for cls, cap in (
-            (RiondatoKornaropoulos, 120),
-            (KADABRA, 120),
-            (ABRA, 80),
-        ):
-            def run(workers):
-                return cls(
-                    0.1, 0.1, seed=7, max_samples_cap=cap,
-                    backend="csr", workers=workers,
-                ).estimate(social)
+    @pytest.mark.parametrize(
+        "cls,cap",
+        [(RiondatoKornaropoulos, 120), (KADABRA, 120), (ABRA, 80)],
+        ids=["RiondatoKornaropoulos", "KADABRA", "ABRA"],
+    )
+    def test_samplers_spawn_vs_serial_vs_dict(self, social, cls, cap):
+        def run(backend, workers):
+            return cls(
+                0.1, 0.1, seed=7, max_samples_cap=cap,
+                backend=backend, workers=workers,
+            ).estimate(social)
 
-            serial = run(0)
-            shm_toggle(True)
-            shared = run(2)
-            shm_toggle(False)
-            pickled = run(2)
-            assert shared.scores == pickled.scores == serial.scores
-            assert shared.num_samples == pickled.num_samples == serial.num_samples
-        self._no_leaked_blocks()
+        reference = run("dict", 0)
+        serial = run("csr", 0)
+        spawned = run("csr", 2)
+        assert spawned.scores == serial.scores == reference.scores
+        assert spawned.num_samples == serial.num_samples == reference.num_samples
 
-    def test_blocks_unlinked_after_exception_mid_sweep(self, social, shm_toggle):
-        from repro import parallel
-        from repro.engine.driver import sweep_sources
+    def test_exception_mid_sweep_propagates(self, social):
         from repro.centrality.closeness import _distance_stats_chunk
+        from repro.engine.driver import sweep_sources
+        from repro.graphs.csr import shareable_graph
 
-        shm_toggle(True)
-        payload = parallel.shareable_graph(social, "csr")
-        assert isinstance(payload, parallel.SharedCSRPayload)
         seen = {"chunks": 0}
 
         def fold(chunk, stats):
@@ -940,12 +915,10 @@ class TestSharedMemoryEquivalence:
                 _distance_stats_chunk,
                 list(social.nodes()),
                 fold,
-                payload=(payload, "csr", False),
+                payload=(shareable_graph(social, "csr"), "csr", False),
                 workers=2,
             )
         assert seen["chunks"] == 1
-        assert payload.block_names() == []
-        self._no_leaked_blocks()
 
 
 class TestSubgraphDeterminism:
@@ -1287,87 +1260,58 @@ class TestUnitWeightAB:
         ) == closeness_centrality(unit_social, backend="csr", weighted="off")
 
 
-class TestWeightedSharedMemory:
-    """The weighted CSR snapshot (three blocks: indptr, indices, weights)
-    rides the zero-copy handoff with bit-identical results and no leaks."""
+class TestWeightedSpawnEquivalence:
+    """The weighted CSR snapshot (indptr, indices and weights) reaches
+    `spawn` workers whole, with results bit-identical to the serial path
+    and to the dict reference."""
 
     @pytest.fixture(scope="class")
     def weighted_social(self):
         return weighted_barabasi_albert_graph(200, 3, seed=6)
 
-    @pytest.fixture()
-    def shm_toggle(self, monkeypatch):
-        from repro.parallel import set_shared_memory_enabled
-
+    @pytest.fixture(autouse=True)
+    def spawn(self, monkeypatch):
         monkeypatch.setenv("REPRO_START_METHOD", "spawn")
-        yield set_shared_memory_enabled
-        set_shared_memory_enabled(None)
 
-    def _no_leaked_blocks(self):
-        from repro import parallel
-
-        assert parallel._active_shared_blocks == set()
-
-    def test_payload_roundtrip_carries_weights(self, weighted_social, shm_toggle):
+    def test_payload_roundtrip_carries_weights(self, weighted_social):
         import pickle
 
-        from repro import parallel
         from repro.graphs import csr as csr_module
 
-        shm_toggle(True)
-        payload = parallel.shareable_graph(weighted_social, "csr")
-        assert isinstance(payload, parallel.SharedCSRPayload)
-        try:
-            snapshot = pickle.loads(pickle.dumps(payload))
-            assert len(payload.block_names()) == 3  # indptr, indices, weights
-            assert snapshot.is_weighted
-            original = csr_module.as_csr(weighted_social)
-            assert list(snapshot.weights) == list(original.weights)
-            assert list(snapshot.indices) == list(original.indices)
-        finally:
-            payload.release()
-        self._no_leaked_blocks()
+        original = csr_module.shareable_graph(weighted_social, "csr")
+        snapshot = pickle.loads(pickle.dumps(original))
+        assert snapshot.is_weighted
+        assert snapshot.weights.tobytes() == original.weights.tobytes()
+        assert snapshot.indices.tobytes() == original.indices.tobytes()
+        assert snapshot.indptr.tobytes() == original.indptr.tobytes()
 
-    def test_weighted_brandes_shared_vs_pickle_vs_serial(
-        self, weighted_social, shm_toggle
-    ):
+    def test_weighted_brandes_spawn_vs_serial_vs_dict(self, weighted_social):
         reference = betweenness_centrality(weighted_social, backend="dict")
         serial = betweenness_centrality(weighted_social, backend="csr", workers=0)
-        shm_toggle(True)
-        shared = betweenness_centrality(weighted_social, backend="csr", workers=2)
-        shm_toggle(False)
-        pickled = betweenness_centrality(weighted_social, backend="csr", workers=2)
-        assert shared == pickled == serial == reference
-        self._no_leaked_blocks()
+        spawned = betweenness_centrality(weighted_social, backend="csr", workers=2)
+        assert spawned == serial == reference
 
-    def test_weighted_closeness_shared_vs_pickle_vs_serial(
-        self, weighted_social, shm_toggle
-    ):
+    def test_weighted_closeness_spawn_vs_serial_vs_dict(self, weighted_social):
         reference = closeness_centrality(weighted_social, backend="dict")
         serial = closeness_centrality(weighted_social, backend="csr", workers=0)
-        shm_toggle(True)
-        shared = closeness_centrality(weighted_social, backend="csr", workers=2)
-        shm_toggle(False)
-        pickled = closeness_centrality(weighted_social, backend="csr", workers=2)
-        assert shared == pickled == serial == reference
-        self._no_leaked_blocks()
+        spawned = closeness_centrality(weighted_social, backend="csr", workers=2)
+        assert spawned == serial == reference
 
-    def test_weighted_sampler_shared_vs_pickle_vs_serial(
-        self, weighted_social, shm_toggle
+    @pytest.mark.parametrize("estimator_cls", [ABRA, KADABRA, RiondatoKornaropoulos])
+    def test_weighted_sampler_spawn_vs_serial_vs_dict(
+        self, estimator_cls, weighted_social
     ):
-        def run(workers):
-            return RiondatoKornaropoulos(
-                0.3, 0.1, seed=23, backend="csr", workers=workers,
+        def run(backend, workers):
+            return estimator_cls(
+                0.3, 0.1, seed=23, backend=backend, workers=workers,
                 max_samples_cap=200,
             ).estimate(weighted_social)
 
-        serial = run(0)
-        shm_toggle(True)
-        shared = run(2)
-        shm_toggle(False)
-        pickled = run(2)
-        assert shared.scores == pickled.scores == serial.scores
-        self._no_leaked_blocks()
+        reference = run("dict", 0)
+        serial = run("csr", 0)
+        spawned = run("csr", 2)
+        assert spawned.scores == serial.scores == reference.scores
+        assert spawned.num_samples == serial.num_samples == reference.num_samples
 
 
 class TestWeightedPathCounts:

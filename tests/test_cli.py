@@ -61,26 +61,6 @@ class TestParser:
 
 
 class TestProcessKnobFlags:
-    def test_shared_memory_flag_applies_override(self, capsys, monkeypatch):
-        from repro import parallel
-
-        # Pin the environment: with REPRO_SHARED_MEMORY exported (e.g. the
-        # README's env-wide workflow) the post-restore default would be the
-        # exported value, not the built-in on.
-        monkeypatch.delenv(parallel.SHARED_MEMORY_ENV_VAR, raising=False)
-        try:
-            code = main(
-                ["rank", "--dataset", "karate", "--subset-size", "6",
-                 "--epsilon", "0.2", "--delta", "0.1", "--seed", "3",
-                 "--shared-memory", "off"]
-            )
-            assert code == 0
-            assert parallel.shared_memory_enabled() is False
-            assert "rank | node" in capsys.readouterr().out
-        finally:
-            parallel.set_shared_memory_enabled(None)
-        assert parallel.shared_memory_enabled() is True
-
     def test_workers_flag_mirrors_environment(self, capsys, monkeypatch):
         import os
 
@@ -119,55 +99,43 @@ class TestProcessKnobFlags:
             parallel.set_default_workers(None)
         assert parallel.START_METHOD_ENV_VAR not in os.environ
 
-    def test_dag_cache_bounds_flags_mirror_environment(self, capsys, monkeypatch):
+    def test_dag_cache_size_flag_mirrors_environment(self, capsys, monkeypatch):
         import os
 
         from repro.engine import dag_cache as dag_cache_module
 
         monkeypatch.delenv(dag_cache_module.DAG_CACHE_SIZE_ENV_VAR, raising=False)
-        monkeypatch.delenv(dag_cache_module.DAG_CACHE_BUDGET_ENV_VAR, raising=False)
         try:
             code = main(
                 ["rank", "--dataset", "karate", "--subset-size", "6",
                  "--epsilon", "0.2", "--delta", "0.1", "--seed", "3",
-                 "--dag-cache-size", "33", "--dag-cache-budget", "44444"]
+                 "--dag-cache-size", "33"]
             )
             assert code == 0
             assert os.environ[dag_cache_module.DAG_CACHE_SIZE_ENV_VAR] == "33"
-            assert os.environ[dag_cache_module.DAG_CACHE_BUDGET_ENV_VAR] == "44444"
             assert dag_cache_module.resolve_dag_cache_size() == 33
-            assert dag_cache_module.resolve_dag_cache_budget() == 44444
         finally:
             dag_cache_module.set_default_dag_cache_size(None)
-            dag_cache_module.set_default_dag_cache_budget(None)
         assert dag_cache_module.DAG_CACHE_SIZE_ENV_VAR not in os.environ
-        assert dag_cache_module.DAG_CACHE_BUDGET_ENV_VAR not in os.environ
 
-    def test_dag_cache_delta_flags_mirror_environment(self, capsys, monkeypatch):
+    def test_dag_cache_delta_flag_mirrors_environment(self, capsys, monkeypatch):
         import os
 
         from repro.engine import dag_cache as dag_cache_module
 
         monkeypatch.delenv(dag_cache_module.DAG_CACHE_DELTA_ENV_VAR, raising=False)
-        monkeypatch.delenv(
-            dag_cache_module.DELTA_JOURNAL_SIZE_ENV_VAR, raising=False
-        )
         try:
             code = main(
                 ["rank", "--dataset", "karate", "--subset-size", "6",
                  "--epsilon", "0.2", "--delta", "0.1", "--seed", "3",
-                 "--dag-cache-delta", "on", "--delta-journal-size", "64"]
+                 "--dag-cache-delta", "on"]
             )
             assert code == 0
             assert os.environ[dag_cache_module.DAG_CACHE_DELTA_ENV_VAR] == "on"
-            assert os.environ[dag_cache_module.DELTA_JOURNAL_SIZE_ENV_VAR] == "64"
             assert dag_cache_module.resolve_dag_cache_delta() == "on"
-            assert dag_cache_module.resolve_delta_journal_size() == 64
         finally:
             dag_cache_module.set_default_dag_cache_delta(None)
-            dag_cache_module.set_default_delta_journal_size(None)
         assert dag_cache_module.DAG_CACHE_DELTA_ENV_VAR not in os.environ
-        assert dag_cache_module.DELTA_JOURNAL_SIZE_ENV_VAR not in os.environ
 
 
 class TestDatasetsCommand:

@@ -2,8 +2,8 @@
 
 Three layers are covered:
 
-* the :class:`~repro.graphs.delta.MutationJournal` mechanics and the
-  ``dag_cache_delta`` / ``delta_journal_size`` knob protocol;
+* the :class:`~repro.graphs.delta.MutationJournal` mechanics, the
+  ``dag_cache_delta`` knob protocol and the journal cap;
 * incremental CSR patching in :func:`repro.graphs.csr.as_csr` — patched
   snapshots must be **byte-identical** to a from-scratch build;
 * delta validation in ``SourceDAGCache`` / ``GroundTruthCache`` — cached
@@ -27,7 +27,6 @@ from repro.graphs.csr import CSRGraph, as_csr
 from repro.graphs.delta import (
     AUTO_DELTA_VALIDATION_LIMIT,
     DAG_CACHE_DELTA_ENV_VAR,
-    DELTA_JOURNAL_SIZE_ENV_VAR,
     EdgeDelta,
     MutationJournal,
     OP_DELETE,
@@ -37,9 +36,7 @@ from repro.graphs.delta import (
     delta_affects_source,
     deltas_between,
     resolve_dag_cache_delta,
-    resolve_delta_journal_size,
     set_default_dag_cache_delta,
-    set_default_delta_journal_size,
 )
 from repro.graphs.generators import (
     erdos_renyi_graph,
@@ -55,10 +52,8 @@ def _reset_delta_knobs(monkeypatch):
     # EnvMirroredOverride) would change the resolution behaviour asserted
     # here; the setters are process-wide and sticky, so always restore.
     monkeypatch.delenv(DAG_CACHE_DELTA_ENV_VAR, raising=False)
-    monkeypatch.delenv(DELTA_JOURNAL_SIZE_ENV_VAR, raising=False)
     yield
     set_default_dag_cache_delta(None)
-    set_default_delta_journal_size(None)
 
 
 def _insert(u, v, w=1.0):
@@ -140,36 +135,23 @@ class TestKnobProtocol:
         with pytest.raises(ValueError, match=DAG_CACHE_DELTA_ENV_VAR):
             resolve_dag_cache_delta()
 
-    def test_journal_size_resolution(self, monkeypatch):
-        assert resolve_delta_journal_size() == delta_module.DEFAULT_DELTA_JOURNAL_SIZE
-        monkeypatch.setenv(DELTA_JOURNAL_SIZE_ENV_VAR, "17")
-        assert resolve_delta_journal_size() == 17
-        set_default_delta_journal_size(9)
-        assert resolve_delta_journal_size() == 9
-        set_default_delta_journal_size(None)
-        assert resolve_delta_journal_size() == 17
-
-    def test_journal_size_validation(self, monkeypatch):
-        with pytest.raises(ValueError):
-            set_default_delta_journal_size(0)
-        with pytest.raises(TypeError):
-            set_default_delta_journal_size(True)
-        monkeypatch.setenv(DELTA_JOURNAL_SIZE_ENV_VAR, "many")
-        with pytest.raises(ValueError, match=DELTA_JOURNAL_SIZE_ENV_VAR):
-            resolve_delta_journal_size()
-        monkeypatch.setenv(DELTA_JOURNAL_SIZE_ENV_VAR, "0")
-        with pytest.raises(ValueError, match=DELTA_JOURNAL_SIZE_ENV_VAR):
-            resolve_delta_journal_size()
+    @pytest.mark.parametrize("text", ["many", "0", "-3", "9"])
+    def test_journal_cap_is_a_constant(self, monkeypatch, text):
+        # The cap is no longer a knob: REPRO_DELTA_JOURNAL_SIZE is not
+        # read, so garbage there neither raises nor changes the cap.
+        monkeypatch.setenv("REPRO_DELTA_JOURNAL_SIZE", text)
+        assert delta_module.DELTA_JOURNAL_SIZE == 256
+        graph = path_graph(3)
+        assert delta_module.track(graph).cap == 256
 
     def test_experiment_config_validates_fields(self):
         from repro.experiments.config import ExperimentConfig
 
         assert ExperimentConfig(dag_cache_delta="on").dag_cache_delta == "on"
-        assert ExperimentConfig(delta_journal_size=32).delta_journal_size == 32
         with pytest.raises(ValueError, match="dag_cache_delta"):
             ExperimentConfig(dag_cache_delta="bogus")
-        with pytest.raises(ValueError, match="delta_journal_size"):
-            ExperimentConfig(delta_journal_size=0)
+        with pytest.raises(TypeError, match="delta_journal_size"):
+            ExperimentConfig(delta_journal_size=32)
 
     @pytest.mark.requires_numpy
     def test_off_disables_journaling_entirely(self):
@@ -183,8 +165,8 @@ class TestKnobProtocol:
 
     @pytest.mark.requires_numpy
     def test_track_tolerates_frozen_snapshots(self):
-        # Bare CSR payloads (shared-memory workers) have no journal slot;
-        # they never mutate, so tracking is a polite no-op.
+        # Bare CSR snapshots (worker payloads) have no journal slot; they
+        # never mutate, so tracking is a polite no-op.
         snapshot = CSRGraph.from_graph(path_graph(3))
         assert delta_module.track(snapshot) is None
 
@@ -324,8 +306,8 @@ class TestIncrementalCSRPatching:
         graph.add_edge(4, 99)  # new node: label set changes
         _assert_patched_bytes_match(graph)
 
-    def test_journal_overflow_falls_back_to_rebuild(self, mode):
-        set_default_delta_journal_size(2)
+    def test_journal_overflow_falls_back_to_rebuild(self, mode, monkeypatch):
+        monkeypatch.setattr(delta_module, "DELTA_JOURNAL_SIZE", 2)
         graph = path_graph(8)
         as_csr(graph)
         for k in range(5):
@@ -436,8 +418,8 @@ class TestSourceDAGCacheDeltaValidation:
         assert stats["delta_retained"] >= 1
         assert stats["delta_evictions"] == 1
 
-    def test_journal_overflow_counts_and_evicts_wholesale(self):
-        set_default_delta_journal_size(2)
+    def test_journal_overflow_counts_and_evicts_wholesale(self, monkeypatch):
+        monkeypatch.setattr(delta_module, "DELTA_JOURNAL_SIZE", 2)
         graph = _weighted_y_graph()
         cache = SourceDAGCache(max_entries=16)
         self._warm_weighted_rows(cache, graph, (0, 1, 2))
@@ -606,10 +588,8 @@ class TestMutateThenQueryEquivalence:
     """Satellite (c): with delta invalidation on, every mutate-then-query
     result is bit-identical to delta off and to a freshly built graph."""
 
-    def _scenario(self, mode, backend, *, weighted, journal_cap=None):
+    def _scenario(self, mode, backend, *, weighted):
         set_default_dag_cache_delta(mode)
-        if journal_cap is not None:
-            set_default_delta_journal_size(journal_cap)
         if weighted:
             graph = weighted_barabasi_albert_graph(40, 2, seed=11)
         else:
@@ -650,9 +630,10 @@ class TestMutateThenQueryEquivalence:
         assert off_stats["delta_retained"] == 0
 
     @pytest.mark.parametrize("backend", ["dict", "csr"])
-    def test_equivalence_survives_journal_overflow(self, backend):
-        on, _ = self._scenario("on", backend, weighted=True, journal_cap=1)
-        set_default_delta_journal_size(None)
+    def test_equivalence_survives_journal_overflow(self, backend, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(delta_module, "DELTA_JOURNAL_SIZE", 1)
+            on, _ = self._scenario("on", backend, weighted=True)
         off, _ = self._scenario("off", backend, weighted=True)
         assert on == off
 

@@ -238,14 +238,17 @@ class TestSourceDAGCache:
         assert cache.stats()["entries"] == 1
         assert cache.evictions == 1
 
-    def test_budget_env_knob(self, monkeypatch):
+    @pytest.mark.parametrize("text", ["123", "0", "lots"])
+    def test_budget_is_a_constant(self, monkeypatch, text):
+        # The budget is no longer a knob: REPRO_DAG_CACHE_BUDGET is not
+        # read, so garbage there neither raises nor changes the bound.
         from repro.engine import dag_cache as module
 
-        monkeypatch.setenv(module.DAG_CACHE_BUDGET_ENV_VAR, "123")
-        assert SourceDAGCache().max_cost == 123
-        monkeypatch.setenv(module.DAG_CACHE_BUDGET_ENV_VAR, "0")
-        with pytest.raises(ValueError, match="REPRO_DAG_CACHE_BUDGET"):
-            SourceDAGCache()
+        monkeypatch.setenv("REPRO_DAG_CACHE_BUDGET", text)
+        assert module.DEFAULT_DAG_CACHE_BUDGET == 16_000_000
+        assert SourceDAGCache().max_cost == 16_000_000
+        assert dag_cache_enabled() in (True, False)
+        assert module.default_dag_cache().max_cost == 16_000_000
 
     def test_override_mirrors_into_environment(self, monkeypatch):
         # Spawned workers re-import the module and resolve from the
@@ -262,39 +265,34 @@ class TestSourceDAGCache:
             set_dag_cache_enabled(None)
         assert os.environ[module.DAG_CACHE_ENV_VAR] == "on"
 
-    def test_size_and_budget_overrides(self, monkeypatch):
-        # The PR-7 knob surface: set_default_dag_cache_size/budget follow
-        # the full protocol — validated, env-mirrored, displaced-value
-        # restore, and new caches are built with the resolved bounds.
+    def test_size_override(self, monkeypatch):
+        # The PR-7 knob surface: set_default_dag_cache_size follows the
+        # full protocol — validated, env-mirrored, displaced-value
+        # restore, and new caches are built with the resolved bound.
         from repro.engine import dag_cache as module
 
         monkeypatch.setenv(module.DAG_CACHE_SIZE_ENV_VAR, "64")
-        monkeypatch.delenv(module.DAG_CACHE_BUDGET_ENV_VAR, raising=False)
         try:
             module.set_default_dag_cache_size(9)
-            module.set_default_dag_cache_budget(777)
             assert os.environ[module.DAG_CACHE_SIZE_ENV_VAR] == "9"
-            assert os.environ[module.DAG_CACHE_BUDGET_ENV_VAR] == "777"
             assert module.resolve_dag_cache_size() == 9
-            assert module.resolve_dag_cache_budget() == 777
             cache = SourceDAGCache()
-            assert cache.max_entries == 9 and cache.max_cost == 777
+            assert cache.max_entries == 9
+            assert module.default_dag_cache().max_entries == 9
         finally:
             module.set_default_dag_cache_size(None)
-            module.set_default_dag_cache_budget(None)
         # The displaced env value is restored and back in charge.
         assert os.environ[module.DAG_CACHE_SIZE_ENV_VAR] == "64"
         assert module.resolve_dag_cache_size() == 64
-        assert module.DAG_CACHE_BUDGET_ENV_VAR not in os.environ
-        assert module.resolve_dag_cache_budget() == module.DEFAULT_DAG_CACHE_BUDGET
+        assert module.default_dag_cache().max_entries == 64
 
-    def test_size_and_budget_override_validation(self):
+    def test_size_override_validation(self):
         from repro.engine import dag_cache as module
 
         with pytest.raises(ValueError, match="dag_cache_size"):
             module.set_default_dag_cache_size(0)
-        with pytest.raises(TypeError, match="dag_cache_budget"):
-            module.set_default_dag_cache_budget(True)
+        with pytest.raises(TypeError, match="dag_cache_size"):
+            module.set_default_dag_cache_size(True)
 
     def test_enabled_check_eagerly_validates_bounds(self, monkeypatch):
         # dag_cache_enabled() is the first knob touch on the hot path;

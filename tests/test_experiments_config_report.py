@@ -41,7 +41,6 @@ class TestConfig:
             {"backend": "gpu"},
             {"start_method": "threads"},
             {"dag_cache_size": 0},
-            {"dag_cache_budget": -5},
             {"dag_cache_size": True},
             {"delta": 0.0},
             {"delta": 1.5},
@@ -80,12 +79,10 @@ class TestConfig:
             backend="csr",
             start_method="spawn",
             dag_cache_size=128,
-            dag_cache_budget=1_000_000,
         )
         assert config.backend == "csr"
         assert config.start_method == "spawn"
         assert config.dag_cache_size == 128
-        assert config.dag_cache_budget == 1_000_000
 
     def test_every_knob_env_var_has_a_config_field(self):
         # The knob protocol, from the other side: each REPRO_* executor
@@ -96,8 +93,6 @@ class TestConfig:
             "start_method",
             "dag_cache",
             "dag_cache_size",
-            "dag_cache_budget",
-            "shared_memory",
             "weighted",
         ):
             assert hasattr(ExperimentConfig(), field_name)

@@ -67,11 +67,7 @@ class TestRunnerCaching:
 
         monkeypatch.delenv(parallel.START_METHOD_ENV_VAR, raising=False)
         monkeypatch.delenv(dag_cache_module.DAG_CACHE_SIZE_ENV_VAR, raising=False)
-        monkeypatch.delenv(dag_cache_module.DAG_CACHE_BUDGET_ENV_VAR, raising=False)
         monkeypatch.delenv(dag_cache_module.DAG_CACHE_DELTA_ENV_VAR, raising=False)
-        monkeypatch.delenv(
-            dag_cache_module.DELTA_JOURNAL_SIZE_ENV_VAR, raising=False
-        )
         try:
             runner = ExperimentRunner(
                 ExperimentConfig(
@@ -80,9 +76,7 @@ class TestRunnerCaching:
                     backend="csr",
                     start_method="spawn",
                     dag_cache_size=77,
-                    dag_cache_budget=88_888,
                     dag_cache_delta="on",
-                    delta_journal_size=99,
                 )
             )
             # Construction flips nothing.
@@ -93,16 +87,12 @@ class TestRunnerCaching:
             assert parallel.start_method() == "spawn"
             assert csr_module.default_backend() == "csr"
             assert dag_cache_module.resolve_dag_cache_size() == 77
-            assert dag_cache_module.resolve_dag_cache_budget() == 88_888
             assert dag_cache_module.resolve_dag_cache_delta() == "on"
-            assert dag_cache_module.resolve_delta_journal_size() == 99
         finally:
             csr_module.set_default_backend(None)
             parallel.set_default_start_method(None)
             dag_cache_module.set_default_dag_cache_size(None)
-            dag_cache_module.set_default_dag_cache_budget(None)
             dag_cache_module.set_default_dag_cache_delta(None)
-            dag_cache_module.set_default_delta_journal_size(None)
 
     def test_block_cut_tree_cached(self, smoke_runner):
         assert smoke_runner.block_cut_tree("flickr") is smoke_runner.block_cut_tree(

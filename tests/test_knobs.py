@@ -1,10 +1,12 @@
 """The knob table: every ``REPRO_*`` knob declared once, its surfaces derived.
 
-``PINNED`` is a literal copy of the 12 knobs — name, environment variable,
+``PINNED`` is a literal copy of the 9 knobs — name, environment variable,
 flag, command-line choices and default — so a row changes only on purpose.
 Every other test is table-driven over it: the CLI flags, the
 ``ExperimentConfig`` fields, override/env precedence and mirroring, error
-messages, and agreement of ``spawn`` workers with the parent.
+messages, and agreement of ``spawn`` workers with the parent.  ``REMOVED``
+lists the rows that were deleted: their flags are usage errors and their
+variables are not read.
 """
 
 from __future__ import annotations
@@ -37,14 +39,8 @@ PINNED = [
      ("fork", "spawn", "forkserver"), None),
     ("dag_cache", "REPRO_DAG_CACHE", "--dag-cache", ("on", "off"), True),
     ("dag_cache_size", "REPRO_DAG_CACHE_SIZE", "--dag-cache-size", None, 512),
-    ("dag_cache_budget", "REPRO_DAG_CACHE_BUDGET", "--dag-cache-budget", None,
-     16_000_000),
     ("dag_cache_delta", "REPRO_DAG_CACHE_DELTA", "--dag-cache-delta",
      ("auto", "on", "off"), "auto"),
-    ("delta_journal_size", "REPRO_DELTA_JOURNAL_SIZE", "--delta-journal-size",
-     None, 256),
-    ("shared_memory", "REPRO_SHARED_MEMORY", "--shared-memory", ("on", "off"),
-     True),
     ("snapshot_dir", "REPRO_SNAPSHOT_DIR", "--snapshot-dir", None, None),
     ("mmap", "REPRO_MMAP", "--mmap", ("auto", "on", "off"), "auto"),
 ]
@@ -60,14 +56,21 @@ SAMPLES = {
                      "threads"),
     "dag_cache": ("on", True, False, "0", "maybe", "off"),
     "dag_cache_size": ("64", 64, 33, "33", "huge", 0),
-    "dag_cache_budget": ("123", 123, 44444, "44444", "-5", True),
     "dag_cache_delta": ("off", "off", "on", "on", "sometimes", "sometimes"),
-    "delta_journal_size": ("17", 17, 9, "9", "0", 2.5),
-    "shared_memory": ("yes", True, False, "0", "maybe", 1),
     "snapshot_dir": ("store-from-env", "store-from-env", "store-from-override",
                      "store-from-override", None, "  "),
     "mmap": ("off", "off", "on", "on", "sideways", "sideways"),
 }
+
+#: Deleted rows: (name, env var, flag, a value the flag used to take, a
+#: value its variable used to reject).
+REMOVED = [
+    ("shared_memory", "REPRO_SHARED_MEMORY", "--shared-memory", "off", "maybe"),
+    ("dag_cache_budget", "REPRO_DAG_CACHE_BUDGET", "--dag-cache-budget",
+     "44444", "-5"),
+    ("delta_journal_size", "REPRO_DELTA_JOURNAL_SIZE", "--delta-journal-size",
+     "64", "many"),
+]
 
 NAMES = [row[0] for row in PINNED]
 BY_NAME = {knob.name: knob for knob in knobs.KNOBS}
@@ -174,8 +177,8 @@ def test_spawn_worker_resolves_the_parent_override(name, spawn_worker_values):
 
 @pytest.mark.parametrize(
     "fields",
-    [{"dag_cache": "off"}, {"shared_memory": "off"}, {"workers": True}],
-    ids=["dag_cache-str", "shared_memory-str", "workers-bool"],
+    [{"dag_cache": "off"}, {"dag_cache_size": "9"}, {"workers": True}],
+    ids=["dag_cache-str", "dag_cache_size-str", "workers-bool"],
 )
 def test_config_rejects_mistyped_knob_values(fields):
     with pytest.raises(ValueError, match=next(iter(fields))):
@@ -187,8 +190,6 @@ def test_config_rejects_mistyped_knob_values(fields):
     [
         ("--workers", "-1"),
         ("--dag-cache-size", "0"),
-        ("--dag-cache-budget", "-5"),
-        ("--delta-journal-size", "0"),
         ("--snapshot-dir", " "),
     ],
 )
@@ -198,6 +199,46 @@ def test_cli_value_errors_are_usage_errors(flag, value, capsys):
     assert excinfo.value.code == 2
     assert f"argument {flag}:" in capsys.readouterr().err
     assert all(knob.value is None for knob in knobs.KNOBS)
+
+
+#: The required positionals of each subcommand.
+COMMAND_ARGS = {"rank": [], "compare": [], "table": ["1"], "figure": ["3"]}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize(
+    "name,env,flag,value,garbage", REMOVED, ids=[row[0] for row in REMOVED]
+)
+def test_removed_flag_is_a_usage_error(
+    command, name, env, flag, value, garbage, capsys
+):
+    assert name not in BY_NAME
+    assert name not in {field.name for field in dataclasses.fields(ExperimentConfig)}
+    assert flag not in _subcommand_actions(command)
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, *COMMAND_ARGS[command], flag, value])
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.requires_numpy
+def test_removed_variables_are_not_read(monkeypatch, capsys):
+    # Garbage that the deleted rows used to reject: a csr run on a worker
+    # pool (which resolves the executor, DAG-cache and journal settings)
+    # must not read any of it.
+    for _name, env, _flag, _value, garbage in REMOVED:
+        monkeypatch.setenv(env, garbage)
+    try:
+        code = main(
+            ["rank", "--dataset", "karate", "--subset-size", "6",
+             "--epsilon", "0.2", "--delta", "0.1", "--seed", "3",
+             "--backend", "csr", "--workers", "2"]
+        )
+    finally:
+        for knob in knobs.KNOBS:
+            knob.override(None)
+    assert code == 0
+    assert "rank | node" in capsys.readouterr().out
 
 
 def test_runner_applies_every_row_but_workers():

@@ -5,13 +5,12 @@ end-to-end in ``test_backend_equivalence.py``; this module covers the
 executor primitives themselves: worker-count resolution, chunk planning,
 per-chunk RNG streams, ordered (i)map over in-process and process-pool
 execution, pool-lifecycle semantics (clean close vs exception terminate),
-and the shared-memory CSR handoff.
+and CSR snapshot payloads on ``spawn`` pools.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 
 import pytest
 
@@ -31,11 +30,10 @@ def _piece_echo(payload, piece):
 
 
 def _snapshot_degree_chunk(payload, chunk):
-    """Chunk task resolving a (possibly shared-memory) graph payload."""
+    """Chunk task on a CSR snapshot payload (or a graph it snapshots)."""
     from repro.graphs import csr as csr_module
 
-    graph = parallel.resolve_payload_graph(payload[0])
-    snapshot = csr_module.as_csr(graph)
+    snapshot = csr_module.as_csr(payload[0])
     return [snapshot.degree(snapshot.index_of(node)) for node in chunk]
 
 
@@ -257,10 +255,11 @@ class TestEagerEnvValidation:
         with pytest.raises(ValueError, match=parallel.START_METHOD_ENV_VAR):
             parallel.resolve_workers(0)
 
-    def test_invalid_shared_memory_env_fails_resolve_workers(self, monkeypatch):
-        monkeypatch.setenv(parallel.SHARED_MEMORY_ENV_VAR, "maybe")
-        with pytest.raises(ValueError, match=parallel.SHARED_MEMORY_ENV_VAR):
-            parallel.resolve_workers(0)
+    def test_removed_shared_memory_env_is_not_read(self, monkeypatch):
+        # REPRO_SHARED_MEMORY is not a knob: even a garbage value is not
+        # read.
+        monkeypatch.setenv("REPRO_SHARED_MEMORY", "maybe")
+        assert parallel.resolve_workers(2) == 2
 
 
 class _RecordingPool:
@@ -324,158 +323,45 @@ def _ladder_graph(n: int = 12) -> Graph:
     return Graph.from_edges(edges)
 
 
-def _attach_raises(name: str) -> bool:
-    from multiprocessing import shared_memory
-
-    try:
-        block = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:
-        return True
-    block.close()
-    return False
-
-
-class TestSharedMemoryKnob:
-    @pytest.fixture(autouse=True)
-    def _reset(self):
-        yield
-        parallel.set_shared_memory_enabled(None)
-
-    def test_default_is_enabled(self, monkeypatch):
-        monkeypatch.delenv(parallel.SHARED_MEMORY_ENV_VAR, raising=False)
-        assert parallel.shared_memory_enabled() is True
-
-    def test_env_variable(self, monkeypatch):
-        monkeypatch.setenv(parallel.SHARED_MEMORY_ENV_VAR, "off")
-        assert parallel.shared_memory_enabled() is False
-        monkeypatch.setenv(parallel.SHARED_MEMORY_ENV_VAR, "on")
-        assert parallel.shared_memory_enabled() is True
-
-    def test_env_variable_invalid(self, monkeypatch):
-        monkeypatch.setenv(parallel.SHARED_MEMORY_ENV_VAR, "maybe")
-        with pytest.raises(ValueError, match=parallel.SHARED_MEMORY_ENV_VAR):
-            parallel.shared_memory_enabled()
-
-    def test_env_variable_invalid_rejected_eagerly(self, monkeypatch):
-        # Mirrors the eager REPRO_BACKEND validation: a typo'd variable
-        # fails at executor-configuration time, naming the variable, not
-        # mid-sweep from deep inside a centrality call.
-        monkeypatch.setenv(parallel.SHARED_MEMORY_ENV_VAR, "maybe")
-        with pytest.raises(ValueError, match=parallel.SHARED_MEMORY_ENV_VAR):
-            parallel.resolve_workers(2)
-
-    def test_override_mirrors_and_restores(self, monkeypatch):
-        monkeypatch.setenv(parallel.SHARED_MEMORY_ENV_VAR, "on")
-        parallel.set_shared_memory_enabled(False)
-        assert os.environ[parallel.SHARED_MEMORY_ENV_VAR] == "0"
-        assert parallel.shared_memory_enabled() is False
-        parallel.set_shared_memory_enabled(None)
-        assert os.environ[parallel.SHARED_MEMORY_ENV_VAR] == "on"
-        assert parallel.shared_memory_enabled() is True
-
-
 @pytest.mark.requires_numpy
-class TestSharedCSRPayload:
-    @pytest.fixture(autouse=True)
-    def _reset(self):
-        yield
-        parallel.set_shared_memory_enabled(None)
+class TestSnapshotPayload:
+    """CSR chunk tasks get the snapshot itself; a ``spawn`` pool unpickles it
+    (by value here: nothing backs it on disk) and agrees with the serial
+    path and the dict reference."""
 
-    def test_shareable_graph_wraps_only_csr(self):
-        graph = _ladder_graph()
-        parallel.set_shared_memory_enabled(True)
-        wrapped = parallel.shareable_graph(graph, "csr")
-        assert isinstance(wrapped, parallel.SharedCSRPayload)
-        assert parallel.shareable_graph(graph, "dict") is graph
-        parallel.set_shared_memory_enabled(False)
-        assert parallel.shareable_graph(graph, "csr") is graph
-
-    def test_resolve_payload_graph(self):
+    def test_shareable_graph_snapshots_only_csr(self):
         from repro.graphs import csr as csr_module
 
         graph = _ladder_graph()
-        payload = parallel.SharedCSRPayload(csr_module.as_csr(graph))
-        assert parallel.resolve_payload_graph(payload) is csr_module.as_csr(graph)
-        assert parallel.resolve_payload_graph(graph) is graph
+        assert csr_module.shareable_graph(graph, "csr") is csr_module.as_csr(graph)
+        assert csr_module.shareable_graph(graph, "dict") is graph
 
-    def test_pickle_roundtrip_attaches_zero_copy(self):
+    def _reference(self, graph):
         from repro.graphs import csr as csr_module
 
-        graph = _ladder_graph()
-        snapshot = csr_module.as_csr(graph)
-        payload = parallel.SharedCSRPayload(snapshot)
-        try:
-            attached = pickle.loads(pickle.dumps(payload))
-            names = payload.block_names()
-            assert len(names) == 2
-            assert set(names) <= parallel._active_shared_blocks
-            assert attached.n == snapshot.n
-            assert attached.m == snapshot.m
-            assert attached.labels == snapshot.labels
-            assert list(attached.indptr) == list(snapshot.indptr)
-            assert list(attached.indices) == list(snapshot.indices)
-            # Pickling again reuses the existing export (one export per pool).
-            pickle.dumps(payload)
-            assert payload.block_names() == names
-        finally:
-            payload.release()
-        assert payload.block_names() == []
-        assert all(_attach_raises(name) for name in names)
-        assert not parallel._active_shared_blocks & set(names)
-
-    def test_release_is_idempotent(self):
-        from repro.graphs import csr as csr_module
-
-        payload = parallel.SharedCSRPayload(csr_module.as_csr(_ladder_graph()))
-        pickle.dumps(payload)
-        payload.release()
-        payload.release()
-
-    def test_export_failure_falls_back_to_pickle(self, monkeypatch):
-        from repro.graphs import csr as csr_module
-
-        def boom(data):
-            raise OSError("no space left on /dev/shm")
-
-        monkeypatch.setattr(parallel, "_export_array", boom)
-        snapshot = csr_module.as_csr(_ladder_graph())
-        payload = parallel.SharedCSRPayload(snapshot)
-        attached = pickle.loads(pickle.dumps(payload))
-        assert payload.block_names() == []
-        assert attached.labels == snapshot.labels
-        assert list(attached.indices) == list(snapshot.indices)
-
-    def test_pool_releases_blocks_on_clean_close(self, monkeypatch):
-        monkeypatch.setenv(parallel.START_METHOD_ENV_VAR, "spawn")
-        graph = _ladder_graph(40)
-        parallel.set_shared_memory_enabled(True)
-        payload = parallel.shareable_graph(graph, "csr")
         nodes = list(graph.nodes())
-        serial = _snapshot_degree_chunk((payload,), nodes)
+        payload = (csr_module.shareable_graph(graph, "csr"),)
+        serial = _snapshot_degree_chunk(payload, nodes)
+        assert serial == [graph.degree(node) for node in nodes]  # dict
+        return nodes, payload, serial
+
+    def test_spawn_pool_matches_serial_and_dict(self, monkeypatch):
+        monkeypatch.setenv(parallel.START_METHOD_ENV_VAR, "spawn")
+        nodes, payload, serial = self._reference(_ladder_graph(40))
         with parallel.WorkerPool(
-            _snapshot_degree_chunk, payload=(payload,), workers=2
+            _snapshot_degree_chunk, payload=payload, workers=2
         ) as pool:
             results = pool.map([nodes[:20], nodes[20:]])
-            names = payload.block_names()
-            assert names  # the spawn pool actually exported blocks
         assert results[0] + results[1] == serial
-        assert payload.block_names() == []
-        assert all(_attach_raises(name) for name in names)
 
-    def test_pool_releases_blocks_on_exception(self, monkeypatch):
+    def test_spawn_pool_exception_path(self, monkeypatch):
         monkeypatch.setenv(parallel.START_METHOD_ENV_VAR, "spawn")
-        graph = _ladder_graph(40)
-        parallel.set_shared_memory_enabled(True)
-        payload = parallel.shareable_graph(graph, "csr")
-        nodes = list(graph.nodes())
-        names = []
+        nodes, payload, serial = self._reference(_ladder_graph(40))
         with pytest.raises(RuntimeError, match="boom"):
             with parallel.WorkerPool(
-                _snapshot_degree_chunk, payload=(payload,), workers=2
+                _snapshot_degree_chunk, payload=payload, workers=2
             ) as pool:
-                pool.map([nodes[:20], nodes[20:]])
-                names.extend(payload.block_names())
-                assert names
+                results = pool.map([nodes[:20], nodes[20:]])
+                assert results[0] + results[1] == serial
                 raise RuntimeError("boom")
-        assert payload.block_names() == []
-        assert all(_attach_raises(name) for name in names)
+        assert pool._pool is None

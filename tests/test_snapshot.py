@@ -15,7 +15,7 @@ Covers the PR-10 out-of-core subsystem end to end:
 * atomic, fsynced writes of every store file (``store.atomic_write``) and
   metadata that is not a JSON object read as missing;
 * the datasets-registry memoisation, snapshot adoption into ``as_csr``,
-  and the zero-copy snapshot-file worker handoff in ``repro.parallel``;
+  and how a snapshot pickles to workers: by file path, or by value;
 * the ``GroundTruthCache`` disk tiers, including bit-identical reuse
   across a real process boundary, recomputation of truncated files and
   distinct files for keys that sanitise alike.
@@ -36,13 +36,13 @@ from pathlib import Path
 
 import pytest
 
-import repro.parallel as parallel
 from repro.centrality.brandes import betweenness_centrality
 from repro.datasets import GroundTruthCache, load, load_csr
 from repro.datasets.ground_truth import exact_betweenness
 from repro.datasets.registry import dataset_key
 from repro.errors import GraphError
 from repro.experiments.config import ExperimentConfig
+from repro.graphs import csr as csr_module
 from repro.graphs import store
 from repro.graphs.csr import CSRGraph, adopt_snapshot, as_csr, effective_backend
 from repro.graphs.generators import path_graph, star_graph
@@ -68,12 +68,12 @@ def _snapshot_bytes(csr: CSRGraph) -> bytes:
     return _bytes(csr.indptr) + _bytes(csr.indices) + _bytes(csr.weights)
 
 
-def _ordered_graph() -> Graph:
+def _ordered_graph(label=str) -> Graph:
     # Insertion order is deliberately not sorted: node b's adjacency is
     # [c, a], which a naive label-order rebuild would flatten to [a, c].
     graph = Graph()
     for u, v in [("a", "c"), ("b", "c"), ("a", "b"), ("c", "d"), ("d", "e")]:
-        graph.add_edge(u, v)
+        graph.add_edge(label(u), label(v))
     return graph
 
 
@@ -620,72 +620,178 @@ class TestRegistryMemoisation:
 
 
 # ----------------------------------------------------------------------
-# Worker handoff
+# Worker handoff: how a snapshot pickles
 # ----------------------------------------------------------------------
-@pytest.mark.requires_numpy
-class TestSnapshotFileHandoff:
-    @pytest.fixture(autouse=True)
-    def _reset(self):
-        yield
-        parallel.set_shared_memory_enabled(None)
-        store.set_default_mmap(None)
+def _weighted_labelled_graph(last_weight: float = 3.25) -> Graph:
+    graph = Graph()
+    graph.add_edge("x", "y", weight=0.5)
+    graph.add_edge("y", "z")
+    graph.add_edge("z", "x", weight=last_weight)
+    return graph
 
-    def test_payload_ships_path_not_blocks(self, tmp_path):
-        store.set_default_mmap("auto")  # pin: mmap=off legs export shm instead
+
+_PICKLE_GRAPHS = [
+    pytest.param(lambda: path_graph(6), id="unit-identity"),
+    pytest.param(_ordered_graph, id="unit-labelled"),
+    pytest.param(_weighted_graph, id="weighted-identity"),
+    pytest.param(_weighted_labelled_graph, id="weighted-labelled"),
+]
+
+#: (first graph, a same-size graph overwriting it), named after the CRC
+#: that differs: the path vs the star centred at 0 (indices), one weight
+#: changed (weights), the same adjacency under other labels (header).
+_SAME_SIZE_OVERWRITES = [
+    pytest.param(lambda: path_graph(5), lambda: star_graph(4), id="indices"),
+    pytest.param(
+        _weighted_labelled_graph,
+        lambda: _weighted_labelled_graph(last_weight=4.25),
+        id="weights",
+    ),
+    pytest.param(_ordered_graph, lambda: _ordered_graph(str.upper), id="labels"),
+]
+
+
+@pytest.mark.requires_numpy
+class TestSnapshotPickle:
+    """``CSRGraph.__reduce__``: by file path while a backing file exists,
+    else by value — arrays and labels only."""
+
+    @pytest.mark.parametrize("make_graph", _PICKLE_GRAPHS)
+    def test_by_value_round_trip(self, make_graph):
+        csr = CSRGraph.from_graph(make_graph())
+        fn, args = csr.__reduce__()
+        assert fn is csr_module._snapshot_from_arrays
+        restored = pickle.loads(pickle.dumps(csr))
+        assert _snapshot_bytes(restored) == _snapshot_bytes(csr)
+        assert restored.labels == csr.labels
+        assert restored.index == csr.index
+        assert restored.is_weighted == csr.is_weighted
+
+    @pytest.mark.parametrize("make_graph", _PICKLE_GRAPHS)
+    def test_by_value_ships_arrays_and_labels_only(self, make_graph):
+        csr = CSRGraph.from_graph(make_graph())
+        csr.adjacency_lists()  # warm every list cache first
+        csr.weight_list()
+        _fn, args = csr.__reduce__()
+        indptr, indices, labels, weights = args
+        assert indptr is csr.indptr and indices is csr.indices
+        assert weights is csr.weights
+        assert labels is (None if csr.identity_labels else csr.labels)
+        raw = len(_snapshot_bytes(csr))
+        assert len(pickle.dumps(csr)) <= raw + len(pickle.dumps(labels)) + 1024
+
+    @pytest.mark.parametrize("mode", ["auto", "on", "off"])
+    def test_file_backed_pickles_by_path(self, tmp_path, mode):
+        store.set_default_mmap(mode)
         csr = load_csr("flickr", scale=0.1, seed=3, snapshot_dir=str(tmp_path))
-        payload = parallel.shareable_graph(csr, backend="csr")
-        assert isinstance(payload, parallel.SharedCSRPayload)
-        blob = pickle.dumps(payload)
+        fn, _args = csr.__reduce__()
+        assert fn is store._attach_snapshot_file
+        blob = pickle.dumps(csr)
         assert len(blob) < 512  # path + header, not the arrays
-        assert payload.block_names() == []  # nothing exported to /dev/shm
-        fn, _args = payload._handle
-        assert fn is parallel._attach_snapshot_file
+        assert _snapshot_bytes(pickle.loads(blob)) == _snapshot_bytes(csr)
+
+    @pytest.mark.parametrize("make_graph", _PICKLE_GRAPHS)
+    def test_saved_snapshot_pickles_by_path(self, tmp_path, make_graph):
+        csr = CSRGraph.from_graph(make_graph())
+        save_snapshot(csr, tmp_path / "g.csr")
+        blob = pickle.dumps(csr)
+        assert len(blob) < 512
         restored = pickle.loads(blob)
         assert _snapshot_bytes(restored) == _snapshot_bytes(csr)
+        assert restored.labels == csr.labels
+        assert restored.is_weighted == csr.is_weighted
+
+    @pytest.mark.parametrize("mmap", ["on", "off"])
+    def test_save_and_load_record_the_file_crcs(self, tmp_path, mmap):
+        csr = CSRGraph.from_graph(_weighted_labelled_graph())
+        assert csr.source_crcs is None  # nothing backs it yet
+        path = save_snapshot(csr, tmp_path / "w.csr")
+        fields = store._HEADER_STRUCT.unpack_from(path.read_bytes())
+        header_crc, arrays_crc = fields[4], fields[8]
+        assert csr.source_crcs == (header_crc, arrays_crc)
+        loaded = load_snapshot(path, mmap=mmap)
+        assert loaded.source_crcs == (header_crc, arrays_crc)
+        assert loaded.file_header() == csr.file_header()
+
+    @pytest.mark.parametrize("mode,mapped", [("auto", True), ("on", True), ("off", False)])
+    def test_attach_follows_the_worker_mmap(self, tmp_path, mode, mapped):
+        import numpy as np
+
+        csr = CSRGraph.from_graph(_weighted_labelled_graph())
+        save_snapshot(csr, tmp_path / "w.csr")
+        store.set_default_mmap(mode)  # the worker's knob, not the master's
+        restored = pickle.loads(pickle.dumps(csr))
+        for array in (restored.indptr, restored.indices, restored.weights):
+            assert isinstance(array, np.memmap) is mapped
+        assert _snapshot_bytes(restored) == _snapshot_bytes(csr)
+
+    def test_deleted_file_falls_back_to_by_value(self, tmp_path):
+        csr = load_csr("karate", snapshot_dir=str(tmp_path))
+        os.unlink(csr.source_path)
+        fn, _args = csr.__reduce__()
+        assert fn is csr_module._snapshot_from_arrays
+        assert _snapshot_bytes(pickle.loads(pickle.dumps(csr))) == _snapshot_bytes(csr)
 
     def test_worker_attach_is_cached_per_file(self, tmp_path):
         csr = load_csr("karate", snapshot_dir=str(tmp_path))
-        args = (csr.source_path, csr.n, len(csr.indices), False)
-        first = parallel._attach_snapshot_file(*args)
-        second = parallel._attach_snapshot_file(*args)
+        args = (csr.source_path, csr.file_header())
+        first = store._attach_snapshot_file(*args)
+        second = store._attach_snapshot_file(*args)
         assert first is second
+
+    def test_attach_cache_keys_on_the_file_crcs(self, tmp_path):
+        # A file rewritten with a graph of the same size is a new cache
+        # entry: the worker attaches the new file, not the cached old one.
+        target = tmp_path / "g.csr"
+        first = CSRGraph.from_graph(path_graph(5))
+        save_snapshot(first, target)
+        attached_first = pickle.loads(pickle.dumps(first))
+        second = CSRGraph.from_graph(star_graph(4))
+        save_snapshot(second, target)
+        assert second.file_header()[:3] == first.file_header()[:3]
+        attached_second = pickle.loads(pickle.dumps(second))
+        assert attached_second is not attached_first
+        assert _snapshot_bytes(attached_second) == _snapshot_bytes(second)
+        assert _snapshot_bytes(attached_first) == _snapshot_bytes(first)
 
     def test_attach_header_mismatch_raises(self, tmp_path):
         csr = load_csr("karate", snapshot_dir=str(tmp_path))
+        n, num_indices, weighted, header_crc, arrays_crc = csr.file_header()
         with pytest.raises(GraphError, match="no longer matches"):
-            parallel._attach_snapshot_file(
-                csr.source_path, csr.n + 1, len(csr.indices), False
+            store._attach_snapshot_file(
+                csr.source_path,
+                (n + 1, num_indices, weighted, header_crc, arrays_crc),
             )
 
-    def test_mmap_off_falls_back_to_shm_export(self, tmp_path):
-        csr = load_csr("flickr", scale=0.1, seed=3, snapshot_dir=str(tmp_path))
-        store.set_default_mmap("off")
-        payload = parallel.shareable_graph(csr, backend="csr")
-        try:
-            pickle.dumps(payload)
-            fn, _args = payload._handle
-            assert fn is parallel._attach_shared_csr
-            assert payload.block_names()  # blocks actually exported
-        finally:
-            payload.release()
+    @pytest.mark.parametrize("make_first,make_second", _SAME_SIZE_OVERWRITES)
+    def test_overwritten_file_of_the_same_size_raises(
+        self, tmp_path, make_first, make_second
+    ):
+        # Each pair shares n, index count and weightedness, so only a CRC
+        # tells the two files apart.
+        target = tmp_path / "g.csr"
+        first = CSRGraph.from_graph(make_first())
+        save_snapshot(first, target)
+        second = CSRGraph.from_graph(make_second())
+        save_snapshot(second, target)
+        assert second.file_header()[:3] == first.file_header()[:3]
+        blob = pickle.dumps(first)
+        with pytest.raises(GraphError, match="no longer matches") as excinfo:
+            pickle.loads(blob)
+        assert str(target) in str(excinfo.value)
 
-    def test_deleted_file_falls_back_to_shm_export(self, tmp_path):
-        csr = load_csr("karate", snapshot_dir=str(tmp_path))
-        os.unlink(csr.source_path)
-        payload = parallel.shareable_graph(csr, backend="csr")
-        try:
-            pickle.dumps(payload)
-            fn, _args = payload._handle
-            assert fn is parallel._attach_shared_csr
-        finally:
-            payload.release()
-
-    def test_worker_equivalence_on_adopted_snapshot(self, tmp_path):
+    @pytest.mark.parametrize("start_method", [None, "spawn"])
+    def test_worker_equivalence_on_adopted_snapshot(
+        self, tmp_path, monkeypatch, start_method
+    ):
+        if start_method is not None:
+            monkeypatch.setenv("REPRO_START_METHOD", start_method)
         baseline = betweenness_centrality(
             load("flickr", scale=0.1, seed=3).graph, normalized=True, workers=0
         )
         load("flickr", scale=0.1, seed=3, snapshot_dir=str(tmp_path))
         hit = load("flickr", scale=0.1, seed=3, snapshot_dir=str(tmp_path))
+        assert as_csr(hit.graph).source_path is not None  # pickles by path
         serial = betweenness_centrality(hit.graph, normalized=True, workers=0)
         pooled = betweenness_centrality(hit.graph, normalized=True, workers=2)
         assert serial == pooled == baseline
