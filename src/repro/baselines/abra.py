@@ -37,7 +37,7 @@ from repro.stats.vc import vc_sample_size
 from repro.saphyra_bc.vc_bounds import vc_from_hop_diameter
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.timing import Timer
-from repro.utils.validation import check_probability_pair
+from repro.utils.validation import check_probability_pair, check_sample_cap
 
 Node = Hashable
 
@@ -116,6 +116,7 @@ class ABRA:
         workers: Optional[int] = None,
     ) -> None:
         check_probability_pair(epsilon, delta)
+        check_sample_cap(max_samples_cap)
         if stage_growth <= 1.0:
             raise ValueError(f"stage_growth must be > 1, got {stage_growth}")
         self.epsilon = epsilon

@@ -31,7 +31,7 @@ from repro.stats.vc import vc_sample_size
 from repro.saphyra_bc.vc_bounds import vc_from_hop_diameter
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.timing import Timer
-from repro.utils.validation import check_probability_pair
+from repro.utils.validation import check_probability_pair, check_sample_cap
 
 Node = Hashable
 
@@ -118,6 +118,7 @@ class RiondatoKornaropoulos:
         workers: Optional[int] = None,
     ) -> None:
         check_probability_pair(epsilon, delta)
+        check_sample_cap(max_samples_cap)
         self.epsilon = epsilon
         self.delta = delta
         self.seed = seed

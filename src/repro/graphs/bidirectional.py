@@ -26,7 +26,10 @@ and :func:`bidirectional_searches`, which runs ``K`` pairs as the ``2K``
 slots of one staggered sweep (:func:`repro.graphs.csr.staggered_sweep`);
 every pair still picks its side per step by the same rule, so the
 single-pair CSR search is its ``K = 1`` case.  Both produce identical
-results — including identical sampled paths from identical seeds.
+results — including identical sampled paths from identical seeds.  The
+samplers (``Gen_bc`` and KADABRA) search their CSR sub-batches with
+:func:`stacked_paths`, which samples each pair's path before it recycles
+the sweep's arrays through the sampler's :class:`~repro.graphs.csr.SweepSpare`.
 
 The search is defined on *hop* distances: its balanced level expansion is a
 unit-weight optimisation.  Weighted workloads sample shortest paths from
@@ -48,11 +51,13 @@ from repro.utils.rng import SeedLike, ensure_rng
 
 Node = Hashable
 
-#: ``auto`` backend cutoff for one bidirectional search (KADABRA's).  One
-#: query touches only ~``n^{1/2+o(1)}`` edges but the CSR variant allocates
-#: O(n) state arrays per query, so the array kernels need a much larger
-#: graph to pay off than a full-graph BFS does.  ``Gen_bc`` stacks its
-#: searches and follows the plain ``auto`` rule instead.
+#: ``auto`` backend cutoff for one lone bidirectional search
+#: (:func:`bidirectional_shortest_paths`).  One query touches only
+#: ~``n^{1/2+o(1)}`` edges but the CSR variant allocates O(n) state arrays
+#: per query, so the array kernels need a much larger graph to pay off than
+#: a full-graph BFS does.  The samplers (``Gen_bc``, KADABRA) stack their
+#: searches and follow the plain ``auto`` rule; besides the single-pair
+#: search, only the benchmark's backend label reads this cutoff.
 AUTO_CSR_BIDIRECTIONAL_THRESHOLD = 16384
 
 #: Below this many entries the per-step meeting test and the cut-level scan
@@ -362,6 +367,32 @@ def _bidirectional_dict(
     )
 
 
+def stacked_paths(
+    graph, pairs: Sequence[Tuple[Node, Node]], rng, spare: _csr.SweepSpare
+) -> List[Tuple[int, Optional[List[Node]]]]:
+    """Search ``pairs`` as one stacked search, then sample one shortest path
+    per pair, in pair order.
+
+    Returns ``(visited edges, path)`` per pair; the path is ``None`` for a
+    disconnected pair.  Everything equals :func:`bidirectional_searches`
+    followed by ``sample_path(rng)`` on each result, and hence the dict
+    search's per-pair results.  The sweep runs on the arrays parked in
+    ``spare`` when their size fits, and only once every path is sampled are
+    they reset and parked again; no search result outlives the call, so no
+    caller can read the arrays after they are recycled.  If anything raises,
+    the arrays are dropped with the sweep.
+    """
+    pairs = list(pairs)
+    sweep, results = _stacked_searches(graph, pairs, spare)
+    sampled = [
+        (result.visited_edges,
+         result.sample_path(rng) if result.connected else None)
+        for result in results
+    ]
+    sweep.park(spare)
+    return sampled
+
+
 def bidirectional_searches(
     graph, pairs: Sequence[Tuple[Node, Node]]
 ) -> List[BidirectionalBFSResult]:
@@ -383,12 +414,17 @@ def bidirectional_searches(
     GraphError
         If an endpoint does not exist or a pair has ``source == target``.
     """
-    pairs = list(pairs)
+    return _stacked_searches(graph, list(pairs))[1]
+
+
+def _stacked_searches(graph, pairs, spare=None):
+    """The stacked search of :func:`bidirectional_searches`: returns the
+    sweep and the per-pair results that read it."""
     for source, target in pairs:
         _check_pair(graph, source, target)
     snapshot = _csr.as_csr(graph)
     roots = [snapshot.index[node] for pair in pairs for node in pair]
-    sweep = _csr.staggered_sweep(snapshot, roots)
+    sweep = _csr.staggered_sweep(snapshot, roots, spare)
     depth = sweep.slot_depth
     cost = sweep.slot_cost
     size = sweep.slot_size
@@ -421,7 +457,7 @@ def bidirectional_searches(
         sweep.expand_slots(chosen)
         _record_meetings(sweep, start, best)
         active = running
-    return [
+    return sweep, [
         _stacked_result(sweep, pair, source, target, best[pair], visited[pair])
         for pair, (source, target) in enumerate(pairs)
     ]

@@ -25,10 +25,11 @@ adjacency order (a lone candidate consumes no draw).  Rejected pairs are
 redrawn in the next round, and ``max_rejections`` counts consecutive
 rejections across rounds.  A single draw (:meth:`GenBC.sample_path` without
 a count) is the one-draw chunk.  On the CSR backend a sub-batch is one
-stacked search (:func:`repro.graphs.bidirectional.bidirectional_searches`)
-of :func:`~repro.graphs.bidirectional.stacked_batch_pairs` pairs, sized from
-the block's cached snapshot; the dict backend searches pair by pair.  Both
-give the same paths from the same seed.
+stacked search (:func:`repro.graphs.bidirectional.stacked_paths`) of
+:func:`~repro.graphs.bidirectional.stacked_batch_pairs` pairs, sized from
+the block's cached snapshot, on sweep arrays recycled through the
+sampler's own :class:`~repro.graphs.csr.SweepSpare`; the dict backend
+searches pair by pair.  Both give the same paths from the same seed.
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ from typing import (
 from repro.errors import SamplingError
 from repro.graphs import csr as _csr
 from repro.graphs.bidirectional import (
-    bidirectional_searches,
     bidirectional_shortest_paths,
     stacked_batch_pairs,
+    stacked_paths,
 )
 from repro.saphyra_bc.isp import PersonalizedISP
 from repro.utils.rng import SeedLike, ensure_rng
@@ -115,6 +116,7 @@ class GenBC:
         self.max_rejections = max_rejections
         self.reject_exact_subspace = reject_exact_subspace
         self.stats = GenBCStatistics()
+        self._spare = _csr.SweepSpare()
 
     # ------------------------------------------------------------------
     def sample_path(
@@ -180,13 +182,18 @@ class GenBC:
                     result = bidirectional_shortest_paths(
                         block_graph, source, target, backend=choice
                     )
-                    yield position, result.visited_edges, _path(result, rng)
+                    path = result.sample_path(rng) if result.connected else None
+                    yield position, result.visited_edges, _path(pairs[position], path)
                 continue
             step = stacked_batch_pairs(_csr.as_csr(block_graph))
             for first in range(0, len(positions), step):
-                yield from _stacked_paths(
-                    block_graph, pairs, positions[first : first + step], rng
+                batch = positions[first : first + step]
+                sampled = stacked_paths(
+                    block_graph, [pairs[position][1:] for position in batch],
+                    rng, self._spare,
                 )
+                for position, (visited_edges, path) in zip(batch, sampled):
+                    yield position, visited_edges, _path(pairs[position], path)
 
     def sample_losses(
         self, rng: SeedLike = None, draws: Optional[int] = None
@@ -235,23 +242,11 @@ class GenBC:
         return stats
 
 
-def _stacked_paths(block_graph, pairs, batch, rng) -> List[Tuple[int, int, List[Node]]]:
-    """Search one sub-batch as a stacked search, then sample its paths in
-    pair order.  The search state is dropped on return, before the caller
-    searches the next sub-batch."""
-    results = bidirectional_searches(
-        block_graph, [pairs[position][1:] for position in batch]
-    )
-    return [
-        (position, result.visited_edges, _path(result, rng))
-        for position, result in zip(batch, results)
-    ]
-
-
-def _path(result, rng) -> List[Node]:
-    if not result.connected:  # pragma: no cover - blocks are connected
+def _path(pair, path: Optional[List[Node]]) -> List[Node]:
+    if path is None:  # pragma: no cover - blocks are connected
+        _, source, target = pair
         raise SamplingError(
-            f"nodes {result.source!r} and {result.target!r} are disconnected "
+            f"nodes {source!r} and {target!r} are disconnected "
             "inside their block; the decomposition is inconsistent"
         )
-    return result.sample_path(rng)
+    return path

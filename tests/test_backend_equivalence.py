@@ -10,6 +10,7 @@ introduced by a future kernel optimisation fails loudly.
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -25,6 +26,7 @@ from repro.datasets import random_subset
 from repro.graphs.bidirectional import (
     bidirectional_searches,
     bidirectional_shortest_paths,
+    stacked_paths,
 )
 from repro.graphs.generators import (
     barabasi_albert_graph,
@@ -238,6 +240,104 @@ def test_interrupted_stacked_search_leaves_no_state(monkeypatch):
         _assert_same_search(reference, candidate)
 
 
+def _dict_paths(graph, pairs, seed):
+    """``(visited edges, path)`` per pair from the dict search, with the
+    paths sampled in pair order from one ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    sampled = []
+    for source, target in pairs:
+        result = bidirectional_shortest_paths(graph, source, target, backend="dict")
+        sampled.append((result.visited_edges, result.sample_path(rng)))
+    return sampled
+
+
+def _assert_parked_clean(spare):
+    dist, sigma, _ = spare.arrays
+    assert (dist == -1).all() and (sigma == 0).all()
+
+
+def test_sweep_spare_never_serves_dirty_arrays(overflow_grid, monkeypatch):
+    # One spare across three failures of the stacked helper: a step cut
+    # short after it wrote distances it had not logged yet, an rng that
+    # raises while paths are sampled, and a batch whose int64 guard trips.
+    # Each failure must leave the spare empty, so the next call on
+    # same-sized arrays still returns the dict search's paths.
+    from repro.graphs import csr as csr_module
+
+    spare = csr_module.SweepSpare()
+    social = barabasi_albert_graph(300, 3, seed=3)
+    pairs = _random_pairs(social, 16, 7)
+    expected = _dict_paths(social, pairs, 1)
+    assert stacked_paths(social, pairs, random.Random(1), spare) == expected
+    _assert_parked_clean(spare)
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(csr_module, "_accumulate_level", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        stacked_paths(social, pairs, random.Random(1), spare)
+    monkeypatch.undo()
+    assert spare.arrays is None
+    assert stacked_paths(social, pairs, random.Random(1), spare) == expected
+    _assert_parked_clean(spare)
+
+    class FailingRng(random.Random):
+        calls = 0
+
+        def randrange(self, *args, **kwargs):
+            FailingRng.calls += 1
+            if FailingRng.calls == 5:
+                raise RuntimeError("rng failed")
+            return super().randrange(*args, **kwargs)
+
+    with pytest.raises(RuntimeError, match="rng failed"):
+        stacked_paths(social, pairs, FailingRng(1), spare)
+    assert spare.arrays is None
+    assert stacked_paths(social, pairs, random.Random(1), spare) == expected
+    _assert_parked_clean(spare)
+
+    # The guard case: park grid-sized arrays with a short batch, then run a
+    # batch of the same size that mixes long pairs (distance >= 60) in.
+    grid = overflow_grid
+    nodes = list(grid.nodes())
+    rng = random.Random(1)
+    long_pairs = [
+        pair for pair in (tuple(rng.sample(nodes, 2)) for _ in range(40))
+        if bidirectional_shortest_paths(grid, *pair, backend="dict").distance >= 60
+    ]
+    short = [
+        (source, list(bfs_distances(grid, source, max_depth=4))[-1])
+        for source in nodes[: 2 * len(long_pairs)]
+    ]
+    batch = [
+        pair for index, long_pair in enumerate(long_pairs)
+        for pair in (long_pair, short[index])
+    ]
+    assert stacked_paths(grid, short, random.Random(2), spare) == (
+        _dict_paths(grid, short, 2)
+    )
+    _assert_parked_clean(spare)
+    sweep_type = type(csr_module.staggered_sweep(csr_module.as_csr(grid), [0, 1]))
+    park = sweep_type.park
+    tripped = []
+
+    def watched(sweep, target):
+        tripped.append(sweep.sigma_view is None)
+        park(sweep, target)
+
+    monkeypatch.setattr(sweep_type, "park", watched)
+    assert stacked_paths(grid, batch, random.Random(2), spare) == (
+        _dict_paths(grid, batch, 2)
+    )
+    monkeypatch.undo()
+    assert tripped == [True] and spare.arrays is None
+    assert stacked_paths(grid, short, random.Random(2), spare) == (
+        _dict_paths(grid, short, 2)
+    )
+    _assert_parked_clean(spare)
+
+
 class TestEstimatorEquivalence:
     """Full estimator runs draw identical samples and scores per backend."""
 
@@ -446,6 +546,45 @@ class TestEstimatorEquivalence:
                     assert result.num_samples == num_samples
                     assert result.rejections == rejections
                     assert result.scores == scores
+
+    def test_kadabra_pinned_values(self):
+        # Recorded after KADABRA took Gen_bc's chunk order (a chunk's pairs,
+        # then their paths); fails if the draws are reordered.  Scores are
+        # pinned by their largest entries and a digest of all of them.
+        cases = (
+            (
+                grid_road_graph(14, 14, seed=1)[0], 366, 69340.0, 183,
+                [(91, 0.1557377049180328), (92, 0.1557377049180328),
+                 (93, 0.1366120218579235), (108, 0.1284153005464481),
+                 (77, 0.12295081967213115), (100, 0.12295081967213115)],
+                "e243630cde38a92b",
+            ),
+            (
+                barabasi_albert_graph(300, 3, seed=4), 266, 15054.0, 130,
+                [(0, 0.2593984962406015), (4, 0.19548872180451127),
+                 (5, 0.12781954887218044), (12, 0.07518796992481203),
+                 (8, 0.05639097744360902), (3, 0.05263157894736842)],
+                "fc5b528b79c0c388",
+            ),
+        )
+        for graph, num_samples, visited_edges, hit_nodes, top, digest in cases:
+            for backend in ("dict", "csr"):
+                for workers in (0, 2):
+                    result = KADABRA(
+                        0.1, 0.1, seed=5, max_samples_cap=400,
+                        backend=backend, workers=workers,
+                    ).estimate(graph)
+                    scores = result.scores
+                    assert result.num_samples == num_samples
+                    assert result.converged_by == "cap"
+                    assert result.extra["visited_edges"] == visited_edges
+                    assert sum(1 for value in scores.values() if value) == hit_nodes
+                    assert sorted(
+                        scores.items(), key=lambda item: (-item[1], item[0])
+                    )[: len(top)] == top
+                    assert hashlib.sha256(
+                        repr(sorted(scores.items())).encode()
+                    ).hexdigest()[:16] == digest
 
     def test_saphyra_cc_pinned_values(self):
         # Recorded before chunked sampling; fails if the draws are reordered.

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines import ABRA, KADABRA, BaderPivot, RiondatoKornaropoulos
+from repro.baselines import ABRA, KADABRA, BaderPivot, RiondatoKornaropoulos, kadabra
 from repro.baselines.base import BaselineResult
 from repro.centrality.brandes import betweenness_centrality
 from repro.errors import GraphError
-from repro.graphs.generators import complete_graph
+from repro.graphs import csr
+from repro.graphs.generators import barabasi_albert_graph, complete_graph
 from repro.graphs.graph import Graph
 
 ESTIMATORS = [
@@ -73,6 +74,12 @@ class TestCommonBehaviour:
         with pytest.raises(ValueError):
             factory(epsilon=1.5, delta=0.1)
 
+    def test_nonpositive_cap_rejected_at_construction(self, name, factory):
+        # Before any graph work (connectivity check, diameter estimate).
+        for cap in (0, -3):
+            with pytest.raises(ValueError, match="max_samples"):
+                factory(epsilon=0.1, delta=0.1, max_samples_cap=cap)
+
 
 class TestAdaptiveBehaviour:
     def test_kadabra_smaller_epsilon_needs_more_samples(self, karate):
@@ -94,6 +101,44 @@ class TestAdaptiveBehaviour:
     def test_abra_stage_growth_validation(self):
         with pytest.raises(ValueError):
             ABRA(stage_growth=1.0)
+
+
+@pytest.mark.parametrize(
+    "make_graph",
+    [
+        pytest.param(lambda: barabasi_albert_graph(200, 3, seed=2), id="csr-sized"),
+        pytest.param(lambda: barabasi_albert_graph(60, 2, seed=2), id="dict-sized"),
+    ],
+)
+def test_kadabra_auto_follows_the_general_backend_rule(make_graph, monkeypatch):
+    # Unit-weight KADABRA routes like every other kernel: whenever the
+    # general auto rule picks CSR (with numpy, at n + m >= AUTO_CSR_THRESHOLD)
+    # a chunk's pairs go through stacked sub-batches, otherwise through one
+    # dict search per pair.
+    monkeypatch.delenv(csr.BACKEND_ENV_VAR, raising=False)
+    graph = make_graph()
+    choice = csr.effective_backend(graph)
+    stacked, single = [], []
+    search, lone = kadabra.stacked_paths, kadabra.bidirectional_shortest_paths
+    monkeypatch.setattr(
+        kadabra, "stacked_paths",
+        lambda graph, pairs, rng, spare: (
+            stacked.append(len(pairs)) or search(graph, pairs, rng, spare)
+        ),
+    )
+    monkeypatch.setattr(
+        kadabra, "bidirectional_shortest_paths",
+        lambda graph, s, t, backend: (
+            single.append(backend) or lone(graph, s, t, backend=backend)
+        ),
+    )
+    result = KADABRA(0.1, 0.1, seed=3, max_samples_cap=200, workers=0).estimate(graph)
+    if choice == csr.CSR_BACKEND:
+        assert single == [] and stacked[0] == 64
+        assert sum(stacked) == result.num_samples
+    else:
+        assert stacked == [] and set(single) == {csr.DICT_BACKEND}
+        assert len(single) == result.num_samples
 
 
 class TestBaderPivot:

@@ -170,14 +170,16 @@ def test_chunk_searches_blocks_in_first_appearance_order(barbell, backend, monke
     drawn, searched = [], []
     draw = space.sample_pair
     monkeypatch.setattr(space, "sample_pair", lambda rng: drawn.append(draw(rng)) or drawn[-1])
-    single, stacked = gen_bc.bidirectional_shortest_paths, gen_bc.bidirectional_searches
+    single, stacked = gen_bc.bidirectional_shortest_paths, gen_bc.stacked_paths
     monkeypatch.setattr(
         gen_bc, "bidirectional_shortest_paths",
         lambda graph, s, t, backend: searched.append((s, t)) or single(graph, s, t, backend=backend),
     )
     monkeypatch.setattr(
-        gen_bc, "bidirectional_searches",
-        lambda graph, pairs: searched.extend(pairs) or stacked(graph, pairs),
+        gen_bc, "stacked_paths",
+        lambda graph, pairs, rng, spare: (
+            searched.extend(pairs) or stacked(graph, pairs, rng, spare)
+        ),
     )
     generator = GenBC(space, targets, backend=backend, reject_exact_subspace=False)
     generator.sample_losses(random.Random(0), 64)
@@ -198,10 +200,12 @@ def test_auto_follows_the_general_backend_rule(monkeypatch):
     choice = csr.effective_backend(space.bct.block_subgraph(block))
     assert choice == (csr.CSR_BACKEND if csr.HAS_NUMPY else csr.DICT_BACKEND)
     stacked = []
-    search = gen_bc.bidirectional_searches
+    search = gen_bc.stacked_paths
     monkeypatch.setattr(
-        gen_bc, "bidirectional_searches",
-        lambda graph, pairs: stacked.append(len(pairs)) or search(graph, pairs),
+        gen_bc, "stacked_paths",
+        lambda graph, pairs, rng, spare: (
+            stacked.append(len(pairs)) or search(graph, pairs, rng, spare)
+        ),
     )
     generator = GenBC(space, targets)
     generator.sample_losses(random.Random(0), 64)
