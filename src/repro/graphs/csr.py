@@ -1252,11 +1252,13 @@ class _StaggeredSweep:
 
     Once a step completes, ``log[:log_size]`` names every ``dist`` and
     ``sigma`` entry the sweep has written, which is what lets :meth:`park`
-    clean the arrays for a :class:`SweepSpare`.
+    clean the arrays for a :class:`SweepSpare`.  ``dist``, ``sigma_view``
+    and ``log`` are the first ``size`` entries of ``arrays``, which a
+    larger sweep may have allocated.
     """
 
-    __slots__ = ("csr", "shift", "size", "dist", "dist_store", "sigma",
-                 "sigma_view", "log", "log_store", "log_size",
+    __slots__ = ("csr", "shift", "size", "arrays", "dist", "dist_store",
+                 "sigma", "sigma_view", "log", "log_store", "log_size",
                  "frontier_max_sigma", "slot_levels", "slot_depth",
                  "slot_cost", "slot_size")
 
@@ -1276,7 +1278,8 @@ class _StaggeredSweep:
                 _np.zeros(size, dtype=_np.int64),
                 _np.empty(size, dtype=_np.int64),
             )
-        self.dist, self.sigma_view, self.log = arrays
+        self.arrays = arrays
+        self.dist, self.sigma_view, self.log = (array[:size] for array in arrays)
         self.dist_store = memoryview(self.dist)
         self.sigma = memoryview(self.sigma_view)
         self.log_store = memoryview(self.log)
@@ -1421,7 +1424,8 @@ class _StaggeredSweep:
             self.slot_size[slot] = size
 
     def park(self, spare: "SweepSpare") -> None:
-        """Reset the entries ``log`` recorded and hand the arrays to ``spare``.
+        """Reset the entries ``log`` recorded and hand the arrays to ``spare``,
+        unless it already holds a larger set.
 
         Call only once the sweep and everything reading it are done, and
         never after an exception: an interrupted step may have written
@@ -1433,20 +1437,26 @@ class _StaggeredSweep:
         written = self.log[: self.log_size]
         self.dist[written] = -1
         self.sigma_view[written] = 0
-        spare.arrays = (self.dist, self.sigma_view, self.log)
+        parked = spare.arrays
+        if parked is None or parked[0].size < self.arrays[0].size:
+            spare.arrays = self.arrays
 
 
 class SweepSpare:
     """Caller-owned slot for the clean arrays of one finished staggered sweep.
 
     A caller that runs stacked searches back to back passes the same spare
-    to each :func:`staggered_sweep`: the sweep takes the parked arrays when
-    their size matches, and :meth:`_StaggeredSweep.park` returns them clean
+    to each :func:`staggered_sweep`: a sweep over ``n << shift`` ids runs on
+    prefix views of the parked arrays whenever they hold at least that many
+    entries, and :meth:`_StaggeredSweep.park` returns the whole set clean
     after a search completes, which saves allocating and faulting in
-    ``3 * (n << shift)`` int64 entries per search.  The spare is empty while
-    a sweep runs, so a search that raises simply drops its arrays.  It
-    pickles empty: its arrays live for one serial run, or one worker pool in
-    each worker.
+    ``3 * (n << shift)`` int64 entries per search.  So the short sub-batches
+    that end a chunk or redraw rejected pairs reuse the full-size set
+    instead of evicting it.  A larger sweep allocates its own arrays and
+    leaves the smaller parked set in place; parking keeps the larger set.
+    The spare is empty while a sweep runs on its arrays, so a search that
+    raises simply drops them.  It pickles empty: its arrays live for one
+    serial run, or one worker pool in each worker.
     """
 
     __slots__ = ("arrays",)
@@ -1458,11 +1468,12 @@ class SweepSpare:
         return (SweepSpare, ())
 
     def take(self, size: int):
-        """Return the parked ``(dist, sigma, log)`` if they hold ``size``
-        entries, else ``None``; the spare is empty afterwards either way."""
-        arrays, self.arrays = self.arrays, None
-        if arrays is None or arrays[0].size != size:
+        """Return the parked ``(dist, sigma, log)`` and empty the spare if
+        they hold at least ``size`` entries, else ``None``."""
+        arrays = self.arrays
+        if arrays is None or arrays[0].size < size:
             return None
+        self.arrays = None
         return arrays
 
 

@@ -16,7 +16,7 @@ estimate, and then rescales all ``delta_i`` so the budget constraint holds.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
 from repro.stats.bernstein import empirical_bernstein_bound
 from repro.utils.validation import check_in_unit_interval, check_positive
@@ -35,9 +35,14 @@ def solve_delta_for_epsilon(
     """Find ``delta0`` such that the Bernstein deviation equals ``target_epsilon``.
 
     The deviation is monotone decreasing in ``delta0``; a binary search over
-    ``log(delta0)`` converges quickly.  If even ``delta0`` close to 1 cannot
-    reach the target (variance too large for the sample budget), 0.5 is
-    returned; if a vanishingly small ``delta0`` already satisfies it, the
+    ``log(delta0)`` keeps ``deviation(low) > target_epsilon >=
+    deviation(high)`` at entry and after every step, and returns
+    ``exp(high)``.  Once the float midpoint equals ``low`` or ``high``, a
+    step would move neither end, and neither would any later step, so the
+    search stops there: after 52-63 halvings of the bracket, with the value
+    any longer run of steps would return.  If even ``delta0`` close to 1
+    cannot reach the target (variance too large for the sample budget), 0.5
+    is returned; if a vanishingly small ``delta0`` already satisfies it, the
     floor ``1e-300`` is returned.
     """
     check_positive(target_epsilon, "target_epsilon")
@@ -54,13 +59,14 @@ def solve_delta_for_epsilon(
         return 0.5
     if deviation(low) <= target_epsilon:
         return _MIN_DELTA
-    for _ in range(100):
+    while True:
         mid = 0.5 * (low + high)
+        if mid == low or mid == high:
+            return math.exp(high)
         if deviation(mid) <= target_epsilon:
             high = mid
         else:
             low = mid
-    return math.exp(high)
 
 
 def allocate_error_probabilities(
@@ -101,12 +107,16 @@ def allocate_error_probabilities(
     if k == 0:
         return []
     budget = delta / num_rounds / 2.0
-    raw = [
-        solve_delta_for_epsilon(
-            target_epsilon, max_samples, variance, value_range=value_range
-        )
-        for variance in variances
-    ]
+    # The solution depends on the variance alone, and 0/1 losses leave few
+    # distinct pilot variances (one per pilot hit count), so each is solved
+    # once.
+    solved: Dict[float, float] = {}
+    for variance in variances:
+        if variance not in solved:
+            solved[variance] = solve_delta_for_epsilon(
+                target_epsilon, max_samples, variance, value_range=value_range
+            )
+    raw = [solved[variance] for variance in variances]
     total = sum(raw)
     if total <= 0:
         return [budget / k] * k

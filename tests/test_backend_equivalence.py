@@ -282,6 +282,28 @@ def test_sweep_spare_never_serves_dirty_arrays(overflow_grid, monkeypatch):
     assert stacked_paths(social, pairs, random.Random(1), spare) == expected
     _assert_parked_clean(spare)
 
+    # A short sweep runs on a prefix of the parked full-size arrays; cut
+    # short, it must drop the whole set, not just its prefix.
+    parked = spare.arrays
+    staggered_sweep = csr_module.staggered_sweep
+    short_sweeps = []
+
+    def recorded(*args):
+        short_sweeps.append(staggered_sweep(*args))
+        return short_sweeps[-1]
+
+    monkeypatch.setattr(csr_module, "staggered_sweep", recorded)
+    monkeypatch.setattr(csr_module, "_accumulate_level", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        stacked_paths(social, pairs[:8], random.Random(1), spare)
+    monkeypatch.undo()
+    [short_sweep] = short_sweeps
+    assert short_sweep.dist.size < parked[0].size
+    assert short_sweep.dist.base is parked[0]
+    assert spare.arrays is None
+    assert stacked_paths(social, pairs, random.Random(1), spare) == expected
+    _assert_parked_clean(spare)
+
     class FailingRng(random.Random):
         calls = 0
 
@@ -338,6 +360,40 @@ def test_sweep_spare_never_serves_dirty_arrays(overflow_grid, monkeypatch):
     _assert_parked_clean(spare)
 
 
+def test_sweep_spare_serves_short_sub_batches(monkeypatch):
+    # A wheel whose hub is the only target: most pairs are rim nodes whose
+    # one shortest path runs through the hub, so a 64-draw chunk redraws
+    # its rejected pairs in dozens of ever shorter sub-batches.  All of
+    # them must run on the arrays of the first, full-size sweep.
+    from repro.graphs import csr as csr_module
+
+    rim = 80
+    wheel = Graph.from_edges(
+        [(0, node) for node in range(1, rim + 1)]
+        + [(node, node % rim + 1) for node in range(1, rim + 1)]
+    )
+    staggered_sweep = csr_module.staggered_sweep
+    sweeps = []
+
+    def recorded(*args):
+        sweeps.append(staggered_sweep(*args))
+        return sweeps[-1]
+
+    monkeypatch.setattr(csr_module, "staggered_sweep", recorded)
+    generator = GenBC(PersonalizedISP(wheel, [0]), [0], backend="csr")
+    paths = generator.sample_path(random.Random(1), 64)
+    monkeypatch.undo()
+    assert generator.stats.rejections > 500
+    assert len({sweep.dist.size for sweep in sweeps}) > 5
+    fresh = {
+        id(sweep.dist if sweep.dist.base is None else sweep.dist.base)
+        for sweep in sweeps
+    }
+    assert len(fresh) == 1
+    reference = GenBC(PersonalizedISP(wheel, [0]), [0], backend="dict")
+    assert paths == reference.sample_path(random.Random(1), 64)
+
+
 class TestEstimatorEquivalence:
     """Full estimator runs draw identical samples and scores per backend."""
 
@@ -391,9 +447,22 @@ class TestEstimatorEquivalence:
         assert reference.ranking == candidate.ranking
         assert reference.num_samples == candidate.num_samples
 
-    def test_saphyra_bc_full(self, social_with_leaves):
+    def test_saphyra_bc_full(self, social_with_leaves, monkeypatch):
         # SaPHyRa_bc-full (every node a target) on a graph with cutpoints:
-        # Exact_bc takes the stacked scan on CSR and the loop on dict.
+        # Exact_bc takes the stacked scan on CSR and the loop on dict.  The
+        # pins were recorded with one 100-step bisection per hypothesis in
+        # the Eq. 13 allocation; the last digest covers every delta_i and
+        # the stopping rule's final deviations.
+        from repro.core import adaptive
+
+        rules = []
+
+        class RecordedRule(adaptive.AllocatedBernsteinRule):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                rules.append(self)
+
+        monkeypatch.setattr(adaptive, "AllocatedBernsteinRule", RecordedRule)
         results = [
             SaPHyRaBC(
                 0.1, 0.1, seed=7, max_samples_cap=300,
@@ -410,6 +479,16 @@ class TestEstimatorEquivalence:
             assert candidate.num_samples == reference.num_samples
             assert candidate.lambda_exact == reference.lambda_exact
             assert candidate.exact_work == reference.exact_work
+        assert len(rules) == len(results)
+        for result, rule in zip(results, rules):
+            assert result.num_samples == 300
+            assert result.converged_by == "vc"
+            assert hashlib.sha256(
+                repr(sorted(result.scores.items())).encode()
+            ).hexdigest()[:16] == "688e5a787425ae45"
+            assert hashlib.sha256(
+                repr((rule.delta_allocations, rule.deviations)).encode()
+            ).hexdigest()[:16] == "4af03825661b6c6d"
 
     def test_saphyra_cc(self, graph, targets):
         reference, candidate = self._pair(
