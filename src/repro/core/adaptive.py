@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, List, Mapping, Optional, Tuple
 
 from repro import parallel as _parallel
 from repro.engine.driver import SampleDriver
@@ -39,6 +39,12 @@ def _losses_chunk(payload, piece: Tuple[int, int]):
     losses in the problem's pinned order (closeness keeps the RNG sequence
     of single draws; ``Gen_bc`` draws a round's pairs before its paths);
     the fold below is the same either way.
+
+    The partial sums are returned sparse, ``{hypothesis: sum}`` over the
+    hypotheses the chunk touched, so folding a ``Gen_bc`` chunk, which
+    touches few of ``k`` targets, costs no ``O(k)`` walk.  They are summed
+    in dense lists, from 0.0 in draw order: dense closeness losses touch
+    every target of every draw, and list indexing is the cheaper update.
     """
     sampler, num_hypotheses, base_seed = payload
     chunk_index, draws = piece
@@ -50,7 +56,10 @@ def _losses_chunk(payload, piece: Tuple[int, int]):
         chunk = (sample(rng) for _ in range(draws))
     totals = [0.0] * num_hypotheses
     totals_sq = [0.0] * num_hypotheses
+    touched = set()
     for losses in chunk:
+        if len(touched) < num_hypotheses:  # dense losses fill it at once
+            touched.update(losses)
         for index, loss in losses.items():
             totals[index] += loss
             totals_sq[index] += loss * loss
@@ -60,7 +69,12 @@ def _losses_chunk(payload, piece: Tuple[int, int]):
     # the reported statistics match serial runs for any worker count.
     collect = getattr(sampler, "collect_sample_stats", None)
     stats = collect() if collect is not None else None
-    return draws, totals, totals_sq, stats
+    return (
+        draws,
+        {index: totals[index] for index in touched},
+        {index: totals_sq[index] for index in touched},
+        stats,
+    )
 
 
 @dataclass
@@ -111,14 +125,14 @@ class _RiskAccumulator:
             self.totals[index] += loss
             self.totals_sq[index] += loss * loss
 
-    def merge(self, count: int, totals: Sequence[float],
-              totals_sq: Sequence[float]) -> None:
-        """Fold one chunk's partial sums in (deterministic) chunk order."""
+    def merge(self, count: int, totals: Mapping[int, float],
+              totals_sq: Mapping[int, float]) -> None:
+        """Fold one chunk's sparse partial sums in (deterministic) chunk order."""
         self.count += count
-        for index, value in enumerate(totals):
+        for index, value in totals.items():
             if value:
                 self.totals[index] += value
-        for index, value in enumerate(totals_sq):
+        for index, value in totals_sq.items():
             if value:
                 self.totals_sq[index] += value
 

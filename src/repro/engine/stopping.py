@@ -12,7 +12,7 @@ through ``converged_by``.
 from __future__ import annotations
 
 import math
-from typing import Hashable, List, Mapping, Protocol, Sequence
+from typing import Dict, Hashable, List, Mapping, Protocol, Sequence, Tuple
 
 from repro.stats.bernstein import empirical_bernstein_bound
 
@@ -128,7 +128,9 @@ class AllocatedBernsteinRule:
     Unlike the union-bound rules above, each hypothesis gets its own error
     probability (variance-weighted, solved from the pilot batch).  The rule
     records the deviations of its *last* check in :attr:`deviations`, which
-    the adaptive sampler reports in its result.
+    the adaptive sampler reports in its result.  The bound depends only on
+    ``(delta_i, variance)``, and under 0/1 losses both follow from hit
+    counts, so each check evaluates it once per distinct pair.
     """
 
     converged_label = "bernstein"
@@ -148,12 +150,14 @@ class AllocatedBernsteinRule:
 
     def should_stop(self, num_samples: int) -> bool:
         accumulator = self.accumulator
-        self.deviations = [
-            empirical_bernstein_bound(
-                accumulator.count,
-                self.delta_allocations[index],
-                accumulator.variance(index),
-            )
-            for index in range(len(self.delta_allocations))
-        ]
-        return max(self.deviations) <= self.epsilon
+        bounds: Dict[Tuple[float, float], float] = {}
+        deviations: List[float] = []
+        for index, delta_i in enumerate(self.delta_allocations):
+            key = (delta_i, accumulator.variance(index))
+            if key not in bounds:
+                bounds[key] = empirical_bernstein_bound(
+                    accumulator.count, delta_i, key[1]
+                )
+            deviations.append(bounds[key])
+        self.deviations = deviations
+        return max(deviations) <= self.epsilon

@@ -94,7 +94,6 @@ class ExperimentRunner:
         self.config = config if config is not None else ExperimentConfig.default()
         self._knobs_applied = False
         self._datasets: Dict[str, Dataset] = {}
-        self._block_cut_trees: Dict[str, BlockCutTree] = {}
         self._ground_truth_cache = GroundTruthCache()
         self._whole_network_cache: Dict[Tuple[str, str, float], BaselineResult] = {}
         self._full_saphyra_cache: Dict[Tuple[str, float], "SaPHyRaAsBaseline"] = {}
@@ -118,10 +117,9 @@ class ExperimentRunner:
         return self._datasets[name]
 
     def block_cut_tree(self, name: str) -> BlockCutTree:
-        """The block-cut tree of a dataset's graph (built once)."""
-        if name not in self._block_cut_trees:
-            self._block_cut_trees[name] = build_block_cut_tree(self.dataset(name).graph)
-        return self._block_cut_trees[name]
+        """The block-cut tree of a dataset's graph (built once per graph
+        version, see :func:`~repro.graphs.block_cut_tree.build_block_cut_tree`)."""
+        return build_block_cut_tree(self.dataset(name).graph)
 
     def ground_truth(self, name: str) -> Dict[Node, float]:
         """Exact betweenness of every node of the dataset (computed once)."""
@@ -183,7 +181,6 @@ class ExperimentRunner:
         seed: int,
     ) -> "SaPHyRaAsBaseline":
         graph = self.dataset(name).graph
-        bct = self.block_cut_tree(name)
         algorithm = SaPHyRaBC(
             epsilon,
             self.config.delta,
@@ -191,7 +188,7 @@ class ExperimentRunner:
             max_samples_cap=self.config.max_samples_cap,
             workers=self.config.workers,
         )
-        result = algorithm.rank(graph, targets, block_cut_tree=bct)
+        result = algorithm.rank(graph, targets)
         return SaPHyRaAsBaseline(result)
 
     def subset_estimate(

@@ -16,16 +16,24 @@ intra-component shortest path (ISP) sample space:
 All of these assume a connected graph, matching the paper's benchmark
 networks; :class:`BlockCutTree` raises :class:`~repro.errors.GraphError`
 otherwise.
+
+The tree is a function of the graph alone, and the paper's use case ranks
+many target subsets on one network, so :func:`build_block_cut_tree` keeps
+it in :meth:`Graph.memo <repro.graphs.graph.Graph.memo>`: every query on an
+unchanged graph shares one tree, with its block subgraphs and exact block
+diameters, and the first read after any mutation builds a new one.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.errors import GraphError
 from repro.graphs.biconnected import BiconnectedDecomposition, biconnected_components
 from repro.graphs.components import is_connected
+from repro.graphs.diameter import exact_diameter
 from repro.graphs.graph import Graph
 
 Node = Hashable
@@ -42,6 +50,9 @@ class BlockCutTree:
     ----------
     graph:
         The underlying connected graph.
+    version:
+        ``graph._version`` when the tree was built; any later mutation makes
+        the tree stale (:meth:`check_built_for`).
     decomposition:
         The biconnected decomposition (blocks + cutpoints).
     tree_adjacency:
@@ -62,6 +73,7 @@ class BlockCutTree:
     """
 
     graph: Graph
+    version: int
     decomposition: BiconnectedDecomposition
     tree_adjacency: Dict[TreeNode, List[TreeNode]]
     out_reach: List[Dict[Node, int]]
@@ -70,6 +82,7 @@ class BlockCutTree:
     bc_a: Dict[Node, float]
     gamma: float
     _block_subgraphs: Dict[int, Graph] = field(default_factory=dict, repr=False)
+    _block_diameters: Dict[int, int] = field(default_factory=dict, repr=False)
 
     # ------------------------------------------------------------------
     # Convenience accessors
@@ -114,29 +127,78 @@ class BlockCutTree:
             )
         return self._block_subgraphs[index]
 
+    def block_diameter(self, index: int) -> int:
+        """Return (and cache) the exact hop diameter of block ``index``."""
+        if index not in self._block_diameters:
+            self._block_diameters[index] = exact_diameter(self.block_subgraph(index))
+        return self._block_diameters[index]
+
+    def check_built_for(self, graph: Graph) -> None:
+        """Raise :class:`GraphError` unless this is the tree of ``graph`` as
+        it is now: built from this very object, at its current version."""
+        if self.graph is not graph:
+            raise GraphError(
+                "the block-cut tree was built for another graph object; "
+                "pass the tree of this graph, or none to use its current one"
+            )
+        if self.version != graph._version:
+            raise GraphError(
+                f"the block-cut tree was built at graph version {self.version}, "
+                f"but the graph has since mutated (version {graph._version}); "
+                "pass none to use the tree of the current version"
+            )
+
     def pair_weight_total(self) -> int:
         """Return ``sum_i W_i = n(n-1) * gamma``."""
         return sum(self.block_pair_weight)
 
 
-def build_block_cut_tree(
-    graph: Graph, decomposition: Optional[BiconnectedDecomposition] = None
-) -> BlockCutTree:
-    """Build the :class:`BlockCutTree` of a connected graph.
+def build_block_cut_tree(graph: Graph) -> BlockCutTree:
+    """Return the :class:`BlockCutTree` of a connected graph.
+
+    The tree is built once per graph version and kept in
+    :meth:`Graph.memo <repro.graphs.graph.Graph.memo>`, so repeated calls on
+    an unchanged graph share one tree, together with the block subgraphs
+    and exact block diameters it has cached so far, and return the same
+    tree object while anybody holds it.  A build that raises stores nothing.
 
     Parameters
     ----------
     graph:
         A connected graph with at least two nodes.
-    decomposition:
-        Optionally a pre-computed biconnected decomposition (to avoid doing
-        the DFS twice).
 
     Raises
     ------
     GraphError
         If the graph is empty, has a single node, or is disconnected.
     """
+    return graph.memo("block_cut_tree", _SharedTree).tree_for(graph)
+
+
+class _SharedTree:
+    """A graph version's tree as its memo keeps it: every field but the
+    graph, and a weak reference to the tree object handed out last.
+
+    A tree refers to its graph and the memo lives in the graph, so keeping
+    the tree itself there would form a reference cycle, and a dropped graph
+    would wait for the garbage collector.  Every tree object made from these
+    fields shares them, the block subgraph and diameter caches included.
+    """
+
+    def __init__(self, graph: Graph) -> None:
+        self.fields = _build(graph)
+        self.last: Callable[[], Optional[BlockCutTree]] = lambda: None
+
+    def tree_for(self, graph: Graph) -> BlockCutTree:
+        tree = self.last()
+        if tree is None:
+            tree = BlockCutTree(graph=graph, **self.fields)
+            self.last = weakref.ref(tree)
+        return tree
+
+
+def _build(graph: Graph) -> Dict[str, object]:
+    """Build the fields of the tree of ``graph`` from scratch."""
     n = graph.number_of_nodes()
     if n < 2:
         raise GraphError(f"block-cut tree needs at least 2 nodes, got {n}")
@@ -145,8 +207,7 @@ def build_block_cut_tree(
             "block-cut tree requires a connected graph; "
             "extract the largest connected component first"
         )
-    if decomposition is None:
-        decomposition = biconnected_components(graph)
+    decomposition = biconnected_components(graph)
     blocks = decomposition.components
     cutpoints = decomposition.cutpoints
 
@@ -243,8 +304,8 @@ def build_block_cut_tree(
         sum_sq = sum(value * value for value in branches.values())
         bc_a[cutpoint] = (total * total - sum_sq) / (n * (n - 1))
 
-    return BlockCutTree(
-        graph=graph,
+    return dict(
+        version=graph._version,
         decomposition=decomposition,
         tree_adjacency=tree_adjacency,
         out_reach=out_reach,
@@ -252,4 +313,6 @@ def build_block_cut_tree(
         block_pair_weight=block_pair_weight,
         bc_a=bc_a,
         gamma=gamma,
+        _block_subgraphs={},
+        _block_diameters={},
     )

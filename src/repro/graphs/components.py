@@ -49,7 +49,14 @@ def largest_connected_component(graph: Graph) -> List[Node]:
 
 
 def is_connected(graph: Graph) -> bool:
-    """Return ``True`` if the graph is non-empty and connected."""
-    if graph.number_of_nodes() == 0:
-        return False
-    return len(largest_connected_component(graph)) == graph.number_of_nodes()
+    """Return ``True`` if the graph is non-empty and connected.
+
+    The answer is kept in :meth:`Graph.memo`, so every estimator's check on
+    an unchanged graph after the first costs no traversal.
+    """
+    return graph.memo("connected", _is_connected)
+
+
+def _is_connected(graph: Graph) -> bool:
+    n = graph.number_of_nodes()
+    return n > 0 and len(largest_connected_component(graph)) == n

@@ -23,7 +23,10 @@ Design notes
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import (
+    Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Tuple, TypeVar,
+    Union,
+)
 
 from repro.errors import GraphError
 from repro.graphs.delta import (
@@ -37,6 +40,7 @@ from repro.graphs.delta import (
 Node = Hashable
 Edge = Tuple[Node, Node]
 Weight = Union[int, float]
+T = TypeVar("T")
 
 
 def _check_weight(weight: Weight, *, edge: Optional[Tuple[Node, Node]] = None) -> Optional[float]:
@@ -61,6 +65,10 @@ def _check_weight(weight: Weight, *, edge: Optional[Tuple[Node, Node]] = None) -
             "DAG cyclic)"
         )
     return float(weight)
+
+
+#: Every slot but the memo and the weakref slot: the state a pickle keeps.
+_PICKLED_SLOTS = ("_adj", "_num_edges", "_num_weighted", "_version", "_journal")
 
 
 class Graph:
@@ -88,6 +96,7 @@ class Graph:
         "_num_weighted",
         "_version",
         "_journal",
+        "_memo",
         "__weakref__",
     )
 
@@ -105,6 +114,8 @@ class Graph:
         # once something snapshots this graph.  ``None`` until then, so
         # bulk construction pays one attribute check per mutation.
         self._journal = None
+        # ``{key: (version, value)}`` behind :meth:`memo`.
+        self._memo: Dict[str, Tuple[int, object]] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -372,6 +383,37 @@ class Graph:
     def adjacency(self) -> Dict[Node, List[Node]]:
         """Return a plain ``dict`` mapping each node to a neighbour list."""
         return {node: list(nbrs) for node, nbrs in self._adj.items()}
+
+    def memo(self, key: str, build: Callable[["Graph"], T]) -> T:
+        """Return ``build(self)``, computed once per version of this graph.
+
+        :func:`~repro.graphs.components.is_connected` and
+        :func:`~repro.graphs.block_cut_tree.build_block_cut_tree` keep their
+        results here, so queries on an unchanged graph share them.  Each
+        value is kept under ``key`` with the version it was built from, and
+        a read checks that version, so mutators pay nothing.  A stale value
+        is dropped before ``build`` runs, and a value is stored only once
+        ``build`` returns: a build that raises leaves no entry.  The values
+        live in this graph's own slot and are freed with it, provided none
+        of them refers back to the graph; pickles and copies leave them out.
+        """
+        version = self._version
+        entry = self._memo.get(key)
+        if entry is not None and entry[0] == version:
+            return entry[1]
+        self._memo.pop(key, None)
+        value = build(self)
+        self._memo[key] = (version, value)
+        return value
+
+    def __getstate__(self) -> Dict[str, object]:
+        # A copy starts with an empty memo and builds its own values.
+        return {name: getattr(self, name) for name in _PICKLED_SLOTS}
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        self._memo = {}
 
     # ------------------------------------------------------------------
     # Derived graphs

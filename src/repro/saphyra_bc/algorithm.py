@@ -4,7 +4,8 @@
 betweenness estimate for every target node together with the induced
 ranking.  The pieces:
 
-* block-cut tree + out-reach sets (``O(n + m)`` preprocessing);
+* block-cut tree + out-reach sets (``O(n + m)`` preprocessing, once per
+  graph version);
 * personalized ISP sample space with its scale factor ``gamma * eta``;
 * ``Exact_bc`` for the 2-hop exact subspace (``O(K)``);
 * ``Gen_bc`` + the adaptive empirical-Bernstein sampler with the
@@ -226,9 +227,14 @@ class SaPHyRaBC:
             The nodes to rank; ``None`` ranks every node
             (the SaPHyRa_bc-full variant of the paper's experiments).
         block_cut_tree:
-            A pre-built block-cut tree, reused across runs on the same graph
-            (the experiment harness passes this to avoid repeating the
-            ``O(n + m)`` preprocessing for every epsilon value).
+            The block-cut tree of ``graph`` as it is now.  Passing it is
+            never needed: ``None`` reads the tree
+            :func:`~repro.graphs.block_cut_tree.build_block_cut_tree` keeps
+            per graph version, so queries on an unchanged graph share one
+            tree, its block subgraphs and its exact block diameters.  A tree
+            built for another graph, or before a mutation of this one,
+            raises :class:`~repro.errors.GraphError` (it would give wrong
+            scores).
         """
         self._validate_graph(graph)
         target_list = list(targets) if targets is not None else list(graph.nodes())

@@ -54,7 +54,10 @@ class PersonalizedISP:
         The target node set ``A``; ``None`` means the full node set (the
         SaPHyRa_bc-full variant).
     block_cut_tree:
-        Optionally a pre-built block-cut tree (to share between runs).
+        The block-cut tree of ``graph`` as it is now; ``None`` reads the
+        graph's own (:func:`~repro.graphs.block_cut_tree.build_block_cut_tree`
+        builds it once per graph version).  A tree of another graph, or of
+        an older version of this one, raises :class:`GraphError`.
     backend:
         Traversal backend used by the samplers built on this space
         (``"dict"``, ``"csr"`` or ``None`` for the default).
@@ -79,7 +82,10 @@ class PersonalizedISP:
             raise GraphError("the ISP sample space needs at least 2 nodes")
         self.graph = graph
         self.backend = backend
-        self.bct = block_cut_tree if block_cut_tree is not None else build_block_cut_tree(graph)
+        if block_cut_tree is None:
+            block_cut_tree = build_block_cut_tree(graph)
+        block_cut_tree.check_built_for(graph)
+        self.bct = block_cut_tree
         self.n = graph.number_of_nodes()
 
         if targets is None:

@@ -14,7 +14,12 @@ of target nodes that can be inner nodes of one sampled path):
   ``min(VD(C_i) - 1, VD(A ∩ C_i) + 1, |A ∩ C_i|)``.
 
 All diameters here are hop counts; upper-bound estimates (``2 * ecc``) are
-used so the resulting VC values remain valid upper bounds.
+used so the resulting VC values remain valid upper bounds.  The exact
+diameters of small blocks draw no randomness and depend on the graph alone,
+so the block-cut tree caches them
+(:meth:`~repro.graphs.block_cut_tree.BlockCutTree.block_diameter`); the
+randomized estimates of large blocks and the target-dependent subset
+diameters are computed, and draw from the query's RNG, on every call.
 """
 
 from __future__ import annotations
@@ -49,10 +54,9 @@ def block_diameter_bound(
     bct: BlockCutTree, block_index: int, seed: SeedLike = None
 ) -> int:
     """Upper bound on the hop diameter of one block."""
-    block = bct.block_subgraph(block_index)
-    if block.number_of_nodes() <= _EXACT_DIAMETER_THRESHOLD:
-        return exact_diameter(block)
-    return estimate_diameter(block, seed)
+    if len(bct.block_nodes(block_index)) <= _EXACT_DIAMETER_THRESHOLD:
+        return bct.block_diameter(block_index)
+    return estimate_diameter(bct.block_subgraph(block_index), seed)
 
 
 def max_block_diameter(bct: BlockCutTree, seed: SeedLike = None) -> int:

@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from repro.core.adaptive import AdaptiveSampler
+from repro.core.adaptive import AdaptiveSampler, _losses_chunk, _RiskAccumulator
+from repro.parallel import chunk_rng
 from repro.utils.rng import ensure_rng
 
 
@@ -101,6 +102,20 @@ class TestEstimate:
         assert len(result.deviations) == 1
         if result.converged_by == "bernstein":
             assert result.deviations[0] <= 0.1
+
+
+def test_chunk_partials_hold_only_touched_hypotheses():
+    sample = bernoulli_sampler([0.0, 0.3, 0.0, 0.6, 0.0, 0.0], None)
+    draws, totals, totals_sq, stats = _losses_chunk((sample, 6, 17), (0, 64))
+    assert draws == 64 and stats is None
+    assert set(totals) == set(totals_sq) == {1, 3}
+    rng = chunk_rng(17, 0)
+    dense = _RiskAccumulator(6)
+    for _ in range(64):
+        dense.add(sample(rng))
+    merged = _RiskAccumulator(6)
+    merged.merge(draws, totals, totals_sq)
+    assert merged.totals == dense.totals and merged.totals_sq == dense.totals_sq
 
 
 class TestGuarantee:

@@ -120,6 +120,39 @@ class TestStoppingRules:
         # Zero variance on both hypotheses: only the 1/(N-1) term remains.
         assert stopped
 
+    def test_allocated_rule_bounds_each_distinct_pair_once(self, monkeypatch):
+        from repro.core.adaptive import _RiskAccumulator
+        from repro.engine import stopping
+        from repro.stats.bernstein import empirical_bernstein_bound
+
+        accumulator = _RiskAccumulator(6)
+        for draw in range(100):
+            if draw % 4 == 0:
+                accumulator.add({0: 1.0, 1: 1.0})
+            elif draw % 2:
+                accumulator.add({2: 1.0})
+            else:
+                accumulator.add({})
+        allocations = [0.01, 0.01, 0.01, 0.01, 0.02, 0.01]
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return empirical_bernstein_bound(*args)
+
+        monkeypatch.setattr(stopping, "empirical_bernstein_bound", counted)
+        rule = AllocatedBernsteinRule(accumulator, allocations, epsilon=0.5)
+        rule.should_stop(accumulator.count)
+        # (delta_i, variance): 25 hits at 0.01 for 0 and 1, 50 hits at 0.01
+        # for 2, no hits at 0.01 for 3 and 5, no hits at 0.02 for 4.
+        assert len(calls) == 4
+        assert rule.deviations == [
+            empirical_bernstein_bound(
+                accumulator.count, delta_i, accumulator.variance(index)
+            )
+            for index, delta_i in enumerate(allocations)
+        ]
+
 
 def _counting_chunk(payload, piece):
     """Module-level chunk task: returns its piece so folds can record it."""
