@@ -25,17 +25,18 @@ Usage::
     python benchmarks/check_incremental_baseline.py --update  # refresh measurements
 
 ``--update`` rewrites the ``measured_speedup`` fields (keeping the
-``min_speedup`` floors) so the committed file documents real numbers.
+``min_speedup`` floors) so the committed file documents real numbers; the
+floor check itself is :func:`baseline_gate.run_gate`.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
 import time
 from pathlib import Path
+
+from baseline_gate import run_gate
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BASELINE_PATH = REPO_ROOT / "BENCH_incremental.json"
@@ -156,42 +157,10 @@ def measure():
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--update", action="store_true",
-        help="rewrite measured_speedup fields in BENCH_incremental.json",
+    return run_gate(
+        measure, BASELINE_PATH, description=__doc__.splitlines()[0],
+        comparison="delta-on vs off", quantity="speedup", argv=argv,
     )
-    args = parser.parse_args(argv)
-
-    baseline = json.loads(BASELINE_PATH.read_text())
-    measured = measure()
-
-    failures = []
-    for entry in baseline["entries"]:
-        key = (entry["topology"], entry["scenario"])
-        speedup = measured[key]
-        label = f"{entry['topology']}/{entry['scenario']}"
-        print(
-            f"{label}: delta-on vs off speedup {speedup:.2f}x "
-            f"(floor {entry['min_speedup']:.2f}x, "
-            f"recorded {entry['measured_speedup']:.2f}x)"
-        )
-        if args.update:
-            entry["measured_speedup"] = round(speedup, 2)
-        elif speedup < entry["min_speedup"]:
-            failures.append(
-                f"{label}: {speedup:.2f}x below the {entry['min_speedup']:.2f}x floor"
-            )
-
-    if args.update:
-        BASELINE_PATH.write_text(json.dumps(baseline, indent=2) + "\n")
-        print(f"updated {BASELINE_PATH}")
-        return 0
-    if failures:
-        print("\nREGRESSION: " + "; ".join(failures), file=sys.stderr)
-        return 1
-    print("\nall scenarios at or above their committed speedup floors")
-    return 0
 
 
 if __name__ == "__main__":

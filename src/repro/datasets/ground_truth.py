@@ -82,9 +82,12 @@ class GroundTruthCache:
         self._memory: Dict[str, Dict[Node, float]] = {}
         # Version fencing (PR 8): remember which graph object (weakly) and
         # which ``Graph._version`` each entry was computed against, so a
-        # mutated graph cannot be served stale truth.  Reweight-only delta
-        # ranges are retained when the truth metric is hop-based (forced
-        # ``weighted=off``) — weights are invisible to it.
+        # mutated graph cannot be served stale truth (the staleness rule of
+        # ``delta.deltas_between``).  Reweight-only delta ranges are
+        # retained when the truth metric is hop-based (forced
+        # ``weighted=off``) — weights are invisible to it.  The entries
+        # live here, not in the graph's slot, so that dropping this cache
+        # drops all of them.
         self._versions: Dict[str, int] = {}
         self._graphs: Dict[str, "weakref.ref[Graph]"] = {}
         self.delta_retained = 0
@@ -110,10 +113,9 @@ class GroundTruthCache:
             # A different graph object under the same key: the key contract
             # ("a key identifies the graph") is the caller's, honour it.
             return True
-        version = self._versions.get(key)
-        if version == graph._version:
+        deltas = _delta.deltas_between(graph, self._versions[key])
+        if deltas == []:
             return True
-        deltas = _delta.deltas_between(graph, version)
         if (
             deltas is not None
             and all(d.op == _delta.OP_REWEIGHT for d in deltas)

@@ -19,9 +19,11 @@ graph never cross-contaminate:
   only affect a source whose cached distances it shortens — or ties, for
   DAG entries; a deletion only one whose shortest paths it lies on) and
   survivors re-key to the new version.  Uncovered gaps — or
-  ``dag_cache_delta=off`` (``REPRO_DAG_CACHE_DELTA``) — fall back to the
-  historical wholesale eviction, exactly like the CSR snapshot cache in
-  :mod:`repro.graphs.csr`;
+  ``dag_cache_delta=off`` (``REPRO_DAG_CACHE_DELTA``) — fall back to
+  wholesale eviction.  The verdict is the staleness rule the graph's own
+  versioned slot applies (:func:`repro.graphs.delta.deltas_between`); the
+  stores stay here, in the cache, so that :meth:`SourceDAGCache.clear`
+  and :func:`clear_default_dag_cache` drop every graph's entries at once;
 * each graph's store is an LRU bounded *twice*: by entry count
   (``max_entries``) and by an estimated element budget (``max_cost``, in
   stored int64/float64-sized elements), so pivot-heavy workloads keep their
@@ -208,17 +210,18 @@ class SourceDAGCache:
     def _store(self, graph: Graph) -> _GraphStore:
         """The live entry store of ``graph``, revalidating on a version bump.
 
-        A version bump first tries delta validation (see
-        :meth:`_revalidate`): when the mutation journal covers the gap,
-        each entry is tested against the edits and survivors re-key to the
-        new version.  Uncovered gaps — and ``dag_cache_delta=off`` — keep
-        the historical wholesale eviction.
+        The staleness rule (:func:`repro.graphs.delta.deltas_between`)
+        decides: a current store is served; when the mutation journal
+        covers the gap, each entry is tested against the edits and
+        survivors re-key to the new version (see :meth:`_revalidate`).
+        Uncovered gaps — and ``dag_cache_delta=off`` — evict wholesale.
         """
         cached = self._stores.get(graph)
-        if cached is not None and cached.version == graph._version:
-            return cached
         if cached is not None:
-            if self._revalidate(graph, cached):
+            deltas = _delta.deltas_between(graph, cached.version)
+            if deltas == []:
+                return cached
+            if self._revalidate(graph, cached, deltas):
                 return cached
             self.evictions += len(cached)
         store = _GraphStore(graph._version)
@@ -227,17 +230,17 @@ class SourceDAGCache:
         _delta.track(graph)
         return store
 
-    def _revalidate(self, graph: Graph, store: _GraphStore) -> bool:
+    def _revalidate(self, graph: Graph, store: _GraphStore, deltas) -> bool:
         """Delta-validate ``store`` in place; ``True`` when re-keyed.
 
         Runs the O(|Δ|) per-entry validity test of
         :func:`repro.graphs.delta.delta_affects_source` against the cached
-        distances.  Entries an edit *could* affect are evicted; provably
-        untouched ones survive and re-key to ``graph._version``.  Returns
-        ``False`` (wholesale fallback) when the journal does not cover the
-        gap or ``auto`` mode's validation limit is exceeded.
+        distances for the journalled ``deltas``.  Entries an edit *could*
+        affect are evicted; provably untouched ones survive and re-key to
+        ``graph._version``.  Returns ``False`` (wholesale fallback) when
+        the journal does not cover the gap (``deltas is None``) or
+        ``auto`` mode's validation limit is exceeded.
         """
-        deltas = _delta.deltas_between(graph, store.version)
         if deltas is None:
             if len(store) and resolve_dag_cache_delta() != _delta.DELTA_OFF:
                 self.journal_overflows += 1

@@ -12,8 +12,9 @@ alternative:
   :class:`Graph`: ``indptr``/``indices`` arrays over integer node indices
   ``0..n-1`` plus the label↔index mapping (labels keep the graph's insertion
   order, exactly like :meth:`Graph.relabeled`).
-* :func:`as_csr` — build-and-cache: snapshots are cached per graph object and
-  invalidated automatically when the graph mutates (via ``Graph._version``).
+* :func:`as_csr` — build-and-cache: the snapshot lives in the graph's
+  versioned slot (:meth:`Graph.memo <repro.graphs.graph.Graph.memo>`) and is
+  patched or rebuilt automatically after the graph mutates.
 * Integer-index kernels — ``csr_bfs``, ``csr_shortest_path_dag``,
   ``csr_brandes`` — over numpy arrays.  All of them drive the one shared
   expand-one-level kernel, :class:`_BatchSweep`; the stacked bidirectional
@@ -61,7 +62,6 @@ import os
 from array import array
 from heapq import heappop, heappush
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
-from weakref import WeakKeyDictionary
 
 from repro import knobs as _knobs
 from repro.errors import GraphError
@@ -87,6 +87,10 @@ BACKENDS = (DICT_BACKEND, CSR_BACKEND)
 #: backend: snapshot construction and per-level array overhead only pay off
 #: once a graph has a few hundred adjacency entries.
 AUTO_CSR_THRESHOLD = 512
+
+#: The :meth:`Graph.memo <repro.graphs.graph.Graph.memo>` slot holding a
+#: graph's CSR snapshot (see :func:`as_csr`).
+SNAPSHOT_KEY = "csr"
 
 #: The ``backend`` row of :mod:`repro.knobs`: ``resolve_backend`` may
 #: return ``"auto"`` ("decide per graph"), which dispatch sites hand to
@@ -148,24 +152,14 @@ def effective_backend(
     threshold = AUTO_CSR_THRESHOLD if auto_threshold is None else auto_threshold
     if graph.number_of_nodes() + graph.number_of_edges() >= threshold:
         return CSR_BACKEND
-    if auto_threshold is None:
-        cached = _csr_cache.get(graph)
-        if cached is not None:
-            if cached[0] == graph._version:
-                # A current snapshot exists, so the array kernels are free to
-                # use even though the graph is small.
-                return CSR_BACKEND
-            if _delta.deltas_between(graph, cached[0]) is not None:
-                # The mutation journal covers the gap: the stale snapshot is
-                # one cheap incremental patch away (see ``as_csr``), so keep
-                # it and stay on the array kernels.
-                return CSR_BACKEND
-            # The graph mutated past journal coverage: routing a small
-            # graph to CSR now would force a pointless re-freeze, and keeping
-            # the stale snapshot alive would let the cache hold arbitrarily
-            # large dead arrays under mutate/query cycles.  Evict and fall
-            # through to the dict reference.
-            del _csr_cache[graph]
+    if auto_threshold is None and graph.memo_deltas(SNAPSHOT_KEY) is not None:
+        # The graph holds a current snapshot, or one the mutation journal
+        # can patch cheaply (see ``as_csr``), so the array kernels are free
+        # to use even though the graph is small.  A snapshot past journal
+        # coverage was dropped by the probe: re-freezing a small graph is
+        # not worth it, and keeping dead arrays alive under mutate/query
+        # cycles would grow without bound.
+        return CSR_BACKEND
     return DICT_BACKEND
 
 
@@ -224,10 +218,10 @@ class CSRGraph:
 
     #: Snapshots are frozen, so their "version" never changes.  Exposing the
     #: :class:`Graph` version attribute (plus the weakref slot above and the
-    #: count/lookup methods below) lets version-keyed caches — the CSR
-    #: snapshot cache, the engine's ``SourceDAGCache`` — and backend dispatch
-    #: treat a bare snapshot exactly like a graph.  Chunk tasks on the CSR
-    #: backend receive bare snapshots (:func:`shareable_graph`).
+    #: count/lookup methods below) lets the engine's ``SourceDAGCache`` and
+    #: backend dispatch treat a bare snapshot exactly like a graph.  Chunk
+    #: tasks on the CSR backend receive bare snapshots
+    #: (:func:`shareable_graph`).
     _version = 0
 
     def __init__(self, indptr, indices, labels: List[Node], weights=None) -> None:
@@ -425,13 +419,10 @@ def _snapshot_from_arrays(indptr, indices, labels, weights) -> CSRGraph:
     return CSRGraph(indptr, indices, labels, weights)
 
 
-_csr_cache: "WeakKeyDictionary[Graph, Tuple[int, CSRGraph]]" = WeakKeyDictionary()
-
-
 def _patched_snapshot(
-    graph: Graph, old: CSRGraph, old_version: int
+    graph: Graph, old: CSRGraph, deltas: List[_delta.EdgeDelta]
 ) -> Optional[CSRGraph]:
-    """Patch a stale snapshot through the mutation journal, or ``None``.
+    """Patch a stale snapshot with the journalled ``deltas``, or ``None``.
 
     Replays the journalled edge deltas against the frozen
     ``indptr``/``indices``/``weights`` arrays: only the adjacency segments
@@ -441,13 +432,10 @@ def _patched_snapshot(
     endpoints' segments, a delete closes the gap preserving order, a
     reweight edits in place — so the result is **byte-identical** to
     :meth:`CSRGraph.from_graph` on the mutated graph (asserted by the
-    equivalence tests).  Returns ``None`` when the journal does not cover
-    the gap (overflow, structural change, delta invalidation off) or any
-    sanity check fails; the caller falls back to a full rebuild.
+    equivalence tests).  This is the snapshot slot's ``refresh``: it runs
+    only when the journal covers the gap, and returns ``None`` when a
+    sanity check fails, which makes the slot rebuild.
     """
-    deltas = _delta.deltas_between(graph, old_version)
-    if not deltas:  # None (uncovered) or [] (nothing to replay: rebuild path)
-        return None
     if old.n != graph.number_of_nodes():
         return None  # node set changed without a structural marker: rebuild
     index = old.index
@@ -540,8 +528,9 @@ def _patched_snapshot(
 def as_csr(graph: Graph) -> CSRGraph:
     """Return the (cached) CSR snapshot of ``graph``.
 
-    The snapshot is rebuilt automatically if the graph has mutated since the
-    cached version was taken — *incrementally*, when the mutation journal
+    The snapshot lives in the graph's :data:`SNAPSHOT_KEY` slot
+    (:meth:`Graph.memo`).  It is rebuilt automatically if the graph has
+    mutated since it was taken — *incrementally*, when the mutation journal
     (see :mod:`repro.graphs.delta`) covers the gap: the frozen arrays are
     patched in O(|Δ| + copy) instead of re-walking the whole adjacency,
     byte-identical to a from-scratch build.  Repeated calls on an unchanged
@@ -554,19 +543,7 @@ def as_csr(graph: Graph) -> CSRGraph:
     """
     if isinstance(graph, CSRGraph):
         return graph
-    version = graph._version
-    cached = _csr_cache.get(graph)
-    if cached is not None and cached[0] == version:
-        return cached[1]
-    csr = None
-    if cached is not None:
-        csr = _patched_snapshot(graph, cached[1], cached[0])
-    if csr is None:
-        csr = CSRGraph.from_graph(graph)
-    _csr_cache[graph] = (version, csr)
-    # Arm the journal so the *next* mutation round can patch this snapshot.
-    _delta.track(graph)
-    return csr
+    return graph.memo(SNAPSHOT_KEY, CSRGraph.from_graph, _patched_snapshot)
 
 
 def shareable_graph(graph, backend: Optional[str]):
@@ -583,7 +560,7 @@ def shareable_graph(graph, backend: Optional[str]):
 
 
 def adopt_snapshot(graph: Graph, snapshot: CSRGraph) -> None:
-    """Seed the CSR cache of ``graph`` with an existing ``snapshot``.
+    """Seed the snapshot slot of ``graph`` with an existing ``snapshot``.
 
     Used by the datasets registry when it rebuilds a dict graph from an
     on-disk snapshot (:func:`repro.graphs.store.graph_from_snapshot`): the
@@ -609,8 +586,7 @@ def adopt_snapshot(graph: Graph, snapshot: CSRGraph) -> None:
             f"(snapshot n={snapshot.n}, m={snapshot.m}; graph "
             f"n={graph.number_of_nodes()}, m={graph.number_of_edges()})"
         )
-    _csr_cache[graph] = (graph._version, snapshot)
-    _delta.track(graph)
+    graph.memo_seed(SNAPSHOT_KEY, snapshot)
 
 
 # ----------------------------------------------------------------------

@@ -1,27 +1,27 @@
 """Edge-level mutation journal and the delta cache-invalidation knob.
 
-Every derived representation in this reproduction — the CSR snapshot cache
-in :mod:`repro.graphs.csr`, the engine's ``SourceDAGCache``, the dataset
-layer's ``GroundTruthCache`` — keys on ``Graph._version`` and, before this
-module existed, evicted **wholesale** on any mutation: one ``add_edge``
-threw away every snapshot and every cached traversal, then rebuilt from
-scratch.  For the paper's live setting (rankings served over graphs that
-keep changing) that makes each edit cost a full recompute of the world.
-
-This module records *what actually changed* so the caches can do better:
+State derived from a graph version — the CSR snapshot and the other
+values in the graph's versioned slot (:meth:`Graph.memo
+<repro.graphs.graph.Graph.memo>`), the engine's ``SourceDAGCache``, the
+dataset layer's ``GroundTruthCache`` — records the ``Graph._version`` it
+was computed from.  This module records *what changed* since, so that
+state can be patched or kept instead of rebuilt after every edit:
 
 * :class:`MutationJournal` — a bounded record of edge-level deltas
   (insert / delete / reweight) between ``Graph._version`` values, armed
-  per graph by :func:`track` the first time a cache snapshots it.  Node
-  additions/removals are recorded as *structural* markers: they change the
-  label set, so consumers degrade to today's wholesale semantics.  The
-  journal is capped (:data:`DELTA_JOURNAL_SIZE` entries): overflowing
-  drops the oldest entries, after which version ranges reaching past the
-  cap are reported as uncovered — again the wholesale fallback, never a
-  wrong answer.
-* :func:`deltas_between` — the consumer API: the exact delta list covering
-  ``old_version -> graph._version``, or ``None`` when the range is
-  uncovered (journal disabled, overflowed, or crossed a structural edit).
+  per graph by :func:`track` the first time a slot or a cache can use it.
+  ``Graph._commit`` is its one recorder: every effective mutation passes
+  through it.  Node additions/removals are recorded as *structural*
+  markers: they change the label set, so consumers rebuild across them.
+  The journal is capped (:data:`DELTA_JOURNAL_SIZE` entries):
+  overflowing drops the oldest entries, after which version ranges
+  reaching past the cap are reported as uncovered — again a rebuild,
+  never a wrong answer.
+* :func:`deltas_between` — the staleness rule every consumer applies:
+  ``[]`` when the recorded version is current, the exact delta list
+  covering ``old_version -> graph._version`` when the journal covers it,
+  or ``None`` (rebuild) when it does not (journal disabled, overflowed,
+  or crossed a structural edit).
 * :func:`delta_affects_source` — the O(1)-per-edge validity test the
   ``SourceDAGCache`` runs per cached entry: an inserted edge ``(u, v, w)``
   can only change distances from source ``s`` if it *shortens* a path
@@ -36,17 +36,18 @@ This module records *what actually changed* so the caches can do better:
 
 The knob (a row of :mod:`repro.knobs`): ``dag_cache_delta`` = ``auto`` |
 ``on`` | ``off`` (:func:`set_default_dag_cache_delta`).  ``off`` disables
-journaling entirely — byte-for-byte the pre-delta wholesale behaviour;
-``on`` always validates per entry; ``auto`` (the default) validates but
-falls back to wholesale eviction when the delta range exceeds
-:data:`AUTO_DELTA_VALIDATION_LIMIT` edits, bounding the per-entry scan
-cost.
+journaling entirely: every stale value is rebuilt and every stale cache
+evicted wholesale; ``on`` always validates per entry; ``auto`` (the
+default) validates but falls back to wholesale eviction when the delta
+range exceeds :data:`AUTO_DELTA_VALIDATION_LIMIT` edits, bounding the
+per-entry scan cost.
 
 Correctness stance: the journal only ever *retains* work that a validity
-test proves unaffected; anything uncertain — uncovered ranges, structural
-edits, mixed reachability — evicts exactly like before.  The equivalence
-suite asserts ``dag_cache_delta=on`` == ``off`` == a freshly built graph,
-bit for bit, across the whole knob matrix.
+test proves unaffected, and patches only what the journal names; anything
+uncertain — uncovered ranges, structural edits, mixed reachability — is
+rebuilt or evicted.  The equivalence suite asserts
+``dag_cache_delta=on`` == ``off`` == a freshly built graph, bit for bit,
+across the whole knob matrix.
 """
 
 from __future__ import annotations
@@ -113,9 +114,9 @@ class MutationJournal:
     Invariant: the journal covers exactly the version range
     ``[base_version, base_version + len(entries)]`` — entry ``i`` is the
     mutation that produced version ``base_version + i + 1``.  ``record``
-    repairs any contiguity break (a mutation that slipped past the hooks,
-    which should not happen) by restarting coverage at the new version, so
-    consumers can never be handed deltas for the wrong range.
+    repairs any contiguity break (a version recorded out of order, which
+    ``Graph._commit`` never does) by restarting coverage at the new
+    version, so consumers can never be handed deltas for the wrong range.
     """
 
     __slots__ = ("base_version", "entries", "cap", "overflows")
@@ -168,11 +169,11 @@ class MutationJournal:
 def track(graph) -> Optional[MutationJournal]:
     """Arm the mutation journal of ``graph`` (no-op when the knob is off).
 
-    Caches call this when they snapshot a graph, so subsequent mutations
-    are journalled and the snapshot can be patched / validated instead of
-    rebuilt.  With ``dag_cache_delta=off`` nothing is armed and mutation
-    hooks stay single-``None``-check cheap — byte-for-byte the pre-delta
-    behaviour.
+    Refreshable slots and caches call this when they store state derived
+    from a graph, so subsequent mutations are journalled and that state
+    can be patched / validated instead of rebuilt.  With
+    ``dag_cache_delta=off`` nothing is armed and ``Graph._commit`` stays
+    one ``None`` check cheap.
     """
     if resolve_dag_cache_delta() == DELTA_OFF:
         return None
@@ -189,24 +190,23 @@ def track(graph) -> Optional[MutationJournal]:
 
 
 def deltas_between(graph, old_version: int) -> Optional[List[EdgeDelta]]:
-    """Edge deltas covering ``old_version -> graph._version``, or ``None``.
+    """The staleness rule for state recorded at ``old_version`` of ``graph``.
 
-    ``None`` — the wholesale fallback — when delta invalidation is off,
-    the graph has no journal, the range is uncovered (overflow), or it
-    crosses a structural (node-set) change.
+    ``[]`` when ``old_version`` is current (serve the state as it is); the
+    edge deltas covering ``old_version -> graph._version`` when the
+    journal covers the gap (patch or validate the state against them);
+    ``None`` — rebuild — when delta invalidation is off, the graph has no
+    journal, the range is uncovered (overflow), or it crosses a structural
+    (node-set) change.
     """
+    if old_version == graph._version:
+        return []
     if resolve_dag_cache_delta() == DELTA_OFF:
         return None
     journal = getattr(graph, "_journal", None)
     if journal is None:
         return None
     return journal.slice(old_version, graph._version)
-
-
-def journal_overflows(graph) -> int:
-    """How many journal entries ``graph`` has dropped past the cap."""
-    journal = getattr(graph, "_journal", None)
-    return 0 if journal is None else journal.overflows
 
 
 # ---------------------------------------------------------------------------

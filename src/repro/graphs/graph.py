@@ -35,6 +35,9 @@ from repro.graphs.delta import (
     OP_DELETE,
     OP_INSERT,
     OP_REWEIGHT,
+    OP_STRUCTURAL,
+    deltas_between,
+    track,
 )
 
 Node = Hashable
@@ -106,13 +109,13 @@ class Graph:
         # Count of edges carrying a non-unit weight; ``is_weighted`` is the
         # O(1) fast path the SSSP dispatch layer checks per traversal.
         self._num_weighted: int = 0
-        # Monotonic mutation counter; lets derived representations (the CSR
-        # backend cache in :mod:`repro.graphs.csr`) detect staleness cheaply.
+        # Monotonic mutation counter, written only here, in _commit and in
+        # __setstate__; derived state (see memo) detects staleness by it.
         self._version: int = 0
         # Mutation journal (:class:`repro.graphs.delta.MutationJournal`),
-        # armed lazily by the caches via :func:`repro.graphs.delta.track`
-        # once something snapshots this graph.  ``None`` until then, so
-        # bulk construction pays one attribute check per mutation.
+        # armed lazily via :func:`repro.graphs.delta.track` once a slot or
+        # a cache can be refreshed from it.  ``None`` until then, so bulk
+        # construction pays one attribute check per mutation.
         self._journal = None
         # ``{key: (version, value)}`` behind :meth:`memo`.
         self._memo: Dict[str, Tuple[int, object]] = {}
@@ -156,12 +159,7 @@ class Graph:
         """Add ``node`` if not already present."""
         if node not in self._adj:
             self._adj[node] = {}
-            self._version += 1
-            if self._journal is not None:
-                # Node-set changes invalidate the label<->index mapping of
-                # every snapshot; journalled as structural so consumers
-                # fall back to wholesale eviction for ranges crossing it.
-                self._journal.record(self._version, STRUCTURAL_DELTA)
+            self._commit(OP_STRUCTURAL)
 
     def add_edge(self, u: Node, v: Node, weight: Weight = 1) -> None:
         """Add the undirected edge ``{u, v}``, creating endpoints as needed.
@@ -190,15 +188,9 @@ class Graph:
             self._num_edges += 1
             if stored is not None:
                 self._num_weighted += 1
-            self._version += 1
-            if self._journal is not None:
-                self._journal.record(
-                    self._version,
-                    EdgeDelta(
-                        OP_INSERT, u, v, None,
-                        1.0 if stored is None else stored,
-                    ),
-                )
+            self._commit(
+                OP_INSERT, u, v, None, 1.0 if stored is None else stored
+            )
 
     def set_edge_weight(self, u: Node, v: Node, weight: Weight) -> None:
         """Set the weight of the existing edge ``{u, v}``.
@@ -220,16 +212,11 @@ class Graph:
             self._num_weighted += 1
         self._adj[u][v] = stored
         self._adj[v][u] = stored
-        self._version += 1
-        if self._journal is not None:
-            self._journal.record(
-                self._version,
-                EdgeDelta(
-                    OP_REWEIGHT, u, v,
-                    1.0 if previous is None else previous,
-                    1.0 if stored is None else stored,
-                ),
-            )
+        self._commit(
+            OP_REWEIGHT, u, v,
+            1.0 if previous is None else previous,
+            1.0 if stored is None else stored,
+        )
 
     def remove_edge(self, u: Node, v: Node) -> None:
         """Remove the edge ``{u, v}``.
@@ -247,15 +234,7 @@ class Graph:
         del self._adj[u][v]
         del self._adj[v][u]
         self._num_edges -= 1
-        self._version += 1
-        if self._journal is not None:
-            self._journal.record(
-                self._version,
-                EdgeDelta(
-                    OP_DELETE, u, v,
-                    1.0 if stored is None else stored, None,
-                ),
-            )
+        self._commit(OP_DELETE, u, v, 1.0 if stored is None else stored)
 
     def remove_node(self, node: Node) -> None:
         """Remove ``node`` and all incident edges.
@@ -273,9 +252,33 @@ class Graph:
             del self._adj[neighbor][node]
             self._num_edges -= 1
         del self._adj[node]
+        self._commit(OP_STRUCTURAL)
+
+    def _commit(
+        self,
+        op: str,
+        u: Optional[Node] = None,
+        v: Optional[Node] = None,
+        old: Optional[float] = None,
+        new: Optional[float] = None,
+    ) -> None:
+        """Bump the version after one effective mutation and journal it.
+
+        The only code that advances ``_version`` and records to the
+        mutation journal: every mutator calls it once per change it makes
+        and never for a no-op.  ``old``/``new`` are effective weights as
+        in :class:`~repro.graphs.delta.EdgeDelta`.  Node-set changes pass
+        ``OP_STRUCTURAL``: they invalidate the label<->index mapping of
+        every snapshot, so consumers rebuild across them.  The delta is
+        built only when a journal is armed.
+        """
         self._version += 1
         if self._journal is not None:
-            self._journal.record(self._version, STRUCTURAL_DELTA)
+            self._journal.record(
+                self._version,
+                STRUCTURAL_DELTA if op == OP_STRUCTURAL
+                else EdgeDelta(op, u, v, old, new),
+            )
 
     # ------------------------------------------------------------------
     # Queries
@@ -384,27 +387,81 @@ class Graph:
         """Return a plain ``dict`` mapping each node to a neighbour list."""
         return {node: list(nbrs) for node, nbrs in self._adj.items()}
 
-    def memo(self, key: str, build: Callable[["Graph"], T]) -> T:
-        """Return ``build(self)``, computed once per version of this graph.
+    def memo(
+        self,
+        key: str,
+        build: Callable[["Graph"], T],
+        refresh: Optional[
+            Callable[["Graph", T, List[EdgeDelta]], Optional[T]]
+        ] = None,
+    ) -> T:
+        """Return the value of slot ``key`` for this graph's current version.
 
+        The one versioned slot for state derived from a graph version: the
+        CSR snapshot (:func:`~repro.graphs.csr.as_csr`),
         :func:`~repro.graphs.components.is_connected` and
         :func:`~repro.graphs.block_cut_tree.build_block_cut_tree` keep their
-        results here, so queries on an unchanged graph share them.  Each
-        value is kept under ``key`` with the version it was built from, and
-        a read checks that version, so mutators pay nothing.  A stale value
-        is dropped before ``build`` runs, and a value is stored only once
-        ``build`` returns: a build that raises leaves no entry.  The values
-        live in this graph's own slot and are freed with it, provided none
-        of them refers back to the graph; pickles and copies leave them out.
+        values here, so queries on an unchanged graph share them.  Each
+        value is kept with the version it was built from and served by the
+        staleness rule of :func:`~repro.graphs.delta.deltas_between`:
+
+        * built at the current version: returned as it is;
+        * stale, with the mutation journal covering the gap:
+          ``refresh(graph, value, deltas)`` replaces it, unless it returns
+          ``None``, which falls through to a rebuild;
+        * otherwise: ``build(graph)`` replaces it.
+
+        A stale value leaves the slot before ``refresh`` or ``build`` runs,
+        and a value is stored only once complete: a build that raises
+        leaves no entry.  A slot with a ``refresh`` arms the journal
+        (:func:`~repro.graphs.delta.track`).  The values live in this
+        graph's own slot and are freed with it, provided none of them
+        refers back to the graph; pickles and copies leave them out.
         """
         version = self._version
         entry = self._memo.get(key)
-        if entry is not None and entry[0] == version:
-            return entry[1]
-        self._memo.pop(key, None)
-        value = build(self)
+        value = None
+        if entry is not None:
+            deltas = deltas_between(self, entry[0])
+            if deltas == []:
+                return entry[1]
+            del self._memo[key]
+            if deltas and refresh is not None:
+                value = refresh(self, entry[1], deltas)
+        if value is None:
+            value = build(self)
         self._memo[key] = (version, value)
+        if refresh is not None:
+            track(self)
         return value
+
+    def memo_deltas(self, key: str) -> Optional[List[EdgeDelta]]:
+        """The staleness rule for slot ``key``, without building anything.
+
+        ``[]`` when the slot holds a current value, the journalled edits a
+        ``refresh`` would replay when it holds a stale value the journal
+        covers, and ``None`` when it is empty or its value could only be
+        rebuilt; such a value is dropped here, so it holds no memory until
+        the next :meth:`memo` read rebuilds it.
+        """
+        entry = self._memo.get(key)
+        if entry is None:
+            return None
+        deltas = deltas_between(self, entry[0])
+        if deltas is None:
+            del self._memo[key]
+        return deltas
+
+    def memo_seed(self, key: str, value: object) -> None:
+        """Store ``value`` in slot ``key`` as built from the current version.
+
+        Replaces whatever the slot held and arms the journal, so a later
+        :meth:`memo` read with a ``refresh`` can patch ``value`` after
+        edits.  The caller warrants that ``value`` is what that read's
+        ``build`` would return now.
+        """
+        self._memo[key] = (self._version, value)
+        track(self)
 
     def __getstate__(self) -> Dict[str, object]:
         # A copy starts with an empty memo and builds its own values.

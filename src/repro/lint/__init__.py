@@ -20,22 +20,15 @@ Per-file pattern rules:
   privates (``_BatchSweep`` & co.) stay inside the whitelisted
   ``graphs/{csr,traversal}.py`` modules.
 
-Whole-program rules (built on the :mod:`repro.lint.semantics` model —
-module index with import/alias resolution, symbol table, call graph with
-per-call-site keyword binding):
+Whole-program rules:
 
-* ``knob-flow`` — a function that accepts a knob keyword (``backend``,
-  ``weighted``, ``workers``, …) must forward it to every resolved callee
-  whose signature also accepts it; a dropped knob silently reverts the
-  callee to its default and the two call paths diverge.
-* ``cache-version-key`` — a scope that stores into a Graph-indexed cache
-  must read ``._version`` (the mutation fence), and literal cache-key
-  tuples must include any ``backend``/``weighted`` knob the cached
-  payload depends on.
-* ``journal-hook`` — every structural graph mutation (``_adj`` writes,
-  edge-counter updates) must bump ``self._version`` *and* record a delta
-  in ``self._journal``; mutating another object's ``_adj`` from outside
-  an owning class is flagged outright.
+* ``knob-flow`` — built on the :mod:`repro.lint.semantics` model (module
+  index with import/alias resolution, symbol table, call graph with
+  per-call-site keyword binding): a function that accepts a knob keyword
+  (``backend``, ``weighted``, ``workers``, …) must forward it to every
+  resolved callee whose signature also accepts it; a dropped knob
+  silently reverts the callee to its default and the two call paths
+  diverge.
 * ``suppression-stale`` — a ``disable=`` comment whose rule no longer
   fires on that line is itself a finding; exemptions must not outlive
   the code they excused.

@@ -141,8 +141,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="python -m repro.lint",
         description="Statically check the repo's architecture invariants "
                     "(knob threading, float-fold discipline, RNG "
-                    "discipline, env-mirror writes, kernel ownership, cache "
-                    "version fencing, the graph mutation journal protocol, "
+                    "discipline, env-mirror writes, kernel ownership, "
                     "suppression hygiene).",
     )
     add_arguments(parser)

@@ -1,12 +1,11 @@
 """The rule registry.
 
 Rules register here by being listed in :func:`default_rules`; IDs are
-stable and documented in the README's "Static invariants" section.  The
-PR 7 rules are per-file pattern matchers; the PR 9 rules (``knob-flow``,
-``cache-version-key``, ``journal-hook``) run over the whole-program
-semantic model of :mod:`repro.lint.semantics`, and ``suppression-stale``
-is judged by the engine after partitioning (it needs to know which
-suppressions absorbed a finding).
+stable and documented in the README's "Static invariants" section.  Most
+rules are per-file pattern matchers; ``knob-flow`` runs over the
+whole-program semantic model of :mod:`repro.lint.semantics`, and
+``suppression-stale`` is judged by the engine after partitioning (it needs
+to know which suppressions absorbed a finding).
 """
 
 from __future__ import annotations
@@ -14,20 +13,16 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro.lint.model import META_RULES, Rule
-from repro.lint.rules.cache_version_key import CacheVersionKeyRule
 from repro.lint.rules.env_mirror import EnvMirrorRule
 from repro.lint.rules.float_fold import FloatFoldRule
-from repro.lint.rules.journal_hook import JournalHookRule
 from repro.lint.rules.kernel_ownership import KernelOwnershipRule
 from repro.lint.rules.knob_flow import KnobFlowRule
 from repro.lint.rules.rng_discipline import RngDisciplineRule
 from repro.lint.rules.suppression_stale import SuppressionStaleRule
 
 __all__ = [
-    "CacheVersionKeyRule",
     "EnvMirrorRule",
     "FloatFoldRule",
-    "JournalHookRule",
     "KernelOwnershipRule",
     "KnobFlowRule",
     "RngDisciplineRule",
@@ -45,8 +40,6 @@ def default_rules() -> List[Rule]:
         EnvMirrorRule(),
         KernelOwnershipRule(),
         KnobFlowRule(),
-        CacheVersionKeyRule(),
-        JournalHookRule(),
         SuppressionStaleRule(),
     ]
 

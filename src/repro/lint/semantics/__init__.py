@@ -1,10 +1,9 @@
-"""Whole-program semantic model shared by the cross-module lint rules.
+"""Whole-program semantic model behind the ``knob-flow`` lint rule.
 
-PR 7's rules are per-file pattern matchers; the PR 9 rules (``knob-flow``,
-``cache-version-key``, ``journal-hook``) need to answer questions a single
-AST cannot: *which function does this call site invoke, and which keyword
-arguments does it bind there?*  This subpackage builds that model once per
-lint run and shares it between rules:
+The per-file rules are pattern matchers; ``knob-flow`` needs to answer
+questions a single AST cannot: *which function does this call site invoke,
+and which keyword arguments does it bind there?*  This subpackage builds
+that model once per lint run:
 
 * :mod:`repro.lint.semantics.modules` — the module index: dotted names for
   every linted file plus per-module import/alias resolution (``import a.b
@@ -23,11 +22,11 @@ lint run and shares it between rules:
 
 Everything here is conservative by construction: a call that cannot be
 confidently resolved to a project-owned function simply produces no edge,
-so the rules built on top can only fire on bindings they actually proved.
+so a rule built on top can only fire on bindings it actually proved.
 
-Rules obtain the shared model with :func:`project_semantics`, which
-memoizes on the source list the engine passes to ``check_project`` — three
-rules asking for the model of the same run build it once.
+Rules obtain the model with :func:`project_semantics`, which memoizes on
+the source list the engine passes to ``check_project`` — every rule asking
+for the model of the same run shares one build.
 """
 
 from __future__ import annotations

@@ -184,8 +184,8 @@ class Project:
 
 # ----------------------------------------------------------------------
 # One model per run: the engine hands every rule the same source list, so
-# memoizing on the first file makes the second and third semantic rules
-# free.  Keyed weakly — a finished run's model is collectable.
+# memoizing on the first file lets every semantic rule of a run share one
+# model.  Keyed weakly — a finished run's model is collectable.
 # ----------------------------------------------------------------------
 _project_cache: "WeakKeyDictionary[SourceFile, Project]" = WeakKeyDictionary()
 

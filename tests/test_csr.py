@@ -204,7 +204,7 @@ class TestBackendSelection:
             as_csr(tiny)
             tiny.add_edge(0, 3)
             effective_backend(tiny, None)
-            assert csr_module._csr_cache.get(tiny) is None
+            assert tiny._memo.get(csr_module.SNAPSHOT_KEY) is None
         finally:
             delta_module.set_default_dag_cache_delta(None)
 

@@ -26,10 +26,8 @@ from repro.lint import (
 from repro.lint.cli import main as lint_main
 from repro.lint.model import parse_suppression_comment
 from repro.lint.rules import (
-    CacheVersionKeyRule,
     EnvMirrorRule,
     FloatFoldRule,
-    JournalHookRule,
     KernelOwnershipRule,
     KnobFlowRule,
     RngDisciplineRule,
@@ -64,12 +62,6 @@ RULE_FIXTURES = [
     ("env_mirror", "env-mirror", lambda: [EnvMirrorRule()]),
     ("kernel_ownership", "kernel-ownership", lambda: [KernelOwnershipRule()]),
     ("knob_flow", "knob-flow", lambda: [KnobFlowRule(exclude_parts=())]),
-    (
-        "cache_version_key",
-        "cache-version-key",
-        lambda: [CacheVersionKeyRule(exclude_parts=())],
-    ),
-    ("journal_hook", "journal-hook", lambda: [JournalHookRule(exclude_parts=())]),
     (
         "suppression_stale",
         "suppression-stale",
@@ -126,31 +118,6 @@ class TestRuleFixtures:
         assert "run_experiment()" in message
         assert "helper()" in message
         assert "forward frob=frob" in message
-
-    def test_cache_version_key_flags_both_contract_halves(self):
-        report = _lint_fixture(
-            [CacheVersionKeyRule(exclude_parts=())],
-            FIXTURES / "cache_version_key" / "violation",
-        )
-        messages = sorted(f.message for f in report.findings)
-        # One unfenced Graph-keyed store, one backend-less key tuple.
-        assert len(messages) == 2
-        assert "never reads ._version" in messages[0]
-        assert "omits its 'backend' parameter" in messages[1]
-
-    def test_journal_hook_flags_each_protocol_miss(self):
-        report = _lint_fixture(
-            [JournalHookRule(exclude_parts=())],
-            FIXTURES / "journal_hook" / "violation",
-        )
-        messages = [f.message for f in sorted(report.findings, key=Finding.sort_key)]
-        # add_edge misses both halves, remove_edge only the journal,
-        # sneak_edge mutates a foreign ._adj.
-        assert len(messages) == 3
-        assert "bump self._version" in messages[0]
-        assert "bump self._version" not in messages[1]
-        assert "self._journal.record" in messages[1]
-        assert "another object's ._adj" in messages[2]
 
     def test_suppression_stale_quotes_the_audited_reason(self):
         report = _lint_fixture(

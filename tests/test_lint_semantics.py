@@ -1,6 +1,6 @@
 """Unit tests for the ``repro.lint.semantics`` whole-program model.
 
-The four PR 9 rules lean on three promises made here: module references
+The ``knob-flow`` rule leans on three promises made here: module references
 resolve through aliases and ``from ... import ... as`` renames, method
 calls through ``self`` resolve to the right signature with the receiver
 slot accounted for, and any binding the analysis cannot *see* (splats)

@@ -1,6 +1,8 @@
-"""Per-version preprocessing: the connectivity check, the block-cut tree, its
-block subgraphs and its exact block diameters are built once per graph
-version and shared by every query on the unchanged graph."""
+"""Per-version preprocessing: the CSR snapshot, the connectivity check, the
+block-cut tree, its block subgraphs and its exact block diameters are built
+once per graph version, kept in the graph's versioned slot (``Graph.memo``)
+and shared by every query on the unchanged graph; the snapshot is patched
+from the mutation journal when it covers an edit."""
 
 from __future__ import annotations
 
@@ -18,8 +20,12 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import ExperimentRunner
 from repro.graphs import block_cut_tree as bct_module
 from repro.graphs import components
+from repro.graphs import csr as csr_module
+from repro.graphs import delta as delta_module
 from repro.graphs.block_cut_tree import build_block_cut_tree
 from repro.graphs.components import is_connected
+from repro.graphs.csr import SNAPSHOT_KEY, CSRGraph, adopt_snapshot, as_csr
+from repro.graphs.delta import set_default_dag_cache_delta
 from repro.graphs.generators import barabasi_albert_graph, barbell_graph
 from repro.graphs.graph import Graph
 from repro.saphyra_bc import SaPHyRaBC
@@ -333,3 +339,200 @@ class TestStaleTreeArgument:
         graph.add_edge(u, v)
         rebuilt = runner.block_cut_tree("flickr")
         assert rebuilt is not tree and rebuilt.version == graph._version
+
+
+# ----------------------------------------------------------------------
+# The CSR snapshot's slot
+# ----------------------------------------------------------------------
+def _snapshot_bytes(snapshot):
+    weights = b"" if snapshot.weights is None else snapshot.weights.tobytes()
+    return (
+        snapshot.labels,
+        snapshot.indptr.tobytes(),
+        snapshot.indices.tobytes(),
+        weights,
+    )
+
+
+@pytest.fixture
+def delta_auto():
+    """The default ``auto`` delta mode, whatever ``REPRO_DAG_CACHE_DELTA``
+    says."""
+    set_default_dag_cache_delta("auto")
+    yield
+    set_default_dag_cache_delta(None)
+
+
+def test_memo_refresh_gets_the_deltas_and_none_rebuilds(delta_auto):
+    graph = _graph()
+    built, refreshed = [], []
+
+    def build(g):
+        built.append(g._version)
+        return len(built)
+
+    def refresh(g, value, deltas):
+        refreshed.append((value, [d.op for d in deltas]))
+        return None if len(refreshed) == 1 else value + 100
+
+    assert graph.memo("k", build, refresh) == 1
+    _reweight(graph)
+    assert graph.memo("k", build, refresh) == 2  # declined: rebuilt
+    _add_edge(graph)
+    assert graph.memo("k", build, refresh) == 102  # refreshed
+    assert graph.memo("k", build, refresh) == 102  # current
+    assert refreshed == [(1, ["reweight"]), (2, ["insert"])]
+    assert len(built) == 2
+
+
+@pytest.fixture
+def snapshot_builds(monkeypatch, delta_auto):
+    """Every ``CSRGraph.from_graph`` call, by graph, in ``auto`` mode."""
+    builds = []
+    build = CSRGraph.from_graph
+
+    def counted(graph):
+        builds.append(graph)
+        return build(graph)
+
+    monkeypatch.setattr(CSRGraph, "from_graph", counted)
+    return builds
+
+
+@pytest.mark.requires_numpy
+class TestSnapshotSlot:
+    def test_current_slot_returns_the_same_snapshot(self, snapshot_builds):
+        graph = _graph()
+        snapshot = as_csr(graph)
+        graph.add_edge(0, 1000)  # an existing edge: no new version
+        assert as_csr(graph) is snapshot
+        assert graph.memo_deltas(SNAPSHOT_KEY) == []
+        assert len(snapshot_builds) == 1
+
+    def test_covered_edit_patches_without_a_rebuild(self, snapshot_builds):
+        graph = _graph()
+        stale = as_csr(graph)
+        _add_edge(graph)
+        _remove_edge(graph)
+        _reweight(graph)
+        assert len(graph.memo_deltas(SNAPSHOT_KEY)) == 3
+        patched = as_csr(graph)
+        assert snapshot_builds == [graph]
+        assert patched is not stale
+        assert _snapshot_bytes(patched) == _snapshot_bytes(
+            CSRGraph.from_graph(graph)
+        )
+
+    @pytest.mark.parametrize(
+        "edit",
+        ["structural", "delta-off", "overflow"],
+    )
+    def test_uncovered_edit_rebuilds(self, monkeypatch, snapshot_builds, edit):
+        if edit == "overflow":
+            monkeypatch.setattr(delta_module, "DELTA_JOURNAL_SIZE", 2)
+        graph = _graph()
+        stale = as_csr(graph)
+        if edit == "structural":
+            _remove_node(graph)
+        elif edit == "delta-off":
+            set_default_dag_cache_delta("off")
+            _add_edge(graph)
+        else:
+            for weight in (2.0, 3.0, 4.0):
+                graph.set_edge_weight(0, 3000, weight)
+        assert graph.memo_deltas(SNAPSHOT_KEY) is None
+        assert SNAPSHOT_KEY not in graph._memo  # the probe dropped it
+        rebuilt = as_csr(graph)
+        assert snapshot_builds == [graph, graph]
+        assert rebuilt is not stale
+        assert _snapshot_bytes(rebuilt) == _snapshot_bytes(
+            CSRGraph.from_graph(graph)
+        )
+
+    def test_refresh_returning_none_rebuilds(self, monkeypatch, snapshot_builds):
+        refreshed = []
+
+        def declined(graph, stale, deltas):
+            refreshed.append(list(deltas))
+            return None
+
+        monkeypatch.setattr(csr_module, "_patched_snapshot", declined)
+        graph = _graph()
+        as_csr(graph)
+        _add_edge(graph)
+        rebuilt = as_csr(graph)
+        assert len(refreshed) == 1 and len(refreshed[0]) == 1
+        assert snapshot_builds == [graph, graph]
+        assert _snapshot_bytes(rebuilt) == _snapshot_bytes(
+            CSRGraph.from_graph(graph)
+        )
+
+    @pytest.mark.parametrize("stale", [False, True], ids=["empty", "stale"])
+    def test_failed_build_leaves_no_entry(self, monkeypatch, stale):
+        graph = _graph()
+        if stale:
+            as_csr(graph)
+            _remove_node(graph)
+
+        def fail(graph):
+            raise RuntimeError("snapshot build failed")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(CSRGraph, "from_graph", fail)
+            with pytest.raises(RuntimeError, match="build failed"):
+                as_csr(graph)
+        assert SNAPSHOT_KEY not in graph._memo
+        assert _snapshot_bytes(as_csr(graph)) == _snapshot_bytes(
+            CSRGraph.from_graph(graph)
+        )
+
+    def test_graph_holding_a_snapshot_is_freed_without_the_collector(
+        self, delta_auto
+    ):
+        graph = _graph()
+        snapshot = as_csr(graph)
+        _add_edge(graph)
+        as_csr(graph)  # patched: the journal is armed too
+        assert graph._journal is not None
+        ref = weakref.ref(graph)
+        gc.disable()
+        try:
+            del graph
+            assert ref() is None
+        finally:
+            gc.enable()
+        assert snapshot.n > 0  # a snapshot held elsewhere outlives its graph
+
+    def test_adopted_snapshot_file_survives_an_edit(self, tmp_path, delta_auto):
+        from repro.graphs.store import (
+            graph_from_snapshot,
+            load_snapshot,
+            save_snapshot,
+        )
+
+        path = save_snapshot(CSRGraph.from_graph(_graph()), tmp_path / "g.csr")
+        on_disk = path.read_bytes()
+        snapshot = load_snapshot(path)
+        graph = graph_from_snapshot(snapshot)
+        adopt_snapshot(graph, snapshot)
+        assert as_csr(graph) is snapshot
+        before = _snapshot_bytes(snapshot)
+        _add_edge(graph)
+        patched = as_csr(graph)
+        assert patched is not snapshot and patched.source_path is None
+        assert _snapshot_bytes(patched) == _snapshot_bytes(
+            CSRGraph.from_graph(graph)
+        )
+        assert _snapshot_bytes(snapshot) == before
+        del patched, snapshot
+        assert path.read_bytes() == on_disk
+
+    def test_adopting_replaces_the_slot(self):
+        graph = _graph()
+        built = as_csr(graph)
+        adopted = CSRGraph.from_graph(graph)
+        adopt_snapshot(graph, adopted)
+        assert as_csr(graph) is adopted and adopted is not built
+        graph.add_node("extra")
+        with pytest.raises(GraphError, match="does not describe this graph"):
+            adopt_snapshot(graph, adopted)
