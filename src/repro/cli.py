@@ -107,17 +107,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     knobs.add_cli_flags(figure)
 
+    from repro.lint import cli as _lint_cli
+
     lint = subparsers.add_parser(
         "lint",
         help="run the AST-based invariant checker over source trees",
-        description="Statically check the repo's architecture invariants "
-                    "(float-fold discipline, RNG discipline, env-mirror "
-                    "writes, kernel ownership, knob threading).  Exits 1 on "
-                    "any unsuppressed finding.",
+        description=_lint_cli.DESCRIPTION,
     )
-    from repro.lint.cli import add_arguments as _add_lint_arguments
-
-    _add_lint_arguments(lint)
+    _lint_cli.add_arguments(lint)
 
     return parser
 

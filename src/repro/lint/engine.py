@@ -1,11 +1,9 @@
 """File collection and the lint run itself.
 
 The run pipeline: collect files → parse (suppressions included) → run
-every per-file and whole-program rule (individually timed) → partition
-findings by suppression, recording which suppression absorbed what → judge
-suppression staleness against that record → apply the committed baseline
-ratchet, splitting the remainder into *new* findings (fail CI) and
-*baselined* ones (known, allowed, expected to shrink).
+every rule over every file (individually timed) → partition findings by
+suppression, recording which suppression absorbed what → judge
+suppression staleness against that record.
 """
 
 from __future__ import annotations
@@ -34,17 +32,10 @@ class LintReport:
 
     findings: List[Finding] = field(default_factory=list)
     suppressed: List[Finding] = field(default_factory=list)
-    #: findings matched by the committed baseline ratchet: known, allowed,
-    #: and expected to disappear as the old sites are fixed.
-    baselined: List[Finding] = field(default_factory=list)
-    #: baseline entries the current tree no longer produces — the ratchet
-    #: file must shrink to match (``--fail-on-stale-baseline`` gates it).
-    stale_baseline: List[Dict[str, str]] = field(default_factory=list)
     files: int = 0
     rules: List[Rule] = field(default_factory=list)
-    #: wall-clock seconds per rule (check_file total + check_project), in
-    #: registry order — the whole-program rules are the expensive ones,
-    #: and ``--rules`` exists because of exactly this number.
+    #: wall-clock seconds per rule, summed over every file, in registry
+    #: order — the JSON report's ``summary.rule_timings``.
     timings: "OrderedDict[str, float]" = field(default_factory=OrderedDict)
 
     @property
@@ -53,20 +44,16 @@ class LintReport:
 
     def to_dict(self) -> Dict[str, object]:
         return {
-            "version": 1,
+            "version": 2,
             "rules": [
                 {"id": rule.rule_id, "description": rule.description}
                 for rule in self.rules
             ],
             "findings": [finding.to_dict() for finding in self.findings],
-            "baselined": [finding.to_dict() for finding in self.baselined],
-            "stale_baseline": list(self.stale_baseline),
             "summary": {
                 "files": self.files,
                 "findings": len(self.findings),
                 "suppressed": len(self.suppressed),
-                "baselined": len(self.baselined),
-                "stale_baseline": len(self.stale_baseline),
                 "rule_timings": {
                     rule_id: round(seconds, 6)
                     for rule_id, seconds in self.timings.items()
@@ -104,42 +91,18 @@ def iter_python_files(paths: Sequence[str]) -> List[str]:
     return unique
 
 
-def select_rules(names: Optional[Sequence[str]]) -> List[Rule]:
-    """The shipped rules filtered to ``names`` (all of them for ``None``).
-
-    Unknown names raise :class:`LintUsageError` listing the known IDs, so
-    a typo'd ``--rules`` filter cannot silently lint nothing.
-    """
-    rules = default_rules()
-    if names is None:
-        return rules
-    by_id = {rule.rule_id: rule for rule in rules}
-    unknown = [name for name in names if name not in by_id]
-    if unknown:
-        raise LintUsageError(
-            f"unknown rule(s) {', '.join(sorted(unknown))!s}; known rules: "
-            + ", ".join(sorted(by_id))
-        )
-    wanted = set(names)
-    return [rule for rule in rules if rule.rule_id in wanted]
-
-
 def run_lint(
     paths: Sequence[str],
     rules: Optional[Sequence[Rule]] = None,
-    baseline: Optional[Sequence[Dict[str, str]]] = None,
 ) -> LintReport:
-    """Lint ``paths`` and return the partitioned report.
+    """Lint ``paths`` with ``rules`` (every shipped rule for ``None``).
 
     Meta findings (``parse-error``, ``bad-suppression``) are always
     active; rule findings whose line carries a matching
     ``# repro-lint: disable=`` comment land in ``report.suppressed``.
     Suppressions are parsed against the *full* shipped-rule registry even
-    when ``rules`` is a filtered subset — a ``--rules knob-flow`` pass
-    must not re-classify valid ``float-fold`` suppressions as unknown.
-    With ``baseline`` (parsed entries of the committed ratchet file),
-    known findings land in ``report.baselined`` and entries the tree no
-    longer produces in ``report.stale_baseline``.
+    when ``rules`` is a subset — a run of ``rng-discipline`` alone must
+    not re-classify valid ``float-fold`` suppressions as unknown.
     """
     active_rules = list(default_rules() if rules is None else rules)
     known = set(all_rule_ids()) | {rule.rule_id for rule in active_rules}
@@ -160,7 +123,6 @@ def run_lint(
         started = time.perf_counter()
         for source in sources:
             raw.extend(rule.check_file(source))
-        raw.extend(rule.check_project(sources))
         timings[rule.rule_id] = (
             timings.get(rule.rule_id, 0.0) + time.perf_counter() - started
         )
@@ -195,14 +157,4 @@ def run_lint(
         report.findings.sort(key=Finding.sort_key)
         report.suppressed.sort(key=Finding.sort_key)
     report.timings = timings
-
-    if baseline is not None:
-        from repro.lint.baseline import partition_against_baseline
-
-        new, baselined, stale_entries = partition_against_baseline(
-            report.findings, baseline
-        )
-        report.findings = new
-        report.baselined = baselined
-        report.stale_baseline = stale_entries
     return report

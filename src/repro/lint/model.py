@@ -10,8 +10,7 @@ Three pieces live here, shared by every rule:
   (``bad-suppression``) and cannot be suppressed.
 * :class:`SourceFile` — one parsed module: source text, AST, a lazy
   child→parent node map (rules use it for "is this fold wrapped in
-  ``int()``" / "is this write inside ``EnvMirroredOverride``" questions),
-  and the per-line suppression table.
+  ``int()``" questions), and the per-line suppression table.
 
 Everything is stdlib-only and Python 3.9-compatible.
 """
@@ -22,9 +21,9 @@ import ast
 import io
 import re
 import tokenize
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import PurePath
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 #: Rule IDs emitted by the checker itself rather than by a registered
 #: rule.  They flag problems with the lint input (unparseable file,
@@ -224,20 +223,6 @@ class SourceFile:
             self._parents = parents
         return self._parents
 
-    def ancestors(self, node: ast.AST) -> Iterator[ast.AST]:
-        """The node's parents, innermost first."""
-        parents = self.parents()
-        current = parents.get(node)
-        while current is not None:
-            yield current
-            current = parents.get(current)
-
-    def enclosing_class(self, node: ast.AST) -> Optional[ast.ClassDef]:
-        for ancestor in self.ancestors(node):
-            if isinstance(ancestor, ast.ClassDef):
-                return ancestor
-        return None
-
     # ------------------------------------------------------------------
     def is_suppressed(self, finding: Finding) -> Optional[Suppression]:
         """The suppression covering ``finding``, if any."""
@@ -260,19 +245,11 @@ class SourceFile:
 
 
 class Rule:
-    """Base class for lint rules.
-
-    Per-file rules override :meth:`check_file`; cross-module rules (the
-    whole-program audits such as ``knob-flow``) override
-    :meth:`check_project`, which sees every file of the run at once.  A
-    rule may implement both.
-    """
+    """Base class for lint rules: each overrides :meth:`check_file`,
+    which sees one parsed module at a time."""
 
     rule_id: str = ""
     description: str = ""
 
     def check_file(self, source: SourceFile) -> List[Finding]:
-        return []
-
-    def check_project(self, sources: Sequence[SourceFile]) -> List[Finding]:
         return []

@@ -1,11 +1,10 @@
 """The rule registry.
 
 Rules register here by being listed in :func:`default_rules`; IDs are
-stable and documented in the README's "Static invariants" section.  Most
-rules are per-file pattern matchers; ``knob-flow`` runs over the
-whole-program semantic model of :mod:`repro.lint.semantics`, and
-``suppression-stale`` is judged by the engine after partitioning (it needs
-to know which suppressions absorbed a finding).
+stable and documented in the README's "Static invariants" section.  Each
+rule is a per-file pattern matcher, except ``suppression-stale``, which
+the engine judges after partitioning (it needs to know which
+suppressions absorbed a finding).
 """
 
 from __future__ import annotations
@@ -13,18 +12,14 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro.lint.model import META_RULES, Rule
-from repro.lint.rules.env_mirror import EnvMirrorRule
 from repro.lint.rules.float_fold import FloatFoldRule
 from repro.lint.rules.kernel_ownership import KernelOwnershipRule
-from repro.lint.rules.knob_flow import KnobFlowRule
 from repro.lint.rules.rng_discipline import RngDisciplineRule
 from repro.lint.rules.suppression_stale import SuppressionStaleRule
 
 __all__ = [
-    "EnvMirrorRule",
     "FloatFoldRule",
     "KernelOwnershipRule",
-    "KnobFlowRule",
     "RngDisciplineRule",
     "SuppressionStaleRule",
     "all_rule_ids",
@@ -37,9 +32,7 @@ def default_rules() -> List[Rule]:
     return [
         FloatFoldRule(),
         RngDisciplineRule(),
-        EnvMirrorRule(),
         KernelOwnershipRule(),
-        KnobFlowRule(),
         SuppressionStaleRule(),
     ]
 

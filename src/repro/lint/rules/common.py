@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import ast
-from typing import Optional
-
 from repro.lint.model import SourceFile
 
 #: The modules allowed to contain level-expansion kernels and float
@@ -27,19 +24,3 @@ def is_kernel_module(source: SourceFile) -> bool:
         and source.parts[-2] == "graphs"
     )
 
-
-def dotted_name(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for a Name/Attribute chain, else ``None``."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        base = dotted_name(node.value)
-        if base is None:
-            return None
-        return f"{base}.{node.attr}"
-    return None
-
-
-def is_os_environ(node: ast.AST) -> bool:
-    """True for the ``os.environ`` attribute chain."""
-    return dotted_name(node) == "os.environ"

@@ -9,13 +9,14 @@ would re-license a future regression on the same line without any fresh
 audit).  So a suppression whose rule did not fire on the lines it covers
 is itself a finding.
 
-Staleness is judged only against rules that actually ran: a filtered
-``--rules knob-flow`` invocation does not mark ``float-fold``
-suppressions stale, because nothing checked them this pass.  The
-judgement uses the engine's partition — a suppression is *live* for rule
-``R`` if at least one ``R`` finding landed in the suppressed list through
-it — so this rule cannot run standalone; the engine drives it after all
-other rules (see :func:`repro.lint.engine.run_lint`).
+Staleness is judged only against rules that actually ran: a
+``run_lint`` call given a rule subset without ``float-fold`` does not
+mark ``float-fold`` suppressions stale, because nothing checked them
+this pass.  The judgement uses the engine's partition — a suppression is
+*live* for rule ``R`` if at least one ``R`` finding landed in the
+suppressed list through it — so this rule cannot run standalone; the
+engine drives it after all other rules (see
+:func:`repro.lint.engine.run_lint`).
 """
 
 from __future__ import annotations

@@ -293,13 +293,6 @@ _GRAPH_STATE = {"_version", "_adj"}
 #: dict methods that change the dict in place.
 _DICT_WRITES = {"clear", "pop", "popitem", "setdefault", "update"}
 
-#: Modules whose ``WeakKeyDictionary`` is keyed by something other than
-#: a graph (``engine/dag_cache.py`` owns the graph-keyed stores).
-_WEAK_STORES_NOT_BY_GRAPH = {
-    "lint/semantics/symbols.py",  # a lint run's model, by its SourceFile
-}
-
-
 def _modules():
     for path in sorted(SRC.rglob("*.py")):
         yield path.relative_to(SRC).as_posix(), ast.parse(path.read_text())
@@ -440,8 +433,6 @@ def test_graph_keyed_stores_only_in_the_dag_cache():
             for node, _, _, key in _writes(tree)
             if key is not None and _is_graph(key, names)
         )
-        if where in _WEAK_STORES_NOT_BY_GRAPH:
-            continue
         found.extend(
             f"{where}:{node.lineno}"
             for node in ast.walk(tree)

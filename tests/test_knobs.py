@@ -6,7 +6,9 @@ Every other test is table-driven over it: the CLI flags, the
 ``ExperimentConfig`` fields, override/env precedence and mirroring, error
 messages, and agreement of ``spawn`` workers with the parent.  ``REMOVED``
 lists the rows that were deleted: their flags are usage errors and their
-variables are not read.
+variables are not read.  Two syntax-tree walks close the table: every
+``REPRO_*`` literal is a row, and only ``EnvMirroredOverride`` writes the
+process environment.
 """
 
 from __future__ import annotations
@@ -22,9 +24,7 @@ import pytest
 from repro import knobs
 from repro.cli import build_parser, main
 from repro.experiments.config import ExperimentConfig
-from repro.lint import SourceFile, all_rule_ids, iter_python_files
-from repro.lint.rules.knob_flow import DEFAULT_EXCLUDE_PARTS
-from repro.lint.semantics import Project
+from repro.lint import iter_python_files
 from repro.parallel import WorkerPool
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -258,8 +258,6 @@ def test_runner_applies_every_row_but_workers():
 
 def _repro_literals():
     for path in sorted(SRC.rglob("*.py")):
-        if "lint" in path.relative_to(SRC).parts:
-            continue
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 if _REPRO_LITERAL.match(node.value):
@@ -273,15 +271,120 @@ def test_every_repro_literal_is_a_table_row():
     assert strays == []
 
 
-def test_knob_flow_mints_exactly_the_table():
-    # Repo-relative paths: the excluded parts must match inside the repo,
-    # not in wherever it is checked out.
-    known = set(all_rule_ids())
-    sources = [
-        SourceFile(
-            str(Path(path).relative_to(REPO_ROOT)), Path(path).read_text(), known
-        )
-        for path in iter_python_files([str(SRC)])
+#: ``os.environ`` methods that change the process environment.
+_ENVIRON_WRITES = {"pop", "setdefault", "update", "clear", "__setitem__"}
+
+
+def _is_os_environ(node):
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "environ"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "os"
+    )
+
+
+def _writes_environ(node):
+    """True when ``node`` changes the process environment."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        func = node.func
+        if func.attr in ("putenv", "unsetenv"):
+            return isinstance(func.value, ast.Name) and func.value.id == "os"
+        return func.attr in _ENVIRON_WRITES and _is_os_environ(func.value)
+    if isinstance(node, (ast.Assign, ast.Delete)):
+        targets = node.targets
+    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+        targets = [node.target]
+    else:
+        return False
+    return any(
+        isinstance(target, ast.Subscript) and _is_os_environ(target.value)
+        for target in targets
+    )
+
+
+def _env_writes(tree, allowed_class=None):
+    """Lines of ``tree`` that write the process environment, outside the
+    body of a class named ``allowed_class``."""
+    allowed = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == allowed_class
+        for inner in ast.walk(node)
+    }
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if id(node) not in allowed and _writes_environ(node)
     ]
-    project = Project(sources)
-    assert project.knob_names(DEFAULT_EXCLUDE_PARTS) == set(NAMES)
+
+
+def test_environment_is_written_only_by_the_mirror():
+    # A direct write bypasses the override's bookkeeping: spawn workers
+    # inherit a value no knob tracks, and nothing restores it afterwards.
+    strays = []
+    for path in iter_python_files(
+        [str(REPO_ROOT / tree) for tree in ("src", "tests", "benchmarks")]
+    ):
+        allowed = "EnvMirroredOverride" if Path(path) == SRC / "knobs.py" else None
+        tree = ast.parse(Path(path).read_text())
+        strays.extend(f"{path}:{line}" for line in _env_writes(tree, allowed))
+    assert strays == []
+
+
+ENV_WRITE_KINDS = {
+    "assign": 'os.environ["SOME_VAR"] = value',
+    "del": 'del os.environ["SOME_VAR"]',
+    "pop": 'os.environ.pop("SOME_VAR", None)',
+    "update": "os.environ.update(values)",
+    "putenv": 'os.putenv("SOME_VAR", value)',
+    "setdefault": 'os.environ.setdefault("SOME_VAR", value)',
+    "clear": "os.environ.clear()",
+    "setitem": 'os.environ.__setitem__("SOME_VAR", value)',
+    "unsetenv": 'os.unsetenv("SOME_VAR")',
+    "augassign": 'os.environ["SOME_VAR"] += value',
+    "annassign": 'os.environ["SOME_VAR"]: str = value',
+}
+
+
+@pytest.mark.parametrize(
+    "statement", list(ENV_WRITE_KINDS.values()), ids=list(ENV_WRITE_KINDS)
+)
+def test_env_write_check_sees_each_write_kind(statement):
+    assert _env_writes(ast.parse(statement)) == [1]
+    inside = ast.parse(
+        f"class EnvMirroredOverride:\n    def set(self):\n        {statement}\n"
+    )
+    assert _env_writes(inside, "EnvMirroredOverride") == []
+
+
+#: Reads of the environment, and writes to a copy of it (how tests build
+#: a child process's environment), which the check must let through.
+ENV_READS = {
+    "get": 'value = os.environ.get("SOME_VAR")',
+    "subscript": 'value = os.environ["SOME_VAR"]',
+    "getenv": 'value = os.getenv("SOME_VAR")',
+    "membership": 'found = "SOME_VAR" in os.environ',
+    "copy-then-write": 'env = os.environ.copy()\nenv["SOME_VAR"] = value',
+    "dict-then-pop": 'env = dict(os.environ)\nenv.pop("SOME_VAR", None)',
+}
+
+
+@pytest.mark.parametrize("source", list(ENV_READS.values()), ids=list(ENV_READS))
+def test_env_write_check_ignores_reads_and_copies(source):
+    assert _env_writes(ast.parse(source)) == []
+
+
+def test_env_write_check_exempts_only_the_mirror_class():
+    tree = ast.parse(
+        "class EnvMirroredOverride:\n"
+        "    def set(self, value):\n"
+        '        os.environ["SOME_VAR"] = value\n'
+        "class OtherOverride:\n"
+        "    def set(self, value):\n"
+        '        os.environ["SOME_VAR"] = value\n'
+        "def helper(value):\n"
+        '    os.environ["SOME_VAR"] = value\n'
+    )
+    assert sorted(_env_writes(tree, "EnvMirroredOverride")) == [6, 8]
+    assert sorted(_env_writes(tree)) == [3, 6, 8]

@@ -1,15 +1,31 @@
 """Weighted-graph substrate tests: Graph weight API, IO round-trips,
-weighted generators/datasets and the REPRO_WEIGHTED knob machinery."""
+weighted generators/datasets, the REPRO_WEIGHTED knob machinery and its
+forwarding through every public callable that takes it."""
 
 from __future__ import annotations
 
+import importlib
+import inspect
 import math
 import os
+import pkgutil
 import random
 import warnings
 
 import pytest
 
+import repro
+from repro.analysis import compare_estimators
+from repro.baselines import ABRA, KADABRA, RiondatoKornaropoulos
+from repro.baselines.bader import BaderPivot
+from repro.centrality.brandes import (
+    betweenness_centrality,
+    betweenness_from_pivots,
+    betweenness_subset,
+    single_source_dependencies,
+)
+from repro.centrality.closeness import closeness_centrality
+from repro.engine import dag_cache
 from repro.errors import DatasetError, GraphError
 from repro.graphs import csr as csr_module
 from repro.graphs import sssp
@@ -25,7 +41,11 @@ from repro.graphs.io import (
     read_edge_list,
     write_edge_list,
 )
-from repro.graphs.traversal import dict_dijkstra_dag, sssp_distances
+from repro.graphs.traversal import (
+    dict_dijkstra_dag,
+    shortest_path_dag,
+    sssp_distances,
+)
 
 
 class TestGraphWeights:
@@ -307,7 +327,7 @@ class TestWeightedKnob:
 
         graph = Graph.from_edges([(0, 1, 2.0), (1, 2, 1.0)])
         with pytest.raises(ValueError, match="max_depth"):
-            shortest_path_dag(graph, 0, max_depth=2)
+            shortest_path_dag(graph, 0, max_depth=2, weighted="on")
 
     def test_cli_flag_sets_default(self):
         from repro.cli import main
@@ -322,6 +342,103 @@ class TestWeightedKnob:
         parser = cli.build_parser()
         args = parser.parse_args(["rank", "--weighted", "off"])
         assert args.weighted == "off"
+
+
+def _weighted_callables():
+    """Every public function, class and method of ``repro`` whose
+    ``weighted`` parameter defaults to ``None`` (the process default)."""
+    found = set()
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != info.name:
+                continue
+            members = [obj]
+            if inspect.isclass(obj):
+                members += [
+                    member for attr, member in vars(obj).items()
+                    if not attr.startswith("_") and inspect.isfunction(member)
+                ]
+            elif not inspect.isfunction(obj):
+                continue
+            for member in members:
+                try:
+                    signature = inspect.signature(member)
+                except ValueError:  # a class without a Python __init__
+                    continue
+                parameter = signature.parameters.get("weighted")
+                if parameter is not None and parameter.default is None:
+                    found.add(member.__qualname__)
+    return found
+
+
+def _baseline(cls, **options):
+    return lambda graph, weighted: cls(
+        0.3, 0.1, seed=13, weighted=weighted, **options
+    ).estimate(graph).scores
+
+
+def _compare(graph, weighted):
+    rows = compare_estimators(
+        graph, [3, 5, 8], epsilon=0.3, delta=0.1, seed=13,
+        estimators=["kadabra", "abra", "rk", "bader"],
+        compute_ground_truth=False, max_samples_cap=200, weighted=weighted,
+    )
+    return [row.scores for row in rows]
+
+
+#: One run per callable: ``run(graph, weighted)`` returns its answer.
+FORWARDING_RUNS = {
+    "betweenness_centrality": lambda g, w: betweenness_centrality(g, weighted=w),
+    "betweenness_subset": lambda g, w: betweenness_subset(g, [3, 5, 8], weighted=w),
+    "betweenness_from_pivots":
+        lambda g, w: betweenness_from_pivots(g, [0, 7, 21], weighted=w),
+    "single_source_dependencies":
+        lambda g, w: single_source_dependencies(g, 0, weighted=w),
+    "closeness_centrality": lambda g, w: closeness_centrality(g, weighted=w),
+    "shortest_path_dag": lambda g, w: shortest_path_dag(g, 0, weighted=w),
+    "sssp_distances": lambda g, w: sssp_distances(g, 0, weighted=w),
+    "ABRA": _baseline(ABRA, max_samples_cap=200),
+    "RiondatoKornaropoulos": _baseline(RiondatoKornaropoulos, max_samples_cap=200),
+    "KADABRA": _baseline(KADABRA, max_samples_cap=200),
+    "BaderPivot": _baseline(BaderPivot, num_pivots=8),
+    "compare_estimators": _compare,
+}
+
+#: Callables with a ``weighted=None`` parameter that are pinned elsewhere:
+#: the resolver itself (``test_resolution_order``) and the config field
+#: (the knob-table tests in ``tests/test_knobs.py``).
+FORWARDING_EXEMPT = {"effective_weighted", "ExperimentConfig"}
+
+
+class TestWeightedForwarding:
+    """``weighted`` is the one knob that changes answers: every public
+    callable that takes it must pass it down to whatever resolves it, so
+    an explicit argument beats the process default at every depth."""
+
+    def test_every_weighted_callable_is_listed(self):
+        assert _weighted_callables() == set(FORWARDING_RUNS) | FORWARDING_EXEMPT
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return weighted_barabasi_albert_graph(40, 2, seed=3)
+
+    @pytest.mark.parametrize("name", sorted(FORWARDING_RUNS))
+    def test_argument_beats_the_process_default(self, name, graph):
+        def answer(argument, default):
+            sssp.set_default_weighted(default)
+            dag_cache.clear_default_dag_cache()
+            try:
+                return FORWARDING_RUNS[name](graph, argument)
+            finally:
+                sssp.set_default_weighted(None)
+                dag_cache.clear_default_dag_cache()
+
+        on = answer("on", default="off")
+        off = answer("off", default="on")
+        assert on == answer(None, default="on")
+        assert off == answer(None, default="off")
+        assert on != off
 
 
 class TestSigmaChoiceRename:
@@ -520,7 +637,9 @@ class TestCSRDijkstraKernel:
         # delta[s] is the residue callers ignore: 1 + delta[a].
         assert by_label == {"s": 3.0, "a": 2.0, "b": 0.5, "t": 0.0}
         for backend in ("csr", "dict"):
-            assert single_source_dependencies(graph, "s", backend=backend) == {
+            assert single_source_dependencies(
+                graph, "s", backend=backend, weighted="on"
+            ) == {
                 "a": 2.0, "b": 0.5, "t": 0.0,
             }
 
@@ -533,7 +652,8 @@ class TestCSRDijkstraKernel:
         assert not snapshot.identity_labels
         expected = [("s", 0.0), ("a", 1.0), ("b", 2.0), ("t", 3.0)]
         for backend in ("csr", "dict"):
-            assert list(sssp_distances(graph, "s", backend=backend).items()) == expected
+            distances = sssp_distances(graph, "s", backend=backend, weighted="on")
+            assert list(distances.items()) == expected
 
     @pytest.mark.parametrize("env_var", ("REPRO_SSSP_KERNEL", "REPRO_COMPILED"))
     def test_retired_kernel_variables_are_ignored(self, env_var, monkeypatch):
