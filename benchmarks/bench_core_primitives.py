@@ -5,6 +5,13 @@ kernels everything else is built on: biconnected decomposition, block-cut
 tree construction, balanced bidirectional BFS, one ``Gen_bc`` sample, the
 ``Exact_bc`` pass and one full Brandes single-source dependency pass.
 
+The samplers (``Gen_bc`` and KADABRA) do not call the single-pair search on
+CSR: they search stacked sub-batches through
+:func:`~repro.graphs.bidirectional.stacked_paths`.  The ``stacked_paths``
+benchmarks time that kernel on one 64-pair batch of ISP pairs inside the
+largest block of a road and a social stand-in, and the ``gen_bc_chunk``
+benchmark times one 64-draw ``Gen_bc`` chunk around it.
+
 The ``*_kernel_scale`` benchmarks run the BFS/Brandes kernels on a
 social-style graph large enough for the CSR backend's array kernels to show
 their real speedup (the scaled-down dataset stand-ins above are too small to
@@ -21,7 +28,7 @@ import pytest
 
 from repro.centrality.brandes import single_source_dependencies
 from repro.graphs import csr as csr_module
-from repro.graphs.bidirectional import bidirectional_shortest_paths
+from repro.graphs.bidirectional import bidirectional_shortest_paths, stacked_paths
 from repro.graphs.biconnected import biconnected_components
 from repro.graphs.block_cut_tree import build_block_cut_tree
 from repro.graphs.generators import barabasi_albert_graph
@@ -96,6 +103,48 @@ def test_bench_gen_bc_sample(benchmark, runner, social_graph):
     rng = random.Random(9)
     path = benchmark(lambda: generator.sample_path(rng))
     assert len(path) >= 2
+
+
+def _largest_block_pairs(runner, name, count):
+    """The largest block of dataset ``name`` and ``count`` ISP pairs drawn
+    inside it."""
+    graph = runner.dataset(name).graph
+    space = PersonalizedISP(graph, None, block_cut_tree=runner.block_cut_tree(name))
+    tree = space.bct
+    largest = max(range(tree.num_blocks), key=lambda i: len(tree.block_nodes(i)))
+    rng = random.Random(5)
+    pairs = []
+    while len(pairs) < count:
+        block_index, source, target = space.sample_pair(rng)
+        if block_index == largest:
+            pairs.append((source, target))
+    return tree.block_subgraph(largest), pairs
+
+
+@pytest.mark.parametrize("name", ["usa-road", "flickr"])
+def test_bench_stacked_paths(benchmark, runner, name):
+    block, pairs = _largest_block_pairs(runner, name, 64)
+    # The sampler's own spare: every round after the first runs on the
+    # arrays the previous one parked.
+    spare = csr_module.SweepSpare()
+    rng = random.Random(9)
+    sampled = benchmark(stacked_paths, block, pairs, rng, spare)
+    assert [path[0] for _, path in sampled] == [source for source, _ in pairs]
+    assert spare.arrays is not None
+
+
+def test_bench_gen_bc_chunk(benchmark, runner, road_graph):
+    targets = runner.subsets("usa-road", 40, 1)[0]
+    space = PersonalizedISP(
+        road_graph, targets, block_cut_tree=runner.block_cut_tree("usa-road")
+    )
+    # At the benchmarks' default scale the road blocks sit below the
+    # ``auto`` cutoff; pinning csr times the stacked kernel that larger
+    # road graphs run.
+    generator = GenBC(space, targets, backend="csr")
+    rng = random.Random(9)
+    paths = benchmark(generator.sample_path, rng, 64)
+    assert len(paths) == 64
 
 
 def test_bench_exact_bc(benchmark, runner, social_graph):

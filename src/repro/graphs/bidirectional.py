@@ -28,8 +28,9 @@ every pair still picks its side per step by the same rule, so the
 single-pair CSR search is its ``K = 1`` case.  Both produce identical
 results — including identical sampled paths from identical seeds.  The
 samplers (``Gen_bc`` and KADABRA) search their CSR sub-batches with
-:func:`stacked_paths`, which samples each pair's path before it recycles
-the sweep's arrays through the sampler's :class:`~repro.graphs.csr.SweepSpare`.
+:func:`stacked_paths`, which samples each pair's path straight off the
+sweep (:func:`stacked_pair_path`) before it recycles the sweep's arrays
+through the sampler's :class:`~repro.graphs.csr.SweepSpare`.
 
 The search is defined on *hop* distances: its balanced level expansion is a
 unit-weight optimisation.  Weighted workloads sample shortest paths from
@@ -60,8 +61,9 @@ Node = Hashable
 #: search, only the benchmark's backend label reads this cutoff.
 AUTO_CSR_BIDIRECTIONAL_THRESHOLD = 16384
 
-#: Below this many entries the per-step meeting test and the cut-level scan
-#: run as Python loops; numpy call overhead dominates such small arrays.
+#: Below this many entries the per-step meeting test, the cut-level scan
+#: and a walk step's predecessor scan run as Python loops; numpy call
+#: overhead dominates such small arrays.
 _SMALL_SCAN = 64
 
 #: Edge budget (``K * 2m``) of one stacked search batch of ``K`` pairs.
@@ -69,12 +71,13 @@ _STACKED_EDGE_BUDGET = 2**20
 
 
 def stacked_batch_pairs(snapshot) -> int:
-    """Pairs per :func:`bidirectional_searches` batch on ``snapshot``: the
-    largest power of two within the edge budget, at most 64.
+    """Pairs per stacked search on ``snapshot``: the largest power of two
+    within the edge budget, at most 64.
 
-    A batch's ``2K`` slots are rounded up to a power of two anyway, so a
-    ``K`` in between would allocate the larger batch's state for fewer
-    pairs per batch.
+    ``Gen_bc`` and KADABRA cut their CSR pairs into :func:`stacked_paths`
+    sub-batches of this size.  A batch's ``2K`` slots are rounded up to a
+    power of two anyway, so a ``K`` in between would allocate the larger
+    batch's state for fewer pairs per batch.
     """
     pairs = max(1, min(64, _STACKED_EDGE_BUDGET // max(1, 2 * snapshot.m)))
     return 1 << (pairs.bit_length() - 1)
@@ -220,33 +223,53 @@ class _SweepSide:
 
     def sample_path_to(self, node: Node, rng) -> List[Node]:
         sweep = self.sweep
-        indptr, indices = sweep.csr.adjacency_lists()
-        shift = sweep.shift
-        slot = self.slot
-        dist = sweep.dist_store
-        sigma = sweep.sigma
-        current = sweep.csr.index[node]
-        path = [current]
-        depth = dist[(current << shift) | slot]
-        while depth > 0:
-            depth -= 1
-            first, stop = indptr[current], indptr[current + 1]
-            if stop - first >= _SMALL_SCAN:
-                flats = (sweep.csr.indices[first:stop] << shift) | slot
-                preds = flats[sweep.dist[flats] == depth].tolist()
-            else:
-                preds = [
-                    (w << shift) | slot for w in indices[first:stop]
-                    if dist[(w << shift) | slot] == depth
-                ]
-            flat = (
-                preds[0] if len(preds) == 1
-                else sigma_choice(preds, [sigma[p] for p in preds], rng)
-            )
-            current = flat >> shift
-            path.append(current)
+        flat = (sweep.csr.index[node] << sweep.shift) | self.slot
         labels = sweep.csr.labels
-        return [labels[index] for index in reversed(path)]
+        return [labels[index] for index in reversed(_walk_back(sweep, flat, rng))]
+
+
+def _walk_back(sweep, flat: int, rng) -> List[int]:
+    """Walk from the sweep id ``flat`` back to its slot's root, drawing
+    each predecessor like :meth:`_SearchSide.sample_path_to`; returns the
+    node indices ``[node, ..., root]``.
+
+    A two-candidate step draws the one ``rng.randrange(a + b)`` that
+    :func:`~repro.graphs.csr.sigma_choice` would, without the call.
+    """
+    indptr, indices = sweep.csr.adjacency_lists()
+    shift = sweep.shift
+    slot = flat & ((1 << shift) - 1)
+    dist = sweep.dist_store
+    sigma = sweep.sigma
+    current = flat >> shift
+    path = [current]
+    depth = dist[flat]
+    while depth > 0:
+        depth -= 1
+        first, stop = indptr[current], indptr[current + 1]
+        if stop - first >= _SMALL_SCAN:
+            flats = (sweep.csr.indices[first:stop] << shift) | slot
+            preds = flats[sweep.dist[flats] == depth].tolist()
+        else:
+            # A plain loop: on Python 3.11 a comprehension costs a function
+            # call per step.
+            preds = []
+            for node in indices[first:stop]:
+                pred = (node << shift) | slot
+                if dist[pred] == depth:
+                    preds.append(pred)
+        if len(preds) == 1:
+            flat = preds[0]
+        elif len(preds) == 2:
+            flat, other = preds
+            weight = sigma[flat]
+            if rng.randrange(weight + sigma[other]) >= weight:
+                flat = other
+        else:
+            flat = sigma_choice(preds, [sigma[p] for p in preds], rng)
+        current = flat >> shift
+        path.append(current)
+    return path
 
 
 def _check_pair(graph, source: Node, target: Node) -> None:
@@ -382,15 +405,36 @@ def stacked_paths(
     caller can read the arrays after they are recycled.  If anything raises,
     the arrays are dropped with the sweep.
     """
-    pairs = list(pairs)
-    sweep, results = _stacked_searches(graph, pairs, spare)
+    sweep, best, visited = _stacked_searches(graph, list(pairs), spare)
     sampled = [
-        (result.visited_edges,
-         result.sample_path(rng) if result.connected else None)
-        for result in results
+        (edges, None if distance is None
+         else stacked_pair_path(sweep, pair, distance, rng))
+        for pair, (distance, edges) in enumerate(zip(best, visited))
     ]
     sweep.park(spare)
     return sampled
+
+
+def stacked_pair_path(sweep, pair: int, distance: int, rng) -> List[Node]:
+    """Sample one shortest path of the connected pair ``pair`` of a finished
+    stacked search, as ``[source, ..., target]``.
+
+    Draws exactly what ``sample_path(rng)`` on the pair's
+    :class:`BidirectionalBFSResult` draws: the cut node by path count in
+    the forward level's discovery order, then the forward walk, then the
+    backward walk.  It reads the sweep directly, without building a
+    result or its :class:`_SweepSide` pair.
+    """
+    _, cut = _cut_scan(sweep, pair, distance)
+    sigma = sweep.sigma
+    middle = cut[0] if len(cut) == 1 else sigma_choice(
+        cut, [sigma[flat] * sigma[flat ^ 1] for flat in cut], rng
+    )
+    path = _walk_back(sweep, middle, rng)
+    path.reverse()
+    path += _walk_back(sweep, middle ^ 1, rng)[1:]
+    labels = sweep.csr.labels
+    return [labels[index] for index in path]
 
 
 def bidirectional_searches(
@@ -414,12 +458,18 @@ def bidirectional_searches(
     GraphError
         If an endpoint does not exist or a pair has ``source == target``.
     """
-    return _stacked_searches(graph, list(pairs))[1]
+    pairs = list(pairs)
+    sweep, best, visited = _stacked_searches(graph, pairs)
+    return [
+        _stacked_result(sweep, pair, source, target, best[pair], visited[pair])
+        for pair, (source, target) in enumerate(pairs)
+    ]
 
 
 def _stacked_searches(graph, pairs, spare=None):
     """The stacked search of :func:`bidirectional_searches`: returns the
-    sweep and the per-pair results that read it."""
+    sweep and, per pair, its distance (``None`` when disconnected) and its
+    visited edges."""
     for source, target in pairs:
         _check_pair(graph, source, target)
     snapshot = _csr.as_csr(graph)
@@ -457,10 +507,7 @@ def _stacked_searches(graph, pairs, spare=None):
         sweep.expand_slots(chosen)
         _record_meetings(sweep, start, best)
         active = running
-    return sweep, [
-        _stacked_result(sweep, pair, source, target, best[pair], visited[pair])
-        for pair, (source, target) in enumerate(pairs)
-    ]
+    return sweep, best, visited
 
 
 def _record_meetings(sweep, start: int, best: List[Optional[int]]) -> None:
@@ -494,6 +541,28 @@ def _record_meetings(sweep, start: int, best: List[Optional[int]]) -> None:
             best[pair] = length
 
 
+def _cut_scan(sweep, pair: int, distance: int) -> Tuple[int, List[int]]:
+    """Return the cut level of the connected pair ``pair`` and its cut
+    nodes as forward-slot ids, in the forward level's discovery order (the
+    dict search's ``dist`` insertion order): the nodes whose backward
+    distance completes a shortest path."""
+    forward = 2 * pair
+    cut_level = min(
+        max(0, distance - sweep.slot_depth[forward + 1]),
+        sweep.slot_depth[forward],
+    )
+    first, stop = sweep.slot_levels[forward][cut_level]
+    remaining = distance - cut_level
+    if stop - first >= _SMALL_SCAN:
+        level = sweep.log[first:stop]
+        return cut_level, level[sweep.dist[level ^ 1] == remaining].tolist()
+    dist = sweep.dist_store
+    return cut_level, [
+        flat for flat in sweep.log_store[first:stop]
+        if dist[flat ^ 1] == remaining
+    ]
+
+
 def _stacked_result(
     sweep, pair: int, source: Node, target: Node,
     distance: Optional[int], visited_edges: int,
@@ -506,33 +575,17 @@ def _stacked_result(
             num_shortest_paths=0,
             visited_edges=visited_edges,
         )
-    forward = 2 * pair
-    cut_level = min(
-        max(0, distance - sweep.slot_depth[forward + 1]),
-        sweep.slot_depth[forward],
-    )
-    # Cut nodes in the forward level's discovery order (the dict search's
-    # ``dist`` insertion order) whose backward distance completes a path.
-    first, stop = sweep.slot_levels[forward][cut_level]
-    remaining = distance - cut_level
-    if stop - first >= _SMALL_SCAN:
-        level = sweep.log[first:stop]
-        cut = level[sweep.dist[level ^ 1] == remaining].tolist()
-    else:
-        dist = sweep.dist_store
-        cut = [
-            flat for flat in sweep.log_store[first:stop]
-            if dist[flat ^ 1] == remaining
-        ]
+    cut_level, cut = _cut_scan(sweep, pair, distance)
     labels = sweep.csr.labels
     sigma = sweep.sigma
     shift = sweep.shift
     cut_nodes: Dict[Node, tuple] = {}
     sigma_total = 0
     for flat in cut:
-        counts = (int(sigma[flat]), int(sigma[flat ^ 1]))
+        counts = (sigma[flat], sigma[flat ^ 1])
         cut_nodes[labels[flat >> shift]] = counts
         sigma_total += counts[0] * counts[1]
+    forward = 2 * pair
     return BidirectionalBFSResult(
         source=source,
         target=target,

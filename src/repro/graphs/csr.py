@@ -64,7 +64,7 @@ from heapq import heappop, heappush
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro import knobs as _knobs
-from repro.errors import GraphError
+from repro.errors import GraphError, SamplingError
 from repro.graphs import delta as _delta
 from repro.graphs.graph import Graph
 
@@ -213,6 +213,7 @@ class CSRGraph:
         "_indptr_list",
         "_indices_list",
         "_weights_list",
+        "_degrees",
         "__weakref__",
     )
 
@@ -250,6 +251,7 @@ class CSRGraph:
         self._indptr_list: Optional[List[int]] = None
         self._indices_list: Optional[List[int]] = None
         self._weights_list: Optional[List[float]] = None
+        self._degrees = None
 
     @property
     def is_weighted(self) -> bool:
@@ -281,6 +283,18 @@ class CSRGraph:
             self._indices_list = self.indices.tolist()
         return self._indptr_list, self._indices_list
 
+    def degrees(self):
+        """Every node's degree as a cached, read-only int64 array.
+
+        The staggered sweep reads its frontier costs from it: one gather
+        instead of two ``indptr`` gathers and a subtraction per step.
+        """
+        if self._degrees is None:
+            degrees = self.indptr[1:] - self.indptr[:-1]
+            degrees.flags.writeable = False
+            self._degrees = degrees
+        return self._degrees
+
     def __reduce__(self):
         """Pickle by file path when a snapshot file backs this snapshot,
         else by value — the one rule for handing a snapshot to workers.
@@ -291,8 +305,8 @@ class CSRGraph:
         CRC32 fields; the worker loads the file under its own ``mmap`` knob
         and raises :class:`GraphError` if the file now holds another
         graph.  Any other snapshot pickles as its arrays and labels
-        (``None`` for the identity labelling); the label index and the list
-        caches are rebuilt on demand, never shipped.
+        (``None`` for the identity labelling); the label index, the list
+        caches and the degree array are rebuilt on demand, never shipped.
         """
         path = self.source_path
         if path is not None and os.path.exists(path):
@@ -733,8 +747,6 @@ class CSRShortestPathDAG:
         Consumes the RNG exactly like ``ShortestPathDAG.sample_path`` so both
         backends draw identical paths from identical seeds.
         """
-        from repro.errors import SamplingError
-
         if self.dist[target_index] < 0:
             raise SamplingError(
                 f"target {self.csr.labels[target_index]!r} is unreachable "
@@ -767,8 +779,6 @@ def sigma_choice(items: Sequence, weights: Sequence[int], rng):
         If the lengths differ (a silent ``zip`` truncation would otherwise
         return an arbitrary item), or if the total weight is not positive.
     """
-    from repro.errors import SamplingError
-
     if len(items) != len(weights):
         raise SamplingError(
             f"sigma_choice needs one weight per item, got {len(items)} "
@@ -830,6 +840,15 @@ _BOTTOM_UP_ALPHA = 2
 #: frontier count reaches ``2**63 / max_degree`` the kernels switch sigma to
 #: arbitrary-precision Python ints *before* the first wrap can happen.
 _SIGMA_INT64_LIMIT = 2**63
+
+#: :class:`_StaggeredSweep` keeps ``dist`` as int32, so a vectorised step's
+#: dedup marks (one per scanned entry) must stay below this.
+_DIST_LIMIT = 2**31 - 1
+
+#: :meth:`_StaggeredSweep.park` resets a sweep's whole prefix with one
+#: contiguous fill once its log covers at least ``1 / 2**_PARK_FILL_SHIFT``
+#: of it, and only the logged entries below that.
+_PARK_FILL_SHIFT = 3
 
 
 def _sigma_may_overflow(frontier_max_sigma: int, max_degree: int) -> bool:
@@ -1230,7 +1249,10 @@ class _StaggeredSweep:
     ``sigma`` entry the sweep has written, which is what lets :meth:`park`
     clean the arrays for a :class:`SweepSpare`.  ``dist``, ``sigma_view``
     and ``log`` are the first ``size`` entries of ``arrays``, which a
-    larger sweep may have allocated.
+    larger sweep may have allocated.  ``dist`` is int32: it holds depths
+    (below ``n``) and a vectorised step's negative dedup marks (at most its
+    scanned entries, which :meth:`_expand_vectorised` checks); the log
+    stays int64, since flat ids pass ``2**31`` on large graphs.
     """
 
     __slots__ = ("csr", "shift", "size", "arrays", "dist", "dist_store",
@@ -1250,7 +1272,7 @@ class _StaggeredSweep:
         arrays = None if spare is None else spare.take(size)
         if arrays is None:
             arrays = (
-                _np.full(size, -1, dtype=_np.int64),
+                _np.full(size, -1, dtype=_np.int32),
                 _np.zeros(size, dtype=_np.int64),
                 _np.empty(size, dtype=_np.int64),
             )
@@ -1266,10 +1288,9 @@ class _StaggeredSweep:
             self.log_store[slot] = flat
         self.log_size = batch
         self.frontier_max_sigma = 1
-        indptr, _ = csr.adjacency_lists()
         self.slot_levels = [[(slot, slot + 1)] for slot in range(batch)]
         self.slot_depth = [0] * batch
-        self.slot_cost = [indptr[root + 1] - indptr[root] for root in roots]
+        self.slot_cost = csr.degrees()[roots].tolist()
         self.slot_size = [1] * batch
 
     def expand_slots(self, slots: Sequence[int]) -> None:
@@ -1335,6 +1356,7 @@ class _StaggeredSweep:
 
     def _expand_vectorised(self, slots: Sequence[int]) -> None:
         indptr, indices = self.csr.indptr, self.csr.indices
+        degrees = self.csr.degrees()
         shift = self.shift
         mask = (1 << shift) - 1
         log = self.log
@@ -1346,9 +1368,14 @@ class _StaggeredSweep:
         )
         nodes = frontier >> shift
         starts = indptr[nodes]
-        counts = indptr[nodes + 1] - starts
+        counts = degrees[nodes]
         row_offsets = _np.cumsum(counts)
         total = int(row_offsets[-1])
+        if total >= _DIST_LIMIT:
+            raise GraphError(
+                f"a stacked step scans {total} entries; its dedup marks "
+                "must stay below 2**31"
+            )
         row_offsets -= counts
         positions = _np.arange(total, dtype=_np.int64)
         positions += _np.repeat(starts - row_offsets, counts)
@@ -1361,7 +1388,7 @@ class _StaggeredSweep:
         # Deduplicate in first-occurrence order through ``dist`` itself:
         # mark each head with its (negative) edge position, writing back to
         # front so the first occurrence's mark survives.
-        marks = _np.arange(-edge_v.size - 1, -1, dtype=_np.int64)
+        marks = _np.arange(-edge_v.size - 1, -1, dtype=_np.int32)
         dist[edge_v[::-1]] = marks[::-1]
         fresh = edge_v[dist[edge_v] == marks]
         # Every tail of a slot sits at that slot's depth, so each head gets
@@ -1385,34 +1412,39 @@ class _StaggeredSweep:
         # ``fresh`` is grouped by slot in the order of ``slots``: split it
         # into the chosen slots' new levels and their degree sums.
         fresh_slots = fresh & mask
-        fresh_nodes = fresh >> shift
         sizes = _np.bincount(fresh_slots, minlength=mask + 1).tolist()
-        degrees = _np.bincount(
-            fresh_slots, indptr[fresh_nodes + 1] - indptr[fresh_nodes],
-            minlength=mask + 1,
+        costs = _np.bincount(
+            fresh_slots, degrees[fresh >> shift], minlength=mask + 1
         ).tolist()
         for slot in slots:
             size = sizes[slot]
             levels[slot].append((base, base + size))
             base += size
             self.slot_depth[slot] += 1
-            self.slot_cost[slot] = int(degrees[slot])
+            self.slot_cost[slot] = int(costs[slot])
             self.slot_size[slot] = size
 
     def park(self, spare: "SweepSpare") -> None:
         """Reset the entries ``log`` recorded and hand the arrays to ``spare``,
         unless it already holds a larger set.
 
-        Call only once the sweep and everything reading it are done, and
-        never after an exception: an interrupted step may have written
-        entries it had not logged yet.  A sweep whose overflow guard tripped
-        no longer holds an int64 ``sigma`` and is not recycled.
+        Entries past the sweep's prefix were never written, so a log that
+        covers a large share of the prefix resets it with one contiguous
+        fill, and a shorter one resets just the logged entries.  Call only
+        once the sweep and everything reading it are done, and never after
+        an exception: an interrupted step may have written entries it had
+        not logged yet.  A sweep whose overflow guard tripped no longer
+        holds an int64 ``sigma`` and is not recycled.
         """
         if self.sigma_view is None:
             return
-        written = self.log[: self.log_size]
-        self.dist[written] = -1
-        self.sigma_view[written] = 0
+        if self.log_size >= self.size >> _PARK_FILL_SHIFT:
+            self.dist.fill(-1)
+            self.sigma_view.fill(0)
+        else:
+            written = self.log[: self.log_size]
+            self.dist[written] = -1
+            self.sigma_view[written] = 0
         parked = spare.arrays
         if parked is None or parked[0].size < self.arrays[0].size:
             spare.arrays = self.arrays
@@ -1426,13 +1458,14 @@ class SweepSpare:
     prefix views of the parked arrays whenever they hold at least that many
     entries, and :meth:`_StaggeredSweep.park` returns the whole set clean
     after a search completes, which saves allocating and faulting in
-    ``3 * (n << shift)`` int64 entries per search.  So the short sub-batches
-    that end a chunk or redraw rejected pairs reuse the full-size set
-    instead of evicting it.  A larger sweep allocates its own arrays and
-    leaves the smaller parked set in place; parking keeps the larger set.
-    The spare is empty while a sweep runs on its arrays, so a search that
-    raises simply drops them.  It pickles empty: its arrays live for one
-    serial run, or one worker pool in each worker.
+    ``n << shift`` int32 and ``2 * (n << shift)`` int64 entries per
+    search.  So the short sub-batches that end a chunk or redraw rejected
+    pairs reuse the full-size set instead of evicting it.  A larger sweep
+    allocates its own arrays and leaves the smaller parked set in place;
+    parking keeps the larger set.  The spare is empty while a sweep runs on
+    its arrays, so a search that raises simply drops them.  It pickles
+    empty: its arrays live for one serial run, or one worker pool in each
+    worker.
     """
 
     __slots__ = ("arrays",)

@@ -300,7 +300,7 @@ def _stacked_scan(space: PersonalizedISP) -> Tuple[List[float], float, int, int]
     indptr, indices, labels, n = (
         snapshot.indptr, snapshot.indices, snapshot.labels, snapshot.n
     )
-    degree = indptr[1:] - indptr[:-1]
+    degree = snapshot.degrees()
     target_ids = _np.array(
         [snapshot.index[node] for node in space.targets], dtype=_np.int64
     )

@@ -243,7 +243,11 @@ def test_interrupted_stacked_search_leaves_no_state(monkeypatch):
 def _dict_paths(graph, pairs, seed):
     """``(visited edges, path)`` per pair from the dict search, with the
     paths sampled in pair order from one ``random.Random(seed)``."""
-    rng = random.Random(seed)
+    return _dict_draws(graph, pairs, random.Random(seed))
+
+
+def _dict_draws(graph, pairs, rng):
+    """:func:`_dict_paths` drawing from the caller's ``rng``."""
     sampled = []
     for source, target in pairs:
         result = bidirectional_shortest_paths(graph, source, target, backend="dict")
@@ -392,6 +396,149 @@ def test_sweep_spare_serves_short_sub_batches(monkeypatch):
     assert len(fresh) == 1
     reference = GenBC(PersonalizedISP(wheel, [0]), [0], backend="dict")
     assert paths == reference.sample_path(random.Random(1), 64)
+
+
+def _long_grid_batch(grid):
+    """Pairs of ``grid`` at hop distance >= 60, each followed by a short
+    pair: a batch whose int64 guard trips while its slots sit at different
+    depths."""
+    nodes = list(grid.nodes())
+    rng = random.Random(1)
+    long_pairs = [
+        pair for pair in (tuple(rng.sample(nodes, 2)) for _ in range(40))
+        if bidirectional_shortest_paths(grid, *pair, backend="dict").distance >= 60
+    ]
+    return [
+        pair for index, long_pair in enumerate(long_pairs)
+        for pair in (long_pair, (nodes[index], nodes[index + 1]))
+    ]
+
+
+@pytest.mark.parametrize("case", ["road-grid", "overflow-grid", "hubs"])
+def test_stacked_paths_draw_what_the_dict_search_draws(case, request, monkeypatch):
+    # stacked_paths picks each cut node and walks both halves straight off
+    # the sweep, settling a two-candidate step with one inline randrange.
+    # Equal paths are not enough: the caller's stream must stand exactly
+    # where the dict search leaves it, or every later draw differs.  The
+    # three graphs reach the walk's branches: a road grid has many
+    # two-candidate steps, the overflow grid samples on Python-int counts,
+    # and a scale-free graph's hubs take the numpy predecessor and cut
+    # scans.
+    from repro.graphs import bidirectional
+    from repro.graphs import csr as csr_module
+
+    if case == "road-grid":
+        graph = grid_road_graph(30, 30, seed=5)[0]
+        pairs = _random_pairs(graph, 48, 11)
+    elif case == "overflow-grid":
+        graph = request.getfixturevalue("overflow_grid")
+        pairs = _long_grid_batch(graph)
+    else:
+        graph = barabasi_albert_graph(1500, 3, seed=4)
+        pairs = _random_pairs(graph, 48, 12)
+
+    counts = []
+    sigma_choice = bidirectional.sigma_choice
+
+    def counted(items, weights, rng):
+        counts.append(len(items))
+        return sigma_choice(items, weights, rng)
+
+    monkeypatch.setattr(bidirectional, "sigma_choice", counted)
+    reference_rng = random.Random(3)
+    expected = _dict_draws(graph, pairs, reference_rng)
+    monkeypatch.undo()
+
+    sweeps = []
+    staggered_sweep = csr_module.staggered_sweep
+
+    def recorded(*args):
+        sweeps.append(staggered_sweep(*args))
+        return sweeps[-1]
+
+    monkeypatch.setattr(csr_module, "staggered_sweep", recorded)
+    spare = csr_module.SweepSpare()
+    rng = random.Random(3)
+    half = len(pairs) // 2
+    sampled = stacked_paths(graph, pairs[:half], rng, spare)
+    sampled += stacked_paths(graph, pairs[half:], rng, spare)
+    monkeypatch.undo()
+    assert sampled == expected
+    assert rng.getstate() == reference_rng.getstate()
+
+    # The test bites: each graph reaches the branch it stands for.
+    if case == "road-grid":
+        assert counts.count(2) >= 100
+    elif case == "overflow-grid":
+        assert any(sweep.sigma_view is None for sweep in sweeps)
+    else:
+        scan = bidirectional._SMALL_SCAN
+        assert any(
+            graph.degree(node) >= scan
+            for _, path in expected for node in path[1:-1]
+        )
+        cut_levels = []
+        for source, target in pairs:
+            result = bidirectional_shortest_paths(graph, source, target, backend="dict")
+            forward = result._forward.dist.values()
+            cut_levels.append(sum(depth == result.cut_level for depth in forward))
+        assert max(cut_levels) >= scan
+
+
+@pytest.mark.parametrize(
+    "make_graph, fills",
+    [
+        # Short searches on a scale-free graph log a few percent of the
+        # sweep's ids; long ones on a small road grid log most of them.
+        pytest.param(lambda: barabasi_albert_graph(2000, 3, seed=6), False,
+                     id="scattered"),
+        pytest.param(lambda: grid_road_graph(12, 12, seed=2)[0], True,
+                     id="fill"),
+    ],
+)
+@pytest.mark.parametrize("prefix", [False, True], ids=["own-arrays", "prefix-view"])
+def test_park_resets_the_whole_parked_set(make_graph, fills, prefix, monkeypatch):
+    # park resets just the logged entries when the log covers less than
+    # 1 / 2**_PARK_FILL_SHIFT of the sweep's ids, and fills the sweep's
+    # whole prefix otherwise.  Either way the spare's whole set (also when
+    # the sweep ran on a prefix of a larger parked set) must come back at
+    # dist -1 and sigma 0, and the next same-sized call must equal the
+    # dict search.  The wrapper tells the branches apart by a mark on an
+    # id the sweep never wrote: only the fill clears it.
+    from repro.graphs import csr as csr_module
+
+    graph = make_graph()
+    spare = csr_module.SweepSpare()
+    if prefix:
+        stacked_paths(graph, _random_pairs(graph, 32, 1), random.Random(1), spare)
+        parked = spare.arrays
+    pairs = _random_pairs(graph, 8, 2)
+    sweep_type = type(csr_module.staggered_sweep(csr_module.as_csr(graph), [0, 1]))
+    park = sweep_type.park
+    runs = []
+
+    def watched(sweep, target):
+        [unwritten] = (sweep.dist == -1).nonzero()[0][:1]
+        sweep.dist[unwritten] = 7
+        park(sweep, target)
+        runs.append((sweep, sweep.dist[unwritten] == -1))
+        sweep.dist[unwritten] = -1
+
+    monkeypatch.setattr(sweep_type, "park", watched)
+    assert stacked_paths(graph, pairs, random.Random(2), spare) == (
+        _dict_paths(graph, pairs, 2)
+    )
+    monkeypatch.undo()
+    [(sweep, filled)] = runs
+    assert filled == fills
+    if prefix:
+        assert spare.arrays is parked
+        assert sweep.dist.size < parked[0].size and sweep.dist.base is parked[0]
+    _assert_parked_clean(spare)
+    assert stacked_paths(graph, pairs, random.Random(3), spare) == (
+        _dict_paths(graph, pairs, 3)
+    )
+    _assert_parked_clean(spare)
 
 
 class TestEstimatorEquivalence:
