@@ -1,19 +1,13 @@
-"""Incremental-update benchmarks: mutate-then-requery with the journal on/off.
+"""Incremental-update benchmark: re-snapshot after an edit, patched or rebuilt.
 
-Two workloads on a weighted road grid and a weighted BA social graph (scaled
-by ``REPRO_BENCH_INCREMENTAL_SCALE``), each run with ``dag_cache_delta=on``
-(mutation journal: validated retention + incremental CSR patching) and
-``off`` (the historical wholesale eviction):
+One workload on a weighted road grid and a weighted BA social graph (scaled
+by ``REPRO_BENCH_INCREMENTAL_SCALE``): reweight one edge, then take the
+CSR snapshot again, either through ``as_csr`` (an O(|Δ| + copy) array
+patch from the mutation journal) or through ``CSRGraph.from_graph`` (a
+full adjacency re-walk).  Patched snapshots are byte-identical to a
+from-scratch build (asserted here and in ``tests/test_delta.py``).
 
-* **Snapshot refresh** — reweight one edge, then ``as_csr``: an O(|Δ| +
-  copy) array patch vs a full adjacency re-walk.  Patched snapshots are
-  byte-identical to a from-scratch build (asserted here and in
-  ``tests/test_delta.py``).
-* **Cached-row requery** — reweight an inert heavy chord (on no shortest
-  path), then re-query 32 cached weighted distance rows through the
-  ``SourceDAGCache``: O(K·|Δ|) journal validation vs K Dijkstra sweeps.
-
-``benchmarks/check_incremental_baseline.py`` measures the same workloads
+``benchmarks/check_incremental_baseline.py`` measures the same workload
 head-to-head and gates CI on the speedup floors committed in
 ``BENCH_incremental.json``.
 
@@ -28,19 +22,21 @@ import os
 
 import pytest
 
-from repro.engine.dag_cache import SourceDAGCache
 from repro.graphs import csr as csr_module
-from repro.graphs import delta as delta_module
 from repro.graphs.generators import (
     weighted_barabasi_albert_graph,
     weighted_grid_road_graph,
 )
 
 TOPOLOGIES = ("social", "road")
-MODES = ("on", "off")
+
+#: How each leg takes the snapshot after an edit.
+SNAPSHOTS = {
+    "patch": csr_module.as_csr,
+    "rebuild": csr_module.CSRGraph.from_graph,
+}
 
 _SCALE = float(os.environ.get("REPRO_BENCH_INCREMENTAL_SCALE", "1.0"))
-_SOURCES = 32
 _HEAVY = (1.0e6, 2.0e6)
 
 
@@ -60,57 +56,22 @@ def _make_graph(topology: str):
     return graph, chord
 
 
-@pytest.fixture(params=MODES)
-def delta_mode(request):
-    delta_module.set_default_dag_cache_delta(request.param)
-    yield request.param
-    delta_module.set_default_dag_cache_delta(None)
-
-
+@pytest.mark.parametrize("leg", sorted(SNAPSHOTS))
 @pytest.mark.parametrize("topology", TOPOLOGIES)
-def test_bench_snapshot_refresh(benchmark, topology, delta_mode):
+def test_bench_snapshot_refresh(benchmark, topology, leg):
     """Reweight one edge, re-snapshot: incremental patch vs full rebuild."""
+    snapshot = SNAPSHOTS[leg]
     graph, chord = _make_graph(topology)
-    csr_module.as_csr(graph)  # warm the snapshot, arm the journal
+    snapshot(graph)  # as_csr also arms the journal here
     state = {"step": 0}
 
     def edit_and_resnapshot():
         state["step"] += 1
         graph.set_edge_weight(*chord, _HEAVY[state["step"] % 2])
-        return csr_module.as_csr(graph)
+        return snapshot(graph)
 
-    snapshot = benchmark(edit_and_resnapshot)
+    result = benchmark(edit_and_resnapshot)
     fresh = csr_module.CSRGraph.from_graph(graph)
-    assert snapshot.indptr.tobytes() == fresh.indptr.tobytes()
-    assert snapshot.indices.tobytes() == fresh.indices.tobytes()
-    assert snapshot.weights.tobytes() == fresh.weights.tobytes()
-
-
-@pytest.mark.parametrize("topology", TOPOLOGIES)
-def test_bench_cached_row_requery(benchmark, topology, delta_mode):
-    """Reweight an inert chord, re-query K cached weighted distance rows."""
-    graph, chord = _make_graph(topology)
-    snapshot = csr_module.as_csr(graph)
-    step_size = max(1, snapshot.n // _SOURCES)
-    sources = [snapshot.labels[i] for i in range(0, snapshot.n, step_size)]
-    sources = sources[:_SOURCES]
-    cache = SourceDAGCache(max_entries=4 * _SOURCES)
-    for source in sources:
-        cache.distances(graph, source, weighted=True)
-    state = {"step": 0}
-
-    def edit_and_requery():
-        state["step"] += 1
-        graph.set_edge_weight(*chord, _HEAVY[state["step"] % 2])
-        return [
-            cache.distances(graph, source, weighted=True)
-            for source in sources
-        ]
-
-    rows = benchmark(edit_and_requery)
-    fresh = SourceDAGCache.compute_distances(graph, sources[0], weighted=True)
-    assert list(rows[0]) == list(fresh)
-    if delta_mode == "on":
-        assert cache.stats()["delta_retained"] > 0
-    else:
-        assert cache.stats()["delta_retained"] == 0
+    assert result.indptr.tobytes() == fresh.indptr.tobytes()
+    assert result.indices.tobytes() == fresh.indices.tobytes()
+    assert result.weights.tobytes() == fresh.weights.tobytes()

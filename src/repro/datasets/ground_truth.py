@@ -6,6 +6,11 @@ Brandes takes seconds to minutes, but the experiment drivers still reuse one
 ground-truth computation across the whole epsilon / subset-size sweep, so a
 small JSON cache keeps repeated benchmark invocations fast.
 
+An entry in memory remembers the graph object (weakly) and the
+``Graph._version`` it was computed from, and is recomputed once that
+graph changes, whatever the edit: exact Brandes is cheap at reproduction
+scale next to proving an edit cannot move any score.
+
 Since PR 10 the cache also has a **persistent, content-addressed tier**:
 when a snapshot store is configured (``snapshot_dir`` knob /
 ``REPRO_SNAPSHOT_DIR``), every computed truth is additionally written to
@@ -29,7 +34,6 @@ from pathlib import Path
 from typing import Dict, Hashable, Optional, Union
 
 from repro.centrality.brandes import betweenness_centrality
-from repro.graphs import delta as _delta
 from repro.graphs import sssp as _sssp
 from repro.graphs import store as snapshot_store
 from repro.graphs.graph import Graph
@@ -80,18 +84,12 @@ class GroundTruthCache:
         digest_dir: Optional[PathLike] = None,
     ) -> None:
         self._memory: Dict[str, Dict[Node, float]] = {}
-        # Version fencing (PR 8): remember which graph object (weakly) and
-        # which ``Graph._version`` each entry was computed against, so a
-        # mutated graph cannot be served stale truth (the staleness rule of
-        # ``delta.deltas_between``).  Reweight-only delta ranges are
-        # retained when the truth metric is hop-based (forced
-        # ``weighted=off``) — weights are invisible to it.  The entries
-        # live here, not in the graph's slot, so that dropping this cache
-        # drops all of them.
+        # Version fencing: remember which graph object (weakly) and which
+        # ``Graph._version`` each entry was computed against, so a mutated
+        # graph is never served stale truth.  The entries live here, not in
+        # the graph's slot, so that dropping this cache drops all of them.
         self._versions: Dict[str, int] = {}
         self._graphs: Dict[str, "weakref.ref[Graph]"] = {}
-        self.delta_retained = 0
-        self.delta_evictions = 0
         self._cache_dir = Path(cache_dir) if cache_dir is not None else None
         if self._cache_dir is not None:
             self._cache_dir.mkdir(parents=True, exist_ok=True)
@@ -104,29 +102,16 @@ class GroundTruthCache:
         except TypeError:  # a bare CSR payload or stub without weakref/version
             self._graphs.pop(key, None)
             self._versions.pop(key, None)
-        _delta.track(graph)
 
     def _fresh(self, key: str, graph: Graph) -> bool:
-        """Whether the cached entry still describes ``graph``."""
+        """Whether the cached entry still describes ``graph``: always for
+        another graph object under the same key (the key contract, "a key
+        identifies the graph", is the caller's), and for this one while
+        its version is the one the entry was computed against."""
         ref = self._graphs.get(key)
         if ref is None or ref() is not graph:
-            # A different graph object under the same key: the key contract
-            # ("a key identifies the graph") is the caller's, honour it.
             return True
-        deltas = _delta.deltas_between(graph, self._versions[key])
-        if deltas == []:
-            return True
-        if (
-            deltas is not None
-            and all(d.op == _delta.OP_REWEIGHT for d in deltas)
-            and _sssp.resolve_weighted() == _sssp.WEIGHTED_OFF
-        ):
-            # Pure reweights cannot move hop-metric betweenness; re-key.
-            self._versions[key] = graph._version
-            self.delta_retained += 1
-            return True
-        self.delta_evictions += 1
-        return False
+        return self._versions[key] == graph._version
 
     def get(
         self, key: str, graph: Graph, *, workers: Optional[int] = None
@@ -135,11 +120,9 @@ class GroundTruthCache:
         per ``key`` (a key should identify the graph, e.g. ``"flickr@1.0#0"``).
 
         The entry is version-fenced: if *this* graph object has mutated
-        since the entry was computed, the truth is recomputed (unless the
-        mutation journal proves the edits cannot move it — reweight-only
-        ranges under hop-metric routing).  ``workers`` parallelises a cache
-        miss's Brandes pass; the cached values are identical for any worker
-        count.
+        since the entry was computed, the truth is recomputed.  ``workers``
+        parallelises a cache miss's Brandes pass; the cached values are
+        identical for any worker count.
         """
         stale = False
         if key in self._memory:
@@ -176,14 +159,6 @@ class GroundTruthCache:
         if digest_path is not None:
             self._store(digest_path, values)
         return values
-
-    def stats(self) -> Dict[str, int]:
-        """Entry count plus the delta retention/eviction counters."""
-        return {
-            "entries": len(self._memory),
-            "delta_retained": self.delta_retained,
-            "delta_evictions": self.delta_evictions,
-        }
 
     # ------------------------------------------------------------------
     def _digest_tier(self) -> Optional[Path]:

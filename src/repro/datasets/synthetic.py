@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from repro.errors import GraphError
-from repro.graphs.components import largest_connected_component
 from repro.graphs.generators import (
     grid_road_graph,
     powerlaw_cluster_graph,
@@ -153,31 +152,3 @@ def weighted_road_surrogate(
         removal_probability=removal_probability,
         seed=seed,
     )
-
-
-def connected_social_surrogate(
-    num_nodes: int,
-    *,
-    pendant_fraction: float = 0.3,
-    edges_per_node: int = 4,
-    triangle_probability: float = 0.3,
-    seed: SeedLike = None,
-) -> Graph:
-    """Like :func:`social_surrogate` but guaranteed connected.
-
-    The preferential-attachment core is connected by construction, and every
-    pendant hangs off the core, so the surrogate is already connected; this
-    wrapper exists for symmetry with the road surrogate and asserts the
-    invariant.
-    """
-    graph = social_surrogate(
-        num_nodes,
-        pendant_fraction=pendant_fraction,
-        edges_per_node=edges_per_node,
-        triangle_probability=triangle_probability,
-        seed=seed,
-    )
-    component = largest_connected_component(graph)
-    if len(component) != graph.number_of_nodes():  # pragma: no cover - safety
-        graph = graph.subgraph(component)
-    return graph

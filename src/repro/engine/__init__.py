@@ -34,18 +34,14 @@ traversals are pure functions of ``(graph version, source, backend)``.
 from __future__ import annotations
 
 from repro.engine.dag_cache import (
-    DAG_CACHE_DELTA_ENV_VAR,
     DAG_CACHE_ENV_VAR,
     DAG_CACHE_SIZE_ENV_VAR,
     SourceDAGCache,
     clear_default_dag_cache,
     dag_cache_enabled,
     default_dag_cache,
-    default_dag_cache_delta,
-    resolve_dag_cache_delta,
     resolve_dag_cache_size,
     set_dag_cache_enabled,
-    set_default_dag_cache_delta,
     set_default_dag_cache_size,
     source_dag,
     source_distance_map,
@@ -81,10 +77,6 @@ __all__ = [
     "set_dag_cache_enabled",
     "resolve_dag_cache_size",
     "set_default_dag_cache_size",
-    "default_dag_cache_delta",
-    "resolve_dag_cache_delta",
-    "set_default_dag_cache_delta",
     "DAG_CACHE_ENV_VAR",
     "DAG_CACHE_SIZE_ENV_VAR",
-    "DAG_CACHE_DELTA_ENV_VAR",
 ]

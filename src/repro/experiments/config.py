@@ -46,7 +46,7 @@ class ExperimentConfig:
         Hard cap on per-run sample counts, keeping worst-case bench times
         bounded (``None`` disables the cap).
     backend, weighted, workers, start_method, dag_cache, dag_cache_size,
-    dag_cache_delta, snapshot_dir, mmap:
+    snapshot_dir, mmap:
         The runtime knobs, one per row of :data:`repro.knobs.KNOBS`.
         ``None`` (the default) leaves the knob's ``REPRO_*`` variable (or
         its built-in default) in charge; a value is validated by its row
@@ -72,7 +72,6 @@ class ExperimentConfig:
     start_method: Optional[str] = None
     dag_cache: Optional[bool] = None
     dag_cache_size: Optional[int] = None
-    dag_cache_delta: Optional[str] = None
     weighted: Optional[str] = None
     snapshot_dir: Optional[str] = None
     mmap: Optional[str] = None

@@ -25,10 +25,7 @@ from repro.graphs.components import connected_components, largest_connected_comp
 from repro.graphs.delta import (
     EdgeDelta,
     MutationJournal,
-    default_dag_cache_delta,
     deltas_between,
-    resolve_dag_cache_delta,
-    set_default_dag_cache_delta,
 )
 from repro.graphs.diameter import (
     estimate_diameter,
@@ -138,7 +135,4 @@ __all__ = [
     "EdgeDelta",
     "MutationJournal",
     "deltas_between",
-    "default_dag_cache_delta",
-    "resolve_dag_cache_delta",
-    "set_default_dag_cache_delta",
 ]

@@ -1,84 +1,45 @@
-"""Edge-level mutation journal and the delta cache-invalidation knob.
+"""Edge-level mutation journal: what changed since a graph version.
 
-State derived from a graph version — the CSR snapshot and the other
-values in the graph's versioned slot (:meth:`Graph.memo
-<repro.graphs.graph.Graph.memo>`), the engine's ``SourceDAGCache``, the
-dataset layer's ``GroundTruthCache`` — records the ``Graph._version`` it
-was computed from.  This module records *what changed* since, so that
-state can be patched or kept instead of rebuilt after every edit:
+The CSR snapshot in a graph's versioned slot (:meth:`Graph.memo
+<repro.graphs.graph.Graph.memo>`, read through
+:func:`repro.graphs.csr.as_csr`) records the ``Graph._version`` it was
+built from.  This module records *what changed* since, so that the slot
+can patch a stale snapshot instead of rebuilding it after every edit:
 
 * :class:`MutationJournal` — a bounded record of edge-level deltas
   (insert / delete / reweight) between ``Graph._version`` values, armed
-  per graph by :func:`track` the first time a slot or a cache can use it.
-  ``Graph._commit`` is its one recorder: every effective mutation passes
-  through it.  Node additions/removals are recorded as *structural*
-  markers: they change the label set, so consumers rebuild across them.
-  The journal is capped (:data:`DELTA_JOURNAL_SIZE` entries):
-  overflowing drops the oldest entries, after which version ranges
-  reaching past the cap are reported as uncovered — again a rebuild,
-  never a wrong answer.
-* :func:`deltas_between` — the staleness rule every consumer applies:
-  ``[]`` when the recorded version is current, the exact delta list
-  covering ``old_version -> graph._version`` when the journal covers it,
-  or ``None`` (rebuild) when it does not (journal disabled, overflowed,
-  or crossed a structural edit).
-* :func:`delta_affects_source` — the O(1)-per-edge validity test the
-  ``SourceDAGCache`` runs per cached entry: an inserted edge ``(u, v, w)``
-  can only change distances from source ``s`` if it *shortens* a path
-  (``dist[u] + w < dist[v]`` or the symmetric test); a deletion only if
-  the edge lies on a shortest path (``dist[u] + w == dist[v]``); DAG/sigma
-  entries additionally evict on *ties* (a new equal-length path changes
-  path counts without changing distances).  Unreachable endpoints are
-  handled conservatively.  The comparisons replicate the relaxation
-  arithmetic of the Dijkstra/BFS kernels exactly (one addition, one
-  compare), so retention decisions agree bit-for-bit with what a fresh
-  traversal would compute.
+  per graph by :func:`track` when a slot stores a value a later read may
+  patch.  ``Graph._commit`` is its one recorder: every effective mutation
+  passes through it.  Node additions/removals are recorded as
+  *structural* markers: they change the label set, so the slot rebuilds
+  across them.  The journal is capped (:data:`DELTA_JOURNAL_SIZE`
+  entries): overflowing drops the oldest entries, after which version
+  ranges reaching past the cap are reported as uncovered — again a
+  rebuild, never a wrong answer.
+* :func:`deltas_between` — the slot's staleness rule: ``[]`` when the
+  recorded version is current, the exact delta list covering
+  ``old_version -> graph._version`` when the journal covers it, or
+  ``None`` (rebuild) when it does not (no journal, overflowed, or crossed
+  a structural edit).
 
-The knob (a row of :mod:`repro.knobs`): ``dag_cache_delta`` = ``auto`` |
-``on`` | ``off`` (:func:`set_default_dag_cache_delta`).  ``off`` disables
-journaling entirely: every stale value is rebuilt and every stale cache
-evicted wholesale; ``on`` always validates per entry; ``auto`` (the
-default) validates but falls back to wholesale eviction when the delta
-range exceeds :data:`AUTO_DELTA_VALIDATION_LIMIT` edits, bounding the
-per-entry scan cost.
-
-Correctness stance: the journal only ever *retains* work that a validity
-test proves unaffected, and patches only what the journal names; anything
-uncertain — uncovered ranges, structural edits, mixed reachability — is
-rebuilt or evicted.  The equivalence suite asserts
-``dag_cache_delta=on`` == ``off`` == a freshly built graph, bit for bit,
-across the whole knob matrix.
+Every other cache of graph-derived state — the other slot values, the
+engine's ``SourceDAGCache``, the dataset layer's ``GroundTruthCache`` —
+keys on ``Graph._version`` alone and drops what a version change made
+stale; none of them reads the journal.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from itertools import islice
-from typing import Callable, Hashable, List, NamedTuple, Optional
-
-from repro import knobs
+from typing import Hashable, List, NamedTuple, Optional
 
 Node = Hashable
 
-DELTA_AUTO = "auto"
-DELTA_ON = "on"
-DELTA_OFF = "off"
-
-DAG_CACHE_DELTA_ENV_VAR = knobs.DAG_CACHE_DELTA.env
-default_dag_cache_delta = knobs.DAG_CACHE_DELTA.resolve
-set_default_dag_cache_delta = knobs.DAG_CACHE_DELTA.override
-resolve_dag_cache_delta = knobs.DAG_CACHE_DELTA.resolve
-
 #: The cap :func:`track` arms journals with: generous for interactive edit
-#: streams, small enough that the per-entry validation scan (O(cap)
-#: comparisons) stays negligible next to one traversal.
+#: streams, small enough that replaying a full journal into a snapshot
+#: stays cheap next to rebuilding it.
 DELTA_JOURNAL_SIZE = 256
-
-#: In ``auto`` mode a delta range longer than this skips per-entry
-#: validation and wholesale-evicts instead: past a few dozen edits the
-#: odds that an entry survives every test drop fast, while the scan cost
-#: (entries x deltas comparisons) keeps growing.  ``on`` always validates.
-AUTO_DELTA_VALIDATION_LIMIT = 64
 
 # Delta op codes (EdgeDelta.op).
 OP_INSERT = "insert"
@@ -148,7 +109,7 @@ class MutationJournal:
 
         ``None`` means the range is uncovered (overflowed past the cap,
         or the journal is not at ``new_version``) or crosses a structural
-        edit; callers fall back to wholesale eviction.
+        edit; the caller rebuilds.
         """
         if (
             old_version < self.base_version
@@ -166,26 +127,18 @@ class MutationJournal:
 # ---------------------------------------------------------------------------
 # Per-graph journal plumbing
 # ---------------------------------------------------------------------------
-def track(graph) -> Optional[MutationJournal]:
-    """Arm the mutation journal of ``graph`` (no-op when the knob is off).
+def track(graph) -> MutationJournal:
+    """Arm the mutation journal of ``graph`` and return it.
 
-    Refreshable slots and caches call this when they store state derived
-    from a graph, so subsequent mutations are journalled and that state
-    can be patched / validated instead of rebuilt.  With
-    ``dag_cache_delta=off`` nothing is armed and ``Graph._commit`` stays
-    one ``None`` check cheap.
+    ``Graph.memo`` (for a slot with a ``refresh``) and ``Graph.memo_seed``
+    call this when they store a value a later read may patch, so the
+    mutations after it are journalled.
     """
-    if resolve_dag_cache_delta() == DELTA_OFF:
-        return None
-    journal = getattr(graph, "_journal", None)
+    journal = graph._journal
     if journal is None:
-        journal = MutationJournal(graph._version, DELTA_JOURNAL_SIZE)
-        try:
-            graph._journal = journal
-        except AttributeError:
-            # Frozen snapshots (CSRGraph payloads) have no journal slot —
-            # they never mutate, so there is nothing to track.
-            return None
+        journal = graph._journal = MutationJournal(
+            graph._version, DELTA_JOURNAL_SIZE
+        )
     return journal
 
 
@@ -194,84 +147,13 @@ def deltas_between(graph, old_version: int) -> Optional[List[EdgeDelta]]:
 
     ``[]`` when ``old_version`` is current (serve the state as it is); the
     edge deltas covering ``old_version -> graph._version`` when the
-    journal covers the gap (patch or validate the state against them);
-    ``None`` — rebuild — when delta invalidation is off, the graph has no
-    journal, the range is uncovered (overflow), or it crosses a structural
-    (node-set) change.
+    journal covers the gap (patch the state with them); ``None`` —
+    rebuild — when the graph has no journal, the range is uncovered
+    (overflow), or it crosses a structural (node-set) change.
     """
     if old_version == graph._version:
         return []
-    if resolve_dag_cache_delta() == DELTA_OFF:
-        return None
-    journal = getattr(graph, "_journal", None)
+    journal = graph._journal
     if journal is None:
         return None
     return journal.slice(old_version, graph._version)
-
-
-# ---------------------------------------------------------------------------
-# The per-source validity test
-# ---------------------------------------------------------------------------
-def delta_affects_source(
-    delta: EdgeDelta,
-    dist_of: Callable[[Node], Optional[float]],
-    *,
-    weighted: bool,
-    tie_sensitive: bool,
-) -> bool:
-    """Whether one journalled edit can change a cached traversal.
-
-    ``dist_of`` maps a node label to its cached distance from the entry's
-    source (``None`` = unreachable).  ``weighted`` selects the entry's
-    metric: hop entries see every edge at weight 1 and are immune to
-    reweights; weighted entries use the journalled weights.
-    ``tie_sensitive`` is set for DAG/sigma entries, which must also evict
-    when an edit creates or destroys an *equal-length* path (path counts
-    change even though distances do not).
-
-    The arithmetic deliberately replicates the kernels' relaxation step —
-    one addition, one comparison on the cached float distances — so the
-    verdict matches what a fresh traversal would do, bit for bit.  Any
-    uncertain case (an edit touching exactly one reachable endpoint, an
-    unknown op) reports "affected": retention is only ever claimed when
-    provably safe.
-    """
-    if delta.op == OP_STRUCTURAL:
-        return True
-    du = dist_of(delta.u)
-    dv = dist_of(delta.v)
-    if du is None and dv is None:
-        # Both endpoints unreachable from the source: the edit lives in a
-        # component the traversal never saw.  A pure edge edit cannot
-        # connect it (that would need an endpoint on the reachable side).
-        return False
-    if du is None or dv is None:
-        # One endpoint reachable: an insert bridges components, a delete
-        # here means the cached entry disagrees with the journal.  Evict.
-        return True
-    if delta.op == OP_INSERT:
-        w = delta.new if weighted else 1
-        if du + w < dv or dv + w < du:
-            return True
-        return tie_sensitive and (du + w == dv or dv + w == du)
-    if delta.op == OP_DELETE:
-        w = delta.old if weighted else 1
-        # The edge matters iff it lies on some shortest path from the
-        # source — exactly the relaxation equality.  (Equality may keep
-        # distances intact via an alternative path, but proving that
-        # needs more than O(1); evict conservatively.)
-        return du + w == dv or dv + w == du
-    if delta.op == OP_REWEIGHT:
-        if not weighted:
-            return False  # hop metric: weights are invisible
-        if delta.new < delta.old:
-            # A decrease behaves like inserting the cheaper edge.
-            if du + delta.new < dv or dv + delta.new < du:
-                return True
-            return tie_sensitive and (
-                du + delta.new == dv or dv + delta.new == du
-            )
-        # An increase behaves like deleting the old edge: it only matters
-        # if the edge was on a shortest path at its old weight.
-        return du + delta.old == dv or dv + delta.old == du
-    return True

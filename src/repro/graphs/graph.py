@@ -113,8 +113,8 @@ class Graph:
         # __setstate__; derived state (see memo) detects staleness by it.
         self._version: int = 0
         # Mutation journal (:class:`repro.graphs.delta.MutationJournal`),
-        # armed lazily via :func:`repro.graphs.delta.track` once a slot or
-        # a cache can be refreshed from it.  ``None`` until then, so bulk
+        # armed lazily via :func:`repro.graphs.delta.track` once a slot
+        # can be refreshed from it.  ``None`` until then, so bulk
         # construction pays one attribute check per mutation.
         self._journal = None
         # ``{key: (version, value)}`` behind :meth:`memo`.

@@ -24,11 +24,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Dict, Hashable, List, Optional, Sequence, Union
+from typing import Dict, Hashable, List, Optional, Union
 
 from repro.errors import GraphError, SamplingError
 from repro.graphs import csr as _csr
 from repro.graphs import sssp as _sssp
+from repro.graphs.csr import sigma_choice
 from repro.graphs.graph import Graph
 from repro.utils.rng import SeedLike, ensure_rng
 
@@ -442,14 +443,3 @@ def k_hop_neighborhood(
     if hops < 0:
         raise ValueError(f"hops must be >= 0, got {hops}")
     return list(bfs_distances(graph, center, max_depth=hops, backend=backend))
-
-
-def sigma_choice(items: Sequence, weights: Sequence[int], rng) -> Node:
-    """Pick one of ``items`` with probability proportional to sigma counts.
-
-    Uses an exact integer threshold (``rng.randrange``) rather than float
-    accumulation, so sampling stays unbiased even when shortest-path counts
-    exceed ``2**53``.  Named ``sigma_choice`` so "weighted" unambiguously
-    refers to edge weights across the codebase.
-    """
-    return _csr.sigma_choice(items, weights, rng)

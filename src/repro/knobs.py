@@ -315,12 +315,6 @@ DAG_CACHE_SIZE = Count(
     "dag_cache_size", "REPRO_DAG_CACHE_SIZE", 512, 1,
     "per-graph entry bound of the DAG cache (default 512)." + _SPEED,
 )
-DAG_CACHE_DELTA = Choice(
-    "dag_cache_delta", "REPRO_DAG_CACHE_DELTA", "auto", ("auto", "on", "off"),
-    "cache invalidation on mutation: auto (validate entries against the "
-    "mutation journal up to a size limit), on (always validate) or off "
-    "(evict wholesale)." + _SPEED,
-)
 SNAPSHOT_DIR = FilePath(
     "snapshot_dir", "REPRO_SNAPSHOT_DIR", None,
     "on-disk snapshot store: datasets are memoised to DIR/datasets and "
@@ -337,7 +331,7 @@ MMAP = Choice(
 #: Every knob, in command-line flag order.
 KNOBS: Tuple[Knob, ...] = (
     BACKEND, WEIGHTED, WORKERS, START_METHOD, DAG_CACHE, DAG_CACHE_SIZE,
-    DAG_CACHE_DELTA, SNAPSHOT_DIR, MMAP,
+    SNAPSHOT_DIR, MMAP,
 )
 
 

@@ -118,25 +118,6 @@ class TestProcessKnobFlags:
             dag_cache_module.set_default_dag_cache_size(None)
         assert dag_cache_module.DAG_CACHE_SIZE_ENV_VAR not in os.environ
 
-    def test_dag_cache_delta_flag_mirrors_environment(self, capsys, monkeypatch):
-        import os
-
-        from repro.engine import dag_cache as dag_cache_module
-
-        monkeypatch.delenv(dag_cache_module.DAG_CACHE_DELTA_ENV_VAR, raising=False)
-        try:
-            code = main(
-                ["rank", "--dataset", "karate", "--subset-size", "6",
-                 "--epsilon", "0.2", "--delta", "0.1", "--seed", "3",
-                 "--dag-cache-delta", "on"]
-            )
-            assert code == 0
-            assert os.environ[dag_cache_module.DAG_CACHE_DELTA_ENV_VAR] == "on"
-            assert dag_cache_module.resolve_dag_cache_delta() == "on"
-        finally:
-            dag_cache_module.set_default_dag_cache_delta(None)
-        assert dag_cache_module.DAG_CACHE_DELTA_ENV_VAR not in os.environ
-
 
 class TestDatasetsCommand:
     def test_lists_datasets(self, capsys):

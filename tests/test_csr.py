@@ -164,49 +164,41 @@ class TestBackendSelection:
         # Regression: the auto heuristic used to probe `graph in cache`
         # without checking the snapshot's version, so a small graph mutated
         # after snapshotting was still routed to CSR (forcing a pointless
-        # re-freeze on every query).  With the mutation journal disabled the
-        # stale snapshot cannot be patched, so the historical behaviour must
-        # hold: fall back to the dict kernels.
-        delta_module.set_default_dag_cache_delta("off")
-        try:
-            tiny = path_graph(4)
-            as_csr(tiny)
-            tiny.add_edge(0, 3)
-            assert effective_backend(tiny, None) == "dict"
-        finally:
-            delta_module.set_default_dag_cache_delta(None)
+        # re-freeze on every query).  A structural edit (a new node) cannot
+        # be patched, so the historical behaviour must hold: fall back to
+        # the dict kernels.
+        tiny = path_graph(4)
+        as_csr(tiny)
+        tiny.add_edge(0, 4)
+        assert effective_backend(tiny, None) == "dict"
 
     @pytest.mark.requires_numpy
     def test_effective_backend_auto_keeps_patchable_stale_snapshot(self):
         # With the mutation journal covering the gap the stale snapshot is
         # one cheap incremental patch away, so auto stays on the array
         # kernels instead of demoting the graph to dict traversals.
-        delta_module.set_default_dag_cache_delta("auto")
-        try:
-            tiny = path_graph(4)
-            as_csr(tiny)
-            tiny.add_edge(0, 3)
-            assert effective_backend(tiny, None) == "csr"
-            fresh = csr_module.CSRGraph.from_graph(tiny)
-            patched = as_csr(tiny)
-            assert patched.indptr.tobytes() == fresh.indptr.tobytes()
-            assert patched.indices.tobytes() == fresh.indices.tobytes()
-        finally:
-            delta_module.set_default_dag_cache_delta(None)
+        tiny = path_graph(4)
+        as_csr(tiny)
+        tiny.add_edge(0, 3)
+        assert effective_backend(tiny, None) == "csr"
+        fresh = csr_module.CSRGraph.from_graph(tiny)
+        patched = as_csr(tiny)
+        assert patched.indptr.tobytes() == fresh.indptr.tobytes()
+        assert patched.indices.tobytes() == fresh.indices.tobytes()
 
     @pytest.mark.requires_numpy
-    def test_effective_backend_evicts_unpatchable_stale_cache_entry(self):
-        # Without journal coverage the stale snapshot must also be dropped
-        # so mutate/query cycles cannot keep dead array copies alive.
-        delta_module.set_default_dag_cache_delta("off")
-        try:
-            tiny = path_graph(4)
-            as_csr(tiny)
-            tiny.add_edge(0, 3)
-            effective_backend(tiny, None)
-            assert tiny._memo.get(csr_module.SNAPSHOT_KEY) is None
-        finally:
-            delta_module.set_default_dag_cache_delta(None)
+    def test_effective_backend_evicts_unpatchable_stale_cache_entry(
+        self, monkeypatch
+    ):
+        # Past journal coverage the stale snapshot must also be dropped so
+        # mutate/query cycles cannot keep dead array copies alive.
+        monkeypatch.setattr(delta_module, "DELTA_JOURNAL_SIZE", 1)
+        tiny = path_graph(4)
+        as_csr(tiny)
+        tiny.add_edge(0, 3)
+        tiny.add_edge(0, 2)  # overflows the one-entry journal
+        effective_backend(tiny, None)
+        assert tiny._memo.get(csr_module.SNAPSHOT_KEY) is None
 
     def test_resolve_backend_rejects_bad_env_eagerly(self, monkeypatch):
         # A typo'd REPRO_BACKEND must surface as one clear error naming the

@@ -1,15 +1,17 @@
-"""Tests for the mutation journal and delta-aware cache invalidation (PR 8).
+"""Tests for the mutation journal, the snapshot patch and the caches'
+one staleness rule.
 
 Three layers are covered:
 
-* the :class:`~repro.graphs.delta.MutationJournal` mechanics, the
-  ``dag_cache_delta`` knob protocol and the journal cap;
+* the :class:`~repro.graphs.delta.MutationJournal` mechanics and the
+  journal cap;
 * incremental CSR patching in :func:`repro.graphs.csr.as_csr` — patched
-  snapshots must be **byte-identical** to a from-scratch build;
-* delta validation in ``SourceDAGCache`` / ``GroundTruthCache`` — cached
-  entries survive a version bump iff the journal proves them unaffected,
-  and the mutate-then-query equivalence suite asserts ``on`` == ``off``
-  == a freshly built graph, bit for bit.
+  snapshots must be **byte-identical** to a from-scratch build, on unit
+  and on weighted graphs;
+* the caches: ``SourceDAGCache`` and ``GroundTruthCache`` key on
+  ``Graph._version`` alone, so any effective edit drops what they hold,
+  even one that moves no distance, and every answer cached after edits
+  equals the one a freshly built graph gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -25,18 +27,11 @@ from repro.graphs import delta as delta_module
 from repro.graphs import sssp as sssp_module
 from repro.graphs.csr import CSRGraph, as_csr
 from repro.graphs.delta import (
-    AUTO_DELTA_VALIDATION_LIMIT,
-    DAG_CACHE_DELTA_ENV_VAR,
     EdgeDelta,
     MutationJournal,
-    OP_DELETE,
     OP_INSERT,
-    OP_REWEIGHT,
     STRUCTURAL_DELTA,
-    delta_affects_source,
     deltas_between,
-    resolve_dag_cache_delta,
-    set_default_dag_cache_delta,
 )
 from repro.graphs.generators import (
     erdos_renyi_graph,
@@ -44,16 +39,6 @@ from repro.graphs.generators import (
     weighted_barabasi_albert_graph,
 )
 from repro.graphs.graph import Graph
-
-
-@pytest.fixture(autouse=True)
-def _reset_delta_knobs(monkeypatch):
-    # Values exported by the invoking shell (or leaked by another test's
-    # EnvMirroredOverride) would change the resolution behaviour asserted
-    # here; the setters are process-wide and sticky, so always restore.
-    monkeypatch.delenv(DAG_CACHE_DELTA_ENV_VAR, raising=False)
-    yield
-    set_default_dag_cache_delta(None)
 
 
 def _insert(u, v, w=1.0):
@@ -104,37 +89,6 @@ class TestMutationJournal:
 
 
 class TestKnobProtocol:
-    def test_default_is_auto(self):
-        assert resolve_dag_cache_delta() == "auto"
-        assert resolve_dag_cache_delta(None) == "auto"
-
-    def test_env_var_sets_the_default(self, monkeypatch):
-        monkeypatch.setenv(DAG_CACHE_DELTA_ENV_VAR, "off")
-        assert resolve_dag_cache_delta() == "off"
-        # An explicit argument still wins over the environment.
-        assert resolve_dag_cache_delta("on") == "on"
-
-    def test_setter_beats_env_and_mirrors(self, monkeypatch):
-        import os
-
-        monkeypatch.setenv(DAG_CACHE_DELTA_ENV_VAR, "off")
-        set_default_dag_cache_delta("on")
-        assert resolve_dag_cache_delta() == "on"
-        # Mirrored so spawn workers resolve the same mode.
-        assert os.environ[DAG_CACHE_DELTA_ENV_VAR] == "on"
-        set_default_dag_cache_delta(None)
-        assert os.environ[DAG_CACHE_DELTA_ENV_VAR] == "off"  # restored
-        assert resolve_dag_cache_delta() == "off"
-
-    def test_invalid_mode_rejected_eagerly(self, monkeypatch):
-        with pytest.raises(ValueError, match="dag_cache_delta"):
-            set_default_dag_cache_delta("sometimes")
-        with pytest.raises(ValueError, match=DAG_CACHE_DELTA_ENV_VAR):
-            resolve_dag_cache_delta("sometimes")
-        monkeypatch.setenv(DAG_CACHE_DELTA_ENV_VAR, "bogus")
-        with pytest.raises(ValueError, match=DAG_CACHE_DELTA_ENV_VAR):
-            resolve_dag_cache_delta()
-
     @pytest.mark.parametrize("text", ["many", "0", "-3", "9"])
     def test_journal_cap_is_a_constant(self, monkeypatch, text):
         # The cap is no longer a knob: REPRO_DELTA_JOURNAL_SIZE is not
@@ -144,31 +98,22 @@ class TestKnobProtocol:
         graph = path_graph(3)
         assert delta_module.track(graph).cap == 256
 
-    def test_experiment_config_validates_fields(self):
-        from repro.experiments.config import ExperimentConfig
-
-        assert ExperimentConfig(dag_cache_delta="on").dag_cache_delta == "on"
-        with pytest.raises(ValueError, match="dag_cache_delta"):
-            ExperimentConfig(dag_cache_delta="bogus")
-        with pytest.raises(TypeError, match="delta_journal_size"):
-            ExperimentConfig(delta_journal_size=32)
-
     @pytest.mark.requires_numpy
-    def test_off_disables_journaling_entirely(self):
-        set_default_dag_cache_delta("off")
-        graph = path_graph(4)
-        assert delta_module.track(graph) is None
+    def test_removed_delta_knob_leaves_patching_on(self, monkeypatch):
+        # REPRO_DAG_CACHE_DELTA=off used to disable the journal; the
+        # variable is no longer read, so the snapshot is still patched.
+        monkeypatch.setenv("REPRO_DAG_CACHE_DELTA", "off")
+        graph = path_graph(6)
         as_csr(graph)
-        assert graph._journal is None  # mutation hooks stay one-None-check
-        graph.add_edge(0, 3)
-        assert deltas_between(graph, graph._version - 1) is None
+        graph.add_edge(0, 5)
 
-    @pytest.mark.requires_numpy
-    def test_track_tolerates_frozen_snapshots(self):
-        # Bare CSR snapshots (worker payloads) have no journal slot; they
-        # never mutate, so tracking is a polite no-op.
-        snapshot = CSRGraph.from_graph(path_graph(3))
-        assert delta_module.track(snapshot) is None
+        def _no_rebuild(*args, **kwargs):
+            raise AssertionError("expected an incremental patch, got a rebuild")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(CSRGraph, "from_graph", staticmethod(_no_rebuild))
+            as_csr(graph)
+        _assert_patched_bytes_match(graph)
 
 
 class TestNoOpMutationsStayVersionNeutral:
@@ -223,56 +168,72 @@ def _assert_patched_bytes_match(graph):
     return patched
 
 
+def _path_edges(n):
+    return [(i, i + 1) for i in range(n - 1)]
+
+
 @pytest.mark.requires_numpy
 class TestIncrementalCSRPatching:
     """The patched snapshot must be byte-identical to a rebuild, in every
     mutation mix the journal can cover — and must actually take the patch
-    path rather than silently rebuilding."""
+    path rather than silently rebuilding.  Each mix runs on a unit graph,
+    whose snapshot has no weights for the patch to copy, and on a weighted
+    one, whose weights it copies around the edited segments."""
 
-    @pytest.fixture(params=["auto", "on"])
-    def mode(self, request):
-        set_default_dag_cache_delta(request.param)
-        return request.param
+    @pytest.fixture(params=["unit", "weighted"])
+    def weigh(self, request):
+        """Builds a graph from ``(u, v)`` pairs: unit edges, or every edge
+        of length 3.0."""
+        if request.param == "unit":
+            return Graph.from_edges
+        return lambda edges: Graph.from_edges([(u, v, 3.0) for u, v in edges])
 
-    def test_insert_patch(self, mode):
-        graph = path_graph(6)
+    def test_insert_patch(self, weigh):
+        graph = weigh(_path_edges(6))
         as_csr(graph)
         graph.add_edge(0, 5)
         _assert_patched_bytes_match(graph)
 
-    def test_delete_patch(self, mode):
-        graph = path_graph(6)
+    def test_delete_patch(self, weigh):
+        graph = weigh(_path_edges(6))
         as_csr(graph)
         graph.remove_edge(2, 3)
         _assert_patched_bytes_match(graph)
 
-    def test_reweight_patch_flips_weighted_on(self, mode):
+    @pytest.mark.parametrize("edit", ["reweight", "insert"])
+    def test_patch_flips_weighted_on(self, edit):
         graph = path_graph(6)
-        as_csr(graph)
         assert as_csr(graph).weights is None
-        graph.set_edge_weight(1, 2, 4.0)
+        if edit == "reweight":
+            graph.set_edge_weight(1, 2, 4.0)
+        else:
+            graph.add_edge(0, 5, weight=4.0)
         patched = _assert_patched_bytes_match(graph)
         assert patched.weights is not None  # unweighted -> weighted flip
 
-    def test_reweight_back_to_unit_flips_weighted_off(self, mode):
+    @pytest.mark.parametrize("edit", ["reweight", "delete"])
+    def test_patch_flips_weighted_off(self, edit):
         graph = Graph.from_edges([(0, 1, 3.0), (1, 2), (2, 3)])
         as_csr(graph)
-        graph.set_edge_weight(0, 1, 1)
+        if edit == "reweight":
+            graph.set_edge_weight(0, 1, 1)
+        else:
+            graph.remove_edge(0, 1)
         patched = _assert_patched_bytes_match(graph)
         assert patched.weights is None  # weighted -> unweighted flip
 
-    def test_delete_then_readd_appends_at_segment_end(self, mode):
+    def test_delete_then_readd_appends_at_segment_end(self, weigh):
         # Dict semantics: re-adding a removed edge appends it at the end of
         # both endpoints' neighbour order; the patch must replay that.
-        graph = Graph.from_edges([(0, 1), (0, 2), (0, 3), (1, 2)])
+        graph = weigh([(0, 1), (0, 2), (0, 3), (1, 2)])
         as_csr(graph)
         graph.remove_edge(0, 1)
         graph.add_edge(0, 1, weight=7.0)
         _assert_patched_bytes_match(graph)
 
-    def test_random_edit_storm(self, mode):
+    def test_random_edit_storm(self, weigh):
         rng = random.Random(42)
-        graph = erdos_renyi_graph(30, 0.15, seed=7)
+        graph = weigh(list(erdos_renyi_graph(30, 0.15, seed=7).edges()))
         as_csr(graph)
         nodes = list(graph.nodes())
         for _ in range(40):
@@ -286,8 +247,8 @@ class TestIncrementalCSRPatching:
                 graph.add_edge(u, v, weight=rng.choice([1, 2.5, 8.0]))
             _assert_patched_bytes_match(graph)
 
-    def test_patch_path_actually_taken(self, mode, monkeypatch):
-        graph = path_graph(8)
+    def test_patch_path_actually_taken(self, weigh, monkeypatch):
+        graph = weigh(_path_edges(8))
         as_csr(graph)
         graph.add_edge(0, 7)
 
@@ -300,177 +261,183 @@ class TestIncrementalCSRPatching:
         row = patched.indices[patched.indptr[zero]:patched.indptr[zero + 1]]
         assert patched.index[7] in list(row)
 
-    def test_structural_change_falls_back_to_rebuild(self, mode):
-        graph = path_graph(5)
+    def test_long_covered_range_patches_in_one_step(self, weigh, monkeypatch):
+        # An edit batch far longer than the old 64-edit validation limit
+        # (128 edges, as perfbench's ins/del ops edit) is still one patch.
+        rng = random.Random(5)
+        graph = weigh(list(erdos_renyi_graph(60, 0.1, seed=3).edges()))
+        as_csr(graph)
+        nodes = list(graph.nodes())
+        edits = 0
+        while edits < 128:
+            u, v = rng.sample(nodes, 2)
+            if graph.has_edge(u, v):
+                graph.remove_edge(u, v)
+            else:
+                graph.add_edge(u, v, weight=rng.choice([1, 4.0]))
+            edits += 1
+        assert len(deltas_between(graph, graph._version - 128)) == 128
+
+        def _no_rebuild(*args, **kwargs):
+            raise AssertionError("expected an incremental patch, got a rebuild")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(CSRGraph, "from_graph", staticmethod(_no_rebuild))
+            as_csr(graph)
+        _assert_patched_bytes_match(graph)
+
+    def test_structural_change_falls_back_to_rebuild(self, weigh):
+        graph = weigh(_path_edges(5))
         as_csr(graph)
         graph.add_edge(4, 99)  # new node: label set changes
         _assert_patched_bytes_match(graph)
 
-    def test_journal_overflow_falls_back_to_rebuild(self, mode, monkeypatch):
+    def test_journal_overflow_falls_back_to_rebuild(self, weigh, monkeypatch):
         monkeypatch.setattr(delta_module, "DELTA_JOURNAL_SIZE", 2)
-        graph = path_graph(8)
+        graph = weigh(_path_edges(8))
         as_csr(graph)
         for k in range(5):
             graph.add_edge(0, k + 2)
         assert deltas_between(graph, graph._version - 5) is None
         _assert_patched_bytes_match(graph)
 
-    def test_off_mode_still_rebuilds_correctly(self):
-        set_default_dag_cache_delta("off")
-        graph = path_graph(6)
-        as_csr(graph)
-        graph.add_edge(0, 5)
-        _assert_patched_bytes_match(graph)
-
 
 def _weighted_y_graph():
-    """0 -5- 1 -5- 2 plus a heavy chord 0 -100- 2.
-
-    The chord is on no shortest path, so edits to it are invisible to some
-    sources and visible to others — the partial-retention fixture.
-    """
+    """0 -5- 1 -5- 2 plus a heavy chord 0 -100- 2 on no shortest path."""
     return Graph.from_edges([(0, 1, 5.0), (1, 2, 5.0), (0, 2, 100.0)])
 
 
-@pytest.mark.requires_numpy
-class TestSourceDAGCacheDeltaValidation:
-    def _warm_weighted_rows(self, cache, graph, sources):
-        for source in sources:
-            cache.distances(graph, source, weighted=True)
+def _level_graph():
+    """0-1-2 and 0-3: nodes 1 and 3 are both one hop from 0."""
+    return Graph.from_edges([(0, 1), (1, 2), (0, 3)])
 
-    def test_weighted_rows_survive_irrelevant_edits(self):
+
+def _two_component_graph():
+    """The level graph plus a path 7-8-9 that node 0 does not reach."""
+    return Graph.from_edges([(0, 1), (1, 2), (0, 3), (7, 8), (8, 9)])
+
+
+#: Effective edits that move no distance or path count from node 0: a
+#: lighter but still useless chord, an edge between two nodes at equal hop
+#: distance, and an edge in a component node 0 does not reach.  Each is a
+#: new graph version all the same.
+INERT_EDITS = {
+    "chord-reweight": (_weighted_y_graph, lambda g: g.set_edge_weight(0, 2, 90.0)),
+    "level-insert": (_level_graph, lambda g: g.add_edge(1, 3)),
+    "unreached-insert": (_two_component_graph, lambda g: g.add_edge(7, 9)),
+}
+
+#: One lookup of node 0's traversal per entry kind of the cache.
+LOOKUPS = ("dag", "distance_map", "distance_rows")
+
+
+def _lookup(cache, graph, lookup, backend):
+    if lookup == "dag":
+        return cache.dag(graph, 0, backend=backend, weighted=graph.is_weighted)
+    if lookup == "distance_map":
+        return cache.distance_map(graph, 0, backend=backend)
+    [row] = cache.distance_rows(graph, [0])
+    return row
+
+
+def _answer(value):
+    """A comparable, backend-neutral form of one looked-up value."""
+    if isinstance(value, dict):
+        return list(value.items())
+    if hasattr(value, "tolist"):
+        return value.tolist()
+    return _dag_signature(value, targets=(1, 2, 3), seed=5)
+
+
+class TestSourceDAGCacheStaleness:
+    """A graph's store is served only at the version it was built at: the
+    first lookup after any effective edit drops it whole, even when the
+    edit moves nothing it holds, and a no-op edit keeps it."""
+
+    @pytest.mark.requires_numpy  # distance_rows reads the CSR snapshot
+    @pytest.mark.parametrize("backend", ["dict", "csr"])
+    @pytest.mark.parametrize("edit", sorted(INERT_EDITS))
+    @pytest.mark.parametrize("lookup", LOOKUPS)
+    def test_edit_that_moves_no_distance_drops_the_store(
+        self, lookup, edit, backend
+    ):
+        build, apply = INERT_EDITS[edit]
+        graph = build()
+        cache = SourceDAGCache(max_entries=16)
+        stale = {name: _lookup(cache, graph, name, backend) for name in LOOKUPS}
+        size = cache.stats()["entries"]
+        hits, misses = cache.hits, cache.misses
+        apply(graph)
+        served = _lookup(cache, graph, lookup, backend)
+        cold = _lookup(SourceDAGCache(max_entries=16), graph, lookup, backend)
+        assert served is not stale[lookup]
+        assert (cache.hits, cache.misses) == (hits, misses + 1)
+        assert (size, cache.evictions) == (3, 3)
+        assert _answer(served) == _answer(cold) == _answer(stale[lookup])
+
+    @pytest.mark.requires_numpy
+    @pytest.mark.parametrize("backend", ["dict", "csr"])
+    def test_noop_edit_still_hits(self, backend):
         graph = _weighted_y_graph()
         cache = SourceDAGCache(max_entries=16)
-        self._warm_weighted_rows(cache, graph, (0, 1, 2))
-        misses = cache.misses
-        # Reweighting the unused chord cannot move any weighted distance.
-        graph.set_edge_weight(0, 2, 90.0)
-        self._warm_weighted_rows(cache, graph, (0, 1, 2))
-        stats = cache.stats()
-        assert cache.misses == misses  # every row survived -> pure hits
-        assert stats["delta_retained"] == 3
-        assert stats["delta_evictions"] == 0
+        warm = {name: _lookup(cache, graph, name, backend) for name in LOOKUPS}
+        hits, misses = cache.hits, cache.misses
+        graph.add_edge(1, 0)  # present already: its length is kept
+        graph.set_edge_weight(0, 2, 100.0)  # its current length
+        for name in LOOKUPS:
+            assert _lookup(cache, graph, name, backend) is warm[name]
+        assert (cache.hits, cache.misses) == (hits + 3, misses)
+        assert cache.evictions == 0
 
-    def test_partial_retention_across_sources(self):
-        graph = _weighted_y_graph()
-        cache = SourceDAGCache(max_entries=16)
-        self._warm_weighted_rows(cache, graph, (0, 1, 2))
-        # Dropping the chord to 8.0 shortens 0<->2 (10 -> 8) but leaves
-        # source 1 untouched: d1[0]=5, d1[2]=5, and 5+8 shortens nothing.
-        graph.set_edge_weight(0, 2, 8.0)
-        self._warm_weighted_rows(cache, graph, (0, 1, 2))
-        stats = cache.stats()
-        assert stats["delta_retained"] == 1  # source 1 survived
-        assert stats["delta_evictions"] == 2  # sources 0 and 2 recomputed
-        assert cache.distances(graph, 0, weighted=True)[2] == 8.0
+    @pytest.mark.parametrize("lookup", ["dag", "distance_map"])
+    def test_dict_lookups_leave_the_journal_unarmed(self, lookup):
+        # Only a slot that can patch its value arms the journal; edits to
+        # a graph the cache alone has read build no deltas.
+        graph = _level_graph()
+        _lookup(SourceDAGCache(max_entries=4), graph, lookup, "dict")
+        graph.add_edge(1, 3)
+        assert graph._journal is None
 
+    def test_stats_report_lookups_and_residency(self):
+        cache = SourceDAGCache(max_entries=2)
+        graph = path_graph(3)
+        cache.dag(graph, 0, backend="dict")
+        stats = cache.stats()
+        assert set(stats) == {"hits", "misses", "evictions", "entries", "cost"}
+        assert (stats["misses"], stats["entries"]) == (1, 1)
+
+    @pytest.mark.requires_numpy
     def test_hop_entries_evict_on_shortcut_insert(self):
         # In hop space every edge has weight 1: any insert between nodes
         # more than one hop apart is a shortcut, whatever its stored weight.
         graph = path_graph(6)
         cache = SourceDAGCache(max_entries=16)
-        stale = cache.distances(graph, 0)
+        [stale] = cache.distance_rows(graph, [0])
         graph.add_edge(0, 5, weight=1000.0)
-        fresh = cache.distances(graph, 0)
+        [fresh] = cache.distance_rows(graph, [0])
         assert stale[5] == 5 and fresh[5] == 1
-        assert cache.stats()["delta_evictions"] == 1
-
-    def test_hop_entries_immune_to_reweights(self):
-        graph = Graph.from_edges([(0, 1, 2.0), (1, 2, 2.0), (2, 3, 2.0)])
-        cache = SourceDAGCache(max_entries=16)
-        row = cache.distances(graph, 0)
-        dag = cache.dag(graph, 0, backend="dict")
-        graph.set_edge_weight(1, 2, 9.0)
-        assert cache.distances(graph, 0) is row
-        assert cache.dag(graph, 0, backend="dict") is dag
-        assert cache.stats()["delta_retained"] == 2
+        assert cache.evictions == 1
 
     def test_delete_on_shortest_path_evicts(self):
         graph = _weighted_y_graph()
         cache = SourceDAGCache(max_entries=16)
-        self._warm_weighted_rows(cache, graph, (0,))
+        cache.dag(graph, 0, backend="dict", weighted=True)
         graph.remove_edge(0, 1)  # on every shortest path from 0
-        assert cache.distances(graph, 0, weighted=True)[2] == 100.0
-        assert cache.stats()["delta_evictions"] == 1
+        dag = cache.dag(graph, 0, backend="dict", weighted=True)
+        assert dag.distances[2] == 100.0
+        assert cache.evictions == 1
 
-    def test_delete_off_shortest_path_retains(self):
-        graph = _weighted_y_graph()
-        cache = SourceDAGCache(max_entries=16)
-        self._warm_weighted_rows(cache, graph, (0,))
-        graph.remove_edge(0, 2)  # the unused chord
-        assert cache.distances(graph, 0, weighted=True)[2] == 10.0
-        stats = cache.stats()
-        assert stats["delta_retained"] == 1 and stats["delta_evictions"] == 0
-
-    def test_tie_creating_insert_evicts_dag_keeps_rows(self):
+    def test_tie_creating_insert_evicts_the_dag(self):
         # 0-1-2 and 0-3; inserting 3-2 creates a second equal-length path
         # to 2: distances stand, path counts do not.
-        graph = Graph.from_edges([(0, 1), (1, 2), (0, 3)])
+        graph = _level_graph()
         cache = SourceDAGCache(max_entries=16)
-        row = cache.distances(graph, 0)
         stale_dag = cache.dag(graph, 0, backend="dict")
         assert stale_dag.sigma[2] == 1
         graph.add_edge(3, 2)
-        assert cache.distances(graph, 0) is row  # distances unaffected
         fresh_dag = cache.dag(graph, 0, backend="dict")
         assert fresh_dag.sigma[2] == 2  # tie was real
-        stats = cache.stats()
-        assert stats["delta_retained"] >= 1
-        assert stats["delta_evictions"] == 1
-
-    def test_journal_overflow_counts_and_evicts_wholesale(self, monkeypatch):
-        monkeypatch.setattr(delta_module, "DELTA_JOURNAL_SIZE", 2)
-        graph = _weighted_y_graph()
-        cache = SourceDAGCache(max_entries=16)
-        self._warm_weighted_rows(cache, graph, (0, 1, 2))
-        for _ in range(4):  # blow the 2-entry cap with no-move reweights
-            graph.set_edge_weight(0, 2, 90.0)
-            graph.set_edge_weight(0, 2, 100.0)
-        self._warm_weighted_rows(cache, graph, (0, 1, 2))
-        stats = cache.stats()
-        assert stats["journal_overflows"] == 1
-        assert stats["delta_retained"] == 0
-        assert stats["evictions"] == 3
-
-    def test_auto_mode_bounds_the_validation_scan(self):
-        graph = _weighted_y_graph()
-        cache = SourceDAGCache(max_entries=16)
-        self._warm_weighted_rows(cache, graph, (1,))
-        warmed_at = graph._version
-        for k in range(AUTO_DELTA_VALIDATION_LIMIT + 1):
-            graph.set_edge_weight(0, 2, 90.0 + (k % 2))
-        assert deltas_between(graph, warmed_at) is not None  # covered...
-        self._warm_weighted_rows(cache, graph, (1,))
-        stats = cache.stats()
-        assert stats["journal_overflows"] == 1  # ...but auto bailed out
-        assert stats["delta_retained"] == 0
-
-    def test_on_mode_validates_past_the_auto_limit(self):
-        set_default_dag_cache_delta("on")
-        graph = _weighted_y_graph()
-        cache = SourceDAGCache(max_entries=16)
-        self._warm_weighted_rows(cache, graph, (1,))
-        for k in range(AUTO_DELTA_VALIDATION_LIMIT + 1):
-            graph.set_edge_weight(0, 2, 90.0 + (k % 2))
-        self._warm_weighted_rows(cache, graph, (1,))
-        assert cache.stats()["delta_retained"] == 1
-
-    def test_off_mode_is_the_historical_wholesale_eviction(self):
-        set_default_dag_cache_delta("off")
-        graph = _weighted_y_graph()
-        cache = SourceDAGCache(max_entries=16)
-        self._warm_weighted_rows(cache, graph, (0, 1, 2))
-        graph.set_edge_weight(0, 2, 90.0)
-        self._warm_weighted_rows(cache, graph, (0, 1, 2))
-        stats = cache.stats()
-        assert stats["delta_retained"] == 0
-        assert stats["journal_overflows"] == 0  # off: not even counted
-        assert stats["evictions"] == 3
-
-    def test_stats_exposes_the_delta_counters(self):
-        stats = SourceDAGCache(max_entries=2).stats()
-        for key in ("delta_retained", "delta_evictions", "journal_overflows"):
-            assert stats[key] == 0
+        assert cache.evictions == 1
 
 
 class TestGroundTruthCacheFencing:
@@ -484,9 +451,8 @@ class TestGroundTruthCacheFencing:
         fresh = cache.get("p5", graph)
         assert stale is not fresh
         assert fresh != stale
-        assert cache.stats()["delta_evictions"] == 1
 
-    def test_reweight_retained_under_hop_metric(self):
+    def test_reweight_recomputes_under_hop_metric(self):
         from repro.datasets.ground_truth import GroundTruthCache
 
         sssp_module.set_default_weighted("off")
@@ -495,22 +461,29 @@ class TestGroundTruthCacheFencing:
             graph = Graph.from_edges([(0, 1, 2.0), (1, 2, 2.0), (2, 3, 2.0)])
             truth = cache.get("w", graph)
             graph.set_edge_weight(1, 2, 9.0)  # invisible to hop betweenness
-            assert cache.get("w", graph) is truth
-            assert cache.stats()["delta_retained"] == 1
+            fresh = cache.get("w", graph)
+            assert fresh is not truth  # a new version: recomputed
+            assert fresh == truth
         finally:
             sssp_module.set_default_weighted(None)
+
+    def test_truth_leaves_the_journal_unarmed(self):
+        from repro.datasets.ground_truth import GroundTruthCache
+
+        graph = path_graph(5)
+        GroundTruthCache().get("p5", graph)
+        graph.add_edge(0, 4)
+        assert graph._journal is None
 
     def test_reweight_not_retained_under_auto_routing(self):
         from repro.datasets.ground_truth import GroundTruthCache
 
-        # Under weighted=auto a reweight can change the routed metric, so
-        # the conservative answer is a recompute.
+        # Under weighted=auto a reweight can change the routed metric.
         cache = GroundTruthCache()
         graph = Graph.from_edges([(0, 1, 2.0), (1, 2, 2.0), (2, 3, 2.0)])
         truth = cache.get("w", graph)
         graph.set_edge_weight(1, 2, 9.0)
         assert cache.get("w", graph) is not truth
-        assert cache.stats()["delta_evictions"] == 1
 
     def test_disk_reload_not_used_for_stale_entries(self, tmp_path):
         from repro.datasets.ground_truth import GroundTruthCache
@@ -585,11 +558,10 @@ def _dag_signature(dag, targets, seed):
 
 @pytest.mark.requires_numpy
 class TestMutateThenQueryEquivalence:
-    """Satellite (c): with delta invalidation on, every mutate-then-query
-    result is bit-identical to delta off and to a freshly built graph."""
+    """Every answer cached after an edit is bit-identical to the one a
+    freshly built graph gives with a cold cache."""
 
-    def _scenario(self, mode, backend, *, weighted):
-        set_default_dag_cache_delta(mode)
+    def _scenario(self, backend, *, weighted):
         if weighted:
             graph = weighted_barabasi_albert_graph(40, 2, seed=11)
         else:
@@ -597,153 +569,86 @@ class TestMutateThenQueryEquivalence:
         cache = SourceDAGCache(max_entries=64)
         sources = (0, 7, 19)
         targets = (3, 25, 39)
-        out = []
+        for source in sources:  # warm: every edit below makes these stale
+            cache.dag(graph, source, backend=backend, weighted=weighted)
+        cache.distance_rows(graph, sources)
+        edits = 0
         for step in _mutation_script(graph):
             try:
                 _apply(graph, step)
             except GraphError:
                 continue
+            edits += 1
+            # A fresh graph with the identical adjacency order is the
+            # ground truth: same traversals, no cache or patch history.
+            fresh = graph.copy()
+            cold = SourceDAGCache(max_entries=64)
             for source in sources:
-                dag = cache.dag(
+                served = cache.dag(
                     graph, source, backend=backend, weighted=weighted
                 )
-                out.append(_dag_signature(dag, targets, seed=5))
-                row = cache.distances(graph, source, weighted=weighted)
-                out.append(dict(row) if isinstance(row, dict) else dict(
-                    zip(as_csr(graph).labels, row)
-                ))
-            # A fresh graph with the identical adjacency order is the
-            # ground truth: same traversals, no cache history at all.
-            fresh = cache.dag(
-                graph.copy(), sources[0], backend=backend, weighted=weighted
-            )
-            out.append(_dag_signature(fresh, targets, seed=5))
-        return out, cache.stats()
+                built = cold.dag(
+                    fresh, source, backend=backend, weighted=weighted
+                )
+                assert _dag_signature(served, targets, seed=5) == (
+                    _dag_signature(built, targets, seed=5)
+                )
+            rows = cache.distance_rows(graph, sources)
+            assert [row.tolist() for row in rows] == [
+                row.tolist() for row in cold.distance_rows(fresh, sources)
+            ]
+        return edits
 
     @pytest.mark.parametrize("backend", ["dict", "csr"])
     @pytest.mark.parametrize("weighted", [False, True])
-    def test_delta_on_off_and_fresh_agree(self, backend, weighted):
-        on, on_stats = self._scenario("on", backend, weighted=weighted)
-        off, off_stats = self._scenario("off", backend, weighted=weighted)
-        assert on == off
-        assert on_stats["delta_retained"] > 0  # retention actually fired
-        assert off_stats["delta_retained"] == 0
+    def test_cached_answers_match_a_fresh_graph(self, backend, weighted):
+        assert self._scenario(backend, weighted=weighted) >= 4
 
     @pytest.mark.parametrize("backend", ["dict", "csr"])
     def test_equivalence_survives_journal_overflow(self, backend, monkeypatch):
-        with monkeypatch.context() as patch:
-            patch.setattr(delta_module, "DELTA_JOURNAL_SIZE", 1)
-            on, _ = self._scenario("on", backend, weighted=True)
-        off, _ = self._scenario("off", backend, weighted=True)
-        assert on == off
+        monkeypatch.setattr(delta_module, "DELTA_JOURNAL_SIZE", 1)
+        assert self._scenario(backend, weighted=True) >= 4
 
     def test_exact_betweenness_identical_after_mutations(self):
         from repro.centrality.brandes import betweenness_centrality
 
-        def run(mode):
-            set_default_dag_cache_delta(mode)
-            graph = weighted_barabasi_albert_graph(40, 2, seed=11)
-            cache = SourceDAGCache(max_entries=64)
-            for step in _mutation_script(graph):
-                try:
-                    _apply(graph, step)
-                except GraphError:
-                    continue
-                cache.distances(graph, 0, weighted=True)
-            return graph, betweenness_centrality(graph, normalized=True)
-
-        graph_on, scores_on = run("on")
-        _, scores_off = run("off")
-        assert scores_on == scores_off
-        assert scores_on == betweenness_centrality(
-            graph_on.copy(), normalized=True
-        )
+        graph = weighted_barabasi_albert_graph(40, 2, seed=11)
+        cache = SourceDAGCache(max_entries=64)
+        for step in _mutation_script(graph):
+            try:
+                _apply(graph, step)
+            except GraphError:
+                continue
+            cache.dag(graph, 0, backend="csr", weighted=True)
+        assert betweenness_centrality(
+            graph, normalized=True, backend="csr"
+        ) == betweenness_centrality(graph.copy(), normalized=True, backend="csr")
 
     def test_estimator_equivalence_through_the_default_cache(self):
         from repro.baselines import RiondatoKornaropoulos
 
-        def run(mode, workers):
-            set_default_dag_cache_delta(mode)
+        def run(workers, *, warm):
             dag_cache_module.clear_default_dag_cache()
             dag_cache_module.set_dag_cache_enabled(True)
             try:
                 graph = weighted_barabasi_albert_graph(60, 2, seed=13)
-                est = RiondatoKornaropoulos(
-                    0.3, 0.1, seed=21, backend="csr", workers=workers,
-                    max_samples_cap=200,
-                )
-                before = est.estimate(graph).scores
+
+                def estimate(target):
+                    return RiondatoKornaropoulos(
+                        0.3, 0.1, seed=21, backend="csr", workers=workers,
+                        max_samples_cap=200,
+                    ).estimate(target).scores
+
+                if warm:  # cache the pre-edit DAGs and snapshot
+                    estimate(graph)
                 u, v, w = next(iter(graph.weighted_edges()))
                 graph.set_edge_weight(u, v, float(w) + 50.0)
                 graph.add_edge(0, 41, weight=500.0)
-                after = est.estimate(graph).scores
-                return before, after
+                return estimate(graph if warm else graph.copy())
             finally:
                 dag_cache_module.set_dag_cache_enabled(None)
                 dag_cache_module.clear_default_dag_cache()
 
-        on = run("on", workers=0)
-        off = run("off", workers=0)
-        assert on == off
-        assert run("on", workers=2) == off  # worker pool leg
-
-
-class TestDeltaAffectsSource:
-    """Direct decision-table checks for the O(1) validity test."""
-
-    def _dist(self, mapping):
-        return lambda node: mapping.get(node)
-
-    def test_both_unreachable_is_unaffected(self):
-        dist = self._dist({0: 0.0})
-        delta = EdgeDelta(OP_INSERT, 5, 6, None, 1.0)
-        assert not delta_affects_source(
-            delta, dist, weighted=True, tie_sensitive=True
-        )
-
-    def test_one_reachable_endpoint_evicts(self):
-        dist = self._dist({0: 0.0, 1: 1.0})
-        delta = EdgeDelta(OP_INSERT, 1, 6, None, 1.0)
-        assert delta_affects_source(
-            delta, dist, weighted=True, tie_sensitive=False
-        )
-
-    def test_insert_tie_only_matters_when_tie_sensitive(self):
-        dist = self._dist({0: 0.0, 1: 1.0, 2: 2.0, 3: 1.0})
-        tie = EdgeDelta(OP_INSERT, 3, 2, None, 1.0)
-        assert not delta_affects_source(
-            tie, dist, weighted=True, tie_sensitive=False
-        )
-        assert delta_affects_source(
-            tie, dist, weighted=True, tie_sensitive=True
-        )
-
-    def test_hop_metric_ignores_stored_weights(self):
-        dist = self._dist({0: 0, 1: 1, 2: 2, 5: 5})
-        heavy = EdgeDelta(OP_INSERT, 0, 5, None, 1000.0)
-        assert delta_affects_source(
-            heavy, dist, weighted=False, tie_sensitive=False
-        )
-        reweight = EdgeDelta(OP_REWEIGHT, 0, 1, 1.0, 1000.0)
-        assert not delta_affects_source(
-            reweight, dist, weighted=False, tie_sensitive=True
-        )
-
-    def test_weight_increase_matters_iff_edge_was_shortest(self):
-        dist = self._dist({0: 0.0, 1: 2.0, 2: 7.0})
-        on_path = EdgeDelta(OP_REWEIGHT, 0, 1, 2.0, 3.0)
-        assert delta_affects_source(
-            on_path, dist, weighted=True, tie_sensitive=False
-        )
-        off_path = EdgeDelta(OP_REWEIGHT, 1, 2, 9.0, 12.0)
-        assert not delta_affects_source(
-            off_path, dist, weighted=True, tie_sensitive=False
-        )
-
-    def test_structural_always_affects(self):
-        assert delta_affects_source(
-            STRUCTURAL_DELTA,
-            self._dist({}),
-            weighted=False,
-            tie_sensitive=False,
-        )
+        after_edits = run(0, warm=True)
+        assert after_edits == run(0, warm=False)
+        assert run(2, warm=True) == after_edits  # worker pool leg

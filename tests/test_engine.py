@@ -221,6 +221,27 @@ class TestSourceDAGCache:
         assert dict_dag is not csr_dag
         assert dict_dag.sigma[1] == int(csr_dag.sigma[csr_dag.csr.index[1]])
 
+    def test_clear_drops_every_store_and_keeps_the_counters(self):
+        cache = SourceDAGCache(max_entries=8)
+        graphs = [cycle_graph(5), cycle_graph(6)]
+        first = [cache.dag(graph, 0, backend="dict") for graph in graphs]
+        cache.clear()
+        assert cache.stats()["entries"] == 0
+        assert (cache.hits, cache.misses, cache.evictions) == (0, 2, 0)
+        assert cache.dag(graphs[0], 0, backend="dict") is not first[0]
+        assert cache.misses == 3
+
+    def test_collected_graph_drops_its_store(self):
+        import gc
+
+        cache = SourceDAGCache(max_entries=8)
+        graph = cycle_graph(6)
+        cache.dag(graph, 0, backend="dict")
+        assert cache.stats()["entries"] == 1
+        del graph
+        gc.collect()  # the store is keyed weakly on the graph
+        assert cache.stats()["entries"] == 0
+
     def test_eviction_on_version_bump(self):
         cache = SourceDAGCache(max_entries=8)
         graph = cycle_graph(6)
@@ -354,18 +375,23 @@ class TestSourceDAGCache:
             assert list(row) == list(dist)
 
     @pytest.mark.requires_numpy
-    def test_distance_rows_counts_repeats_like_distances_calls(self):
-        # A source repeated within one call is one more lookup, a hit — what
-        # the same draws made one `distances` call at a time report.
+    def test_distance_rows_counts_repeats_as_hits(self):
+        # A source repeated within one call is one more lookup, a hit, and
+        # every row equals its source's own single-source sweep.
         graph = grid_road_graph(6, 6, seed=0)[0]
         a, b = list(graph.nodes())[:2]
-        batched = SourceDAGCache(max_entries=16)
-        single = SourceDAGCache(max_entries=16)
-        rows = batched.distance_rows(graph, [a, a, b])
-        singles = [single.distances(graph, source) for source in (a, a, b)]
-        assert batched.stats() == single.stats()
-        assert (batched.hits, batched.misses) == (1, 2)
+        cache = SourceDAGCache(max_entries=16)
+        rows = cache.distance_rows(graph, [a, a, b])
+        assert (cache.hits, cache.misses, cache.evictions) == (1, 2, 0)
         assert rows[0] is rows[1]
+        snapshot = csr_module.as_csr(graph)
+        singles = [
+            csr_module.multi_source_sweep(
+                snapshot, [snapshot.index_of(source)],
+                kind=csr_module.SWEEP_DISTANCE,
+            )[0]
+            for source in (a, a, b)
+        ]
         assert [list(row) for row in rows] == [list(row) for row in singles]
 
     def test_rejects_unresolved_backend(self):

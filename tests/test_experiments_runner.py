@@ -64,10 +64,11 @@ class TestRunnerCaching:
         from repro.engine import dag_cache as dag_cache_module
         from repro import parallel
         from repro.graphs import csr as csr_module
+        from repro.graphs import sssp as sssp_module
 
         monkeypatch.delenv(parallel.START_METHOD_ENV_VAR, raising=False)
         monkeypatch.delenv(dag_cache_module.DAG_CACHE_SIZE_ENV_VAR, raising=False)
-        monkeypatch.delenv(dag_cache_module.DAG_CACHE_DELTA_ENV_VAR, raising=False)
+        monkeypatch.delenv(sssp_module.WEIGHTED_ENV_VAR, raising=False)
         try:
             runner = ExperimentRunner(
                 ExperimentConfig(
@@ -76,23 +77,23 @@ class TestRunnerCaching:
                     backend="csr",
                     start_method="spawn",
                     dag_cache_size=77,
-                    dag_cache_delta="on",
+                    weighted="off",
                 )
             )
             # Construction flips nothing.
             assert parallel.start_method() is None
             assert dag_cache_module.resolve_dag_cache_size() != 77
-            assert dag_cache_module.resolve_dag_cache_delta() == "auto"
+            assert sssp_module.resolve_weighted() == "auto"
             runner.dataset("flickr")  # first real work applies the overrides
             assert parallel.start_method() == "spawn"
             assert csr_module.default_backend() == "csr"
             assert dag_cache_module.resolve_dag_cache_size() == 77
-            assert dag_cache_module.resolve_dag_cache_delta() == "on"
+            assert sssp_module.resolve_weighted() == "off"
         finally:
             csr_module.set_default_backend(None)
             parallel.set_default_start_method(None)
             dag_cache_module.set_default_dag_cache_size(None)
-            dag_cache_module.set_default_dag_cache_delta(None)
+            sssp_module.set_default_weighted(None)
 
     def test_block_cut_tree_cached(self, smoke_runner):
         assert smoke_runner.block_cut_tree("flickr") is smoke_runner.block_cut_tree(

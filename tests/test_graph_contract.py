@@ -2,19 +2,21 @@
 
 ``Graph._commit`` is the only code that bumps ``Graph._version`` and
 records to the mutation journal, and every public mutator calls it once
-per effective change.  State derived from a graph version is served by
-the staleness rule of ``delta.deltas_between``: from the graph's own
-versioned slot (``Graph.memo``; the CSR snapshot lives there) or from the
-owner-held stores of ``SourceDAGCache`` and ``GroundTruthCache``.
+per effective change.  State derived from a graph version lives in the
+graph's own versioned slot (``Graph.memo``; the CSR snapshot lives there
+and is patched through the staleness rule of ``delta.deltas_between``) or
+in the owner-held stores of ``SourceDAGCache`` and ``GroundTruthCache``,
+which compare ``Graph._version`` alone.
 
 These tests pin what that structure guarantees, for every public mutator
 (the table below), with the journal armed and not armed: an effective
 change bumps the version by exactly one and journals exactly its delta; a
 no-op or rejected call changes nothing; afterwards the snapshot equals a
-fresh build and no cached traversal the edit affects is served.  Three
+fresh build and no cached traversal the edit affects is served.  Five
 syntax-tree checks keep the structure from being bypassed: only
-``_commit`` bumps and journals, and no code outside the owning modules
-writes graph state or keeps a graph-keyed store.
+``_commit`` bumps and journals, no code outside the owning modules writes
+graph state or keeps a graph-keyed store, and only the graph arms the
+journal and only the graph and its snapshot import it.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from repro.graphs.delta import (
     STRUCTURAL_DELTA,
     EdgeDelta,
     deltas_between,
-    set_default_dag_cache_delta,
 )
 from repro.graphs.graph import Graph
 
@@ -147,12 +148,10 @@ READ_ONLY = {
 
 @pytest.fixture(params=["armed", "unarmed"])
 def journal(request):
-    """``armed``: journal validation forced on, and each graph's journal is
-    armed before it mutates; ``unarmed``: delta invalidation off, so no
-    journal is armed and every stale value is rebuilt."""
-    set_default_dag_cache_delta("on" if request.param == "armed" else "off")
-    yield request.param == "armed"
-    set_default_dag_cache_delta(None)
+    """``armed``: each graph's journal is armed before it mutates;
+    ``unarmed``: its ``_journal`` is ``None`` when it mutates, so no edit
+    is journalled and every stale value is rebuilt."""
+    return request.param == "armed"
 
 
 def _prepared(armed: bool) -> Graph:
@@ -160,6 +159,15 @@ def _prepared(armed: bool) -> Graph:
     if armed:
         delta_module.track(graph)
     return graph
+
+
+def _mutate(graph: Graph, armed: bool, apply: Callable[[Graph], None]) -> None:
+    """``apply`` an edit to ``graph``; when not ``armed``, first drop the
+    journal that a read since :func:`_prepared` (``as_csr``) may have
+    armed."""
+    if not armed:
+        graph._journal = None
+    apply(graph)
 
 
 def test_every_public_method_is_classified():
@@ -221,7 +229,7 @@ class TestMutators:
         for call in MUTATORS[name].noops:
             call(graph)
         assert as_csr(graph) is before
-        MUTATORS[name].apply(graph)
+        _mutate(graph, journal, MUTATORS[name].apply)
         after = as_csr(graph)
         fresh = CSRGraph.from_graph(graph)
         assert after is not before
@@ -241,7 +249,7 @@ class TestMutators:
         for call in row.noops:
             call(graph)
         assert cache.dag(graph, 0, backend=backend, weighted=row.weighted) is stale
-        row.apply(graph)
+        _mutate(graph, journal, row.apply)
         served = cache.dag(graph, 0, backend=backend, weighted=row.weighted)
         fresh = SourceDAGCache.compute_dag(
             graph, 0, backend=backend, weighted=row.weighted
@@ -274,11 +282,7 @@ def test_unarmed_commit_builds_no_delta(monkeypatch):
     graph.set_edge_weight(1, 2, 0.5)
     graph.remove_edge(0, 1)
     assert graph._journal is None and built == []
-    set_default_dag_cache_delta("on")
-    try:
-        delta_module.track(graph)
-    finally:
-        set_default_dag_cache_delta(None)
+    delta_module.track(graph)
     graph.add_edge(0, 1)
     assert built == [(OP_INSERT, 0, 1, None, 1.0)]
 
@@ -468,3 +472,42 @@ def test_only_commit_bumps_the_version_and_journals():
                 records.add(function.name)
     assert bumps == {"__init__", "_commit"}
     assert records == {"_commit"}
+
+
+def _calls(tree, name):
+    """Calls in ``tree`` of a function or method named ``name``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (isinstance(func, ast.Name) and func.id == name) or (
+                isinstance(func, ast.Attribute) and func.attr == name
+            ):
+                yield node
+
+
+def test_only_the_versioned_slot_arms_the_journal():
+    # Graph.memo (a slot with a refresh) and Graph.memo_seed arm it; the
+    # caches that drop stale stores whole never need one.
+    found = {
+        where
+        for where, tree in _modules()
+        for _ in _calls(tree, "track")
+    }
+    assert found == {"graphs/graph.py"}
+
+
+def test_only_the_graph_and_its_snapshot_import_the_journal():
+    found = set()
+    for where, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + [
+                    f"{node.module}.{alias.name}" for alias in node.names
+                ]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if "repro.graphs.delta" in names:
+                found.add(where)
+    assert found == {"graphs/__init__.py", "graphs/csr.py", "graphs/graph.py"}

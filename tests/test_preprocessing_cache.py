@@ -25,7 +25,6 @@ from repro.graphs import delta as delta_module
 from repro.graphs.block_cut_tree import build_block_cut_tree
 from repro.graphs.components import is_connected
 from repro.graphs.csr import SNAPSHOT_KEY, CSRGraph, adopt_snapshot, as_csr
-from repro.graphs.delta import set_default_dag_cache_delta
 from repro.graphs.generators import barabasi_albert_graph, barbell_graph
 from repro.graphs.graph import Graph
 from repro.saphyra_bc import SaPHyRaBC
@@ -354,16 +353,7 @@ def _snapshot_bytes(snapshot):
     )
 
 
-@pytest.fixture
-def delta_auto():
-    """The default ``auto`` delta mode, whatever ``REPRO_DAG_CACHE_DELTA``
-    says."""
-    set_default_dag_cache_delta("auto")
-    yield
-    set_default_dag_cache_delta(None)
-
-
-def test_memo_refresh_gets_the_deltas_and_none_rebuilds(delta_auto):
+def test_memo_refresh_gets_the_deltas_and_none_rebuilds():
     graph = _graph()
     built, refreshed = [], []
 
@@ -386,8 +376,8 @@ def test_memo_refresh_gets_the_deltas_and_none_rebuilds(delta_auto):
 
 
 @pytest.fixture
-def snapshot_builds(monkeypatch, delta_auto):
-    """Every ``CSRGraph.from_graph`` call, by graph, in ``auto`` mode."""
+def snapshot_builds(monkeypatch):
+    """Every ``CSRGraph.from_graph`` call, by graph."""
     builds = []
     build = CSRGraph.from_graph
 
@@ -425,7 +415,7 @@ class TestSnapshotSlot:
 
     @pytest.mark.parametrize(
         "edit",
-        ["structural", "delta-off", "overflow"],
+        ["structural", "new-node", "overflow"],
     )
     def test_uncovered_edit_rebuilds(self, monkeypatch, snapshot_builds, edit):
         if edit == "overflow":
@@ -434,9 +424,8 @@ class TestSnapshotSlot:
         stale = as_csr(graph)
         if edit == "structural":
             _remove_node(graph)
-        elif edit == "delta-off":
-            set_default_dag_cache_delta("off")
-            _add_edge(graph)
+        elif edit == "new-node":
+            graph.add_edge(0, 4000)  # a new endpoint is a structural edit
         else:
             for weight in (2.0, 3.0, 4.0):
                 graph.set_edge_weight(0, 3000, weight)
@@ -486,9 +475,7 @@ class TestSnapshotSlot:
             CSRGraph.from_graph(graph)
         )
 
-    def test_graph_holding_a_snapshot_is_freed_without_the_collector(
-        self, delta_auto
-    ):
+    def test_graph_holding_a_snapshot_is_freed_without_the_collector(self):
         graph = _graph()
         snapshot = as_csr(graph)
         _add_edge(graph)
@@ -503,7 +490,7 @@ class TestSnapshotSlot:
             gc.enable()
         assert snapshot.n > 0  # a snapshot held elsewhere outlives its graph
 
-    def test_adopted_snapshot_file_survives_an_edit(self, tmp_path, delta_auto):
+    def test_adopted_snapshot_file_survives_an_edit(self, tmp_path):
         from repro.graphs.store import (
             graph_from_snapshot,
             load_snapshot,
