@@ -1,17 +1,21 @@
 """Sampling-engine benchmarks: cross-sample DAG caching and
 direction-optimising BFS.
 
-Two knobs of the unified engine (:mod:`repro.engine`) are measured here so
-their speedups are tracked in the benchmark trajectory:
+Two mechanisms of the unified engine (:mod:`repro.engine`) are measured
+here against the work they save, so their speedups are tracked in the
+benchmark trajectory:
 
 * **Source-DAG caching** — ``repeated_source_dags`` replays a pivot-heavy
-  access pattern (few sources, many requests: SaPHyRa-BC ISP sampling,
-  ABRA pair sampling, closeness target sweeps all look like this) and
-  ``rk_pivot_workload`` runs the whole RK estimator where every source is
-  drawn several times.  Expected shape: the cached pivot workload wins by
-  an order of magnitude (every request after the first per source is a
-  dict lookup), and end-to-end RK by >= 2x — the tentpole acceptance
-  target for repeated-source workloads.
+  access pattern (few sources, many requests: ABRA pair sampling, RK and
+  closeness target sweeps all look like this) through a cache and
+  through :meth:`~repro.engine.SourceDAGCache.compute_dag`, and
+  ``rk_pivot_workload`` runs the whole RK estimator, where every source is
+  drawn several times, through a default cache that holds every source
+  and through a one-entry default cache that recomputes nearly every
+  draw.  The cache is always on in the estimators; these legs measure
+  what it pays.  Expected shape: the cached pivot workload wins by an
+  order of magnitude (every request after the first per source is a dict
+  lookup), and end-to-end RK by >= 2x.
 * **Direction-optimising sweeps** — ``distance_sweep_direction`` compares
   ``direction="top-down"`` against ``direction="auto"`` (very fat levels
   switch to a bottom-up step) on the batched multi-source distance sweep.
@@ -39,7 +43,7 @@ import os
 import pytest
 
 from repro.baselines import RiondatoKornaropoulos
-from repro.engine import SourceDAGCache, set_dag_cache_enabled
+from repro.engine import SourceDAGCache, dag_cache
 from repro.graphs import csr as csr_module
 from repro.graphs.generators import barabasi_albert_graph, grid_road_graph
 
@@ -105,31 +109,24 @@ def test_bench_repeated_source_dags(benchmark, graphs, topology, mode):
 
 
 @pytest.mark.parametrize("mode", CACHE_MODES)
-def test_bench_rk_pivot_workload(benchmark, mode):
+def test_bench_rk_pivot_workload(benchmark, monkeypatch, mode):
     """End-to-end RK on a graph small enough that sources repeat often.
 
     ~4 draws per node on average, so the cached run rebuilds each source
     DAG once instead of four times — the >= 2x acceptance workload.
     """
-    from repro.engine import set_default_dag_cache_size
-
     graph = barabasi_albert_graph(max(200, int(1000 * _SCALE)), 4, seed=9)
     cap = 4 * graph.number_of_nodes()
-    set_dag_cache_enabled(mode == "cached")
-    # Size the default cache so the whole source set stays resident (the
-    # workload is "every source drawn ~4 times", not an LRU-churn study).
-    # The override mirrors into REPRO_DAG_CACHE_SIZE and rebuilds the
-    # default cache; None restores whatever the environment had.
-    set_default_dag_cache_size(2 * graph.number_of_nodes())
-    try:
-        result = benchmark(
-            lambda: RiondatoKornaropoulos(
-                0.02, 0.05, seed=11, max_samples_cap=cap, backend="csr"
-            ).estimate(graph)
-        )
-    finally:
-        set_dag_cache_enabled(None)
-        set_default_dag_cache_size(None)
+    # The cached leg's default cache holds the whole source set (the
+    # workload is "every source drawn ~4 times", not an LRU-churn study);
+    # the uncached leg's holds one entry, so nearly every draw recomputes.
+    entries = 2 * graph.number_of_nodes() if mode == "cached" else 1
+    monkeypatch.setattr(dag_cache, "_default_cache", SourceDAGCache(entries))
+    result = benchmark(
+        lambda: RiondatoKornaropoulos(
+            0.02, 0.05, seed=11, max_samples_cap=cap, backend="csr"
+        ).estimate(graph)
+    )
     assert result.num_samples == cap  # the VC size exceeds the cap at eps=0.02
 
 

@@ -233,7 +233,7 @@ class ABRA:
         target = rng.choice(nodes)
         while target == source:
             target = rng.choice(nodes)
-        dag = _dag_cache.source_dag(
+        dag = _dag_cache.default_dag_cache().dag(
             graph, source, backend=_csr.DICT_BACKEND, weighted=use_weights
         )
         if target not in dag.distances:  # pragma: no cover - connected graphs
@@ -272,7 +272,7 @@ class ABRA:
         target = rng.choice(nodes)
         while target == source:
             target = rng.choice(nodes)
-        dag = _dag_cache.source_dag(
+        dag = _dag_cache.default_dag_cache().dag(
             graph, source, backend=_csr.CSR_BACKEND, weighted=use_weights
         )
         snapshot = dag.csr

@@ -99,7 +99,9 @@ def _dag_paths(graph, nodes, backend, draws, rng):
     path from the source's cached Dijkstra DAG."""
     for _ in range(draws):
         source, endpoint = _draw_pair(nodes, rng)
-        dag = _dag_cache.source_dag(graph, source, backend=backend, weighted=True)
+        dag = _dag_cache.default_dag_cache().dag(
+            graph, source, backend=backend, weighted=True
+        )
         if backend == _csr.CSR_BACKEND:
             snapshot = dag.csr
             path_indices = dag.sample_path_indices(snapshot.index[endpoint], rng)

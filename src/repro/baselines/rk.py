@@ -57,7 +57,7 @@ def _rk_sample_chunk(payload, piece: Tuple[int, int]) -> Dict[Node, float]:
         # DAG and consumes the RNG identically either way).  With weights
         # on, the DAG is Dijkstra-built and the sampled paths are uniform
         # over *weight-minimal* shortest paths.
-        dag = _dag_cache.source_dag(
+        dag = _dag_cache.default_dag_cache().dag(
             graph, source, backend=backend, weighted=use_weights
         )
         if backend == _csr.CSR_BACKEND:

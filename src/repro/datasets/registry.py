@@ -12,10 +12,10 @@ generated graph to ``<snapshot_dir>/datasets/<name>@<scale>#<seed>.csr``
 the generator cost once, every later process rebuilds the dict graph from
 the snapshot (same node order, same adjacency order — bit-identical
 traversals), and :func:`load_csr` skips the dict graph entirely, returning
-the frozen CSR snapshot zero-copy (memory-mapped under ``mmap=auto|on``) —
-the O(1)-attach cold-start path for benches and read-only workloads.
-Corrupt or stale-format store entries are rebuilt and overwritten, never
-served.
+the frozen CSR snapshot zero-copy (memory-mapped) — the cold-start path
+for benches and read-only workloads.  Every store hit verifies the arrays
+checksum, so corrupt or stale-format store entries are rebuilt and
+overwritten, never served.
 """
 
 from __future__ import annotations
@@ -259,7 +259,6 @@ def load(
     scale: float = 1.0,
     seed: SeedLike = 0,
     snapshot_dir: Optional[str] = None,
-    mmap: Optional[str] = None,
 ) -> Dataset:
     """Build (or fetch) the named dataset.
 
@@ -278,10 +277,6 @@ def load(
         RAM every time, the historical behaviour).  The rebuilt graph is
         node-for-node, edge-order-for-edge-order identical to a fresh
         build, so every traversal on it is bit-identical.
-    mmap:
-        How a store hit attaches the snapshot arrays (``auto``/``on``/
-        ``off``; ``None`` resolves the ``mmap`` knob).  Never changes the
-        returned dataset, only load cost.
 
     Raises
     ------
@@ -298,7 +293,7 @@ def load(
     store = _dataset_store(directory)
     key = dataset_key(name, scale, seed)
     try:
-        csr = store.load(key, mmap=mmap)
+        csr = store.load(key)
     except GraphError:
         # Corrupt or stale-format store entry: datasets are re-generatable,
         # so rebuild below and overwrite it.
@@ -319,14 +314,13 @@ def load_csr(
     scale: float = 1.0,
     seed: SeedLike = 0,
     snapshot_dir: Optional[str] = None,
-    mmap: Optional[str] = None,
 ):
     """The named dataset's graph as a frozen :class:`CSRGraph` snapshot.
 
-    With a snapshot store configured this is the O(1)-attach cold-start
-    path: a store hit returns the on-disk snapshot directly (memory-mapped
-    under ``mmap=auto|on``), skipping both the generator and the dict
-    graph; a miss builds and memoises via :func:`load` first.  Without a
+    With a snapshot store configured this is the cold-start path: a store
+    hit returns the on-disk snapshot directly (memory-mapped, its arrays
+    checksum verified), skipping both the generator and the dict graph; a
+    miss builds and memoises via :func:`load` first.  Without a
     store it degrades to ``as_csr(load(...).graph)``.  The snapshot is
     byte-identical to ``CSRGraph.from_graph`` of a fresh build either way.
     """
@@ -336,22 +330,20 @@ def load_csr(
 
     directory = resolve_snapshot_dir(snapshot_dir)
     if directory is None:
-        dataset = load(
-            name, scale=scale, seed=seed, snapshot_dir=snapshot_dir, mmap=mmap
-        )
+        dataset = load(name, scale=scale, seed=seed, snapshot_dir=snapshot_dir)
         return as_csr(dataset.graph)
     store = _dataset_store(directory)
     key = dataset_key(name, scale, seed)
     from repro.errors import GraphError
 
     try:
-        csr = store.load(key, mmap=mmap)
+        csr = store.load(key)
     except GraphError:
         csr = None
     if csr is not None:
         return csr
-    dataset = load(name, scale=scale, seed=seed, snapshot_dir=snapshot_dir, mmap=mmap)
-    csr = store.load(key, mmap=mmap)
+    dataset = load(name, scale=scale, seed=seed, snapshot_dir=snapshot_dir)
+    csr = store.load(key)
     if csr is not None:
         return csr
     return as_csr(dataset.graph)  # pragma: no cover - store vanished mid-call

@@ -21,10 +21,11 @@ places; now it lives here, once:
 * :class:`SourceDAGCache` — a cross-sample cache of shortest-path DAGs and
   BFS distance rows keyed on ``(Graph._version, source, backend)``, so
   pivot-heavy and repeated-source workloads reuse traversals instead of
-  recomputing them per sample (``REPRO_DAG_CACHE`` toggles it,
-  ``REPRO_DAG_CACHE_SIZE`` bounds its per-graph entry count and the
-  constant :data:`~repro.engine.dag_cache.DEFAULT_DAG_CACHE_BUDGET` its
-  estimated memory).
+  recomputing them per sample (the process-wide
+  :func:`default_dag_cache` is bounded by the constants
+  :data:`~repro.engine.dag_cache.DEFAULT_DAG_CACHE_SIZE` per graph and
+  :data:`~repro.engine.dag_cache.DEFAULT_DAG_CACHE_BUDGET` of estimated
+  memory).
 
 Nothing in the engine changes results: schedules and folds reproduce the
 exact chunk/RNG layout the estimators used before the port, and cached
@@ -34,18 +35,9 @@ traversals are pure functions of ``(graph version, source, backend)``.
 from __future__ import annotations
 
 from repro.engine.dag_cache import (
-    DAG_CACHE_ENV_VAR,
-    DAG_CACHE_SIZE_ENV_VAR,
     SourceDAGCache,
     clear_default_dag_cache,
-    dag_cache_enabled,
     default_dag_cache,
-    resolve_dag_cache_size,
-    set_dag_cache_enabled,
-    set_default_dag_cache_size,
-    source_dag,
-    source_distance_map,
-    source_distance_rows,
 )
 from repro.engine.driver import DriveOutcome, SampleDriver, sweep_sources
 from repro.engine.schedule import SampleSchedule
@@ -68,15 +60,6 @@ __all__ = [
     "DriveOutcome",
     "sweep_sources",
     "SourceDAGCache",
-    "source_dag",
-    "source_distance_map",
-    "source_distance_rows",
     "default_dag_cache",
     "clear_default_dag_cache",
-    "dag_cache_enabled",
-    "set_dag_cache_enabled",
-    "resolve_dag_cache_size",
-    "set_default_dag_cache_size",
-    "DAG_CACHE_ENV_VAR",
-    "DAG_CACHE_SIZE_ENV_VAR",
 ]

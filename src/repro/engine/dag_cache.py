@@ -27,18 +27,16 @@ graph never cross-contaminate:
   instead of pinning hundreds of them;
 * hit/miss/eviction counters make the behaviour testable and benchable.
 
-Caching **never changes results**: a cached DAG is the same object the
-uncached code path would recompute, DAG construction consumes no RNG, and
-path sampling only reads the DAG.  The equivalence tests assert cached ==
-uncached == ``workers > 1`` bit for bit.
+Caching **never changes results**: a cached DAG is the same object a
+miss computes (:meth:`SourceDAGCache.compute_dag`), DAG construction
+consumes no RNG, and path sampling only reads the DAG.  The equivalence
+tests assert that the default cache, a one-entry cache evicting on nearly
+every draw and ``workers > 1`` give the same answers bit for bit.
 
-Configuration: the process-wide default cache follows the ``dag_cache``
-(on by default) and ``dag_cache_size`` (max entries per graph, default
-512) rows of :mod:`repro.knobs` — :func:`set_dag_cache_enabled` and
-:func:`set_default_dag_cache_size` override their ``REPRO_*`` variables,
-and :func:`default_dag_cache` rebuilds the cache when its size changes.
-Its element budget is the constant :data:`DEFAULT_DAG_CACHE_BUDGET` (16M
-≈ 128 MB per graph).
+The samplers always consult the process-wide :func:`default_dag_cache`,
+bounded by the constants :data:`DEFAULT_DAG_CACHE_SIZE` (512 entries per
+graph) and :data:`DEFAULT_DAG_CACHE_BUDGET` (16M elements ≈ 128 MB per
+graph); the budget is what bounds it on huge graphs.
 """
 
 from __future__ import annotations
@@ -47,35 +45,17 @@ from collections import OrderedDict
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
-from repro import knobs
 from repro.graphs import csr as _csr
 from repro.graphs.graph import Graph
 
 Node = Hashable
 
-DAG_CACHE_ENV_VAR = knobs.DAG_CACHE.env
-set_dag_cache_enabled = knobs.DAG_CACHE.override
-
-DAG_CACHE_SIZE_ENV_VAR = knobs.DAG_CACHE_SIZE.env
 #: Default per-graph LRU capacity (DAGs *and* distance rows count as entries).
-DEFAULT_DAG_CACHE_SIZE = knobs.DAG_CACHE_SIZE.default
-set_default_dag_cache_size = knobs.DAG_CACHE_SIZE.override
-resolve_dag_cache_size = knobs.DAG_CACHE_SIZE.resolve
+DEFAULT_DAG_CACHE_SIZE = 512
 
 #: Default per-graph element budget (one unit ~ one stored int64/float64,
 #: so ~128 MB).
 DEFAULT_DAG_CACHE_BUDGET = 16_000_000
-
-
-def dag_cache_enabled() -> bool:
-    """Whether the shared default cache is consulted by the samplers.
-
-    The size variable is validated here too, so a typo'd bound fails at
-    the first cache decision, naming the variable, instead of deep inside
-    a sampler.
-    """
-    knobs.DAG_CACHE_SIZE.resolve()
-    return knobs.DAG_CACHE.resolve()
 
 
 def _entry_cost(value: object) -> int:
@@ -135,18 +115,14 @@ class SourceDAGCache:
     Parameters
     ----------
     max_entries:
-        LRU capacity per graph (``None`` resolves via
-        :func:`resolve_dag_cache_size`: the
-        :func:`set_default_dag_cache_size` override, then
-        ``REPRO_DAG_CACHE_SIZE``, then the default).
+        LRU capacity per graph.
     max_cost:
-        Element budget per graph, in stored int64/float64-sized units
-        (``None``: :data:`DEFAULT_DAG_CACHE_BUDGET`).  When a workload's
-        traversals are individually huge — one DAG on a paper-scale graph
-        is already hundreds of megabytes — the budget degrades the cache to
-        roughly one resident traversal (the most recent entry is always
-        kept), matching the pre-cache peak memory instead of pinning
-        ``max_entries`` of them.
+        Element budget per graph, in stored int64/float64-sized units.
+        When a workload's traversals are individually huge — one DAG on a
+        paper-scale graph is already hundreds of megabytes — the budget
+        degrades the cache to roughly one resident traversal (the most
+        recent entry is always kept), matching the pre-cache peak memory
+        instead of pinning ``max_entries`` of them.
 
     Examples
     --------
@@ -164,16 +140,12 @@ class SourceDAGCache:
 
     def __init__(
         self,
-        max_entries: Optional[int] = None,
+        max_entries: int = DEFAULT_DAG_CACHE_SIZE,
         *,
-        max_cost: Optional[int] = None,
+        max_cost: int = DEFAULT_DAG_CACHE_BUDGET,
     ) -> None:
-        if max_entries is None:
-            max_entries = resolve_dag_cache_size()
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        if max_cost is None:
-            max_cost = DEFAULT_DAG_CACHE_BUDGET
         if max_cost < 1:
             raise ValueError(f"max_cost must be >= 1, got {max_cost}")
         self.max_entries = max_entries
@@ -246,7 +218,7 @@ class SourceDAGCache:
         Returns a :class:`~repro.graphs.csr.CSRShortestPathDAG` for the
         ``"csr"`` backend and a label-keyed
         :class:`~repro.graphs.traversal.ShortestPathDAG` for ``"dict"`` —
-        the exact objects the uncached code paths build.  ``weighted``
+        the exact objects :meth:`compute_dag` builds.  ``weighted``
         selects the Dijkstra engine and is part of the cache key.
         """
         if backend not in _csr.BACKENDS:
@@ -262,19 +234,14 @@ class SourceDAGCache:
             ),
         )
 
-    @staticmethod
-    def compute_distance_map(graph: Graph, source: Node, *, backend: str):
-        """The uncached computation a :meth:`distance_map` miss performs."""
-        from repro.graphs.traversal import bfs_distances
-
-        return bfs_distances(graph, source, backend=backend)
-
     def distance_map(self, graph: Graph, source: Node, *, backend: str):
         """The label-keyed ``{node: hop distance}`` map of ``source``.
 
-        Reachable nodes only, insertion-ordered exactly like
-        ``bfs_distances``.
+        A miss runs ``bfs_distances``: reachable nodes only, in its
+        insertion order.
         """
+        from repro.graphs.traversal import bfs_distances
+
         if backend not in _csr.BACKENDS:
             raise ValueError(
                 f"backend={backend!r} must be a concrete backend, one of "
@@ -283,7 +250,7 @@ class SourceDAGCache:
         return self.lookup(
             graph,
             ("dist-map", backend, source),
-            lambda: self.compute_distance_map(graph, source, backend=backend),
+            lambda: bfs_distances(graph, source, backend=backend),
         )
 
     def distance_rows(self, graph: Graph, sources: Sequence[Node]) -> List[object]:
@@ -348,52 +315,14 @@ _default_cache: Optional[SourceDAGCache] = None
 
 
 def default_dag_cache() -> SourceDAGCache:
-    """The lazily-created process-wide cache (one per worker process too).
-
-    It is rebuilt whenever the resolved size differs from the bound it was
-    built with; the cache never changes results, so dropping its entries
-    is free of correctness concerns.
-    """
+    """The lazily-created process-wide cache (one per worker process too)."""
     global _default_cache
-    size = resolve_dag_cache_size()
-    cache = _default_cache
-    if cache is None or cache.max_entries != size:
-        cache = _default_cache = SourceDAGCache(size)
-    return cache
+    if _default_cache is None:
+        _default_cache = SourceDAGCache()
+    return _default_cache
 
 
 def clear_default_dag_cache() -> None:
     """Drop the default cache; the next use builds a fresh one."""
     global _default_cache
     _default_cache = None
-
-
-def source_dag(graph: Graph, source: Node, *, backend: str,
-               weighted: bool = False):
-    """Shared-cache :meth:`SourceDAGCache.dag` (straight computation when off)."""
-    if dag_cache_enabled():
-        return default_dag_cache().dag(
-            graph, source, backend=backend, weighted=weighted
-        )
-    return SourceDAGCache.compute_dag(
-        graph, source, backend=backend, weighted=weighted
-    )
-
-
-def source_distance_map(graph: Graph, source: Node, *, backend: str):
-    """Shared-cache :meth:`SourceDAGCache.distance_map` (straight when off)."""
-    if dag_cache_enabled():
-        return default_dag_cache().distance_map(graph, source, backend=backend)
-    return SourceDAGCache.compute_distance_map(graph, source, backend=backend)
-
-
-def source_distance_rows(graph: Graph, sources: Sequence[Node]) -> List[object]:
-    """Shared-cache :meth:`SourceDAGCache.distance_rows` (straight when off)."""
-    if dag_cache_enabled():
-        return default_dag_cache().distance_rows(graph, sources)
-    snapshot = _csr.as_csr(graph)
-    return _csr.multi_source_sweep(
-        snapshot,
-        [snapshot.index_of(source) for source in sources],
-        kind=_csr.SWEEP_DISTANCE,
-    )

@@ -45,8 +45,7 @@ class ExperimentConfig:
     max_samples_cap:
         Hard cap on per-run sample counts, keeping worst-case bench times
         bounded (``None`` disables the cap).
-    backend, weighted, workers, start_method, dag_cache, dag_cache_size,
-    snapshot_dir, mmap:
+    backend, weighted, workers, start_method, snapshot_dir:
         The runtime knobs, one per row of :data:`repro.knobs.KNOBS`.
         ``None`` (the default) leaves the knob's ``REPRO_*`` variable (or
         its built-in default) in charge; a value is validated by its row
@@ -70,11 +69,8 @@ class ExperimentConfig:
     backend: Optional[str] = None
     workers: Optional[int] = None
     start_method: Optional[str] = None
-    dag_cache: Optional[bool] = None
-    dag_cache_size: Optional[int] = None
     weighted: Optional[str] = None
     snapshot_dir: Optional[str] = None
-    mmap: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.scale <= 0:

@@ -53,15 +53,11 @@ from repro.graphs.properties import GraphSummary, summarize
 from repro.graphs.store import (
     SnapshotStore,
     content_digest,
-    default_mmap,
     default_snapshot_dir,
-    effective_mmap,
     graph_from_snapshot,
     load_snapshot,
-    resolve_mmap,
     resolve_snapshot_dir,
     save_snapshot,
-    set_default_mmap,
     set_default_snapshot_dir,
 )
 from repro.graphs.sssp import (
@@ -99,10 +95,6 @@ __all__ = [
     "default_snapshot_dir",
     "set_default_snapshot_dir",
     "resolve_snapshot_dir",
-    "default_mmap",
-    "set_default_mmap",
-    "resolve_mmap",
-    "effective_mmap",
     "erdos_renyi_graph",
     "barabasi_albert_graph",
     "watts_strogatz_graph",

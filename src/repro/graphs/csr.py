@@ -240,10 +240,10 @@ class CSRGraph:
         )
         self.max_degree = int((indptr[1:] - indptr[:-1]).max()) if self.n else 0
         # Set by repro.graphs.store when the snapshot is backed by an
-        # on-disk file (saved or loaded, possibly as read-only np.memmap
-        # views), together with the file header's (header, arrays) CRC32
-        # fields: __reduce__ then pickles a path plus a header instead of
-        # the arrays.  Patched snapshots (_patched_snapshot) construct
+        # on-disk file (saved, or loaded as read-only np.memmap views),
+        # together with the file header's (header, arrays) CRC32 fields:
+        # __reduce__ then pickles a path plus a header instead of the
+        # arrays.  Patched snapshots (_patched_snapshot) construct
         # fresh arrays and so drop the backing file — copy-on-write, the
         # mapped file is never written through.
         self.source_path: Optional[str] = None
@@ -302,11 +302,11 @@ class CSRGraph:
         Only ``spawn``/``forkserver`` workers unpickle payloads (``fork``
         workers inherit them).  A snapshot whose backing file still exists
         pickles as the path plus a header of its counts and the file's two
-        CRC32 fields; the worker loads the file under its own ``mmap`` knob
-        and raises :class:`GraphError` if the file now holds another
-        graph.  Any other snapshot pickles as its arrays and labels
-        (``None`` for the identity labelling); the label index, the list
-        caches and the degree array are rebuilt on demand, never shipped.
+        CRC32 fields; the worker maps the file itself and raises
+        :class:`GraphError` if the file now holds another graph.  Any other
+        snapshot pickles as its arrays and labels (``None`` for the
+        identity labelling); the label index, the list caches and the
+        degree array are rebuilt on demand, never shipped.
         """
         path = self.source_path
         if path is not None and os.path.exists(path):
@@ -344,19 +344,18 @@ class CSRGraph:
         return save_snapshot(self, path)
 
     @classmethod
-    def load(cls, path, mmap=None, *, verify: bool = False) -> "CSRGraph":
+    def load(cls, path, *, verify: bool = False) -> "CSRGraph":
         """Load a snapshot written by :meth:`save`.
 
-        With ``mmap`` unset the ``mmap`` knob decides (``REPRO_MMAP``,
-        default ``auto``): ``auto``/``on`` return read-only ``np.memmap``
-        views — an O(1) attach regardless of graph size — and ``off`` reads
-        the arrays into RAM.  Both forms are byte-identical.  Corrupt,
-        truncated, stale-version or foreign-endianness files raise
-        :class:`~repro.errors.GraphError` naming the path and the mismatch.
+        The arrays are read-only ``np.memmap`` views — an O(1) attach
+        regardless of graph size; ``verify=True`` also checks the arrays
+        checksum.  Corrupt, truncated, stale-version or foreign-endianness
+        files raise :class:`~repro.errors.GraphError` naming the path and
+        the mismatch.
         """
         from repro.graphs.store import load_snapshot
 
-        return load_snapshot(path, mmap=mmap, verify=verify)
+        return load_snapshot(path, verify=verify)
 
     @classmethod
     def from_graph(cls, graph: Graph) -> "CSRGraph":

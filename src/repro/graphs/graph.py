@@ -70,8 +70,9 @@ def _check_weight(weight: Weight, *, edge: Optional[Tuple[Node, Node]] = None) -
     return float(weight)
 
 
-#: Every slot but the memo and the weakref slot: the state a pickle keeps.
-_PICKLED_SLOTS = ("_adj", "_num_edges", "_num_weighted", "_version", "_journal")
+#: Every slot but the journal, the memo and the weakref slot: the state a
+#: pickle keeps.  A copy has no memo value its journal could patch.
+_PICKLED_SLOTS = ("_adj", "_num_edges", "_num_weighted", "_version")
 
 
 class Graph:
@@ -464,12 +465,14 @@ class Graph:
         track(self)
 
     def __getstate__(self) -> Dict[str, object]:
-        # A copy starts with an empty memo and builds its own values.
+        # A copy starts with an empty memo and no journal, and builds its
+        # own values.
         return {name: getattr(self, name) for name in _PICKLED_SLOTS}
 
     def __setstate__(self, state: Dict[str, object]) -> None:
         for name, value in state.items():
             setattr(self, name, value)
+        self._journal = None
         self._memo = {}
 
     # ------------------------------------------------------------------

@@ -9,8 +9,8 @@ in on demand:
 
 * :func:`save_snapshot` / :func:`load_snapshot` — write a
   :class:`~repro.graphs.csr.CSRGraph` to a single versioned, checksummed
-  file and load it back, optionally as **read-only** ``np.memmap`` views
-  (also reachable as ``CSRGraph.save(path)`` / ``CSRGraph.load(path)``).
+  file and attach it back as **read-only** ``np.memmap`` views (also
+  reachable as ``CSRGraph.save(path)`` / ``CSRGraph.load(path)``).
   A loaded (or freshly saved) snapshot remembers its backing file in
   ``CSRGraph.source_path`` and the file's two CRC32 fields in
   ``CSRGraph.source_crcs``, so it pickles to worker processes as *a path
@@ -54,25 +54,18 @@ Loads verify magic, byte order (a snapshot written on a foreign-endianness
 machine is rejected, not mis-read), format version, header checksum and
 the exact expected file size (catching truncation) **before** touching the
 arrays, raising :class:`~repro.errors.GraphError` naming the path and the
-mismatch.  The arrays checksum is verified whenever the arrays are read
-into RAM; memory-mapped loads skip it by default (verifying would read the
-whole file, defeating the O(1) attach) unless ``verify=True``.
+mismatch.  The arrays checksum is checked with ``verify=True``, which reads
+the whole mapped file once; a plain load skips it to keep the O(1)
+attach.  :meth:`SnapshotStore.load` always verifies, so a corrupt store
+entry is rebuilt, never served.
 
 Memory-mapped snapshots are **read-only**: every consumer treats a
 ``CSRGraph`` as frozen, and delta patching (``as_csr`` on a mutated graph)
 already materialises *fresh* in-RAM arrays — copy-on-write — so the
 mapped file is never written through and journal semantics are unchanged.
 
-Knobs (rows of :mod:`repro.knobs`):
-
-* ``snapshot_dir`` — the default store directory (``None`` = no store;
-  :func:`set_default_snapshot_dir`).
-* ``mmap`` = ``auto`` | ``on`` | ``off`` — whether file-backed loads
-  attach zero-copy ``np.memmap`` views (``auto`` and ``on``, which behave
-  the same) or read the arrays into RAM (``off``;
-  :func:`set_default_mmap`).  The knob never changes results — mapped and
-  in-RAM arrays are byte-identical — only memory footprint and cold-start
-  time.
+The ``snapshot_dir`` row of :mod:`repro.knobs` is the default store
+directory (``None`` = no store; :func:`set_default_snapshot_dir`).
 
 The store reads and writes numpy arrays: without numpy,
 :func:`save_snapshot` and :func:`load_snapshot` raise
@@ -124,20 +117,11 @@ HEADER_SIZE = _HEADER_STRUCT.size  # 64
 
 
 # ---------------------------------------------------------------------------
-# The snapshot_dir and mmap knobs
+# The snapshot_dir knob
 # ---------------------------------------------------------------------------
 SNAPSHOT_DIR_ENV_VAR = knobs.SNAPSHOT_DIR.env
 default_snapshot_dir = knobs.SNAPSHOT_DIR.resolve
 set_default_snapshot_dir = knobs.SNAPSHOT_DIR.override
-
-MMAP_AUTO = "auto"
-MMAP_ON = "on"
-MMAP_OFF = "off"
-
-MMAP_ENV_VAR = knobs.MMAP.env
-default_mmap = knobs.MMAP.resolve
-set_default_mmap = knobs.MMAP.override
-resolve_mmap = knobs.MMAP.resolve
 
 
 def resolve_snapshot_dir(
@@ -148,16 +132,6 @@ def resolve_snapshot_dir(
     and persistent ground-truth tiers are disabled."""
     resolved = knobs.SNAPSHOT_DIR.resolve(snapshot_dir)
     return None if resolved is None else Path(resolved)
-
-
-def effective_mmap(mmap: Optional[str] = None) -> bool:
-    """Whether file-backed loads should attach ``np.memmap`` views.
-
-    ``auto`` and ``on`` both map; ``off`` reads the arrays into RAM.  The
-    choice never changes results — mapped and in-RAM arrays are
-    byte-identical.
-    """
-    return resolve_mmap(mmap) != MMAP_OFF
 
 
 # ---------------------------------------------------------------------------
@@ -370,24 +344,18 @@ def _decode_labels(path: Path, n: int, flags: int, labels_blob: bytes) -> List:
     return labels
 
 
-def load_snapshot(
-    path: PathLike, mmap: Optional[str] = None, *, verify: bool = False
-) -> CSRGraph:
-    """Load a snapshot written by :func:`save_snapshot`.
+def load_snapshot(path: PathLike, *, verify: bool = False) -> CSRGraph:
+    """Attach a snapshot written by :func:`save_snapshot`.
+
+    The arrays come back as read-only ``np.memmap`` views: zero-copy and
+    O(1) in graph size, byte-identical to the arrays that were saved.
 
     Parameters
     ----------
     path:
         Snapshot file.
-    mmap:
-        ``"auto"`` / ``"on"`` — attach the arrays as read-only
-        ``np.memmap`` views (zero-copy, O(1) in graph size); ``"off"`` —
-        read them into RAM; ``None`` resolves the ``mmap`` knob
-        (:func:`resolve_mmap`).  Mapped and in-RAM loads are
-        byte-identical.
     verify:
-        Also check the arrays checksum on a mapped load (reads the whole
-        file once).  In-RAM loads always verify it.
+        Also check the arrays checksum (reads the whole file once).
 
     Raises
     ------
@@ -398,7 +366,6 @@ def load_snapshot(
     """
     path = Path(path)
     require_numpy(f"loading snapshot {path}")
-    use_mmap = effective_mmap(mmap)
     (n, num_indices, flags, header_crc, arrays_crc, arrays_offset,
      labels_blob) = _read_header(path)
     labels = _decode_labels(path, n, flags, labels_blob)
@@ -406,45 +373,25 @@ def load_snapshot(
     indptr_off = arrays_offset
     indices_off = indptr_off + 8 * (n + 1)
     weights_off = indices_off + 8 * num_indices
-    if use_mmap:
-        indptr = _np.memmap(path, dtype=_np.int64, mode="r", offset=indptr_off, shape=(n + 1,))
-        indices = _np.memmap(path, dtype=_np.int64, mode="r", offset=indices_off, shape=(num_indices,))
-        weights = (
-            _np.memmap(path, dtype=_np.float64, mode="r", offset=weights_off, shape=(num_indices,))
-            if weighted
-            else None
-        )
-        if verify:
-            crc = zlib.crc32(indptr.tobytes())
-            crc = zlib.crc32(indices.tobytes(), crc)
-            if weights is not None:
-                crc = zlib.crc32(weights.tobytes(), crc)
-            if crc != arrays_crc:
-                raise _corrupt(
-                    path,
-                    f"arrays checksum mismatch (stored 0x{arrays_crc:08x}, "
-                    f"computed 0x{crc:08x}) — the file is corrupt",
-                )
-    else:
-        with open(path, "rb") as handle:
-            handle.seek(indptr_off)
-            indptr_bytes = handle.read(8 * (n + 1))
-            indices_bytes = handle.read(8 * num_indices)
-            weights_bytes = handle.read(8 * num_indices) if weighted else b""
-        crc = zlib.crc32(weights_bytes, zlib.crc32(indices_bytes, zlib.crc32(indptr_bytes)))
+    indptr = _np.memmap(path, dtype=_np.int64, mode="r", offset=indptr_off, shape=(n + 1,))
+    indices = _np.memmap(path, dtype=_np.int64, mode="r", offset=indices_off, shape=(num_indices,))
+    weights = (
+        _np.memmap(path, dtype=_np.float64, mode="r", offset=weights_off, shape=(num_indices,))
+        if weighted
+        else None
+    )
+    if verify:
+        # crc32 reads the mapped pages through the buffer protocol: no copy.
+        crc = zlib.crc32(indptr)
+        crc = zlib.crc32(indices, crc)
+        if weights is not None:
+            crc = zlib.crc32(weights, crc)
         if crc != arrays_crc:
             raise _corrupt(
                 path,
                 f"arrays checksum mismatch (stored 0x{arrays_crc:08x}, "
                 f"computed 0x{crc:08x}) — the file is corrupt",
             )
-        indptr = _np.frombuffer(indptr_bytes, dtype=_np.int64).copy()
-        indices = _np.frombuffer(indices_bytes, dtype=_np.int64).copy()
-        weights = (
-            _np.frombuffer(weights_bytes, dtype=_np.float64).copy()
-            if weighted
-            else None
-        )
     if len(indptr) != n + 1 or (n and int(indptr[n]) != num_indices):
         raise _corrupt(
             path,
@@ -466,12 +413,11 @@ _attached_snapshots: Dict[Tuple[str, Tuple], CSRGraph] = {}
 def _attach_snapshot_file(path: str, header: Tuple) -> CSRGraph:
     """Unpickle a by-path snapshot (see :meth:`CSRGraph.__reduce__`).
 
-    Loads ``path`` under this process's ``mmap`` knob (mirrored into the
-    environment, so ``spawn`` workers agree with the master).  ``header``
-    is ``(n, num_indices, weighted, header_crc, arrays_crc)`` of the file
-    the pickled snapshot was backed by; a file that was since overwritten
-    with another graph — even one of the same size — fails loudly instead
-    of handing the worker the wrong graph.
+    Maps ``path`` like :func:`load_snapshot`.  ``header`` is ``(n,
+    num_indices, weighted, header_crc, arrays_crc)`` of the file the
+    pickled snapshot was backed by; a file that was since overwritten with
+    another graph — even one of the same size — fails loudly instead of
+    handing the worker the wrong graph.
     """
     key = (path, header)
     snapshot = _attached_snapshots.get(key)
@@ -636,17 +582,18 @@ class SnapshotStore:
         """Persist ``graph`` (a ``Graph`` or ``CSRGraph``) under ``key``."""
         return save_snapshot(graph, self.path_for(key))
 
-    def load(self, key: str, mmap: Optional[str] = None) -> Optional[CSRGraph]:
-        """Load the snapshot of ``key``, or ``None`` when absent.
+    def load(self, key: str) -> Optional[CSRGraph]:
+        """Attach the snapshot of ``key``, or ``None`` when absent.
 
-        Corrupt or stale-format files raise :class:`GraphError` (from
-        :func:`load_snapshot`) — callers memoising *re-generatable* data
-        may catch it and rebuild.
+        The arrays checksum is verified (``verify=True``): corrupt or
+        stale-format files raise :class:`GraphError` (from
+        :func:`load_snapshot`), and callers memoising *re-generatable*
+        data may catch it and rebuild.
         """
         path = self.path_for(key)
         if not path.exists():
             return None
-        return load_snapshot(path, mmap=mmap)
+        return load_snapshot(path, verify=True)
 
     def save_meta(self, key: str, meta: Dict) -> Path:
         """Persist a JSON metadata document next to ``key``'s snapshot."""

@@ -10,8 +10,8 @@ value kind and help text; everything else is derived from it:
   environment value is validated on every call, so a typo'd variable fails
   at the next resolution with an error naming the variable.
 * :meth:`Knob.override` — the process-wide override behind the owning
-  module's ``set_default_*``/``set_*_enabled``.  It is mirrored into the
-  environment variable (:class:`EnvMirroredOverride`) because ``spawn`` and
+  module's ``set_default_*``.  It is mirrored into the environment
+  variable (:class:`EnvMirroredOverride`) because ``spawn`` and
   ``forkserver`` workers re-import modules fresh and resolve from the
   environment; ``None`` restores the value the first override displaced.
 * :func:`add_cli_flags`, :func:`check` and :func:`apply` — the CLI flags,
@@ -37,9 +37,6 @@ from __future__ import annotations
 import argparse
 import os
 from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
-
-_TRUE_VALUES = ("1", "on", "true", "yes")
-_FALSE_VALUES = ("0", "off", "false", "no")
 
 #: Sentinel marking "no override active" for the displaced-env bookkeeping.
 _UNSET = object()
@@ -187,45 +184,6 @@ class Choice(Knob):
         return {"choices": self.choices}
 
 
-class _OnOffAction(argparse.Action):
-    """Store an ``on``/``off`` flag as the bool its knob takes."""
-
-    def __call__(self, parser, namespace, values, option_string=None) -> None:
-        setattr(namespace, self.dest, values == "on")
-
-
-class Switch(Knob):
-    """An on/off bool: ``1``/``on``/``true``/``yes`` or ``0``/``off``/
-    ``false``/``no`` in the environment, ``on``/``off`` on the command line."""
-
-    __slots__ = ()
-
-    def parse(self, text: str, source: str) -> bool:
-        text = text.lower()
-        if text in _TRUE_VALUES:
-            return True
-        if text in _FALSE_VALUES:
-            return False
-        raise self._error(
-            ValueError,
-            f"{source}={text!r} is not a valid setting; use one of "
-            f"{_TRUE_VALUES} to enable or {_FALSE_VALUES} to disable",
-        )
-
-    def check(self, value: Any, source: str) -> bool:
-        if isinstance(value, bool):
-            return value
-        raise self._error(
-            KnobTypeError, f"{source} must be a bool, got {value!r}"
-        )
-
-    def encode(self, value: bool) -> str:
-        return "1" if value else "0"
-
-    def cli_options(self) -> Dict[str, Any]:
-        return {"choices": ("on", "off"), "action": _OnOffAction}
-
-
 class Count(Knob):
     """An int with a minimum."""
 
@@ -307,32 +265,15 @@ START_METHOD = Choice(
     "multiprocessing start method of the worker pool (the platform default "
     "when unset)." + _SPEED,
 )
-DAG_CACHE = Switch(
-    "dag_cache", "REPRO_DAG_CACHE", True,
-    "cross-sample shortest-path DAG cache (on by default)." + _SPEED,
-)
-DAG_CACHE_SIZE = Count(
-    "dag_cache_size", "REPRO_DAG_CACHE_SIZE", 512, 1,
-    "per-graph entry bound of the DAG cache (default 512)." + _SPEED,
-)
 SNAPSHOT_DIR = FilePath(
     "snapshot_dir", "REPRO_SNAPSHOT_DIR", None,
     "on-disk snapshot store: datasets are memoised to DIR/datasets and "
     "exact ground truth to DIR/ground_truth (no store when unset).  Never "
     "changes results, only cold-start time.",
 )
-MMAP = Choice(
-    "mmap", "REPRO_MMAP", "auto", ("auto", "on", "off"),
-    "how snapshot files attach: auto or on (read-only np.memmap views; the "
-    "two behave the same) or off (read into RAM).  Never changes results, "
-    "only memory footprint and load time.",
-)
 
 #: Every knob, in command-line flag order.
-KNOBS: Tuple[Knob, ...] = (
-    BACKEND, WEIGHTED, WORKERS, START_METHOD, DAG_CACHE, DAG_CACHE_SIZE,
-    SNAPSHOT_DIR, MMAP,
-)
+KNOBS: Tuple[Knob, ...] = (BACKEND, WEIGHTED, WORKERS, START_METHOD, SNAPSHOT_DIR)
 
 
 def add_cli_flags(parser: argparse.ArgumentParser) -> None:

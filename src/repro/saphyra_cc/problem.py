@@ -120,17 +120,18 @@ class ClosenessProblem:
         # distances.
         self._table = None
         self._target_rows = None
+        # Rows come from the shared source-DAG cache (repeated target
+        # sweeps on the same graph — epsilon grids, repeated ranks — reuse
+        # them); CSR misses run as batched multi-source sweeps.
+        cache = _dag_cache.default_dag_cache()
         if backend == _csr.CSR_BACKEND:
             self._index = _csr.as_csr(graph).index
-            # Rows come from the shared source-DAG cache (repeated target
-            # sweeps on the same graph — epsilon grids, repeated ranks —
-            # reuse them); misses run as batched multi-source sweeps.
-            rows = _dag_cache.source_distance_rows(graph, targets)
+            rows = cache.distance_rows(graph, targets)
             # Row ``t`` of the table is ``d(t, A)``.
             self._table = _np.stack(rows, axis=1)
         else:
             self._target_rows = [
-                _dag_cache.source_distance_map(graph, node, backend=backend)
+                cache.distance_map(graph, node, backend=backend)
                 for node in targets
             ]
         if explicit_bound:

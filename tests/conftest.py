@@ -93,3 +93,21 @@ def social_with_leaves() -> Graph:
     graph.add_edge(1, 2000)
     graph.add_edge(2000, 2001)
     return graph
+
+
+@pytest.fixture
+def one_entry_dag_cache(monkeypatch):
+    """Install a one-entry ``SourceDAGCache`` as the process default.
+
+    Call the fixture's value to install a fresh one and get it back; it
+    evicts on nearly every draw, so a run under it recomputes almost every
+    traversal.  Teardown restores the default cache the test started with.
+    """
+    from repro.engine import dag_cache
+
+    def install():
+        cache = dag_cache.SourceDAGCache(max_entries=1)
+        monkeypatch.setattr(dag_cache, "_default_cache", cache)
+        return cache
+
+    return install

@@ -1083,108 +1083,98 @@ class TestWorkerPoolEquivalence:
 
 
 class TestDAGCacheEquivalence:
-    """The cross-sample source-DAG cache never changes results: cached runs
-    are bit-identical to uncached runs, to dict-backend runs, and to
-    ``workers > 1`` runs (each worker process keeps its own cache)."""
+    """The cross-sample source-DAG cache never changes results: runs through
+    the default cache are bit-identical to uncached runs — through a
+    one-entry cache that evicts on nearly every draw — to dict-backend
+    runs, and to ``workers > 1`` runs (each worker process keeps its own
+    cache)."""
 
     @pytest.fixture(scope="class")
     def social(self):
         return barabasi_albert_graph(250, 3, seed=8)
 
-    @pytest.fixture()
-    def cache_toggle(self):
-        from repro.engine import set_dag_cache_enabled
-
-        yield set_dag_cache_enabled
-        set_dag_cache_enabled(None)
-
-    def _cache_matrix(self, cache_toggle, run):
+    def _cache_legs(self, one_entry_dag_cache, run):
+        """``run()`` cold and warm through a fresh default cache, then
+        through a one-entry cache; all three answers must agree."""
         from repro.engine import clear_default_dag_cache, default_dag_cache
 
-        results = {}
-        for enabled in (False, True):
-            cache_toggle(enabled)
-            clear_default_dag_cache()
-            results[enabled] = run()
-            if enabled:
-                stats = default_dag_cache().stats()
-                assert stats["misses"] > 0  # the cache was actually consulted
-        return results
+        clear_default_dag_cache()
+        cold = run()
+        warm = run()
+        assert default_dag_cache().hits > 0  # the cache served lookups
+        evicting = one_entry_dag_cache()
+        uncached = run()
+        assert evicting.evictions > 0  # and the one-entry cache churned
+        assert cold == warm == uncached
+        return cold
 
-    def test_rk_cached_vs_uncached_vs_workers(self, social, cache_toggle):
+    def test_rk_cached_vs_uncached_vs_workers(self, social, one_entry_dag_cache):
         def run(workers=0, backend="csr"):
-            return RiondatoKornaropoulos(
+            result = RiondatoKornaropoulos(
                 0.1, 0.1, seed=7, max_samples_cap=150,
                 backend=backend, workers=workers,
             ).estimate(social)
+            return result.scores, result.num_samples
 
-        results = self._cache_matrix(cache_toggle, run)
-        assert results[False].scores == results[True].scores
-        cache_toggle(True)
-        assert run(workers=2).scores == results[True].scores
-        assert run(backend="dict").scores == results[True].scores
+        reference = self._cache_legs(one_entry_dag_cache, run)
+        assert run(workers=2) == reference
+        assert run(backend="dict") == reference
 
-    def test_abra_cached_vs_uncached_vs_workers(self, social, cache_toggle):
+    def test_abra_cached_vs_uncached_vs_workers(self, social, one_entry_dag_cache):
         def run(workers=0, backend="csr"):
-            return ABRA(
+            result = ABRA(
                 0.1, 0.1, seed=7, max_samples_cap=100,
                 backend=backend, workers=workers,
             ).estimate(social)
+            return result.scores, result.num_samples
 
-        results = self._cache_matrix(cache_toggle, run)
-        assert results[False].scores == results[True].scores
-        assert results[False].num_samples == results[True].num_samples
-        cache_toggle(True)
-        assert run(workers=2).scores == results[True].scores
-        assert run(backend="dict").scores == results[True].scores
+        reference = self._cache_legs(one_entry_dag_cache, run)
+        assert run(workers=2) == reference
+        assert run(backend="dict") == reference
 
-    def test_closeness_problem_cached_vs_uncached(self, social, cache_toggle):
+    @pytest.mark.parametrize("backend", ["dict", "csr"])
+    def test_closeness_problem_cached_vs_uncached(
+        self, social, one_entry_dag_cache, backend
+    ):
         targets = random_subset(social, 12, 3)
 
         def run():
-            problem = ClosenessProblem(social, targets, seed=3, backend="csr")
+            problem = ClosenessProblem(social, targets, seed=3, backend=backend)
             exact = problem.exact_evaluation()
             losses = [
                 problem.sample_losses(random.Random(draw)) for draw in range(5)
             ]
             return exact.risks, exact.lambda_exact, losses
 
-        results = self._cache_matrix(cache_toggle, run)
-        assert results[False] == results[True]
+        self._cache_legs(one_entry_dag_cache, run)
 
-    def test_saphyra_cc_cached_vs_uncached_vs_workers(self, social, cache_toggle):
+    def test_saphyra_cc_cached_vs_uncached_vs_workers(
+        self, social, one_entry_dag_cache
+    ):
         targets = random_subset(social, 10, 5)
 
         def run(workers=0):
-            return SaPHyRaCC(
+            result = SaPHyRaCC(
                 0.1, 0.1, seed=7, max_samples_cap=200, workers=workers
             ).rank(social, targets)
+            return result.closeness, result.ranking
 
-        results = self._cache_matrix(cache_toggle, run)
-        assert results[False].closeness == results[True].closeness
-        assert results[False].ranking == results[True].ranking
-        cache_toggle(True)
-        assert run(workers=2).closeness == results[True].closeness
+        reference = self._cache_legs(one_entry_dag_cache, run)
+        assert run(workers=2) == reference
 
-    def test_repeated_rank_hits_the_cache(self, social, cache_toggle):
-        from repro.engine import default_dag_cache, set_default_dag_cache_size
+    def test_repeated_rank_hits_the_cache(self, social):
+        from repro.engine import clear_default_dag_cache, default_dag_cache
 
-        cache_toggle(True)
-        # Room for every row whatever REPRO_DAG_CACHE_SIZE says (the setter
-        # also drops the default cache, so this run starts cold).
-        set_default_dag_cache_size(512)
-        try:
-            targets = random_subset(social, 8, 6)
-            first = SaPHyRaCC(0.1, 0.1, seed=7, max_samples_cap=100).rank(
-                social, targets
-            )
-            hits_before = default_dag_cache().hits
-            second = SaPHyRaCC(0.1, 0.1, seed=7, max_samples_cap=100).rank(
-                social, targets
-            )
-            assert default_dag_cache().hits > hits_before  # target sweep reused
-        finally:
-            set_default_dag_cache_size(None)
+        clear_default_dag_cache()  # start cold
+        targets = random_subset(social, 8, 6)
+        first = SaPHyRaCC(0.1, 0.1, seed=7, max_samples_cap=100).rank(
+            social, targets
+        )
+        hits_before = default_dag_cache().hits
+        second = SaPHyRaCC(0.1, 0.1, seed=7, max_samples_cap=100).rank(
+            social, targets
+        )
+        assert default_dag_cache().hits > hits_before  # target sweep reused
         assert first.closeness == second.closeness
 
     @pytest.mark.parametrize(
@@ -1194,27 +1184,33 @@ class TestDAGCacheEquivalence:
             pytest.param(lambda: barabasi_albert_graph(250, 3, seed=8), id="social"),
         ],
     )
-    def test_saphyra_cc_backend_worker_cache_matrix(self, make_graph, cache_toggle):
+    def test_saphyra_cc_backend_worker_cache_matrix(
+        self, make_graph, one_entry_dag_cache
+    ):
         # Chunked draws (stacked sweeps on CSR, per-draw maps on dict) give
-        # one answer for every backend, worker count and cache setting.
+        # one answer for every backend, worker count and cache.
         from repro.engine import clear_default_dag_cache
 
         graph = make_graph()
         targets = random_subset(graph, 10, 5)
         answers = {}
-        for enabled in (False, True):
-            cache_toggle(enabled)
+        evicting = None
+        for cache in ("default", "one-entry"):
             for backend in ("dict", "csr"):
                 for workers in (0, 2):
-                    clear_default_dag_cache()
+                    if cache == "default":
+                        clear_default_dag_cache()
+                    else:
+                        evicting = one_entry_dag_cache()
                     result = SaPHyRaCC(
                         0.1, 0.1, seed=9, max_samples_cap=300,
                         backend=backend, workers=workers,
                     ).rank(graph, targets)
-                    answers[enabled, backend, workers] = (
+                    answers[cache, backend, workers] = (
                         result.closeness, result.ranking, result.num_samples
                     )
-        reference = answers[False, "dict", 0]
+        assert evicting.evictions > 0
+        reference = answers["default", "dict", 0]
         assert reference[2] > 64  # more than one chunk was drawn
         assert all(answer == reference for answer in answers.values())
 
@@ -1521,7 +1517,9 @@ class TestWeightedEstimatorEquivalence:
         assert run("csr", 0).scores == reference.scores
         assert run("csr", 2).scores == reference.scores
 
-    def test_weighted_cache_on_off_identical_and_exercised(self, weighted_social):
+    def test_weighted_cache_identical_and_exercised(
+        self, weighted_social, one_entry_dag_cache
+    ):
         from repro.engine import dag_cache as dag_cache_module
         from repro.engine.dag_cache import SourceDAGCache
 
@@ -1530,21 +1528,14 @@ class TestWeightedEstimatorEquivalence:
                 0.3, 0.1, seed=21, backend="csr", max_samples_cap=300
             ).estimate(weighted_social)
 
-        dag_cache_module.set_dag_cache_enabled(False)
-        try:
-            uncached = run()
-        finally:
-            dag_cache_module.set_dag_cache_enabled(None)
         dag_cache_module.clear_default_dag_cache()
-        dag_cache_module.set_dag_cache_enabled(True)
-        try:
-            cached = run()
-            stats = dag_cache_module.default_dag_cache().stats()
-        finally:
-            dag_cache_module.set_dag_cache_enabled(None)
-            dag_cache_module.clear_default_dag_cache()
+        cached = run()
+        stats = dag_cache_module.default_dag_cache().stats()
+        evicting = one_entry_dag_cache()
+        uncached = run()
         assert cached.scores == uncached.scores
-        assert stats["misses"] > 0  # the weighted keys were actually used
+        assert stats["hits"] > 0  # the weighted keys were actually reused
+        assert evicting.evictions > 0
 
         # Weighted and unweighted traversals of the same source must land on
         # distinct cache keys.

@@ -99,24 +99,30 @@ class TestProcessKnobFlags:
             parallel.set_default_workers(None)
         assert parallel.START_METHOD_ENV_VAR not in os.environ
 
-    def test_dag_cache_size_flag_mirrors_environment(self, capsys, monkeypatch):
+    @pytest.mark.requires_numpy
+    def test_snapshot_dir_flag_mirrors_environment(
+        self, capsys, monkeypatch, tmp_path
+    ):
         import os
 
-        from repro.engine import dag_cache as dag_cache_module
+        from repro.datasets.registry import dataset_key
+        from repro.graphs import store
 
-        monkeypatch.delenv(dag_cache_module.DAG_CACHE_SIZE_ENV_VAR, raising=False)
+        monkeypatch.delenv(store.SNAPSHOT_DIR_ENV_VAR, raising=False)
         try:
             code = main(
                 ["rank", "--dataset", "karate", "--subset-size", "6",
                  "--epsilon", "0.2", "--delta", "0.1", "--seed", "3",
-                 "--dag-cache-size", "33"]
+                 "--snapshot-dir", str(tmp_path)]
             )
             assert code == 0
-            assert os.environ[dag_cache_module.DAG_CACHE_SIZE_ENV_VAR] == "33"
-            assert dag_cache_module.resolve_dag_cache_size() == 33
+            assert os.environ[store.SNAPSHOT_DIR_ENV_VAR] == str(tmp_path)
+            assert store.resolve_snapshot_dir() == tmp_path
         finally:
-            dag_cache_module.set_default_dag_cache_size(None)
-        assert dag_cache_module.DAG_CACHE_SIZE_ENV_VAR not in os.environ
+            store.set_default_snapshot_dir(None)
+        assert store.SNAPSHOT_DIR_ENV_VAR not in os.environ
+        stored = [path.name for path in (tmp_path / "datasets").glob("*.csr")]
+        assert stored == [f"{dataset_key('karate', 0.25, 3)}.csr"]
 
 
 class TestDatasetsCommand:

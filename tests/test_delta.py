@@ -624,31 +624,32 @@ class TestMutateThenQueryEquivalence:
             graph, normalized=True, backend="csr"
         ) == betweenness_centrality(graph.copy(), normalized=True, backend="csr")
 
-    def test_estimator_equivalence_through_the_default_cache(self):
+    def test_estimator_equivalence_through_the_default_cache(
+        self, one_entry_dag_cache
+    ):
         from repro.baselines import RiondatoKornaropoulos
 
         def run(workers, *, warm):
-            dag_cache_module.clear_default_dag_cache()
-            dag_cache_module.set_dag_cache_enabled(True)
-            try:
-                graph = weighted_barabasi_albert_graph(60, 2, seed=13)
+            graph = weighted_barabasi_albert_graph(60, 2, seed=13)
 
-                def estimate(target):
-                    return RiondatoKornaropoulos(
-                        0.3, 0.1, seed=21, backend="csr", workers=workers,
-                        max_samples_cap=200,
-                    ).estimate(target).scores
+            def estimate(target):
+                return RiondatoKornaropoulos(
+                    0.3, 0.1, seed=21, backend="csr", workers=workers,
+                    max_samples_cap=200,
+                ).estimate(target).scores
 
-                if warm:  # cache the pre-edit DAGs and snapshot
-                    estimate(graph)
-                u, v, w = next(iter(graph.weighted_edges()))
-                graph.set_edge_weight(u, v, float(w) + 50.0)
-                graph.add_edge(0, 41, weight=500.0)
-                return estimate(graph if warm else graph.copy())
-            finally:
-                dag_cache_module.set_dag_cache_enabled(None)
-                dag_cache_module.clear_default_dag_cache()
+            if warm:  # cache the pre-edit DAGs and snapshot
+                estimate(graph)
+            u, v, w = next(iter(graph.weighted_edges()))
+            graph.set_edge_weight(u, v, float(w) + 50.0)
+            graph.add_edge(0, 41, weight=500.0)
+            return estimate(graph if warm else graph.copy())
 
+        dag_cache_module.clear_default_dag_cache()
         after_edits = run(0, warm=True)
+        assert dag_cache_module.default_dag_cache().hits > 0
         assert after_edits == run(0, warm=False)
         assert run(2, warm=True) == after_edits  # worker pool leg
+        evicting = one_entry_dag_cache()
+        assert run(0, warm=True) == after_edits
+        assert evicting.evictions > 0

@@ -8,19 +8,13 @@ the deterministic ranking tie-break satellite.
 
 from __future__ import annotations
 
-import os
 import random
 
 import pytest
 
+from repro.baselines import ABRA, KADABRA, RiondatoKornaropoulos
 from repro.core.ranking import rank_scores
-from repro.engine import (
-    SampleDriver,
-    SampleSchedule,
-    SourceDAGCache,
-    dag_cache_enabled,
-    set_dag_cache_enabled,
-)
+from repro.engine import SampleDriver, SampleSchedule, SourceDAGCache
 from repro.engine.stopping import (
     AllocatedBernsteinRule,
     BernsteinSumsRule,
@@ -32,7 +26,10 @@ from repro.graphs.generators import (
     barabasi_albert_graph,
     cycle_graph,
     grid_road_graph,
+    weighted_barabasi_albert_graph,
 )
+from repro.saphyra_bc import SaPHyRaBC
+from repro.saphyra_cc import SaPHyRaCC
 
 
 class TestSampleSchedule:
@@ -292,70 +289,46 @@ class TestSourceDAGCache:
         assert cache.stats()["entries"] == 1
         assert cache.evictions == 1
 
-    @pytest.mark.parametrize("text", ["123", "0", "lots"])
-    def test_budget_is_a_constant(self, monkeypatch, text):
-        # The budget is no longer a knob: REPRO_DAG_CACHE_BUDGET is not
-        # read, so garbage there neither raises nor changes the bound.
+    @pytest.mark.parametrize(
+        "env,text",
+        [
+            ("REPRO_DAG_CACHE_BUDGET", "123"),
+            ("REPRO_DAG_CACHE_SIZE", "2"),
+            ("REPRO_DAG_CACHE_SIZE", "lots"),
+            ("REPRO_DAG_CACHE", "0"),
+        ],
+    )
+    def test_bounds_are_constants(self, monkeypatch, env, text):
+        # Neither bound is a knob and the cache cannot be switched off:
+        # these variables are not read, so garbage there neither raises
+        # nor changes the default cache.
         from repro.engine import dag_cache as module
 
-        monkeypatch.setenv("REPRO_DAG_CACHE_BUDGET", text)
-        assert module.DEFAULT_DAG_CACHE_BUDGET == 16_000_000
-        assert SourceDAGCache().max_cost == 16_000_000
-        assert dag_cache_enabled() in (True, False)
-        assert module.default_dag_cache().max_cost == 16_000_000
+        monkeypatch.setenv(env, text)
+        module.clear_default_dag_cache()
+        cache = module.default_dag_cache()
+        assert (cache.max_entries, cache.max_cost) == (512, 16_000_000)
+        assert (SourceDAGCache().max_entries, SourceDAGCache().max_cost) == (
+            module.DEFAULT_DAG_CACHE_SIZE, module.DEFAULT_DAG_CACHE_BUDGET
+        )
+        assert module.default_dag_cache() is cache
 
-    def test_override_mirrors_into_environment(self, monkeypatch):
-        # Spawned workers re-import the module and resolve from the
-        # environment, so the override must be mirrored there.
+    def test_clear_default_builds_a_fresh_cache(self):
         from repro.engine import dag_cache as module
 
-        monkeypatch.setenv(module.DAG_CACHE_ENV_VAR, "on")
-        try:
-            set_dag_cache_enabled(False)
-            assert os.environ[module.DAG_CACHE_ENV_VAR] == "0"
-            set_dag_cache_enabled(True)
-            assert os.environ[module.DAG_CACHE_ENV_VAR] == "1"
-        finally:
-            set_dag_cache_enabled(None)
-        assert os.environ[module.DAG_CACHE_ENV_VAR] == "on"
+        first = module.default_dag_cache()
+        module.clear_default_dag_cache()
+        second = module.default_dag_cache()
+        assert second is not first
+        assert (second.hits, second.misses, second.evictions) == (0, 0, 0)
 
-    def test_size_override(self, monkeypatch):
-        # The PR-7 knob surface: set_default_dag_cache_size follows the
-        # full protocol — validated, env-mirrored, displaced-value
-        # restore, and new caches are built with the resolved bound.
-        from repro.engine import dag_cache as module
-
-        monkeypatch.setenv(module.DAG_CACHE_SIZE_ENV_VAR, "64")
-        try:
-            module.set_default_dag_cache_size(9)
-            assert os.environ[module.DAG_CACHE_SIZE_ENV_VAR] == "9"
-            assert module.resolve_dag_cache_size() == 9
-            cache = SourceDAGCache()
-            assert cache.max_entries == 9
-            assert module.default_dag_cache().max_entries == 9
-        finally:
-            module.set_default_dag_cache_size(None)
-        # The displaced env value is restored and back in charge.
-        assert os.environ[module.DAG_CACHE_SIZE_ENV_VAR] == "64"
-        assert module.resolve_dag_cache_size() == 64
-        assert module.default_dag_cache().max_entries == 64
-
-    def test_size_override_validation(self):
-        from repro.engine import dag_cache as module
-
-        with pytest.raises(ValueError, match="dag_cache_size"):
-            module.set_default_dag_cache_size(0)
-        with pytest.raises(TypeError, match="dag_cache_size"):
-            module.set_default_dag_cache_size(True)
-
-    def test_enabled_check_eagerly_validates_bounds(self, monkeypatch):
-        # dag_cache_enabled() is the first knob touch on the hot path;
-        # a typo'd bound surfaces there, naming the variable.
-        from repro.engine import dag_cache as module
-
-        monkeypatch.setenv(module.DAG_CACHE_SIZE_ENV_VAR, "huge")
-        with pytest.raises(ValueError, match=module.DAG_CACHE_SIZE_ENV_VAR):
-            dag_cache_enabled()
+    @pytest.mark.parametrize(
+        "bound", [{"max_entries": 0}, {"max_cost": 0}],
+        ids=["max_entries", "max_cost"],
+    )
+    def test_bounds_below_one_rejected(self, bound):
+        with pytest.raises(ValueError, match=next(iter(bound))):
+            SourceDAGCache(**bound)
 
     @pytest.mark.requires_numpy
     def test_distance_rows_batched_misses_then_hits(self):
@@ -399,26 +372,82 @@ class TestSourceDAGCache:
         with pytest.raises(ValueError):
             cache.dag(cycle_graph(4), 0, backend="auto")
 
-    def test_enabled_override_round_trip(self):
-        original = dag_cache_enabled()
-        try:
-            set_dag_cache_enabled(False)
-            assert not dag_cache_enabled()
-            set_dag_cache_enabled(True)
-            assert dag_cache_enabled()
-        finally:
-            set_dag_cache_enabled(None)
-        assert dag_cache_enabled() == original
 
-    def test_invalid_env_values_rejected(self, monkeypatch):
-        from repro.engine import dag_cache as module
+def _estimate(estimator, graph, backend):
+    return estimator(
+        0.3, 0.1, seed=3, max_samples_cap=64, backend=backend
+    ).estimate(graph)
 
-        monkeypatch.setenv(module.DAG_CACHE_ENV_VAR, "maybe")
-        with pytest.raises(ValueError, match="REPRO_DAG_CACHE"):
-            dag_cache_enabled()
-        monkeypatch.setenv(module.DAG_CACHE_SIZE_ENV_VAR, "-3")
-        with pytest.raises(ValueError, match="REPRO_DAG_CACHE_SIZE"):
-            SourceDAGCache()
+
+def _rank_subset(estimator, graph, backend):
+    return estimator(
+        0.3, 0.1, seed=3, max_samples_cap=64, backend=backend
+    ).rank(graph, list(graph.nodes())[:8])
+
+
+#: name -> (run(graph, backend), weighted graph?, the cache keys it stores
+#: for a backend, without their source: ``(kind, backend, weighted)`` for
+#: DAGs, ``(kind, backend)`` for distance maps, ``(kind,)`` for CSR rows).
+_CACHE_USERS = {
+    "abra": (lambda g, b: _estimate(ABRA, g, b), False,
+             lambda b: ("dag", b, False)),
+    "rk": (lambda g, b: _estimate(RiondatoKornaropoulos, g, b), False,
+           lambda b: ("dag", b, False)),
+    "kadabra-weighted": (lambda g, b: _estimate(KADABRA, g, b), True,
+                         lambda b: ("dag", b, True)),
+    "saphyra-cc": (lambda g, b: _rank_subset(SaPHyRaCC, g, b), False,
+                   lambda b: ("dist",) if b == "csr" else ("dist-map", b)),
+}
+
+#: Samplers on the stacked bidirectional search: they never look a
+#: traversal up.
+_CACHE_BYPASSERS = {
+    "saphyra-bc": lambda g, b: _rank_subset(SaPHyRaBC, g, b),
+    "kadabra-unit": lambda g, b: _estimate(KADABRA, g, b),
+}
+
+_BACKENDS = [
+    "dict", pytest.param("csr", marks=pytest.mark.requires_numpy),
+]
+
+
+class TestDefaultCacheUsers:
+    """The estimators that redraw traversals take them from the process-wide
+    default cache — the one perfbench's ``dag_cache.*`` counters read —
+    under the key their backend and metric select; the others never look
+    one up."""
+
+    @pytest.fixture
+    def fresh_default(self, monkeypatch):
+        from repro.engine import dag_cache
+
+        cache = SourceDAGCache()
+        monkeypatch.setattr(dag_cache, "_default_cache", cache)
+        return cache
+
+    @pytest.mark.parametrize("backend", _BACKENDS)
+    @pytest.mark.parametrize("name", list(_CACHE_USERS))
+    def test_user_draws_through_the_default_cache(
+        self, fresh_default, name, backend
+    ):
+        run, weighted, key = _CACHE_USERS[name]
+        graph = (weighted_barabasi_albert_graph if weighted
+                 else barabasi_albert_graph)(60, 2, seed=3)
+        run(graph, backend)
+        # CSR runs may key the store on the graph's snapshot.
+        stored = {
+            k[:-1]
+            for store in fresh_default._stores.values()
+            for k in store.entries
+        }
+        assert fresh_default.misses > 0
+        assert stored == {key(backend)}
+
+    @pytest.mark.parametrize("backend", _BACKENDS)
+    @pytest.mark.parametrize("name", list(_CACHE_BYPASSERS))
+    def test_stacked_samplers_never_look_up(self, fresh_default, name, backend):
+        _CACHE_BYPASSERS[name](barabasi_albert_graph(60, 2, seed=3), backend)
+        assert (fresh_default.hits, fresh_default.misses) == (0, 0)
 
 
 @pytest.mark.requires_numpy

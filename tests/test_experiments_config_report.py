@@ -40,8 +40,8 @@ class TestConfig:
             {"algorithms": ("abra", "mystery")},
             {"backend": "gpu"},
             {"start_method": "threads"},
-            {"dag_cache_size": 0},
-            {"dag_cache_size": True},
+            {"workers": -1},
+            {"workers": True},
             {"delta": 0.0},
             {"delta": 1.5},
             {"epsilons": (0.2, 0.0)},
@@ -78,11 +78,11 @@ class TestConfig:
         config = ExperimentConfig(
             backend="csr",
             start_method="spawn",
-            dag_cache_size=128,
+            workers=2,
         )
         assert config.backend == "csr"
         assert config.start_method == "spawn"
-        assert config.dag_cache_size == 128
+        assert config.workers == 2
 
     def test_every_knob_env_var_has_a_config_field(self):
         # The knob protocol, from the other side: each REPRO_* executor
@@ -91,9 +91,8 @@ class TestConfig:
             "backend",
             "workers",
             "start_method",
-            "dag_cache",
-            "dag_cache_size",
             "weighted",
+            "snapshot_dir",
         ):
             assert hasattr(ExperimentConfig(), field_name)
 

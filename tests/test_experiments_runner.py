@@ -44,30 +44,12 @@ class TestRunnerCaching:
     def test_dataset_cached(self, smoke_runner):
         assert smoke_runner.dataset("flickr") is smoke_runner.dataset("flickr")
 
-    def test_dag_cache_config_applied_lazily(self, monkeypatch):
-        from repro.engine import dag_cache_enabled, set_dag_cache_enabled
-        from repro.engine.dag_cache import DAG_CACHE_ENV_VAR
-
-        monkeypatch.delenv(DAG_CACHE_ENV_VAR, raising=False)
-        try:
-            runner = ExperimentRunner(
-                ExperimentConfig(datasets=("flickr",), scale=0.05, dag_cache=False)
-            )
-            # Merely constructing (or inspecting) a runner flips nothing.
-            assert dag_cache_enabled()
-            runner.dataset("flickr")  # first real work applies the override
-            assert not dag_cache_enabled()
-        finally:
-            set_dag_cache_enabled(None)
-
     def test_new_knob_configs_applied_lazily(self, monkeypatch):
-        from repro.engine import dag_cache as dag_cache_module
         from repro import parallel
         from repro.graphs import csr as csr_module
         from repro.graphs import sssp as sssp_module
 
         monkeypatch.delenv(parallel.START_METHOD_ENV_VAR, raising=False)
-        monkeypatch.delenv(dag_cache_module.DAG_CACHE_SIZE_ENV_VAR, raising=False)
         monkeypatch.delenv(sssp_module.WEIGHTED_ENV_VAR, raising=False)
         try:
             runner = ExperimentRunner(
@@ -76,23 +58,19 @@ class TestRunnerCaching:
                     scale=0.05,
                     backend="csr",
                     start_method="spawn",
-                    dag_cache_size=77,
                     weighted="off",
                 )
             )
             # Construction flips nothing.
             assert parallel.start_method() is None
-            assert dag_cache_module.resolve_dag_cache_size() != 77
             assert sssp_module.resolve_weighted() == "auto"
             runner.dataset("flickr")  # first real work applies the overrides
             assert parallel.start_method() == "spawn"
             assert csr_module.default_backend() == "csr"
-            assert dag_cache_module.resolve_dag_cache_size() == 77
             assert sssp_module.resolve_weighted() == "off"
         finally:
             csr_module.set_default_backend(None)
             parallel.set_default_start_method(None)
-            dag_cache_module.set_default_dag_cache_size(None)
             sssp_module.set_default_weighted(None)
 
     def test_block_cut_tree_cached(self, smoke_runner):

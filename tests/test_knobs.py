@@ -1,6 +1,6 @@
 """The knob table: every ``REPRO_*`` knob declared once, its surfaces derived.
 
-``PINNED`` is a literal copy of the 8 knobs — name, environment variable,
+``PINNED`` is a literal copy of the 5 knobs — name, environment variable,
 flag, command-line choices and default — so a row changes only on purpose.
 Every other test is table-driven over it: the CLI flags, the
 ``ExperimentConfig`` fields, override/env precedence and mirroring, error
@@ -37,10 +37,7 @@ PINNED = [
     ("workers", "REPRO_WORKERS", "--workers", None, 0),
     ("start_method", "REPRO_START_METHOD", "--start-method",
      ("fork", "spawn", "forkserver"), None),
-    ("dag_cache", "REPRO_DAG_CACHE", "--dag-cache", ("on", "off"), True),
-    ("dag_cache_size", "REPRO_DAG_CACHE_SIZE", "--dag-cache-size", None, 512),
     ("snapshot_dir", "REPRO_SNAPSHOT_DIR", "--snapshot-dir", None, None),
-    ("mmap", "REPRO_MMAP", "--mmap", ("auto", "on", "off"), "auto"),
 ]
 
 #: Per row: (env text, the value it parses to, an override differing from
@@ -52,11 +49,8 @@ SAMPLES = {
     "workers": ("3", 3, 2, "2", "many", -1),
     "start_method": ("forkserver", "forkserver", "spawn", "spawn", "threads",
                      "threads"),
-    "dag_cache": ("on", True, False, "0", "maybe", "off"),
-    "dag_cache_size": ("64", 64, 33, "33", "huge", 0),
     "snapshot_dir": ("store-from-env", "store-from-env", "store-from-override",
                      "store-from-override", None, "  "),
-    "mmap": ("off", "off", "on", "on", "sideways", "sideways"),
 }
 
 #: Deleted rows: (name, env var, flag, a value the flag used to take, a
@@ -69,6 +63,10 @@ REMOVED = [
      "64", "many"),
     ("dag_cache_delta", "REPRO_DAG_CACHE_DELTA", "--dag-cache-delta", "on",
      "sometimes"),
+    ("dag_cache", "REPRO_DAG_CACHE", "--dag-cache", "off", "maybe"),
+    ("dag_cache_size", "REPRO_DAG_CACHE_SIZE", "--dag-cache-size", "33",
+     "huge"),
+    ("mmap", "REPRO_MMAP", "--mmap", "off", "sideways"),
 ]
 
 NAMES = [row[0] for row in PINNED]
@@ -143,6 +141,18 @@ def test_bad_env_value_names_the_variable(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", NAMES)
+def test_env_text_is_trimmed_and_blank_means_unset(name, monkeypatch):
+    knob = BY_NAME[name]
+    env_text, env_value = SAMPLES[name][:2]
+    if isinstance(knob, knobs.Choice):
+        env_text = env_text.upper()  # choices ignore case in the environment
+    monkeypatch.setenv(knob.env, f"  {env_text}\n")
+    assert knob.resolve() == env_value
+    monkeypatch.setenv(knob.env, "  ")
+    assert knob.resolve() == knob.default
+
+
+@pytest.mark.parametrize("name", NAMES)
 def test_bad_override_names_the_row(name):
     knob = BY_NAME[name]
     with pytest.raises(ValueError, match=name):
@@ -176,8 +186,8 @@ def test_spawn_worker_resolves_the_parent_override(name, spawn_worker_values):
 
 @pytest.mark.parametrize(
     "fields",
-    [{"dag_cache": "off"}, {"dag_cache_size": "9"}, {"workers": True}],
-    ids=["dag_cache-str", "dag_cache_size-str", "workers-bool"],
+    [{"workers": "2"}, {"snapshot_dir": 5}, {"workers": True}],
+    ids=["workers-str", "snapshot_dir-int", "workers-bool"],
 )
 def test_config_rejects_mistyped_knob_values(fields):
     with pytest.raises(ValueError, match=next(iter(fields))):
@@ -188,7 +198,7 @@ def test_config_rejects_mistyped_knob_values(fields):
     "flag,value",
     [
         ("--workers", "-1"),
-        ("--dag-cache-size", "0"),
+        ("--workers", "many"),
         ("--snapshot-dir", " "),
     ],
 )
@@ -220,39 +230,90 @@ def test_removed_flag_is_a_usage_error(
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
+#: Runs that pass through what the deleted rows configured: a csr rank on
+#: a worker pool (executor and journal), baselines drawing source DAGs
+#: from the default cache, and a snapshot-store hit (the mapped attach).
+_QUERY = ["--dataset", "karate", "--subset-size", "6", "--epsilon", "0.2",
+          "--delta", "0.1", "--seed", "3"]
+REMOVED_READERS = {
+    "rank-csr-workers": (["rank", *_QUERY, "--backend", "csr", "--workers",
+                          "2"], "rank | node"),
+    "compare-rk-abra": (["compare", *_QUERY, "--estimators", "rk,abra"],
+                        "abra "),
+    "rank-store-hit": (["rank", *_QUERY, "--snapshot-dir", "{store}"],
+                       "rank | node"),
+}
+
+
 @pytest.mark.requires_numpy
-def test_removed_variables_are_not_read(monkeypatch, capsys):
-    # Garbage that the deleted rows used to reject: a csr run on a worker
-    # pool (which resolves the executor, DAG-cache and journal settings)
-    # must not read any of it.
+@pytest.mark.parametrize("run", list(REMOVED_READERS))
+def test_removed_variables_are_not_read(run, tmp_path, monkeypatch, capsys):
+    # Garbage that the deleted rows used to reject must not be read.  Each
+    # run goes twice, so the store run's second one attaches the entry.
+    argv, marker = REMOVED_READERS[run]
+    argv = [arg.format(store=tmp_path) for arg in argv]
     for _name, env, _flag, _value, garbage in REMOVED:
         monkeypatch.setenv(env, garbage)
     try:
-        code = main(
-            ["rank", "--dataset", "karate", "--subset-size", "6",
-             "--epsilon", "0.2", "--delta", "0.1", "--seed", "3",
-             "--backend", "csr", "--workers", "2"]
-        )
+        codes = [main(argv), main(argv)]
     finally:
         for knob in knobs.KNOBS:
             knob.override(None)
-    assert code == 0
-    assert "rank | node" in capsys.readouterr().out
+    assert codes == [0, 0]
+    assert marker in capsys.readouterr().out
+
+
+#: Module-level names and function parameters that went with deleted rows.
+REMOVED_NAMES = {
+    "dag_cache_enabled", "set_dag_cache_enabled", "resolve_dag_cache_size",
+    "set_default_dag_cache_size", "DAG_CACHE_ENV_VAR", "DAG_CACHE_SIZE_ENV_VAR",
+    "effective_mmap", "resolve_mmap", "default_mmap", "set_default_mmap",
+    "source_dag", "source_distance_map", "source_distance_rows",
+}
+
+
+def _defined_or_used_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name
+            yield from (arg.arg for arg in ast.walk(node.args)
+                        if isinstance(arg, ast.arg))
+        elif isinstance(node, ast.ClassDef):
+            yield node.name
+        elif isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.asname or node.name
+
+
+def test_removed_rows_leave_no_names_in_src():
+    # No setter, resolver or environment constant of a deleted row is left,
+    # no pass-through wrapper of the always-on DAG cache, and no function
+    # takes an ``mmap`` argument.
+    strays = sorted(
+        f"{path.relative_to(SRC)}: {name}"
+        for path in SRC.rglob("*.py")
+        for name in set(_defined_or_used_names(ast.parse(path.read_text())))
+        if name in REMOVED_NAMES or name == "mmap" or name.startswith("MMAP_")
+    )
+    assert strays == []
 
 
 def test_runner_applies_every_row_but_workers():
     from repro.experiments.runner import ExperimentRunner
 
     config = ExperimentConfig(
-        datasets=("karate",), scale=1.0, workers=2, mmap="off"
+        datasets=("karate",), scale=1.0, workers=2, start_method="spawn"
     )
     runner = ExperimentRunner(config)
     try:
         runner.dataset("karate")
-        assert knobs.MMAP.value == "off"
+        assert knobs.START_METHOD.value == "spawn"
         assert knobs.WORKERS.value is None
     finally:
-        knobs.MMAP.override(None)
+        knobs.START_METHOD.override(None)
 
 
 def _repro_literals():

@@ -62,12 +62,11 @@ class TestSnapshots:
             store.save_snapshot(path_graph(3), tmp_path / "g.csr")
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("mmap", ["auto", "on", "off"])
-    def test_load_snapshot_raises_before_reading(self, tmp_path, mmap):
+    def test_load_snapshot_raises_before_reading(self, tmp_path):
         path = tmp_path / "g.csr"
         path.write_bytes(b"REPROCSR")  # too short to be a snapshot
         with pytest.raises(GraphError, match=f"loading snapshot .* {NUMPY_ERROR}"):
-            store.load_snapshot(path, mmap=mmap)
+            store.load_snapshot(path)
 
     @pytest.mark.parametrize("configured_by", ["argument", "knob"])
     def test_registry_with_a_store_raises(self, tmp_path, monkeypatch, configured_by):

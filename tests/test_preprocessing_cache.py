@@ -211,17 +211,44 @@ def test_dropped_graph_is_collected(collect):
     assert ref() is None
 
 
+@pytest.mark.requires_numpy
 def test_pickles_leave_the_memo_out():
     graph = _graph()
+    as_csr(graph)  # the snapshot slot arms the journal ...
+    _add_edge(graph)  # ... and the edit records to it
+    assert graph._journal is not None and len(graph._journal.entries) == 1
     space = PersonalizedISP(graph, TARGETS)
     personalized_vc_dimension(
         space.bct, TARGETS, included_blocks=space.included_blocks, seed=1
     )
-    assert graph._memo and pickle.loads(pickle.dumps(graph))._memo == {}
+    copy = pickle.loads(pickle.dumps(graph))
+    assert graph._memo and copy._memo == {}
+    # The copy has no stale value to patch, so it carries no journal, and
+    # its snapshot after an edit is a fresh build's.
+    assert copy._journal is None
+    _remove_edge(copy)
+    assert _snapshot_bytes(as_csr(copy)) == _snapshot_bytes(
+        CSRGraph.from_graph(copy)
+    )
     restored = pickle.loads(pickle.dumps(space))
     assert restored.bct.graph is restored.graph and restored.graph._memo == {}
+    assert restored.graph._journal is None
     assert restored.bct._block_subgraphs.keys() == space.bct._block_subgraphs.keys()
     assert restored.bct.check_built_for(restored.graph) is None
+
+
+@pytest.mark.requires_numpy
+def test_deepcopies_leave_the_memo_and_journal_out():
+    import copy
+
+    graph = _graph()
+    as_csr(graph)
+    _add_edge(graph)
+    clone = copy.deepcopy(graph)
+    assert graph._memo and graph._journal is not None
+    assert clone._memo == {} and clone._journal is None
+    assert clone._version == graph._version
+    assert list(clone.edges()) == list(graph.edges())
 
 
 class TestFailedBuild:

@@ -148,12 +148,12 @@ class TestSampleLossesFromTargetRows:
         def no_traversal(*args, **kwargs):
             raise AssertionError("sample_losses must not traverse the graph")
 
-        for module, name in (
-            (dag_cache, "source_distance_rows"),
-            (dag_cache, "source_distance_map"),
+        for owner, name in (
+            (dag_cache.SourceDAGCache, "distance_rows"),
+            (dag_cache.SourceDAGCache, "distance_map"),
             (csr, "multi_source_sweep"),
         ):
-            monkeypatch.setattr(module, name, no_traversal)
+            monkeypatch.setattr(owner, name, no_traversal)
         assert problem.sample_losses(random.Random(5), 64) == expected
 
 

@@ -2,14 +2,15 @@
 
 Covers the PR-10 out-of-core subsystem end to end:
 
-* save/load/mmap roundtrip **byte-identity** against ``CSRGraph.from_graph``
-  (``tobytes`` asserts), on unweighted, weighted, identity- and
-  string-labelled graphs, under ``mmap`` auto/on/off;
+* save/load roundtrip **byte-identity** of the mapped arrays against
+  ``CSRGraph.from_graph`` (``tobytes`` asserts), on unweighted, weighted,
+  identity- and string-labelled graphs, with and without ``verify``;
 * corruption safety — truncation, bad magic, foreign endianness, stale
   format version, header/arrays checksum damage all raise ``GraphError``
-  naming the path and the mismatch;
-* the ``snapshot_dir``/``mmap`` knob protocol (arg > setter > env >
-  default, env-mirrored setters);
+  naming the path and the mismatch, and corrupt store entries are
+  rebuilt, never served;
+* the ``snapshot_dir`` knob protocol (arg > setter > env > default,
+  env-mirrored setter);
 * ``graph_from_snapshot`` adjacency-order-exact reconstruction and
   ``content_digest`` backend-independence;
 * atomic, fsynced writes of every store file (``store.atomic_write``) and
@@ -90,7 +91,6 @@ def _weighted_graph() -> Graph:
 def _reset_knobs():
     yield
     store.set_default_snapshot_dir(None)
-    store.set_default_mmap(None)
 
 
 # ----------------------------------------------------------------------
@@ -98,27 +98,27 @@ def _reset_knobs():
 # ----------------------------------------------------------------------
 @pytest.mark.requires_numpy
 class TestRoundtrip:
-    @pytest.mark.parametrize("mmap", ["auto", "off"])
-    def test_unweighted_roundtrip_bytes(self, tmp_path, mmap):
+    @pytest.mark.parametrize("verify", [False, True])
+    def test_unweighted_roundtrip_bytes(self, tmp_path, verify):
         graph = _ordered_graph()
         csr = CSRGraph.from_graph(graph)
         path = tmp_path / "g.csr"
         returned = csr.save(path)
         assert returned == path
         assert csr.source_path == str(path)
-        loaded = CSRGraph.load(path, mmap=mmap, verify=True)
+        loaded = CSRGraph.load(path, verify=verify)
         assert loaded.labels == csr.labels
         assert loaded.n == csr.n and loaded.m == csr.m
         assert loaded.weights is None
         assert loaded.source_path == str(path)
         assert _snapshot_bytes(loaded) == _snapshot_bytes(csr)
 
-    @pytest.mark.parametrize("mmap", ["auto", "off"])
-    def test_weighted_roundtrip_bytes(self, tmp_path, mmap):
+    @pytest.mark.parametrize("verify", [False, True])
+    def test_weighted_roundtrip_bytes(self, tmp_path, verify):
         csr = CSRGraph.from_graph(_weighted_graph())
         path = tmp_path / "w.csr"
         csr.save(path)
-        loaded = CSRGraph.load(path, mmap=mmap, verify=True)
+        loaded = CSRGraph.load(path, verify=verify)
         assert loaded.weights is not None
         assert _snapshot_bytes(loaded) == _snapshot_bytes(csr)
         assert loaded.weight_list() == csr.weight_list()
@@ -158,21 +158,12 @@ class TestRoundtrip:
         csr = CSRGraph.from_graph(_weighted_graph())
         path = tmp_path / "w.csr"
         csr.save(path)
-        loaded = CSRGraph.load(path, mmap="on")
+        loaded = CSRGraph.load(path)
         assert isinstance(loaded.indptr, np.memmap)
         assert isinstance(loaded.indices, np.memmap)
         assert isinstance(loaded.weights, np.memmap)
         with pytest.raises((ValueError, RuntimeError)):
             loaded.indices[0] = 99
-
-    def test_mmap_off_reads_into_ram(self, tmp_path):
-        import numpy as np
-
-        csr = CSRGraph.from_graph(_ordered_graph())
-        path = tmp_path / "g.csr"
-        csr.save(path)
-        loaded = CSRGraph.load(path, mmap="off")
-        assert type(loaded.indptr) is np.ndarray
 
     def test_save_accepts_dict_graph(self, tmp_path):
         graph = _ordered_graph()
@@ -264,55 +255,41 @@ class TestCorruption:
         with pytest.raises(GraphError, match="checksum mismatch"):
             load_snapshot(snapshot_path)
 
-    def test_arrays_checksum_in_ram_load(self, snapshot_path):
-        size = os.path.getsize(snapshot_path)
-        _patch_byte(snapshot_path, size - 1, b"\xab")
+    @pytest.mark.parametrize("array", ["indptr", "indices", "weights"])
+    def test_arrays_checksum_covers_every_array(self, tmp_path, array):
+        # One flipped byte inside each array: a plain load skips the arrays
+        # checksum (the O(1) attach), verify=True and store hits check it.
+        snap = SnapshotStore(tmp_path)
+        csr = CSRGraph.from_graph(_weighted_graph())
+        path = snap.save("w", csr)
+        rows, slots = len(csr.indptr), len(csr.indices)
+        arrays_start = os.path.getsize(path) - 8 * (rows + 2 * slots)
+        first = {"indptr": 0, "indices": rows, "weights": rows + slots}[array]
+        # The low byte of the array's second entry.
+        _patch_byte(path, arrays_start + 8 * (first + 1), b"\xab")
+        load_snapshot(path)
         with pytest.raises(GraphError, match="arrays checksum mismatch"):
-            load_snapshot(snapshot_path, mmap="off")
+            load_snapshot(path, verify=True)
+        with pytest.raises(GraphError, match="arrays checksum mismatch"):
+            snap.load("w")
 
-    def test_arrays_checksum_mmap_verify(self, snapshot_path):
-        size = os.path.getsize(snapshot_path)
-        _patch_byte(snapshot_path, size - 1, b"\xab")
-        # Default mapped load skips the array checksum (O(1) attach)...
-        load_snapshot(snapshot_path, mmap="auto")
-        # ...but verify=True checks it.
-        with pytest.raises(GraphError, match="arrays checksum mismatch"):
-            load_snapshot(snapshot_path, mmap="auto", verify=True)
+    def test_verify_reads_the_mapped_arrays_without_copying(
+        self, snapshot_path, monkeypatch
+    ):
+        import numpy as np
+
+        def no_copy(self, *args, **kwargs):
+            raise AssertionError("verify must not copy the mapped arrays")
+
+        monkeypatch.setattr(np.memmap, "tobytes", no_copy, raising=False)
+        loaded = load_snapshot(snapshot_path, verify=True)
+        assert loaded.weights is not None
 
 
 # ----------------------------------------------------------------------
 # Knob protocol
 # ----------------------------------------------------------------------
 class TestKnobs:
-    def test_mmap_default(self, monkeypatch):
-        monkeypatch.delenv(store.MMAP_ENV_VAR, raising=False)
-        assert store.default_mmap() == "auto"
-        assert store.resolve_mmap() == "auto"
-        assert store.resolve_mmap("off") == "off"
-
-    def test_mmap_env(self, monkeypatch):
-        monkeypatch.setenv(store.MMAP_ENV_VAR, "off")
-        assert store.resolve_mmap() == "off"
-        assert store.effective_mmap() is False
-
-    def test_mmap_env_invalid(self, monkeypatch):
-        monkeypatch.setenv(store.MMAP_ENV_VAR, "sideways")
-        with pytest.raises(ValueError, match="REPRO_MMAP"):
-            store.resolve_mmap()
-
-    def test_mmap_setter_overrides_env_and_mirrors(self, monkeypatch):
-        monkeypatch.setenv(store.MMAP_ENV_VAR, "off")
-        store.set_default_mmap("on")
-        assert store.resolve_mmap() == "on"
-        assert os.environ[store.MMAP_ENV_VAR] == "on"
-        store.set_default_mmap(None)
-        assert os.environ[store.MMAP_ENV_VAR] == "off"  # displaced value back
-        assert store.resolve_mmap() == "off"
-
-    def test_mmap_setter_invalid(self):
-        with pytest.raises(ValueError, match="not a valid mmap mode"):
-            store.set_default_mmap("sometimes")
-
     def test_snapshot_dir_precedence(self, tmp_path, monkeypatch):
         monkeypatch.delenv(store.SNAPSHOT_DIR_ENV_VAR, raising=False)
         assert store.resolve_snapshot_dir() is None
@@ -329,18 +306,9 @@ class TestKnobs:
         with pytest.raises(ValueError, match="non-empty"):
             store.set_default_snapshot_dir("   ")
 
-    def test_effective_mmap_follows_the_mode(self, monkeypatch):
-        monkeypatch.delenv(store.MMAP_ENV_VAR, raising=False)
-        assert store.effective_mmap() is True  # the default, auto
-        assert store.effective_mmap("auto") is True
-        assert store.effective_mmap("on") is True
-        assert store.effective_mmap("off") is False
-
     def test_experiment_config_fields(self, tmp_path):
-        config = ExperimentConfig(snapshot_dir=str(tmp_path), mmap="auto")
+        config = ExperimentConfig(snapshot_dir=str(tmp_path))
         assert config.snapshot_dir == str(tmp_path)
-        with pytest.raises(ValueError, match="mmap"):
-            ExperimentConfig(mmap="sideways")
         with pytest.raises(ValueError, match="snapshot_dir"):
             ExperimentConfig(snapshot_dir="  ")
 
@@ -349,26 +317,23 @@ class TestKnobs:
         from repro.experiments.runner import ExperimentRunner
 
         config = ExperimentConfig(
-            datasets=("karate",), scale=1.0, snapshot_dir=str(tmp_path), mmap="off"
+            datasets=("karate",), scale=1.0, snapshot_dir=str(tmp_path)
         )
         runner = ExperimentRunner(config)
         try:
             runner.dataset("karate")
             assert store.resolve_snapshot_dir() == tmp_path
-            assert store.resolve_mmap() == "off"
             assert (tmp_path / "datasets").is_dir()
         finally:
             store.set_default_snapshot_dir(None)
-            store.set_default_mmap(None)
 
     def test_cli_flags(self, tmp_path):
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
-            ["rank", "--snapshot-dir", str(tmp_path), "--mmap", "off"]
+            ["rank", "--snapshot-dir", str(tmp_path)]
         )
         assert args.snapshot_dir == str(tmp_path)
-        assert args.mmap == "off"
 
 
 # ----------------------------------------------------------------------
@@ -429,8 +394,7 @@ class TestContentDigest:
         digests = {
             content_digest(graph),
             content_digest(csr),
-            content_digest(CSRGraph.load(path, mmap="auto")),
-            content_digest(CSRGraph.load(path, mmap="off")),
+            content_digest(CSRGraph.load(path)),
         }
         assert len(digests) == 1
 
@@ -561,10 +525,9 @@ class TestRegistryMemoisation:
         hit = load("karate", snapshot_dir=str(tmp_path))
         csr = as_csr(hit.graph)
         assert csr.source_path is not None
-        if store.effective_mmap():  # mmap=off legs load into RAM instead
-            import numpy as np
+        import numpy as np
 
-            assert isinstance(csr.indptr, np.memmap)
+        assert isinstance(csr.indptr, np.memmap)
 
     def test_load_csr_store_hit(self, tmp_path):
         fresh = as_csr(load("karate").graph)
@@ -578,17 +541,50 @@ class TestRegistryMemoisation:
         csr = load_csr("karate")
         assert _snapshot_bytes(csr) == _snapshot_bytes(as_csr(load("karate").graph))
 
-    def test_corrupt_store_entry_is_rebuilt(self, tmp_path):
+    @pytest.mark.parametrize("loader", [load, load_csr], ids=["load", "load_csr"])
+    def test_corrupt_store_entry_is_rebuilt(self, tmp_path, loader):
         load("karate", snapshot_dir=str(tmp_path))
         key = dataset_key("karate", 1.0, 0)
         path = tmp_path / "datasets" / f"{key}.csr"
         with open(path, "r+b") as handle:
             handle.truncate(40)
-        hit = load("karate", snapshot_dir=str(tmp_path))
-        assert hit.graph.number_of_nodes() == 34
+        hit = loader("karate", snapshot_dir=str(tmp_path))
+        assert (hit.graph.number_of_nodes() if loader is load else hit.n) == 34
         # The corrupt file was overwritten with a good snapshot.
         reloaded = load_snapshot(path, verify=True)
         assert reloaded.n == 34
+
+    @pytest.mark.parametrize("loader", [load, load_csr], ids=["load", "load_csr"])
+    @pytest.mark.parametrize("swap", ["within-segment", "asymmetric"])
+    def test_same_size_corruption_is_rebuilt(self, tmp_path, loader, swap):
+        # Two swapped int64 entries of the stored indices: the file keeps
+        # its size and header, so only the arrays checksum catches them.
+        # Within one node's segment the graph stays symmetric with another
+        # adjacency order; across two segments it turns asymmetric.
+        fresh = CSRGraph.from_graph(load("usa-road", scale=0.3, seed=7).graph)
+        load("usa-road", scale=0.3, seed=7, snapshot_dir=str(tmp_path))
+        path = tmp_path / "datasets" / f"{dataset_key('usa-road', 0.3, 7)}.csr"
+        indptr, indices = fresh.adjacency_lists()
+        a = indptr[0]
+        if swap == "within-segment":
+            b = a + 1
+        else:
+            b = next(
+                indptr[j] for j in range(1, fresh.n)
+                if indices[indptr[j]] not in indices[indptr[0]:indptr[1]]
+                and indices[indptr[j]] != 0
+            )
+        assert indices[a] != indices[b]
+        start = os.path.getsize(path) - 8 * len(indices)
+        _patch_byte(path, start + 8 * a, struct.pack("=q", indices[b]))
+        _patch_byte(path, start + 8 * b, struct.pack("=q", indices[a]))
+        served = loader("usa-road", scale=0.3, seed=7, snapshot_dir=str(tmp_path))
+        if loader is load:
+            served = CSRGraph.from_graph(served.graph)
+        assert _snapshot_bytes(served) == _snapshot_bytes(fresh)
+        # The entry was rewritten with the good snapshot.
+        rewritten = load_snapshot(path, verify=True)
+        assert _snapshot_bytes(rewritten) == _snapshot_bytes(fresh)
 
     def test_meta_that_is_not_an_object_is_rebuilt(self, tmp_path):
         load("karate", snapshot_dir=str(tmp_path))
@@ -680,9 +676,7 @@ class TestSnapshotPickle:
         raw = len(_snapshot_bytes(csr))
         assert len(pickle.dumps(csr)) <= raw + len(pickle.dumps(labels)) + 1024
 
-    @pytest.mark.parametrize("mode", ["auto", "on", "off"])
-    def test_file_backed_pickles_by_path(self, tmp_path, mode):
-        store.set_default_mmap(mode)
+    def test_file_backed_pickles_by_path(self, tmp_path):
         csr = load_csr("flickr", scale=0.1, seed=3, snapshot_dir=str(tmp_path))
         fn, _args = csr.__reduce__()
         assert fn is store._attach_snapshot_file
@@ -701,28 +695,31 @@ class TestSnapshotPickle:
         assert restored.labels == csr.labels
         assert restored.is_weighted == csr.is_weighted
 
-    @pytest.mark.parametrize("mmap", ["on", "off"])
-    def test_save_and_load_record_the_file_crcs(self, tmp_path, mmap):
+    @pytest.mark.parametrize("verify", [False, True])
+    def test_save_and_load_record_the_file_crcs(self, tmp_path, verify):
         csr = CSRGraph.from_graph(_weighted_labelled_graph())
         assert csr.source_crcs is None  # nothing backs it yet
         path = save_snapshot(csr, tmp_path / "w.csr")
         fields = store._HEADER_STRUCT.unpack_from(path.read_bytes())
         header_crc, arrays_crc = fields[4], fields[8]
         assert csr.source_crcs == (header_crc, arrays_crc)
-        loaded = load_snapshot(path, mmap=mmap)
+        loaded = load_snapshot(path, verify=verify)
         assert loaded.source_crcs == (header_crc, arrays_crc)
         assert loaded.file_header() == csr.file_header()
 
-    @pytest.mark.parametrize("mode,mapped", [("auto", True), ("on", True), ("off", False)])
-    def test_attach_follows_the_worker_mmap(self, tmp_path, mode, mapped):
+    @pytest.mark.parametrize("make_graph", _PICKLE_GRAPHS)
+    def test_attach_maps_the_file(self, tmp_path, make_graph):
         import numpy as np
 
-        csr = CSRGraph.from_graph(_weighted_labelled_graph())
-        save_snapshot(csr, tmp_path / "w.csr")
-        store.set_default_mmap(mode)  # the worker's knob, not the master's
+        csr = CSRGraph.from_graph(make_graph())
+        save_snapshot(csr, tmp_path / "g.csr")
         restored = pickle.loads(pickle.dumps(csr))
-        for array in (restored.indptr, restored.indices, restored.weights):
-            assert isinstance(array, np.memmap) is mapped
+        arrays = [restored.indptr, restored.indices]
+        assert (restored.weights is None) is (csr.weights is None)
+        if csr.weights is not None:
+            arrays.append(restored.weights)
+        assert all(isinstance(array, np.memmap) for array in arrays)
+        assert not any(array.flags.writeable for array in arrays)
         assert _snapshot_bytes(restored) == _snapshot_bytes(csr)
 
     def test_deleted_file_falls_back_to_by_value(self, tmp_path):
