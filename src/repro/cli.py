@@ -3,17 +3,18 @@
 Commands
 --------
 ``rank``        Rank a node subset of a named dataset (or an edge-list file).
+``compare``     Compare estimators on one subset-ranking task.
 ``datasets``    List the available datasets with their summaries.
 ``table``       Regenerate Table I, II or III.
 ``figure``      Regenerate the data behind Figures 3-7.
-``lint``        Statically check the architecture invariants (AST-based).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro import knobs
 from repro._version import __version__
@@ -42,6 +43,74 @@ def _unit_interval_list(text: str) -> Tuple[float, ...]:
     return values
 
 
+def _scale(text: str) -> float:
+    """argparse ``type=`` for ``--scale``: a finite float > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"the value must be a finite number > 0, got {text!r}"
+        )
+    return value
+
+
+def _count(minimum: int) -> Callable[[str], int]:
+    """argparse ``type=`` for a count flag: an int >= ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}"
+            ) from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"the value must be >= {minimum}, got {value}"
+            )
+        return value
+
+    return parse
+
+
+def _names(text: str, available: Sequence[str], kind: str) -> Tuple[str, ...]:
+    """Comma-separated names, each one of ``available``."""
+    names = tuple(token.strip() for token in text.split(",") if token.strip())
+    if not names:
+        raise argparse.ArgumentTypeError(f"expected at least one {kind} name")
+    for name in names:
+        if name not in available:
+            raise argparse.ArgumentTypeError(
+                f"unknown {kind} {name!r}; available: {', '.join(available)}"
+            )
+    return names
+
+
+def _dataset_names(text: str) -> Tuple[str, ...]:
+    """argparse ``type=`` for ``--datasets``: registry dataset names."""
+    from repro.datasets import available_datasets
+
+    return _names(text, available_datasets(), "dataset")
+
+
+def _dataset_name(text: str) -> str:
+    """argparse ``type=`` for ``--dataset``: one registry dataset name."""
+    names = _dataset_names(text)
+    if len(names) > 1:
+        raise argparse.ArgumentTypeError(f"expected one dataset name, got {text!r}")
+    return names[0]
+
+
+def _estimator_names(text: str) -> Tuple[str, ...]:
+    """argparse ``type=`` for ``--estimators``: names ``compare_estimators``
+    can build."""
+    from repro.analysis import AVAILABLE_ESTIMATORS
+
+    return _names(text, AVAILABLE_ESTIMATORS, "estimator")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the top-level argument parser."""
     parser = argparse.ArgumentParser(
@@ -52,15 +121,22 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command")
 
     rank = subparsers.add_parser("rank", help="rank a node subset by betweenness")
-    rank.add_argument("--dataset", default="karate", help="dataset name (see `repro datasets`)")
+    rank.add_argument(
+        "--dataset", type=_dataset_name, default="karate",
+        help="dataset name (see `repro datasets`)",
+    )
     rank.add_argument("--edge-list", default=None, help="edge-list file overriding --dataset")
-    rank.add_argument("--scale", type=float, default=0.25, help="dataset scale factor")
-    rank.add_argument("--subset-size", type=int, default=20, help="random target-subset size")
+    rank.add_argument("--scale", type=_scale, default=0.25, help="dataset scale factor")
+    rank.add_argument(
+        "--subset-size", type=_count(1), default=20, help="random target-subset size"
+    )
     rank.add_argument("--targets", default=None, help="comma-separated node ids (overrides --subset-size)")
     rank.add_argument("--epsilon", type=_unit_interval, default=0.05)
     rank.add_argument("--delta", type=_unit_interval, default=0.01)
     rank.add_argument("--seed", type=int, default=7)
-    rank.add_argument("--top", type=int, default=10, help="how many ranked nodes to print")
+    rank.add_argument(
+        "--top", type=_count(1), default=10, help="how many ranked nodes to print"
+    )
     knobs.add_cli_flags(rank)
 
     subparsers.add_parser("datasets", help="list available datasets")
@@ -68,14 +144,14 @@ def build_parser() -> argparse.ArgumentParser:
     compare = subparsers.add_parser(
         "compare", help="compare estimators on one subset-ranking task"
     )
-    compare.add_argument("--dataset", default="karate")
-    compare.add_argument("--scale", type=float, default=0.25)
-    compare.add_argument("--subset-size", type=int, default=30)
+    compare.add_argument("--dataset", type=_dataset_name, default="karate")
+    compare.add_argument("--scale", type=_scale, default=0.25)
+    compare.add_argument("--subset-size", type=_count(1), default=30)
     compare.add_argument("--epsilon", type=_unit_interval, default=0.05)
     compare.add_argument("--delta", type=_unit_interval, default=0.01)
     compare.add_argument("--seed", type=int, default=7)
     compare.add_argument(
-        "--estimators", default="saphyra,kadabra,abra",
+        "--estimators", type=_estimator_names, default="saphyra,kadabra,abra",
         help="comma-separated estimator names "
              "(saphyra, saphyra_full, kadabra, abra, rk, bader, ego)",
     )
@@ -83,46 +159,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     table = subparsers.add_parser("table", help="regenerate a table of the paper")
     table.add_argument("number", type=int, choices=(1, 2, 3), help="table number")
-    table.add_argument("--scale", type=float, default=0.25)
+    table.add_argument("--scale", type=_scale, default=0.25)
     table.add_argument("--seed", type=int, default=7)
     table.add_argument(
-        "--datasets", default=None,
+        "--datasets", type=_dataset_names, default=None,
         help="comma-separated dataset names (default: the paper's four networks)",
     )
     knobs.add_cli_flags(table)
 
     figure = subparsers.add_parser("figure", help="regenerate a figure of the paper")
     figure.add_argument("number", type=int, choices=(3, 4, 5, 6, 7), help="figure number")
-    figure.add_argument("--scale", type=float, default=0.15)
+    figure.add_argument("--scale", type=_scale, default=0.15)
     figure.add_argument("--seed", type=int, default=7)
-    figure.add_argument("--num-subsets", type=int, default=2)
-    figure.add_argument("--subset-size", type=int, default=30)
+    figure.add_argument("--num-subsets", type=_count(1), default=2)
+    # ExperimentConfig needs two targets to correlate rankings.
+    figure.add_argument("--subset-size", type=_count(2), default=30)
     figure.add_argument(
         "--epsilons", type=_unit_interval_list, default=None,
         help="comma-separated epsilon grid, e.g. '0.2,0.1,0.05'",
     )
     figure.add_argument(
-        "--datasets", default=None,
+        "--datasets", type=_dataset_names, default=None,
         help="comma-separated dataset names (default: the paper's four networks)",
     )
     knobs.add_cli_flags(figure)
 
-    from repro.lint import cli as _lint_cli
-
-    lint = subparsers.add_parser(
-        "lint",
-        help="run the AST-based invariant checker over source trees",
-        description=_lint_cli.DESCRIPTION,
-    )
-    _lint_cli.add_arguments(lint)
-
     return parser
-
-
-def _parse_datasets(value):
-    if value is None:
-        return None
-    return tuple(token.strip() for token in value.split(",") if token.strip())
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -135,10 +197,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # Every given knob flag becomes its process-wide, env-mirrored override
     # (``--backend auto`` too, so it beats an exported REPRO_BACKEND).
     knobs.apply(vars(args))
-    if args.command == "lint":
-        from repro.lint.cli import run as _run_lint
-
-        return _run_lint(args)
     if args.command == "rank":
         return _command_rank(args)
     if args.command == "datasets":
@@ -206,16 +264,13 @@ def _command_compare(args) -> int:
     targets = random_subset(
         graph, min(args.subset_size, graph.number_of_nodes()), args.seed
     )
-    estimators = tuple(
-        token.strip() for token in args.estimators.split(",") if token.strip()
-    )
     rows = compare_estimators(
         graph,
         targets,
         epsilon=args.epsilon,
         delta=args.delta,
         seed=args.seed,
-        estimators=estimators,
+        estimators=args.estimators,
     )
     print(
         f"# dataset={dataset.name} nodes={graph.number_of_nodes()} "
@@ -251,9 +306,8 @@ def _command_table(args) -> int:
     )
 
     overrides = {}
-    datasets = _parse_datasets(args.datasets)
-    if datasets is not None:
-        overrides["datasets"] = datasets
+    if args.datasets is not None:
+        overrides["datasets"] = args.datasets
     config = ExperimentConfig(scale=args.scale, seed=args.seed, **overrides)
     if args.number == 1:
         rows = table1_vc_bounds(config)
@@ -323,9 +377,8 @@ def _command_figure(args) -> int:
     from repro.experiments.figures import epsilon_sweep
 
     overrides = {}
-    datasets = _parse_datasets(args.datasets)
-    if datasets is not None:
-        overrides["datasets"] = datasets
+    if args.datasets is not None:
+        overrides["datasets"] = args.datasets
     if args.epsilons is not None:
         overrides["epsilons"] = args.epsilons
     config = ExperimentConfig(

@@ -168,7 +168,6 @@ class _SearchSide:
         adj = self.adj
         dist = self.dist
         sigma = self.sigma
-        # repro-lint: disable=kernel-ownership — audited: the hash-adjacency reference search the stacked CSR search is pinned against (TestBidirectionalEquivalence); _BatchSweep reads only CSR arrays
         next_frontier: List[Node] = []
         next_level = self.level + 1
         scanned = 0

@@ -1987,7 +1987,6 @@ def distance_stats_from_row(dist):
         # Sequential left-to-right sum in node-index order: numpy's
         # pairwise .sum() re-associates float additions, which would
         # break bit-identity with the dict backend's sequential total.
-        # repro-lint: disable=float-fold — audited: builtin sum over tolist() is the pinned sequential node-index-order fold
         return int(reached.sum()), sum(dist[reached].tolist())
     return int(reached.sum()), int(dist[reached].sum())
 

@@ -487,6 +487,12 @@ class Graph:
         clone._num_weighted = self._num_weighted
         return clone
 
+    def __copy__(self) -> "Graph":
+        # A shallow copy would share ``_adj``: an edit through either graph
+        # would change the other without its ``_commit``, leaving its
+        # memoised values current for a graph they no longer describe.
+        return self.copy()
+
     def subgraph(self, nodes: Iterable[Node]) -> "Graph":
         """Return the induced subgraph on ``nodes`` (weights preserved).
 

@@ -37,15 +37,14 @@ PathLike = Union[str, Path]
 EdgeRecord = Tuple[object, object, Optional[float]]
 
 
-def _parse_weight(token: str, path: PathLike, line_number: int) -> float:
-    """Parse one weight token, attributing malformed values to their line."""
+def _parse_token(
+    convert: Callable, token: str, what: str, path: PathLike, line_number: int
+):
+    """Convert one token, attributing a malformed value to its line."""
     try:
-        weight = float(token)
+        return convert(token)
     except ValueError:
-        raise GraphError(
-            f"{path}:{line_number}: malformed edge weight {token!r}"
-        ) from None
-    return weight
+        raise GraphError(f"{path}:{line_number}: malformed {what} {token!r}") from None
 
 
 # ----------------------------------------------------------------------
@@ -72,12 +71,13 @@ def _iter_edge_records(
                     f"{path}:{line_number}: expected 'u v' or 'u v weight', "
                     f"got {line!r}"
                 )
-            u, v = node_type(parts[0]), node_type(parts[1])
+            u = _parse_token(node_type, parts[0], "node id", path, line_number)
+            v = _parse_token(node_type, parts[1], "node id", path, line_number)
             if u == v:
                 continue
             weight = None
             if len(parts) >= 3:
-                weight = _parse_weight(parts[2], path, line_number)
+                weight = _parse_token(float, parts[2], "edge weight", path, line_number)
             yield line_number, u, v, weight
 
 
@@ -190,11 +190,13 @@ def _iter_dimacs_records(
             if parts[0] == "p":
                 if len(parts) < 4:
                     raise GraphError(f"{path}:{line_number}: malformed problem line {line!r}")
-                yield "p", line_number, int(parts[2]), None, None
+                declared = _parse_token(int, parts[2], "node count", path, line_number)
+                yield "p", line_number, declared, None, None
             elif parts[0] == "a":
                 if len(parts) < 3:
                     raise GraphError(f"{path}:{line_number}: malformed arc line {line!r}")
-                u, v = int(parts[1]), int(parts[2])
+                u = _parse_token(int, parts[1], "node id", path, line_number)
+                v = _parse_token(int, parts[2], "node id", path, line_number)
                 if u == v:
                     continue
                 weight = None
@@ -203,7 +205,9 @@ def _iter_dimacs_records(
                         raise GraphError(
                             f"{path}:{line_number}: arc line has no weight: {line!r}"
                         )
-                    weight = _parse_weight(parts[3], path, line_number)
+                    weight = _parse_token(
+                        float, parts[3], "edge weight", path, line_number
+                    )
                 yield "a", line_number, u, v, weight
             else:
                 raise GraphError(f"{path}:{line_number}: unrecognised line {line!r}")
@@ -277,5 +281,8 @@ def read_coordinates(path: PathLike) -> dict:
             parts = line.split()
             if parts[0] != "v" or len(parts) < 4:
                 raise GraphError(f"{path}:{line_number}: malformed coordinate line {line!r}")
-            coords[int(parts[1])] = (int(parts[2]), int(parts[3]))
+            node = _parse_token(int, parts[1], "node id", path, line_number)
+            x = _parse_token(int, parts[2], "coordinate", path, line_number)
+            y = _parse_token(int, parts[3], "coordinate", path, line_number)
+            coords[node] = (x, y)
     return coords

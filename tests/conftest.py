@@ -1,6 +1,10 @@
-"""Shared fixtures: small graphs with known structure."""
+"""Shared fixtures: small graphs with known structure, and the parsed
+source tree the syntax-tree tests walk."""
 
 from __future__ import annotations
+
+import ast
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +42,24 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if item.get_closest_marker("requires_numpy") is not None:
             item.add_marker(skip)
+
+
+@pytest.fixture(scope="session")
+def source_trees():
+    """``{repo-relative path: parsed module}`` for every ``.py`` file under
+    ``src/``, ``tests/`` and ``benchmarks/``, parsed once per session.
+
+    Paths use ``/`` (``"src/repro/graphs/csr.py"``) and come in sorted
+    order.  The trees are shared: a test must not change them.
+    """
+    root = Path(__file__).resolve().parents[1]
+    return {
+        path.relative_to(root).as_posix(): ast.parse(
+            path.read_text(encoding="utf-8"), filename=str(path)
+        )
+        for tree in ("src", "tests", "benchmarks")
+        for path in sorted((root / tree).rglob("*.py"))
+    }
 
 
 @pytest.fixture

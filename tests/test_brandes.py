@@ -52,7 +52,6 @@ def _count_paths_through(dag, target):
     """sigma_st(v) for all v, for the fixed source of the DAG."""
     beta = {target: 1.0}
     frontier = [target]
-    # repro-lint: disable=kernel-ownership — audited: independent oracle walking a DAG backwards to cross-check the kernel; must not share its code
     while frontier:
         next_frontier = []
         for node in frontier:

@@ -40,9 +40,25 @@ class TestParser:
             (["figure", "3", "--epsilons", "0.2,nan"], "--epsilons"),
             (["figure", "3", "--epsilons", "0.2,x"], "--epsilons"),
             (["figure", "3", "--epsilons", ","], "--epsilons"),
+            (["rank", "--subset-size", "0"], "--subset-size"),
+            (["rank", "--subset-size", "-3"], "--subset-size"),
+            (["compare", "--subset-size", "x"], "--subset-size"),
+            (["figure", "5", "--subset-size", "1"], "--subset-size"),
+            (["rank", "--top", "-2"], "--top"),
+            (["figure", "5", "--num-subsets", "0"], "--num-subsets"),
+            (["rank", "--scale", "0"], "--scale"),
+            (["compare", "--scale", "nan"], "--scale"),
+            (["table", "2", "--scale", "0"], "--scale"),
+            (["figure", "3", "--scale", "inf"], "--scale"),
+            (["rank", "--dataset", "nosuch"], "--dataset"),
+            (["compare", "--dataset", "karate,flickr"], "--dataset"),
+            (["table", "2", "--datasets", "flickr,nosuch"], "--datasets"),
+            (["figure", "3", "--datasets", ","], "--datasets"),
+            (["compare", "--estimators", "nosuch"], "--estimators"),
+            (["compare", "--estimators", ","], "--estimators"),
         ],
     )
-    def test_out_of_range_accuracy_is_a_usage_error(self, argv, flag, capsys):
+    def test_out_of_range_value_is_a_usage_error(self, argv, flag, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
@@ -54,9 +70,16 @@ class TestParser:
             (["rank", "--epsilon", "0.2"], "epsilon", 0.2),
             (["compare", "--delta", "1e-3"], "delta", 0.001),
             (["figure", "3", "--epsilons", "0.2, 0.1,"], "epsilons", (0.2, 0.1)),
+            (["rank", "--scale", "0.5", "--top", "1"], "scale", 0.5),
+            (["rank", "--dataset", " flickr "], "dataset", "flickr"),
+            (["table", "2", "--datasets", "flickr, karate"], "datasets",
+             ("flickr", "karate")),
+            (["table", "2"], "datasets", None),
+            (["compare"], "estimators", ("saphyra", "kadabra", "abra")),
+            (["compare", "--estimators", "rk,abra"], "estimators", ("rk", "abra")),
         ],
     )
-    def test_in_range_accuracy_parses(self, argv, field, expected):
+    def test_in_range_value_parses(self, argv, field, expected):
         assert getattr(build_parser().parse_args(argv), field) == expected
 
 

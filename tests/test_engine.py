@@ -492,7 +492,6 @@ class TestDirectionOptimising:
         ):
             snapshot = csr_module.as_csr(graph)
             indptr = snapshot.indptr
-            # repro-lint: disable=kernel-ownership — audited: unit test exercising the kernel itself
             sweep = csr_module._BatchSweep(
                 snapshot, roots, sigma_mode=sigma_mode, direction=direction
             )
@@ -507,7 +506,6 @@ class TestDirectionOptimising:
     def test_bottom_up_actually_fires_on_fat_levels(self):
         graph = barabasi_albert_graph(3000, 4, seed=1)
         snapshot = csr_module.as_csr(graph)
-        # repro-lint: disable=kernel-ownership — audited: unit test exercising the kernel itself
         sweep = csr_module._BatchSweep(
             snapshot, list(range(8)), direction="auto"
         )
@@ -519,7 +517,6 @@ class TestDirectionOptimising:
         graph = cycle_graph(8)
         snapshot = csr_module.as_csr(graph)
         with pytest.raises(ValueError):
-            # repro-lint: disable=kernel-ownership — audited: unit test exercising the kernel itself
             csr_module._BatchSweep(
                 snapshot, (0,), sigma_mode="int", direction="auto"
             )

@@ -85,8 +85,8 @@ class TestConfig:
         assert config.workers == 2
 
     def test_every_knob_env_var_has_a_config_field(self):
-        # The knob protocol, from the other side: each REPRO_* executor
-        # knob the lint audits must stay addressable per-experiment.
+        # The knob protocol, from the other side: each REPRO_* knob row of
+        # repro.knobs must stay addressable per-experiment.
         for field_name in (
             "backend",
             "workers",

@@ -24,7 +24,6 @@ from __future__ import annotations
 import ast
 import inspect
 import re
-from pathlib import Path
 from typing import Callable, NamedTuple, Tuple
 
 import pytest
@@ -43,8 +42,6 @@ from repro.graphs.delta import (
     deltas_between,
 )
 from repro.graphs.graph import Graph
-
-SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 BACKENDS = ["dict", pytest.param("csr", marks=pytest.mark.requires_numpy)]
 
@@ -297,9 +294,14 @@ _GRAPH_STATE = {"_version", "_adj"}
 #: dict methods that change the dict in place.
 _DICT_WRITES = {"clear", "pop", "popitem", "setdefault", "update"}
 
-def _modules():
-    for path in sorted(SRC.rglob("*.py")):
-        yield path.relative_to(SRC).as_posix(), ast.parse(path.read_text())
+def _modules(source_trees):
+    """``(path under src/repro/, tree)`` for every module of the package."""
+    prefix = "src/repro/"
+    return [
+        (path[len(prefix):], tree)
+        for path, tree in source_trees.items()
+        if path.startswith(prefix)
+    ]
 
 
 def _writes(tree):
@@ -407,9 +409,9 @@ def _is_graph(key, names):
     return isinstance(key, ast.Name) and key.id in names
 
 
-def test_graph_state_is_written_only_in_graph_module():
+def test_graph_state_is_written_only_in_graph_module(source_trees):
     found = []
-    for where, tree in _modules():
+    for where, tree in _modules(source_trees):
         if where == "graphs/graph.py":
             continue
         aliases = _adj_aliases(tree)
@@ -426,9 +428,9 @@ def test_graph_state_is_written_only_in_graph_module():
     assert found == []
 
 
-def test_graph_keyed_stores_only_in_the_dag_cache():
+def test_graph_keyed_stores_only_in_the_dag_cache(source_trees):
     found = []
-    for where, tree in _modules():
+    for where, tree in _modules(source_trees):
         if where == "engine/dag_cache.py":
             continue
         names = _graph_names(tree)
@@ -446,8 +448,8 @@ def test_graph_keyed_stores_only_in_the_dag_cache():
     assert found == []
 
 
-def test_only_commit_bumps_the_version_and_journals():
-    tree = ast.parse((SRC / "graphs" / "graph.py").read_text())
+def test_only_commit_bumps_the_version_and_journals(source_trees):
+    tree = source_trees["src/repro/graphs/graph.py"]
     bumps, records = set(), set()
     for function in ast.walk(tree):
         if not isinstance(function, ast.FunctionDef):
@@ -485,20 +487,20 @@ def _calls(tree, name):
                 yield node
 
 
-def test_only_the_versioned_slot_arms_the_journal():
+def test_only_the_versioned_slot_arms_the_journal(source_trees):
     # Graph.memo (a slot with a refresh) and Graph.memo_seed arm it; the
     # caches that drop stale stores whole never need one.
     found = {
         where
-        for where, tree in _modules()
+        for where, tree in _modules(source_trees)
         for _ in _calls(tree, "track")
     }
     assert found == {"graphs/graph.py"}
 
 
-def test_only_the_graph_and_its_snapshot_import_the_journal():
+def test_only_the_graph_and_its_snapshot_import_the_journal(source_trees):
     found = set()
-    for where, tree in _modules():
+    for where, tree in _modules(source_trees):
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module:
                 names = [node.module] + [

@@ -158,3 +158,20 @@ class TestDimacs:
         path.write_text("v 1 2\n")
         with pytest.raises(GraphError):
             read_coordinates(path)
+
+
+@pytest.mark.parametrize(
+    "read,text",
+    [
+        (read_edge_list, "1 2\nx 3\n"),
+        (read_dimacs_graph, "a 1 2 7\na x 3 7\n"),
+        (read_coordinates, "v 1 0 0\nv x 1 1\n"),
+    ],
+    ids=["edge-list", "dimacs", "coordinates"],
+)
+def test_malformed_node_id_names_its_line(read, text, tmp_path):
+    path = tmp_path / "graph.txt"
+    path.write_text(text)
+    with pytest.raises(GraphError) as excinfo:
+        read(path)
+    assert str(excinfo.value) == f"{path}:2: malformed node id 'x'"

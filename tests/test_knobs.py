@@ -17,18 +17,13 @@ import ast
 import dataclasses
 import os
 import re
-from pathlib import Path
 
 import pytest
 
 from repro import knobs
 from repro.cli import build_parser, main
 from repro.experiments.config import ExperimentConfig
-from repro.lint import iter_python_files
 from repro.parallel import WorkerPool
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
-SRC = REPO_ROOT / "src" / "repro"
 
 #: (name, env var, flag, command-line choices or None for typed values, default)
 PINNED = [
@@ -288,14 +283,15 @@ def _defined_or_used_names(tree):
             yield node.asname or node.name
 
 
-def test_removed_rows_leave_no_names_in_src():
+def test_removed_rows_leave_no_names_in_src(source_trees):
     # No setter, resolver or environment constant of a deleted row is left,
     # no pass-through wrapper of the always-on DAG cache, and no function
     # takes an ``mmap`` argument.
     strays = sorted(
-        f"{path.relative_to(SRC)}: {name}"
-        for path in SRC.rglob("*.py")
-        for name in set(_defined_or_used_names(ast.parse(path.read_text())))
+        f"{path}: {name}"
+        for path, tree in source_trees.items()
+        if path.startswith("src/")
+        for name in set(_defined_or_used_names(tree))
         if name in REMOVED_NAMES or name == "mmap" or name.startswith("MMAP_")
     )
     assert strays == []
@@ -316,18 +312,18 @@ def test_runner_applies_every_row_but_workers():
         knobs.START_METHOD.override(None)
 
 
-def _repro_literals():
-    for path in sorted(SRC.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                if _REPRO_LITERAL.match(node.value):
-                    yield path, node.value
-
-
-def test_every_repro_literal_is_a_table_row():
+def test_every_repro_literal_is_a_table_row(source_trees):
     rows = {knob.env for knob in knobs.KNOBS}
-    strays = [(str(path), value) for path, value in _repro_literals()
-              if value not in rows]
+    strays = [
+        (path, node.value)
+        for path, tree in source_trees.items()
+        if path.startswith("src/")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and _REPRO_LITERAL.match(node.value)
+        and node.value not in rows
+    ]
     assert strays == []
 
 
@@ -379,15 +375,12 @@ def _env_writes(tree, allowed_class=None):
     ]
 
 
-def test_environment_is_written_only_by_the_mirror():
+def test_environment_is_written_only_by_the_mirror(source_trees):
     # A direct write bypasses the override's bookkeeping: spawn workers
     # inherit a value no knob tracks, and nothing restores it afterwards.
     strays = []
-    for path in iter_python_files(
-        [str(REPO_ROOT / tree) for tree in ("src", "tests", "benchmarks")]
-    ):
-        allowed = "EnvMirroredOverride" if Path(path) == SRC / "knobs.py" else None
-        tree = ast.parse(Path(path).read_text())
+    for path, tree in source_trees.items():
+        allowed = "EnvMirroredOverride" if path == "src/repro/knobs.py" else None
         strays.extend(f"{path}:{line}" for line in _env_writes(tree, allowed))
     assert strays == []
 

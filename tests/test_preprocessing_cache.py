@@ -251,6 +251,25 @@ def test_deepcopies_leave_the_memo_and_journal_out():
     assert list(clone.edges()) == list(graph.edges())
 
 
+@pytest.mark.requires_numpy
+def test_shallow_copies_edit_their_own_adjacency():
+    import copy
+
+    graph = _graph()
+    snapshot = _snapshot_bytes(as_csr(graph))
+    edges, version = list(graph.edges()), graph._version
+    clone = copy.copy(graph)
+    assert clone._memo == {} and clone._journal is None
+    _add_edge(clone)
+    _remove_edge(clone)
+    assert list(clone.edges()) != edges
+    assert list(graph.edges()) == edges
+    assert graph.number_of_edges() == len(edges)
+    assert graph._version == version
+    assert _snapshot_bytes(as_csr(graph)) == snapshot
+    assert snapshot == _snapshot_bytes(CSRGraph.from_graph(graph))
+
+
 class TestFailedBuild:
     def test_failed_tree_build_leaves_no_entry(self, monkeypatch):
         graph = _graph()
