@@ -18,7 +18,7 @@ from repro.baselines import (
     EgoBetweenness,
     RiondatoKornaropoulos,
 )
-from repro.centrality.brandes import betweenness_centrality
+from repro.datasets.ground_truth import GroundTruthCache
 from repro.graphs import sssp as _sssp
 from repro.graphs.graph import Graph
 from repro.metrics.rank_correlation import kendall_tau, spearman_rank_correlation
@@ -107,12 +107,14 @@ def compare_estimators(
     ground_truth:
         Known exact betweenness (normalised); when omitted and
         ``compute_ground_truth`` is true it is computed with Brandes —
-        only do that on graphs where ``O(nm)`` is affordable.
+        only do that on graphs where ``O(nm)`` is affordable — through a
+        :class:`~repro.datasets.ground_truth.GroundTruthCache`, so the
+        ``snapshot_dir`` knob keeps it across processes.
     max_samples_cap:
         Optional cap forwarded to every estimator.
     backend:
-        Traversal backend forwarded to every estimator and the ground-truth
-        computation (``"dict"``, ``"csr"`` or ``None`` for the default).
+        Traversal backend forwarded to every estimator (``"dict"``,
+        ``"csr"`` or ``None`` for the default).
     workers:
         Worker processes forwarded to every estimator and the ground-truth
         computation (``None`` resolves via ``REPRO_WORKERS``); worker counts
@@ -138,7 +140,7 @@ def compare_estimators(
         )
     target_list = list(targets)
     use_weights = _sssp.effective_weighted(graph, weighted)
-    truth_by_engine: Dict[bool, Optional[Dict[Node, float]]] = {}
+    truth_cache = GroundTruthCache()
 
     def truth_subset_for(name: str) -> Optional[Dict[Node, float]]:
         """The ground-truth subset matching this estimator's estimand."""
@@ -146,16 +148,9 @@ def compare_estimators(
             return {node: ground_truth[node] for node in target_list}
         if not compute_ground_truth:
             return None
-        estimator_weighted = use_weights and name not in HOP_ONLY_ESTIMATORS
-        if estimator_weighted not in truth_by_engine:
-            full = betweenness_centrality(
-                graph, backend=backend, workers=workers,
-                weighted="on" if estimator_weighted else "off",
-            )
-            truth_by_engine[estimator_weighted] = {
-                node: full[node] for node in target_list
-            }
-        return truth_by_engine[estimator_weighted]
+        metric = "on" if use_weights and name not in HOP_ONLY_ESTIMATORS else "off"
+        full = truth_cache.get(metric, graph, workers=workers, weighted=metric)
+        return {node: full[node] for node in target_list}
 
     rows: List[EstimatorComparison] = []
     for name in estimators:

@@ -18,6 +18,7 @@ from repro.baselines.base import BaselineResult
 from repro.centrality.brandes import betweenness_from_pivots
 from repro.errors import GraphError
 from repro.graphs.components import is_connected
+from repro.graphs.csr import require_graph
 from repro.graphs.graph import Graph
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.utils.timing import Timer
@@ -81,6 +82,7 @@ class BaderPivot:
 
     def estimate(self, graph: Graph) -> BaselineResult:
         """Estimate betweenness for every node of ``graph``."""
+        require_graph(graph, "BaderPivot.estimate")
         if graph.number_of_nodes() < 3:
             raise GraphError("need at least 3 nodes to estimate betweenness")
         if not is_connected(graph):

@@ -22,6 +22,7 @@ from repro.baselines.base import BaselineResult
 from repro.centrality.brandes import single_source_dependencies
 from repro.engine.driver import sweep_sources
 from repro.errors import GraphError
+from repro.graphs.csr import require_graph
 from repro.graphs.graph import Graph
 from repro.utils.timing import Timer
 
@@ -100,6 +101,7 @@ class EgoBetweenness:
 
     def estimate(self, graph: Graph) -> BaselineResult:
         """Compute ego betweenness for the selected nodes of ``graph``."""
+        require_graph(graph, "EgoBetweenness.estimate")
         if graph.number_of_nodes() < 3:
             raise GraphError("need at least 3 nodes")
         selected = self.nodes if self.nodes is not None else list(graph.nodes())

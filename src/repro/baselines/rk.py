@@ -130,6 +130,7 @@ class RiondatoKornaropoulos:
 
     def estimate(self, graph: Graph) -> BaselineResult:
         """Estimate betweenness for every node of ``graph``."""
+        _csr.require_graph(graph, "RiondatoKornaropoulos.estimate")
         if graph.number_of_nodes() < 3:
             raise GraphError("need at least 3 nodes to estimate betweenness")
         if not is_connected(graph):

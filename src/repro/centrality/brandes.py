@@ -156,6 +156,7 @@ def betweenness_centrality(
         fold, so any worker count returns bit-identical results while
         shipping O(n) floats per chunk instead of O(chunk x n).
     """
+    _csr.require_graph(graph, "betweenness_centrality")
     n = graph.number_of_nodes()
     # Summing the single-source dependencies over every source already covers
     # each *ordered* pair (s, t) exactly once, which is what Eq. 3 sums over.

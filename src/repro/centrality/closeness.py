@@ -95,6 +95,7 @@ def closeness_centrality(
         path lengths instead of hop counts; unit-weight graphs under
         ``"auto"`` take the exact historical BFS paths.
     """
+    _csr.require_graph(graph, "closeness_centrality")
     n = graph.number_of_nodes()
     selected = list(nodes) if nodes is not None else list(graph.nodes())
     choice = _csr.effective_backend(graph, backend)

@@ -103,6 +103,30 @@ def _dataset_name(text: str) -> str:
     return names[0]
 
 
+def _node_ids(text: str) -> Tuple:
+    """argparse ``type=`` for ``--targets``: distinct comma-separated node
+    ids, integers where a token is one (the edge-list reader's ids)."""
+    ids = tuple(
+        int(token) if token.lstrip("-").isdigit() else token
+        for token in (token.strip() for token in text.split(","))
+        if token
+    )
+    if not ids:
+        raise argparse.ArgumentTypeError("expected at least one node id")
+    repeated = sorted({str(node) for node in ids if ids.count(node) > 1})
+    if repeated:
+        raise argparse.ArgumentTypeError(f"repeated node ids: {', '.join(repeated)}")
+    return ids
+
+
+class _FlagError(Exception):
+    """A flag value that fails only once the command reads it; :func:`main`
+    reports it as a usage error (exit 2) naming the flag."""
+
+    def __init__(self, flag: str, cause: object) -> None:
+        super().__init__(f"argument {flag}: {cause}")
+
+
 def _estimator_names(text: str) -> Tuple[str, ...]:
     """argparse ``type=`` for ``--estimators``: names ``compare_estimators``
     can build."""
@@ -130,7 +154,10 @@ def build_parser() -> argparse.ArgumentParser:
     rank.add_argument(
         "--subset-size", type=_count(1), default=20, help="random target-subset size"
     )
-    rank.add_argument("--targets", default=None, help="comma-separated node ids (overrides --subset-size)")
+    rank.add_argument(
+        "--targets", type=_node_ids, default=None,
+        help="comma-separated node ids (overrides --subset-size)",
+    )
     rank.add_argument("--epsilon", type=_unit_interval, default=0.05)
     rank.add_argument("--delta", type=_unit_interval, default=0.01)
     rank.add_argument("--seed", type=int, default=7)
@@ -138,6 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--top", type=_count(1), default=10, help="how many ranked nodes to print"
     )
     knobs.add_cli_flags(rank)
+    rank.set_defaults(usage_error=rank.error)
 
     subparsers.add_parser("datasets", help="list available datasets")
 
@@ -198,7 +226,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # (``--backend auto`` too, so it beats an exported REPRO_BACKEND).
     knobs.apply(vars(args))
     if args.command == "rank":
-        return _command_rank(args)
+        try:
+            return _command_rank(args)
+        except _FlagError as error:
+            args.usage_error(str(error))
     if args.command == "datasets":
         return _command_datasets()
     if args.command == "compare":
@@ -214,22 +245,41 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 # ----------------------------------------------------------------------
 def _command_rank(args) -> int:
     from repro.datasets import load, random_subset
+    from repro.errors import GraphError
     from repro.graphs.io import read_edge_list
     from repro.graphs.components import largest_connected_component
     from repro.saphyra_bc import SaPHyRaBC
 
     if args.edge_list:
-        graph = read_edge_list(args.edge_list)
+        try:
+            graph = read_edge_list(args.edge_list)
+        except OSError as error:
+            raise _FlagError(
+                "--edge-list",
+                f"cannot read {args.edge_list}: {error.strerror or error}",
+            ) from None
+        except UnicodeDecodeError:
+            raise _FlagError(
+                "--edge-list", f"cannot read {args.edge_list}: not UTF-8 text"
+            ) from None
+        except GraphError as error:
+            raise _FlagError("--edge-list", error) from None
         graph = graph.subgraph(largest_connected_component(graph))
+        if graph.number_of_nodes() < 3:
+            raise _FlagError(
+                "--edge-list",
+                f"the largest connected component of {args.edge_list} has "
+                f"{graph.number_of_nodes()} nodes; ranking needs at least 3",
+            )
         name = args.edge_list
     else:
         dataset = load(args.dataset, scale=args.scale, seed=args.seed)
         graph, name = dataset.graph, dataset.name
     if args.targets:
-        targets: List = []
-        for token in args.targets.split(","):
-            token = token.strip()
-            targets.append(int(token) if token.lstrip("-").isdigit() else token)
+        targets: List = list(args.targets)
+        missing = [node for node in targets if not graph.has_node(node)]
+        if missing:
+            raise _FlagError("--targets", f"not nodes of {name}: {missing}")
     else:
         targets = random_subset(graph, min(args.subset_size, graph.number_of_nodes()), args.seed)
     # workers=None: the --workers flag was installed process-wide by main()

@@ -12,13 +12,7 @@ when available.
 from __future__ import annotations
 
 from repro.datasets.ground_truth import GroundTruthCache, exact_betweenness
-from repro.datasets.registry import (
-    Dataset,
-    available_datasets,
-    dataset_key,
-    load,
-    load_csr,
-)
+from repro.datasets.registry import Dataset, available_datasets, load
 from repro.datasets.subsets import (
     geographic_subset,
     l_hop_subset,
@@ -35,8 +29,6 @@ from repro.datasets.synthetic import (
 __all__ = [
     "Dataset",
     "load",
-    "load_csr",
-    "dataset_key",
     "available_datasets",
     "social_surrogate",
     "road_surrogate",

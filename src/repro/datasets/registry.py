@@ -3,19 +3,9 @@
 ``load("flickr", scale=0.5)`` returns a :class:`Dataset` whose graph is the
 Flickr surrogate at half the default size.  The default sizes are chosen so
 that exact ground truth (Brandes) completes in seconds on a laptop; crank
-``scale`` up for larger runs.
-
-When a snapshot store is configured (``snapshot_dir=`` argument or the
-``snapshot_dir`` knob — ``REPRO_SNAPSHOT_DIR``), :func:`load` memoises each
-generated graph to ``<snapshot_dir>/datasets/<name>@<scale>#<seed>.csr``
-(plus a JSON side-car with coordinates and metadata): the first build pays
-the generator cost once, every later process rebuilds the dict graph from
-the snapshot (same node order, same adjacency order — bit-identical
-traversals), and :func:`load_csr` skips the dict graph entirely, returning
-the frozen CSR snapshot zero-copy (memory-mapped) — the cold-start path
-for benches and read-only workloads.  Every store hit verifies the arrays
-checksum, so corrupt or stale-format store entries are rebuilt and
-overwritten, never served.
+``scale`` up for larger runs.  Every call builds the graph afresh from its
+generator: the same ``(name, scale, seed)`` always yields the same graph,
+node order and adjacency order included.
 """
 
 from __future__ import annotations
@@ -195,72 +185,8 @@ def available_datasets() -> Tuple[str, ...]:
     return tuple(_BUILDERS)
 
 
-def _resolve_builder(name: str, scale: float) -> Callable[[float, SeedLike], Dataset]:
-    if scale <= 0:
-        raise DatasetError(f"scale must be > 0, got {scale}")
-    try:
-        return _BUILDERS[name]
-    except KeyError:
-        raise DatasetError(
-            f"unknown dataset {name!r}; available: {', '.join(sorted(_BUILDERS))}"
-        ) from None
-
-
-def dataset_key(name: str, scale: float, seed: SeedLike) -> str:
-    """The snapshot-store key memoising ``load(name, scale=scale, seed=seed)``."""
-    return f"{name}@{scale}#{seed}"
-
-
-def _dataset_meta(dataset: Dataset) -> Dict:
-    """The JSON side-car capturing everything a snapshot cannot hold."""
-    coordinates = None
-    if dataset.coordinates is not None:
-        coordinates = {str(node): list(xy) for node, xy in dataset.coordinates.items()}
-    return {
-        "name": dataset.name,
-        "description": dataset.description,
-        "paper_reference": dict(dataset.paper_reference),
-        "coordinates": coordinates,
-    }
-
-
-def _dataset_from_snapshot(name: str, csr, meta: Dict) -> Dataset:
-    from repro.graphs.csr import adopt_snapshot
-    from repro.graphs.store import graph_from_snapshot
-
-    coordinates = None
-    raw = meta.get("coordinates")
-    if raw is not None:
-        coordinates = {int(node): tuple(xy) for node, xy in raw.items()}
-    graph = graph_from_snapshot(csr)
-    # The snapshot *is* this graph's CSR form (the reconstruction preserves
-    # adjacency order exactly), so adopt it: as_csr(graph) stays memory-
-    # mapped and worker payloads ship the snapshot path instead of
-    # re-exporting arrays.
-    adopt_snapshot(graph, csr)
-    return Dataset(
-        name=name,
-        graph=graph,
-        coordinates=coordinates,
-        description=meta.get("description", ""),
-        paper_reference=dict(meta.get("paper_reference", {})),
-    )
-
-
-def _dataset_store(directory) -> "object":
-    from repro.graphs.store import SnapshotStore
-
-    return SnapshotStore(directory / "datasets")
-
-
-def load(
-    name: str,
-    *,
-    scale: float = 1.0,
-    seed: SeedLike = 0,
-    snapshot_dir: Optional[str] = None,
-) -> Dataset:
-    """Build (or fetch) the named dataset.
+def load(name: str, *, scale: float = 1.0, seed: SeedLike = 0) -> Dataset:
+    """Build the named dataset.
 
     Parameters
     ----------
@@ -271,79 +197,18 @@ def load(
     seed:
         Seed used by the synthetic generators; the same ``(name, scale,
         seed)`` always yields the same graph.
-    snapshot_dir:
-        Memoise the generated graph in this snapshot store (``None``
-        resolves the ``snapshot_dir`` knob; no store configured = build in
-        RAM every time, the historical behaviour).  The rebuilt graph is
-        node-for-node, edge-order-for-edge-order identical to a fresh
-        build, so every traversal on it is bit-identical.
 
     Raises
     ------
     DatasetError
         For unknown names or non-positive scales.
     """
-    builder = _resolve_builder(name, scale)
-    from repro.errors import GraphError
-    from repro.graphs.store import resolve_snapshot_dir
-
-    directory = resolve_snapshot_dir(snapshot_dir)
-    if directory is None:
-        return builder(scale, seed)
-    store = _dataset_store(directory)
-    key = dataset_key(name, scale, seed)
+    if scale <= 0:
+        raise DatasetError(f"scale must be > 0, got {scale}")
     try:
-        csr = store.load(key)
-    except GraphError:
-        # Corrupt or stale-format store entry: datasets are re-generatable,
-        # so rebuild below and overwrite it.
-        csr = None
-    if csr is not None:
-        meta = store.load_meta(key)
-        if meta is not None:
-            return _dataset_from_snapshot(name, csr, meta)
-    dataset = builder(scale, seed)
-    store.save(key, dataset.graph)
-    store.save_meta(key, _dataset_meta(dataset))
-    return dataset
-
-
-def load_csr(
-    name: str,
-    *,
-    scale: float = 1.0,
-    seed: SeedLike = 0,
-    snapshot_dir: Optional[str] = None,
-):
-    """The named dataset's graph as a frozen :class:`CSRGraph` snapshot.
-
-    With a snapshot store configured this is the cold-start path: a store
-    hit returns the on-disk snapshot directly (memory-mapped, its arrays
-    checksum verified), skipping both the generator and the dict graph; a
-    miss builds and memoises via :func:`load` first.  Without a
-    store it degrades to ``as_csr(load(...).graph)``.  The snapshot is
-    byte-identical to ``CSRGraph.from_graph`` of a fresh build either way.
-    """
-    _resolve_builder(name, scale)
-    from repro.graphs.csr import as_csr
-    from repro.graphs.store import resolve_snapshot_dir
-
-    directory = resolve_snapshot_dir(snapshot_dir)
-    if directory is None:
-        dataset = load(name, scale=scale, seed=seed, snapshot_dir=snapshot_dir)
-        return as_csr(dataset.graph)
-    store = _dataset_store(directory)
-    key = dataset_key(name, scale, seed)
-    from repro.errors import GraphError
-
-    try:
-        csr = store.load(key)
-    except GraphError:
-        csr = None
-    if csr is not None:
-        return csr
-    dataset = load(name, scale=scale, seed=seed, snapshot_dir=snapshot_dir)
-    csr = store.load(key)
-    if csr is not None:
-        return csr
-    return as_csr(dataset.graph)  # pragma: no cover - store vanished mid-call
+        builder = _BUILDERS[name]
+    except KeyError:
+        raise DatasetError(
+            f"unknown dataset {name!r}; available: {', '.join(sorted(_BUILDERS))}"
+        ) from None
+    return builder(scale, seed)

@@ -24,8 +24,7 @@ is a pure function of the fixed chunk layout and worker counts never change
 results, while the bytes shipped per chunk shrink from O(chunk x n) to
 O(n).  Graph payloads go through :func:`repro.graphs.csr.shareable_graph`,
 so CSR-backed sweeps hand workers the frozen snapshot: ``fork`` workers
-inherit it, ``spawn`` workers unpickle it once (by file path when a
-snapshot file backs it).
+inherit it, ``spawn`` workers unpickle it once, by value.
 """
 
 from __future__ import annotations

@@ -50,16 +50,6 @@ from repro.graphs.io import (
     write_edge_list,
 )
 from repro.graphs.properties import GraphSummary, summarize
-from repro.graphs.store import (
-    SnapshotStore,
-    content_digest,
-    default_snapshot_dir,
-    graph_from_snapshot,
-    load_snapshot,
-    resolve_snapshot_dir,
-    save_snapshot,
-    set_default_snapshot_dir,
-)
 from repro.graphs.sssp import (
     default_weighted,
     effective_weighted,
@@ -87,14 +77,6 @@ __all__ = [
     "read_dimacs_graph",
     "iter_edge_list",
     "iter_dimacs_arcs",
-    "SnapshotStore",
-    "save_snapshot",
-    "load_snapshot",
-    "content_digest",
-    "graph_from_snapshot",
-    "default_snapshot_dir",
-    "set_default_snapshot_dir",
-    "resolve_snapshot_dir",
     "erdos_renyi_graph",
     "barabasi_albert_graph",
     "watts_strogatz_graph",

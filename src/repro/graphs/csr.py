@@ -36,8 +36,8 @@ alternative:
 
 numpy is optional for the package but required here: every module imports
 without it, ``auto`` then picks the dict backend, and an explicit ``csr``
-(or building, saving or loading a snapshot) raises
-:class:`~repro.errors.GraphError` from :func:`require_numpy`.
+(or building a snapshot) raises :class:`~repro.errors.GraphError` from
+:func:`require_numpy`.
 
 Determinism contract
 --------------------
@@ -58,7 +58,6 @@ and exceeds ``2**63`` at hop distances around 70.
 
 from __future__ import annotations
 
-import os
 from array import array
 from heapq import heappop, heappush
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
@@ -104,8 +103,8 @@ resolve_backend = _knobs.BACKEND.resolve
 def require_numpy(what: str) -> None:
     """Raise :class:`GraphError` naming numpy unless it is importable.
 
-    The one numpy check of the CSR backend and the snapshot store, whose
-    arrays are numpy arrays.  ``what`` names the operation that needs it.
+    The one numpy check of the CSR backend, whose arrays are numpy
+    arrays.  ``what`` names the operation that needs it.
     """
     if not HAS_NUMPY:
         raise GraphError(
@@ -208,8 +207,6 @@ class CSRGraph:
         "index",
         "identity_labels",
         "max_degree",
-        "source_path",
-        "source_crcs",
         "_indptr_list",
         "_indices_list",
         "_weights_list",
@@ -239,15 +236,6 @@ class CSRGraph:
             isinstance(label, int) and label == i for i, label in enumerate(labels)
         )
         self.max_degree = int((indptr[1:] - indptr[:-1]).max()) if self.n else 0
-        # Set by repro.graphs.store when the snapshot is backed by an
-        # on-disk file (saved, or loaded as read-only np.memmap views),
-        # together with the file header's (header, arrays) CRC32 fields:
-        # __reduce__ then pickles a path plus a header instead of the
-        # arrays.  Patched snapshots (_patched_snapshot) construct
-        # fresh arrays and so drop the backing file — copy-on-write, the
-        # mapped file is never written through.
-        self.source_path: Optional[str] = None
-        self.source_crcs: Optional[Tuple[int, int]] = None
         self._indptr_list: Optional[List[int]] = None
         self._indices_list: Optional[List[int]] = None
         self._weights_list: Optional[List[float]] = None
@@ -296,23 +284,13 @@ class CSRGraph:
         return self._degrees
 
     def __reduce__(self):
-        """Pickle by file path when a snapshot file backs this snapshot,
-        else by value — the one rule for handing a snapshot to workers.
+        """Pickle by value: the arrays and the labels (``None`` for the
+        identity labelling).
 
         Only ``spawn``/``forkserver`` workers unpickle payloads (``fork``
-        workers inherit them).  A snapshot whose backing file still exists
-        pickles as the path plus a header of its counts and the file's two
-        CRC32 fields; the worker maps the file itself and raises
-        :class:`GraphError` if the file now holds another graph.  Any other
-        snapshot pickles as its arrays and labels (``None`` for the
-        identity labelling); the label index, the list caches and the
+        workers inherit them).  The label index, the list caches and the
         degree array are rebuilt on demand, never shipped.
         """
-        path = self.source_path
-        if path is not None and os.path.exists(path):
-            from repro.graphs.store import _attach_snapshot_file
-
-            return (_attach_snapshot_file, (path, self.file_header()))
         return (
             _snapshot_from_arrays,
             (
@@ -322,40 +300,6 @@ class CSRGraph:
                 None if self.weights is None else _np.asarray(self.weights),
             ),
         )
-
-    def file_header(self) -> Tuple[int, int, bool, int, int]:
-        """``(n, num_indices, weighted, header_crc, arrays_crc)`` of the
-        backing file, as recorded when it was saved or loaded."""
-        header_crc, arrays_crc = self.source_crcs
-        return (
-            self.n, len(self.indices), self.weights is not None,
-            header_crc, arrays_crc,
-        )
-
-    def save(self, path):
-        """Persist the snapshot to ``path`` (see :mod:`repro.graphs.store`).
-
-        The written file is versioned and checksummed; on success
-        ``self.source_path`` points at it, so the snapshot pickles by path
-        (:meth:`__reduce__`).  Returns the written path.
-        """
-        from repro.graphs.store import save_snapshot
-
-        return save_snapshot(self, path)
-
-    @classmethod
-    def load(cls, path, *, verify: bool = False) -> "CSRGraph":
-        """Load a snapshot written by :meth:`save`.
-
-        The arrays are read-only ``np.memmap`` views — an O(1) attach
-        regardless of graph size; ``verify=True`` also checks the arrays
-        checksum.  Corrupt, truncated, stale-version or foreign-endianness
-        files raise :class:`~repro.errors.GraphError` naming the path and
-        the mismatch.
-        """
-        from repro.graphs.store import load_snapshot
-
-        return load_snapshot(path, verify=verify)
 
     @classmethod
     def from_graph(cls, graph: Graph) -> "CSRGraph":
@@ -430,6 +374,21 @@ def _snapshot_from_arrays(indptr, indices, labels, weights) -> CSRGraph:
     if labels is None:
         labels = list(range(len(indptr) - 1))
     return CSRGraph(indptr, indices, labels, weights)
+
+
+def require_graph(graph, what: str) -> None:
+    """Raise :class:`GraphError` when a public entry point gets a snapshot.
+
+    The estimators and exact references run on a mutable :class:`Graph`
+    (its adjacency, versioned slot and block-cut tree); a frozen
+    :class:`CSRGraph` has none of them.  Chunk tasks, which receive bare
+    snapshots on purpose (:func:`shareable_graph`), do not call this.
+    """
+    if isinstance(graph, CSRGraph):
+        raise GraphError(
+            f"{what} needs a Graph, got a CSRGraph snapshot; pass the Graph "
+            "it was taken from"
+        )
 
 
 def _patched_snapshot(
@@ -548,11 +507,8 @@ def as_csr(graph: Graph) -> CSRGraph:
     patched in O(|Δ| + copy) instead of re-walking the whole adjacency,
     byte-identical to a from-scratch build.  Repeated calls on an unchanged
     graph are O(1).  A :class:`CSRGraph` passes through unchanged, so code
-    holding either a graph or a bare snapshot (a worker payload, or a
-    memory-mapped on-disk snapshot from
-    :mod:`repro.graphs.store` — whose arrays stay read-only; patching a
-    *mutated* graph always materialises fresh in-RAM arrays, i.e.
-    copy-on-write) can normalise with one call.
+    holding either a graph or a bare snapshot (a worker payload) can
+    normalise with one call.
     """
     if isinstance(graph, CSRGraph):
         return graph
@@ -570,36 +526,6 @@ def shareable_graph(graph, backend: Optional[str]):
     if backend == CSR_BACKEND:
         return as_csr(graph)
     return graph
-
-
-def adopt_snapshot(graph: Graph, snapshot: CSRGraph) -> None:
-    """Seed the snapshot slot of ``graph`` with an existing ``snapshot``.
-
-    Used by the datasets registry when it rebuilds a dict graph from an
-    on-disk snapshot (:func:`repro.graphs.store.graph_from_snapshot`): the
-    file-backed snapshot *is* the graph's CSR form, so adopting it makes
-    ``as_csr(graph)`` return it directly — keeping the arrays memory-mapped
-    and the by-path handoff to workers — instead of rebuilding identical
-    arrays in RAM.
-
-    The caller warrants that ``snapshot`` is byte-identical to
-    ``CSRGraph.from_graph(graph)`` (``graph_from_snapshot`` reconstructs
-    per-node adjacency order exactly, so its output qualifies); the cheap
-    invariants are still checked here.  Later mutations behave as always:
-    the journal patches *fresh* in-RAM arrays (copy-on-write), never the
-    adopted snapshot.
-    """
-    if (
-        snapshot.n != graph.number_of_nodes()
-        or snapshot.m != graph.number_of_edges()
-        or snapshot.labels != list(graph.nodes())
-    ):
-        raise GraphError(
-            "adopt_snapshot: snapshot does not describe this graph "
-            f"(snapshot n={snapshot.n}, m={snapshot.m}; graph "
-            f"n={graph.number_of_nodes()}, m={graph.number_of_edges()})"
-        )
-    graph.memo_seed(SNAPSHOT_KEY, snapshot)
 
 
 # ----------------------------------------------------------------------

@@ -130,9 +130,9 @@ class MutationJournal:
 def track(graph) -> MutationJournal:
     """Arm the mutation journal of ``graph`` and return it.
 
-    ``Graph.memo`` (for a slot with a ``refresh``) and ``Graph.memo_seed``
-    call this when they store a value a later read may patch, so the
-    mutations after it are journalled.
+    ``Graph.memo`` calls this when a slot with a ``refresh`` stores a
+    value a later read may patch, so the mutations after it are
+    journalled.
     """
     journal = graph._journal
     if journal is None:

@@ -453,17 +453,6 @@ class Graph:
             del self._memo[key]
         return deltas
 
-    def memo_seed(self, key: str, value: object) -> None:
-        """Store ``value`` in slot ``key`` as built from the current version.
-
-        Replaces whatever the slot held and arms the journal, so a later
-        :meth:`memo` read with a ``refresh`` can patch ``value`` after
-        edits.  The caller warrants that ``value`` is what that read's
-        ``build`` would return now.
-        """
-        self._memo[key] = (self._version, value)
-        track(self)
-
     def __getstate__(self) -> Dict[str, object]:
         # A copy starts with an empty memo and no journal, and builds its
         # own values.

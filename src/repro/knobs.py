@@ -267,9 +267,9 @@ START_METHOD = Choice(
 )
 SNAPSHOT_DIR = FilePath(
     "snapshot_dir", "REPRO_SNAPSHOT_DIR", None,
-    "on-disk snapshot store: datasets are memoised to DIR/datasets and "
-    "exact ground truth to DIR/ground_truth (no store when unset).  Never "
-    "changes results, only cold-start time.",
+    "persistent ground truth: exact betweenness is kept in DIR/ground_truth "
+    "across processes (memory only when unset).  Never changes results, "
+    "only the time to recompute it.",
 )
 
 #: Every knob, in command-line flag order.

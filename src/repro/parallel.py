@@ -32,9 +32,8 @@ objects, not here.  ``fork`` workers (the Linux default) inherit the
 payload and the serial path never pickles it.  Under ``spawn`` and
 ``forkserver`` every worker unpickles its own copy once: a CSR snapshot
 (what chunk tasks on the CSR backend receive, see
-:func:`repro.graphs.csr.shareable_graph`) pickles by file path when a
-snapshot file backs it and by value otherwise
-(:meth:`repro.graphs.csr.CSRGraph.__reduce__`).
+:func:`repro.graphs.csr.shareable_graph`) travels by value, its arrays
+and labels only (:meth:`repro.graphs.csr.CSRGraph.__reduce__`).
 
 Configuration
 -------------

@@ -30,6 +30,7 @@ from repro.core.saphyra import SaPHyRa
 from repro.errors import GraphError
 from repro.graphs.block_cut_tree import BlockCutTree, build_block_cut_tree
 from repro.graphs.components import is_connected
+from repro.graphs.csr import require_graph
 from repro.graphs.graph import Graph
 from repro.saphyra_bc.exact_bc import ExactSubspaceEvaluation, exact_two_hop_risks
 from repro.saphyra_bc.gen_bc import GenBC
@@ -236,6 +237,7 @@ class SaPHyRaBC:
             raises :class:`~repro.errors.GraphError` (it would give wrong
             scores).
         """
+        require_graph(graph, "SaPHyRaBC.rank")
         self._validate_graph(graph)
         target_list = list(targets) if targets is not None else list(graph.nodes())
         if not target_list:

@@ -8,6 +8,7 @@ from typing import Dict, Hashable, List, Optional, Sequence
 from repro.core.estimation import SaPHyRaResult
 from repro.core.ranking import rank_scores
 from repro.core.saphyra import SaPHyRa
+from repro.graphs.csr import require_graph
 from repro.graphs.graph import Graph
 from repro.saphyra_cc.problem import ClosenessProblem
 from repro.utils.rng import SeedLike
@@ -114,6 +115,7 @@ class SaPHyRaCC:
         distance_bound: Optional[int] = None,
     ) -> ClosenessRankingResult:
         """Estimate closeness for ``targets`` and rank them."""
+        require_graph(graph, "SaPHyRaCC.rank")
         targets = list(targets)
         timer = Timer()
         with timer:

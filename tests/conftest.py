@@ -33,11 +33,11 @@ def pytest_configure(config):
 
 def pytest_collection_modifyitems(config, items):
     """Skip ``requires_numpy`` tests when numpy is not importable: the CSR
-    backend and the snapshot store raise without it."""
+    backend raises without it."""
     if csr.HAS_NUMPY:
         return
     skip = pytest.mark.skip(
-        reason="needs numpy: the CSR backend and the snapshot store require it"
+        reason="needs numpy: the CSR backend requires it"
     )
     for item in items:
         if item.get_closest_marker("requires_numpy") is not None:

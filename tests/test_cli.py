@@ -56,6 +56,9 @@ class TestParser:
             (["figure", "3", "--datasets", ","], "--datasets"),
             (["compare", "--estimators", "nosuch"], "--estimators"),
             (["compare", "--estimators", ","], "--estimators"),
+            (["rank", "--targets", "999"], "--targets"),
+            (["rank", "--targets", "0,0,1"], "--targets"),
+            (["rank", "--targets", ","], "--targets"),
         ],
     )
     def test_out_of_range_value_is_a_usage_error(self, argv, flag, capsys):
@@ -77,10 +80,35 @@ class TestParser:
             (["table", "2"], "datasets", None),
             (["compare"], "estimators", ("saphyra", "kadabra", "abra")),
             (["compare", "--estimators", "rk,abra"], "estimators", ("rk", "abra")),
+            (["rank", "--targets", " 0, -1,x,"], "targets", (0, -1, "x")),
         ],
     )
     def test_in_range_value_parses(self, argv, field, expected):
         assert getattr(build_parser().parse_args(argv), field) == expected
+
+    @pytest.mark.parametrize(
+        "content,cause",
+        [
+            (None, "cannot read"),
+            ("directory", "cannot read"),
+            (b"0 1\nx\n", "toy.txt:2: expected 'u v' or 'u v weight'"),
+            (b"\xff\xfe0 1\n", "not UTF-8 text"),
+            (b"", "has 0 nodes; ranking needs at least 3"),
+            (b"0 1\n", "has 2 nodes; ranking needs at least 3"),
+        ],
+        ids=["missing", "directory", "malformed", "binary", "empty", "two-nodes"],
+    )
+    def test_bad_edge_list_is_a_usage_error(self, tmp_path, capsys, content, cause):
+        path = tmp_path / "toy.txt"
+        if content == "directory":
+            path.mkdir()
+        elif content is not None:
+            path.write_bytes(content)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["rank", "--edge-list", str(path)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --edge-list:" in err and cause in err
 
 
 class TestProcessKnobFlags:
@@ -122,30 +150,30 @@ class TestProcessKnobFlags:
             parallel.set_default_workers(None)
         assert parallel.START_METHOD_ENV_VAR not in os.environ
 
-    @pytest.mark.requires_numpy
     def test_snapshot_dir_flag_mirrors_environment(
         self, capsys, monkeypatch, tmp_path
     ):
         import os
 
-        from repro.datasets.registry import dataset_key
-        from repro.graphs import store
+        from repro.datasets import ground_truth, load
 
-        monkeypatch.delenv(store.SNAPSHOT_DIR_ENV_VAR, raising=False)
+        monkeypatch.delenv(ground_truth.SNAPSHOT_DIR_ENV_VAR, raising=False)
+        argv = ["compare", "--dataset", "karate", "--subset-size", "6",
+                "--epsilon", "0.2", "--delta", "0.1", "--seed", "3",
+                "--estimators", "rk", "--snapshot-dir", str(tmp_path)]
         try:
-            code = main(
-                ["rank", "--dataset", "karate", "--subset-size", "6",
-                 "--epsilon", "0.2", "--delta", "0.1", "--seed", "3",
-                 "--snapshot-dir", str(tmp_path)]
-            )
-            assert code == 0
-            assert os.environ[store.SNAPSHOT_DIR_ENV_VAR] == str(tmp_path)
-            assert store.resolve_snapshot_dir() == tmp_path
+            assert main(argv) == 0
+            assert os.environ[ground_truth.SNAPSHOT_DIR_ENV_VAR] == str(tmp_path)
+            assert ground_truth.resolve_snapshot_dir() == tmp_path
+            digest = ground_truth.content_digest(load("karate").graph)
+            stored = [path.name for path in (tmp_path / "ground_truth").iterdir()]
+            assert stored == [f"bt_{digest}_hop.json"]
+            # A second run reads the file instead of running Brandes again.
+            monkeypatch.setattr(ground_truth, "exact_betweenness", None)
+            assert main(argv) == 0
         finally:
-            store.set_default_snapshot_dir(None)
-        assert store.SNAPSHOT_DIR_ENV_VAR not in os.environ
-        stored = [path.name for path in (tmp_path / "datasets").glob("*.csr")]
-        assert stored == [f"{dataset_key('karate', 0.25, 3)}.csr"]
+            ground_truth.set_default_snapshot_dir(None)
+        assert ground_truth.SNAPSHOT_DIR_ENV_VAR not in os.environ
 
 
 class TestDatasetsCommand:

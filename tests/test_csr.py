@@ -1,11 +1,24 @@
-"""Tests for the CSR graph engine: snapshots, caching and backend selection."""
+"""Tests for the CSR graph engine: snapshots, caching, backend selection,
+how a snapshot pickles, and the entry points that refuse one."""
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
 
+from repro.baselines import (
+    ABRA,
+    KADABRA,
+    BaderPivot,
+    EgoBetweenness,
+    RiondatoKornaropoulos,
+)
+from repro.centrality.brandes import betweenness_centrality
+from repro.centrality.closeness import closeness_centrality
+from repro.datasets.ground_truth import GroundTruthCache
+from repro.engine.dag_cache import SourceDAGCache
 from repro.errors import GraphError, SamplingError
 from repro.graphs import csr as csr_module
 from repro.graphs import delta as delta_module
@@ -26,6 +39,8 @@ from repro.graphs.csr import (
 from repro.graphs.generators import erdos_renyi_graph, grid_road_graph, path_graph
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import bfs_distances, shortest_path_dag
+from repro.saphyra_bc import SaPHyRaBC
+from repro.saphyra_cc import SaPHyRaCC
 
 
 @pytest.fixture(autouse=True)
@@ -324,3 +339,132 @@ class TestKernels:
         dag = csr_shortest_path_dag(snapshot, snapshot.index[0])
         with pytest.raises(SamplingError):
             dag.sample_path_indices(snapshot.index[2], random.Random(0))
+
+
+# ----------------------------------------------------------------------
+# Worker handoff: how a snapshot pickles
+# ----------------------------------------------------------------------
+def _snapshot_bytes(csr: CSRGraph) -> bytes:
+    import numpy as np
+
+    return b"".join(
+        np.asarray(array).tobytes()
+        for array in (csr.indptr, csr.indices, csr.weights)
+        if array is not None
+    )
+
+
+def _unit_labelled_graph() -> Graph:
+    # Node b's adjacency is [c, a]: insertion order, not label order.
+    return Graph.from_edges(
+        [("a", "c"), ("b", "c"), ("a", "b"), ("c", "d"), ("d", "e")]
+    )
+
+
+def _weighted_identity_graph() -> Graph:
+    graph = Graph()
+    graph.add_edge(0, 1, weight=2.5)
+    graph.add_edge(1, 2, weight=0.125)
+    graph.add_edge(0, 2)  # unit edge inside a weighted graph
+    graph.add_edge(2, 3, weight=7.0)
+    return graph
+
+
+def _weighted_labelled_graph() -> Graph:
+    graph = Graph()
+    graph.add_edge("x", "y", weight=0.5)
+    graph.add_edge("y", "z")
+    graph.add_edge("z", "x", weight=3.25)
+    return graph
+
+
+def _isolated_nodes_graph() -> Graph:
+    graph = Graph()
+    graph.add_node("x")
+    graph.add_node("y")
+    graph.add_edge("y", "z")
+    return graph
+
+
+_PICKLE_GRAPHS = [
+    pytest.param(lambda: path_graph(6), id="unit-identity"),
+    pytest.param(_unit_labelled_graph, id="unit-labelled"),
+    pytest.param(_weighted_identity_graph, id="weighted-identity"),
+    pytest.param(_weighted_labelled_graph, id="weighted-labelled"),
+    pytest.param(Graph, id="empty"),
+    pytest.param(_isolated_nodes_graph, id="isolated-nodes"),
+]
+
+
+@pytest.mark.requires_numpy
+class TestSnapshotPickle:
+    """``CSRGraph.__reduce__``: by value, arrays and labels only."""
+
+    @pytest.mark.parametrize("make_graph", _PICKLE_GRAPHS)
+    def test_by_value_round_trip(self, make_graph):
+        csr = CSRGraph.from_graph(make_graph())
+        fn, args = csr.__reduce__()
+        assert fn is csr_module._snapshot_from_arrays
+        restored = pickle.loads(pickle.dumps(csr))
+        assert _snapshot_bytes(restored) == _snapshot_bytes(csr)
+        assert restored.labels == csr.labels
+        assert restored.index == csr.index
+        assert restored.is_weighted == csr.is_weighted
+
+    @pytest.mark.parametrize("make_graph", _PICKLE_GRAPHS)
+    def test_by_value_ships_arrays_and_labels_only(self, make_graph):
+        csr = CSRGraph.from_graph(make_graph())
+        csr.adjacency_lists()  # warm every list cache first
+        csr.weight_list()
+        _fn, args = csr.__reduce__()
+        indptr, indices, labels, weights = args
+        assert indptr is csr.indptr and indices is csr.indices
+        assert weights is csr.weights
+        assert labels is (None if csr.identity_labels else csr.labels)
+        raw = len(_snapshot_bytes(csr))
+        assert len(pickle.dumps(csr)) <= raw + len(pickle.dumps(labels)) + 1024
+
+
+# ----------------------------------------------------------------------
+# Public entry points take a Graph, not a snapshot
+# ----------------------------------------------------------------------
+#: Every public entry point that runs on a graph: one call each.
+ENTRY_POINTS = {
+    "SaPHyRaBC.rank": lambda g: SaPHyRaBC(0.2, 0.1, seed=1).rank(g, [0, 1]),
+    "SaPHyRaCC.rank": lambda g: SaPHyRaCC(0.2, 0.1, seed=1).rank(g, [0, 1]),
+    "KADABRA.estimate": lambda g: KADABRA(0.2, 0.1, seed=1).estimate(g),
+    "ABRA.estimate": lambda g: ABRA(0.2, 0.1, seed=1).estimate(g),
+    "RiondatoKornaropoulos.estimate":
+        lambda g: RiondatoKornaropoulos(0.2, 0.1, seed=1).estimate(g),
+    "BaderPivot.estimate": lambda g: BaderPivot(0.2, 0.1, seed=1).estimate(g),
+    "EgoBetweenness.estimate": lambda g: EgoBetweenness().estimate(g),
+    "betweenness_centrality": betweenness_centrality,
+    "closeness_centrality": closeness_centrality,
+    "GroundTruthCache.get": lambda g: GroundTruthCache().get("g", g),
+}
+
+
+@pytest.mark.requires_numpy
+@pytest.mark.parametrize("name", list(ENTRY_POINTS))
+def test_entry_point_rejects_a_snapshot(name):
+    graph = erdos_renyi_graph(12, 0.5, seed=3)
+    with pytest.raises(GraphError, match=f"^{name} needs a Graph, got a CSRGraph"):
+        ENTRY_POINTS[name](as_csr(graph))
+    ENTRY_POINTS[name](graph)  # the graph it was taken from runs
+
+
+#: What chunk tasks call on the bare snapshot of a worker payload
+#: (``shareable_graph``): each takes a snapshot rather than refusing it.
+CHUNK_HELPERS = {
+    "effective_backend": lambda s: effective_backend(s) == "csr",
+    "as_csr": lambda s: as_csr(s) is s,
+    "SourceDAGCache.dag": lambda s: list(
+        SourceDAGCache(max_entries=4).dag(s, 0, backend="csr").dist
+    ) == list(csr_shortest_path_dag(s, 0).dist),
+}
+
+
+@pytest.mark.requires_numpy
+@pytest.mark.parametrize("name", list(CHUNK_HELPERS))
+def test_chunk_task_helpers_take_a_snapshot(name):
+    assert CHUNK_HELPERS[name](as_csr(erdos_renyi_graph(12, 0.5, seed=3)))

@@ -131,7 +131,6 @@ READ_ONLY = {
     "is_weighted",
     "memo",
     "memo_deltas",
-    "memo_seed",
     "neighbor_weights",
     "neighbors",
     "nodes",
@@ -488,8 +487,8 @@ def _calls(tree, name):
 
 
 def test_only_the_versioned_slot_arms_the_journal(source_trees):
-    # Graph.memo (a slot with a refresh) and Graph.memo_seed arm it; the
-    # caches that drop stale stores whole never need one.
+    # Graph.memo arms it for a slot with a refresh; the caches that drop
+    # stale stores whole never need one.
     found = {
         where
         for where, tree in _modules(source_trees)

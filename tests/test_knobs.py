@@ -227,7 +227,8 @@ def test_removed_flag_is_a_usage_error(
 
 #: Runs that pass through what the deleted rows configured: a csr rank on
 #: a worker pool (executor and journal), baselines drawing source DAGs
-#: from the default cache, and a snapshot-store hit (the mapped attach).
+#: from the default cache, and a ground-truth file under ``snapshot_dir``
+#: (written by the first run, read by the second).
 _QUERY = ["--dataset", "karate", "--subset-size", "6", "--epsilon", "0.2",
           "--delta", "0.1", "--seed", "3"]
 REMOVED_READERS = {
@@ -235,8 +236,8 @@ REMOVED_READERS = {
                           "2"], "rank | node"),
     "compare-rk-abra": (["compare", *_QUERY, "--estimators", "rk,abra"],
                         "abra "),
-    "rank-store-hit": (["rank", *_QUERY, "--snapshot-dir", "{store}"],
-                       "rank | node"),
+    "compare-truth-hit": (["compare", *_QUERY, "--estimators", "rk",
+                           "--snapshot-dir", "{store}"], "rk "),
 }
 
 
@@ -244,7 +245,7 @@ REMOVED_READERS = {
 @pytest.mark.parametrize("run", list(REMOVED_READERS))
 def test_removed_variables_are_not_read(run, tmp_path, monkeypatch, capsys):
     # Garbage that the deleted rows used to reject must not be read.  Each
-    # run goes twice, so the store run's second one attaches the entry.
+    # run goes twice, so the truth run's second one reads the file.
     argv, marker = REMOVED_READERS[run]
     argv = [arg.format(store=tmp_path) for arg in argv]
     for _name, env, _flag, _value, garbage in REMOVED:
@@ -256,6 +257,8 @@ def test_removed_variables_are_not_read(run, tmp_path, monkeypatch, capsys):
             knob.override(None)
     assert codes == [0, 0]
     assert marker in capsys.readouterr().out
+    if "--snapshot-dir" in argv:
+        assert len(list((tmp_path / "ground_truth").glob("bt_*.json"))) == 1
 
 
 #: Module-level names and function parameters that went with deleted rows.

@@ -1,19 +1,19 @@
-"""The numpy boundary: the CSR backend and the snapshot store require numpy.
+"""The numpy boundary: the CSR backend requires numpy.
 
 Every test here runs as if numpy were not importable — by patching
 ``csr.HAS_NUMPY`` where numpy is installed, and for real on numpy-less
 installs — and checks that ``auto`` falls back to the dict backend while an
-explicit ``csr`` and every snapshot entry point raise a ``GraphError`` that
-names numpy.
+explicit ``csr`` and building a snapshot raise a ``GraphError`` that names
+numpy, and that persistent ground truth, which is JSON, needs none.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.datasets import load
+from repro.datasets import GroundTruthCache, ground_truth, load
 from repro.errors import GraphError
-from repro.graphs import csr, store
+from repro.graphs import csr
 from repro.graphs.generators import path_graph
 
 NUMPY_ERROR = "requires numpy, which is not importable"
@@ -23,7 +23,6 @@ NUMPY_ERROR = "requires numpy, which is not importable"
 def without_numpy(monkeypatch):
     monkeypatch.setattr(csr, "HAS_NUMPY", False)
     monkeypatch.delenv(csr.BACKEND_ENV_VAR, raising=False)
-    monkeypatch.delenv(store.SNAPSHOT_DIR_ENV_VAR, raising=False)
     yield
     csr.set_default_backend(None)
 
@@ -57,23 +56,20 @@ class TestSnapshots:
         with pytest.raises(GraphError, match=NUMPY_ERROR):
             csr.CSRGraph.from_graph(path_graph(3))
 
-    def test_save_snapshot_raises_and_writes_nothing(self, tmp_path):
-        with pytest.raises(GraphError, match=f"saving snapshot .* {NUMPY_ERROR}"):
-            store.save_snapshot(path_graph(3), tmp_path / "g.csr")
-        assert list(tmp_path.iterdir()) == []
 
-    def test_load_snapshot_raises_before_reading(self, tmp_path):
-        path = tmp_path / "g.csr"
-        path.write_bytes(b"REPROCSR")  # too short to be a snapshot
-        with pytest.raises(GraphError, match=f"loading snapshot .* {NUMPY_ERROR}"):
-            store.load_snapshot(path)
-
-    @pytest.mark.parametrize("configured_by", ["argument", "knob"])
-    def test_registry_with_a_store_raises(self, tmp_path, monkeypatch, configured_by):
-        if configured_by == "knob":
-            monkeypatch.setenv(store.SNAPSHOT_DIR_ENV_VAR, str(tmp_path))
-            snapshot_dir = None
+class TestPersistentGroundTruth:
+    @pytest.mark.parametrize("tier", ["cache_dir", "digest_dir", "knob"])
+    def test_truth_is_written_and_served_without_numpy(
+        self, tmp_path, monkeypatch, tier
+    ):
+        if tier == "knob":
+            monkeypatch.setenv(ground_truth.SNAPSHOT_DIR_ENV_VAR, str(tmp_path))
+            make, folder = GroundTruthCache, tmp_path / "ground_truth"
         else:
-            snapshot_dir = str(tmp_path)
-        with pytest.raises(GraphError, match=NUMPY_ERROR):
-            load("karate", snapshot_dir=snapshot_dir)
+            monkeypatch.delenv(ground_truth.SNAPSHOT_DIR_ENV_VAR, raising=False)
+            make, folder = lambda: GroundTruthCache(**{tier: tmp_path}), tmp_path
+        graph = load("karate").graph
+        truth = make().get("karate", graph)
+        assert len(list(folder.glob("*.json"))) == 1
+        monkeypatch.setattr(ground_truth, "exact_betweenness", None)
+        assert make().get("karate", graph) == truth

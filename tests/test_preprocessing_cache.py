@@ -24,7 +24,7 @@ from repro.graphs import csr as csr_module
 from repro.graphs import delta as delta_module
 from repro.graphs.block_cut_tree import build_block_cut_tree
 from repro.graphs.components import is_connected
-from repro.graphs.csr import SNAPSHOT_KEY, CSRGraph, adopt_snapshot, as_csr
+from repro.graphs.csr import SNAPSHOT_KEY, CSRGraph, as_csr
 from repro.graphs.generators import barabasi_albert_graph, barbell_graph
 from repro.graphs.graph import Graph
 from repro.saphyra_bc import SaPHyRaBC
@@ -535,37 +535,3 @@ class TestSnapshotSlot:
         finally:
             gc.enable()
         assert snapshot.n > 0  # a snapshot held elsewhere outlives its graph
-
-    def test_adopted_snapshot_file_survives_an_edit(self, tmp_path):
-        from repro.graphs.store import (
-            graph_from_snapshot,
-            load_snapshot,
-            save_snapshot,
-        )
-
-        path = save_snapshot(CSRGraph.from_graph(_graph()), tmp_path / "g.csr")
-        on_disk = path.read_bytes()
-        snapshot = load_snapshot(path)
-        graph = graph_from_snapshot(snapshot)
-        adopt_snapshot(graph, snapshot)
-        assert as_csr(graph) is snapshot
-        before = _snapshot_bytes(snapshot)
-        _add_edge(graph)
-        patched = as_csr(graph)
-        assert patched is not snapshot and patched.source_path is None
-        assert _snapshot_bytes(patched) == _snapshot_bytes(
-            CSRGraph.from_graph(graph)
-        )
-        assert _snapshot_bytes(snapshot) == before
-        del patched, snapshot
-        assert path.read_bytes() == on_disk
-
-    def test_adopting_replaces_the_slot(self):
-        graph = _graph()
-        built = as_csr(graph)
-        adopted = CSRGraph.from_graph(graph)
-        adopt_snapshot(graph, adopted)
-        assert as_csr(graph) is adopted and adopted is not built
-        graph.add_node("extra")
-        with pytest.raises(GraphError, match="does not describe this graph"):
-            adopt_snapshot(graph, adopted)

@@ -25,6 +25,7 @@ from repro.centrality.brandes import (
     single_source_dependencies,
 )
 from repro.centrality.closeness import closeness_centrality
+from repro.datasets.ground_truth import GroundTruthCache, exact_betweenness
 from repro.engine import dag_cache
 from repro.errors import DatasetError, GraphError
 from repro.graphs import csr as csr_module
@@ -403,6 +404,8 @@ FORWARDING_RUNS = {
     "KADABRA": _baseline(KADABRA, max_samples_cap=200),
     "BaderPivot": _baseline(BaderPivot, num_pivots=8),
     "compare_estimators": _compare,
+    "exact_betweenness": lambda g, w: exact_betweenness(g, weighted=w),
+    "GroundTruthCache.get": lambda g, w: GroundTruthCache().get("g", g, weighted=w),
 }
 
 #: Callables with a ``weighted=None`` parameter that are pinned elsewhere:
